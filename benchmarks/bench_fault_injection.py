@@ -1,16 +1,17 @@
 """Fault-injection smoke: recovery must be invisible in the output.
 
 Not a perf benchmark — a CI robustness gate (docs/robustness.md).  It
-runs the same scale-1000 campaign three ways over the fork-pool
-executor and demands byte-identical results:
+runs the same scale-1000 campaign three ways on a 4-worker shm pool and
+demands byte-identical results:
 
-1. **clean** — no faults; must finish with zero shard retries (the
+1. **clean** — no faults; must finish with zero ticket retries (the
    supervised dispatch path behaving exactly like a blocking map);
-2. **faulted** — one worker crash plus one corrupted shard result
+2. **faulted** — one worker crash plus one corrupted ticket result
    buffer injected by the deterministic fault harness
-   (:mod:`repro.faults`); supervision must absorb both (retries > 0)
-   and the campaign, its analysis report and the shared clock must
-   equal the clean run's exactly;
+   (:mod:`repro.faults`), addressed by ticket index (the campaign
+   prefetches one ticket per worker, covering every week); supervision
+   must absorb both (retries > 0) and the campaign, its analysis
+   report and the shared clock must equal the clean run's exactly;
 3. **kill-and-resume** — the campaign is aborted after its second
    week, then resumed from its checkpoint directory on a fresh world;
    the resumed campaign must equal the clean run's exactly.
@@ -35,9 +36,10 @@ from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
 
 SCALE = 1_000
-SHARDS = 4
+WORKERS = 4
 POPULATIONS = ("cno", "toplist")
-SHARD_TIMEOUT = 10.0
+#: Per-week ticket deadline; a lost three-week ticket times out after 9 s.
+SHARD_TIMEOUT = 3.0
 
 OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
 
@@ -65,8 +67,7 @@ def _campaign(world, **kwargs):
         world,
         weeks=_weeks(world),
         populations=POPULATIONS,
-        shards=SHARDS,
-        shard_executor="process",
+        workers=WORKERS,
         phase_stats=stats,
         **kwargs,
     )
@@ -100,11 +101,11 @@ def main() -> int:
     clean_report = repr(longitudinal_report(clean))
     print(f"clean campaign: {len(clean.runs)} weeks, "
           f"{sum(len(r.observations) for r in clean.runs)} observations, "
-          f"{clean_stats.shard_retries} shard retries")
-    _check(clean_stats.shard_retries == 0, "clean run needed no shard retries")
+          f"{clean_stats.shard_retries} ticket retries")
+    _check(clean_stats.shard_retries == 0, "clean run needed no ticket retries")
 
     # ------------------------------------------------------------------
-    # Leg 1: worker crash + corrupted shard result buffer.
+    # Leg 1: worker crash on ticket 1 + corrupted result buffer of ticket 2.
     # ------------------------------------------------------------------
     weeks = _weeks(clean_world)
     plan = (
@@ -119,9 +120,9 @@ def main() -> int:
           f"{faulted_stats.shard_timeouts} timeouts, "
           f"{faulted_stats.shard_failures} failures")
     _check(faulted_stats.shard_timeouts == 1,
-           "worker crash surfaced as exactly one shard timeout")
+           "worker crash surfaced as exactly one ticket timeout")
     _check(faulted_stats.shard_failures == 1,
-           "corrupted buffer surfaced as exactly one shard failure")
+           "corrupted buffer surfaced as exactly one ticket failure")
     _check(faulted_stats.shard_retries == 2,
            "both faults recovered with exactly one retry each")
     _check(_campaigns_equal(clean, faulted),
@@ -158,7 +159,7 @@ def main() -> int:
         _check(resumed_world.clock.now == clean_world.clock.now,
                "resumed campaign clock identical to clean run")
         _check(resumed_stats.shard_retries == 0,
-               "resume needed no shard retries")
+               "resume needed no ticket retries")
 
     if _failures:
         print(f"\n{len(_failures)} fault-injection check(s) failed",

@@ -48,7 +48,6 @@ from repro.analysis import (
 )
 from repro.pipeline import (
     Campaign,
-    ShardedScanEngine,
     WeeklyRun,
     run_campaign,
     run_distributed,
@@ -83,7 +82,6 @@ __all__ = [
     "table6",
     "table7",
     "Campaign",
-    "ShardedScanEngine",
     "WeeklyRun",
     "run_campaign",
     "run_distributed",

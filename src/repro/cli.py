@@ -6,23 +6,21 @@ Commands mirror the measurement phases of the paper:
                      prints Tables 1-7.
 * ``campaign``     — longitudinal snapshots; prints Figures 3/4/8.
 * ``distributed``  — 17-vantage distributed run; prints Figure 7.
-* ``trace``        — tracebox one provider/group's path (deprecated
-                     alias; tracebox sampling is the ``trace`` plugin).
 * ``l4s``          — the §9.3 L4S re-marking experiment.
-* ``grease``       — the §9.3 ECN greasing study (deprecated alias;
-                     greasing is the ``grease`` plugin).
 
 ``scan`` and ``campaign`` select measurement plugins with ``--plugins``
 (comma-separated; ``--no-plugins`` keeps just the core ``ecn`` scan) —
-see docs/plugins.md.  World options (``--scale``/``--seed``/
+tracebox sampling is the ``trace`` plugin, ECN greasing the ``grease``
+plugin; see docs/plugins.md.  World options (``--scale``/``--seed``/
 ``--world-cache``) are shared by every world-building subcommand via
 one parent parser.
 
 Reports print to stdout; diagnostics (cache/supervision stats, the
-``--progress`` heartbeat, obs-output notes, deprecation pointers) go to
-stderr, silenced by ``--quiet``.  ``scan`` and ``campaign`` take
-``--metrics-out`` / ``--trace-out`` for the telemetry layer
-(docs/observability.md).
+``--progress`` heartbeat, obs-output notes) go to stderr, silenced by
+``--quiet``.  Numeric options are validated argparse-side: a zero or
+negative count, cadence, scale or timeout is a usage error (exit 2).
+``scan`` and ``campaign`` take ``--metrics-out`` / ``--trace-out`` for
+the telemetry layer (docs/observability.md).
 """
 
 from __future__ import annotations
@@ -33,13 +31,38 @@ import sys
 
 import repro
 from repro.analysis.report import global_report, longitudinal_report, reference_report
-from repro.extensions.greasing import run_greasing_study
 from repro.l4s.experiment import run_l4s_experiment
 from repro.pipeline.engine import ScanPhaseStats
-from repro.tracebox.classify import classify_trace
-from repro.tracebox.probe import trace_site
 from repro.util.weeks import Week
 from repro.web.spec import WorldConfig
+
+
+def _number_type(convert, name: str, *, minimum, inclusive: bool):
+    """An argparse type: ``convert`` the text, then bound it below.
+
+    Raising :class:`argparse.ArgumentTypeError` turns a bad value into
+    a usage message and exit 2 instead of a traceback deep in the run.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}") from None
+        if not (value >= minimum if inclusive else value > minimum):  # NaN fails too
+            bound = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(
+                f"invalid {name} value: {text!r} (must be {bound} {minimum})"
+            )
+        return value
+
+    parse.__name__ = name  # argparse names the type in its messages
+    return parse
+
+
+_positive_int = _number_type(int, "positive int", minimum=1, inclusive=True)
+_non_negative_int = _number_type(int, "non-negative int", minimum=0, inclusive=True)
+_positive_float = _number_type(float, "positive float", minimum=0.0, inclusive=False)
 
 
 def _world_parent() -> argparse.ArgumentParser:
@@ -52,7 +75,7 @@ def _world_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=4_000,
         help="world scale: 1 simulated domain = SCALE real domains",
     )
@@ -90,11 +113,7 @@ def _add_plugin_args(
 
 
 def _resolve_plugin_args(args) -> "tuple[str, ...] | None":
-    """The subcommand's plugin selection; ``None`` after an exit-2 error.
-
-    ``--no-tracebox`` survives as a deprecated alias for dropping the
-    ``trace`` plugin from the default selection.
-    """
+    """The subcommand's plugin selection; ``None`` after an exit-2 error."""
     from repro.plugins.registry import resolve_plugins
 
     if args.no_plugins:
@@ -105,13 +124,6 @@ def _resolve_plugin_args(args) -> "tuple[str, ...] | None":
             names = ("ecn",) + names
     else:
         names = args.default_plugins
-    if getattr(args, "no_tracebox", False):
-        _note(
-            args,
-            "note: --no-tracebox is deprecated; use --no-plugins or a "
-            "--plugins list without 'trace'",
-        )
-        names = tuple(n for n in names if n != "trace")
     try:
         return resolve_plugins(names).names
     except ValueError as exc:
@@ -232,7 +244,6 @@ def _cmd_scan(args) -> int:
         world,
         week,
         plugins=plugins,
-        backend=args.backend,
         telemetry=telemetry,
         phase_stats=stats,
     )
@@ -248,7 +259,6 @@ def _cmd_scan(args) -> int:
             ip_version=6,
             populations=("cno",),
             plugins=tuple(n for n in plugins if n != "trace"),
-            backend=args.backend,
             telemetry=telemetry,
             phase_stats=stats,
         )
@@ -260,28 +270,17 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    if args.shards is not None and args.workers is not None:
-        print("--shards and --workers are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.ticket_sites is not None and args.workers is None:
-        print("--ticket-sites requires --workers", file=sys.stderr)
-        return 2
-    if args.shards is None and args.shard_executor != "inline":
-        print("--shard-executor requires --shards", file=sys.stderr)
-        return 2
-    if args.shards is None and args.workers is None and args.checkpoint_dir is not None:
-        print("--checkpoint-dir requires --shards or --workers", file=sys.stderr)
-        return 2
-    if (
-        args.shards is None
-        and args.workers is None
-        and (args.shard_timeout is not None or args.shard_retries is not None)
-    ):
-        print(
-            "--shard-timeout/--shard-retries require --shards or --workers",
-            file=sys.stderr,
+    if args.workers is None:
+        pool_only = (
+            ("--ticket-sites", args.ticket_sites),
+            ("--checkpoint-dir", args.checkpoint_dir),
+            ("--shard-timeout", args.shard_timeout),
+            ("--shard-retries", args.shard_retries),
         )
-        return 2
+        for flag, value in pool_only:
+            if value is not None:
+                print(f"{flag} requires --workers", file=sys.stderr)
+                return 2
     if args.resume and args.checkpoint_dir is None:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -301,11 +300,8 @@ def _cmd_campaign(args) -> int:
         world,
         cadence_weeks=args.cadence,
         plugins=plugins,
-        shards=args.shards,
-        shard_executor=args.shard_executor,
         workers=args.workers,
         ticket_sites=args.ticket_sites,
-        backend=args.backend,
         exchange_cache=not args.no_exchange_cache,
         phase_stats=stats,
         checkpoint_dir=args.checkpoint_dir,
@@ -345,44 +341,6 @@ def _cmd_distributed(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    _note(
-        args,
-        "note: 'trace' is a deprecated alias; tracebox sampling now runs "
-        "as a plugin — try: repro scan --plugins ecn,trace",
-    )
-    world = _build_world(args)
-    week = args.week if args.week else world.config.reference_week
-    sites = [
-        s
-        for s in world.sites
-        if s.provider.name == args.provider
-        and (args.group is None or s.group.key == args.group)
-    ]
-    if not sites:
-        print(f"no sites for provider {args.provider!r}", file=sys.stderr)
-        return 1
-    site = sites[0]
-    result = trace_site(world, site, week)
-    for hop in result.hops:
-        if hop.responded:
-            org = world.asorg.org_for(hop.router_asn)
-            print(
-                f"ttl={hop.ttl:2d} {hop.router_address:<16s} AS{hop.router_asn:<6d} "
-                f"{org:<26s} quote: {hop.quote_ecn.short_name()}"
-            )
-        else:
-            print(f"ttl={hop.ttl:2d} * (timeout)")
-    summary = classify_trace(result)
-    print(f"impairment: {summary.impairment.value}")
-    if summary.culprit_asn is not None:
-        print(f"culprit: AS{summary.culprit_asn} ({world.asorg.org_for(summary.culprit_asn)})")
-    elif summary.changes:
-        a, b = summary.culprit_candidates
-        print(f"culprit: ambiguous (AS{a} or AS{b})")
-    return 0
-
-
 def _cmd_l4s(args) -> int:
     healthy = run_l4s_experiment(remark_classic=False, rounds=args.rounds)
     remarked = run_l4s_experiment(remark_classic=True, rounds=args.rounds)
@@ -394,21 +352,6 @@ def _cmd_l4s(args) -> int:
         )
     penalty = 1 - remarked.classic_delivered / max(1, healthy.classic_delivered)
     print(f"classic throughput penalty from re-marking: {100 * penalty:.0f} %")
-    return 0
-
-
-def _cmd_grease(args) -> int:
-    _note(
-        args,
-        "note: 'grease' is a deprecated alias; greasing now runs as a "
-        "plugin — try: repro scan --plugins ecn,grease",
-    )
-    world = _build_world(args)
-    report = run_greasing_study(world, max_sites=args.max_sites)
-    print(f"hosts scanned:            {report.hosts_scanned}")
-    print(f"visible without grease:   {report.visible_without_grease}")
-    print(f"visible with grease:      {report.visible_with_grease}")
-    print(f"visibility gain:          {100 * report.visibility_gain:.0f} % of hosts")
     return 0
 
 
@@ -432,70 +375,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--ipv6", action="store_true", help="add the IPv6 run")
     _add_plugin_args(scan, default=("ecn", "trace"))
-    scan.add_argument(
-        "--no-tracebox",
-        action="store_true",
-        help="deprecated: drop the 'trace' plugin (use --no-plugins or a "
-             "--plugins list without 'trace')",
-    )
-    scan.add_argument(
-        "--backend",
-        choices=("objects", "store"),
-        default="objects",
-        help="results layer for the run (golden-identical either way; "
-             "single scans default to eager observation objects)",
-    )
     _add_obs_args(scan, progress=False)
     scan.set_defaults(func=_cmd_scan)
 
     campaign = sub.add_parser(
         "campaign", help="longitudinal Figures 3/4/8", parents=[world_parent]
     )
-    campaign.add_argument("--cadence", type=int, default=12, help="weeks between scans")
+    campaign.add_argument(
+        "--cadence", type=_positive_int, default=12, help="weeks between scans"
+    )
     _add_plugin_args(campaign, default=("ecn",))
     campaign.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard the site phase over deterministic per-site RNG substreams "
-             "(order-independent, parallelizable; roughly throughput-parity "
-             "with the serial engine at bench scales — see docs/architecture.md)",
-    )
-    campaign.add_argument(
-        "--shard-executor",
-        choices=("inline", "process"),
-        default="inline",
-        help="how shards execute: in-process or a fork pool",
-    )
-    campaign.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="run the site phase on a persistent pool of N forked workers "
              "sharing one shared-memory world snapshot; weeks are "
              "prefetched as (site-range, week-range) tickets, so the "
-             "whole campaign costs one dispatch round trip per worker "
-             "(mutually exclusive with --shards; see "
+             "whole campaign costs one dispatch round trip per worker; "
+             "sites draw from deterministic per-site RNG substreams (see "
              "docs/architecture.md#worker-pool--shared-world)",
     )
     campaign.add_argument(
         "--ticket-sites",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="M",
         help="sites per work ticket for --workers (default: site count / "
              "workers, i.e. one ticket per worker); smaller tickets "
              "rebalance faster after a worker crash at the cost of more "
              "dispatches",
-    )
-    campaign.add_argument(
-        "--backend",
-        choices=("store", "objects"),
-        default="store",
-        help="results layer: the columnar campaign store (default; "
-             "golden-identical, far cheaper attribution) or eager "
-             "per-domain observation objects",
     )
     campaign.add_argument(
         "--no-exchange-cache",
@@ -509,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persist each completed week's results under DIR (atomic, "
-             "checksummed; requires --shards or --workers) so an "
+             "checksummed; requires --workers) so an "
              "interrupted campaign can --resume without recomputing "
              "finished weeks",
     )
@@ -521,20 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--shard-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-attempt deadline for supervised process shards "
+        help="per-week deadline of one --workers ticket attempt "
              "(default 60; hung or crashed workers are retried, then "
              "re-executed inline)",
     )
     campaign.add_argument(
         "--shard-retries",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
-        help="pool re-dispatches per failed shard before the inline "
-             "fallback (default 2)",
+        help="pool re-dispatches per failed ticket before the inline "
+             "fallback (default 2; requires --workers)",
     )
     _add_obs_args(campaign)
     campaign.set_defaults(func=_cmd_campaign)
@@ -545,29 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     distributed.add_argument("--ipv6", action="store_true")
     distributed.set_defaults(func=_cmd_distributed)
 
-    trace = sub.add_parser(
-        "trace",
-        help="tracebox one provider's path (deprecated; see the trace plugin)",
-        parents=[world_parent],
-    )
-    trace.add_argument("--provider", required=True)
-    trace.add_argument("--group")
-    trace.add_argument("--week", type=_parse_week, help="ISO week like 2023-W15")
-    trace.add_argument("--quiet", action="store_true", help="suppress stderr notes")
-    trace.set_defaults(func=_cmd_trace)
-
     l4s = sub.add_parser("l4s", help="§9.3 L4S re-marking experiment")
-    l4s.add_argument("--rounds", type=int, default=200)
+    l4s.add_argument("--rounds", type=_positive_int, default=200)
     l4s.set_defaults(func=_cmd_l4s)
-
-    grease = sub.add_parser(
-        "grease",
-        help="§9.3 ECN greasing study (deprecated; see the grease plugin)",
-        parents=[world_parent],
-    )
-    grease.add_argument("--max-sites", type=int, default=120)
-    grease.add_argument("--quiet", action="store_true", help="suppress stderr notes")
-    grease.set_defaults(func=_cmd_grease)
 
     return parser
 

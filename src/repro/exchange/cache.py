@@ -29,7 +29,7 @@ no two capsules differing in an outcome-relevant member share a key):
 
 What it deliberately omits: the authority (request bytes never reach
 any observable), the week itself (only its bucketed projections
-matter), the shard layout and the RNG substream (a draw-free exchange
+matter), the ticket layout and the RNG substream (a draw-free exchange
 never consults it).  An exchange whose path *can* draw is reported
 ``uncacheable`` and always runs fresh, preserving the RNG stream
 position draw for draw.
@@ -130,9 +130,9 @@ class ExchangeCache:
     ``path_memo`` additionally memoises the per-site ECMP selection for
     key derivation (the flow hash is a SHA-256; the 5-tuple is
     week-invariant, so it only needs recomputing on route-epoch
-    changes).  Fork-pool workers inherit the cache by fork and
-    accumulate independently; their stats travel back in the shard
-    codec buffers.
+    changes).  Shm-pool workers build their own cache and accumulate
+    independently; their stats travel back in the result codec
+    buffers.
     """
 
     __slots__ = ("stats", "path_memo", "_outcomes", "_values", "_paths")

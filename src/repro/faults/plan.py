@@ -1,18 +1,19 @@
 """Deterministic fault injection for the campaign runtime.
 
 A :class:`FaultPlan` is a seeded, declarative list of failures to
-inject into a run: crash a pool worker on a specific shard attempt,
-stall a shard past its supervision deadline, corrupt a shard result
+inject into a run: crash a pool worker on a specific ticket attempt,
+stall a ticket past its supervision deadline, corrupt a ticket result
 buffer or a checkpoint file, or abort a campaign between weeks (the
 kill-and-resume tests' "crash").  The runtime calls the plan's hooks at
 the few places real faults strike — the worker entry point
-(:func:`repro.pipeline.sharding._pool_run_shard`), the result
+(:func:`repro.pipeline.sharding._pool_run_ticket`), the result
 marshalling boundary, the checkpoint writer, the campaign week loop —
 and a plan with no matching rule is a no-op at every one of them.
 
 Determinism is the design constraint.  Hooks run on both sides of a
 fork boundary, so rules match on *coordinates* — ``(shard, week,
-attempt)`` — never on shared mutable counters; the same plan injects
+attempt)``, where ``shard`` is the ticket index — never on shared
+mutable counters; the same plan injects
 the same faults into every execution of the same run.  Corruption is
 seeded: byte positions and flip masks come from an
 :class:`~repro.util.rng.RngStream` derived from the plan seed and the

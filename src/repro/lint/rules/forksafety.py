@@ -1,6 +1,6 @@
 """REP003 — module globals in worker-imported modules must be fork-safe.
 
-Fork-pool and shm-pool workers import ``pipeline/``, ``exchange/`` and
+Shm-pool workers import ``pipeline/``, ``exchange/`` and
 ``plugins/`` modules and then run for the lifetime of a campaign.  A
 mutable module-level global mutated at runtime silently diverges
 between parent and workers (each fork gets a copy-on-write snapshot),
@@ -8,7 +8,7 @@ which is exactly the bug class the golden matrices can only catch by
 luck.  Two shapes are legal:
 
 * the **registered worker-state pattern** — names matching
-  ``_WORKER_*`` (e.g. ``_WORKER_ENGINE`` in ``pipeline/sharding.py``),
+  ``_WORKER_*`` or ``_SHM_WORKER`` (in ``pipeline/sharding.py``),
   which are deliberately per-process and documented as such;
 * **import-time constants** — immutable values, or mutable containers
   annotated ``Final`` (never rebound; filled only during import so all

@@ -1,7 +1,7 @@
 """Typed metrics registry with near-zero hot-path overhead.
 
 The runtime grew counters organically: :class:`ScanPhaseStats` on the
-engine, :class:`SupervisionStats` on the sharded executors, exchange
+engine, :class:`SupervisionStats` on the shm pool, exchange
 replay-cache counters shipped in shard trailers, world-cache hits
 measured (but never reported) by :mod:`repro.web.snapshot`, shm-pool
 memo/replay counters.  Each had its own dataclass, its own merge

@@ -3,12 +3,11 @@
 A :class:`Tracer` records :class:`Span` intervals against the monotonic
 clock (``time.perf_counter``).  Parenting is implicit: ``begin`` pushes
 onto a stack, ``end`` pops, so the campaign → week → phase →
-shard/ticket → merge hierarchy falls out of the call structure without
+ticket → merge hierarchy falls out of the call structure without
 anyone threading parent ids around.
 
-Cross-process spans: workers (fork-pool shards and shm-pool tickets)
-record their own tiny tracer, serialise it with
-:func:`encode_obs_blob` — varints plus the shard codec's deduplicating
+Cross-process spans: shm-pool workers record their own tiny tracer,
+serialise it with :func:`encode_obs_blob` — varints plus the shard codec's deduplicating
 string table, riding inside the CRC-checked ``ECNSTOR4`` frame — and
 the parent re-parents the blob's root spans under whatever span
 dispatched the work (:meth:`Tracer.ingest`).  On Linux

@@ -2,15 +2,9 @@
 
 from repro.pipeline.campaign import Campaign, campaign_weeks, run_campaign
 from repro.pipeline.checkpoint import CampaignCheckpointer, campaign_checkpoint_key
-from repro.pipeline.engine import (
-    ScanEngine,
-    ScanPhaseStats,
-    ShardResultMissing,
-    SiteResultCache,
-)
+from repro.pipeline.engine import ScanEngine, ScanPhaseStats, ShardResultMissing
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan, run_weekly_scan_reference
 from repro.pipeline.sharding import (
-    ShardedScanEngine,
     ShmPoolScanEngine,
     SupervisionStats,
     Ticket,
@@ -28,9 +22,7 @@ __all__ = [
     "ScanEngine",
     "ScanPhaseStats",
     "ShardResultMissing",
-    "ShardedScanEngine",
     "ShmPoolScanEngine",
-    "SiteResultCache",
     "SupervisionStats",
     "Ticket",
     "plan_tickets",

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
-from repro.pipeline.engine import ShardResultMissing, SiteResultCache
+from repro.pipeline.engine import ShardResultMissing
 from repro.pipeline.runs import WeeklyRun
 from repro.util.weeks import Week
 from repro.web.world import World
@@ -75,6 +75,8 @@ def campaign_weeks(world: World, cadence_weeks: int = 4) -> list[Week]:
     length up front (the CLI sizes its ``--progress`` heartbeat from
     it before the campaign starts).
     """
+    if cadence_weeks < 1:
+        raise ValueError(f"cadence_weeks must be >= 1, got {cadence_weeks}")
     weeks = []
     week = world.config.start_week
     while week <= world.config.reference_week:
@@ -94,12 +96,8 @@ def run_campaign(
     populations: tuple[str, ...] = ("cno",),
     run_tracebox: bool = False,
     plugins: tuple[str, ...] | None = None,
-    reuse_site_results: bool = False,
-    shards: int | None = None,
-    shard_executor: str = "inline",
     workers: int | None = None,
     ticket_sites: int | None = None,
-    backend: str = "store",
     phase_stats: "ScanPhaseStats | None" = None,
     exchange_cache: bool = True,
     checkpoint_dir: "str | os.PathLike | None" = None,
@@ -115,42 +113,38 @@ def run_campaign(
 
     By default samples every ``cadence_weeks`` from the campaign start
     to the reference week — the resolution Figures 3/4/8 need.  All runs
-    share one :class:`~repro.pipeline.engine.ScanEngine` plan, so the
-    per-domain attribution tables are built once for the whole series;
-    ``reuse_site_results`` additionally skips re-scanning sites whose
-    behaviour epoch has not changed (epoch-accurate, not draw-accurate —
-    see :meth:`ScanEngine.run_weeks`).
-
-    ``shards`` switches the site phase to a
-    :class:`~repro.pipeline.sharding.ShardedScanEngine` with that many
-    shards (``shard_executor`` picks ``"inline"`` or ``"process"``).
-    Sharded campaigns use deterministic per-site RNG substreams rather
-    than the shared reference stream — reproducible and shard-count
-    independent, but a different realisation of the stochastic draws
-    (docs/architecture.md#sharded-site-phase).
-
-    ``backend="store"`` (the default) records runs into the columnar
-    :mod:`repro.store` — field-identical observations, a fraction of
-    the attribution cost at campaign scale; ``backend="objects"`` keeps
-    the eager per-domain materialisation.  ``phase_stats`` (a
-    :class:`~repro.pipeline.engine.ScanPhaseStats`) accumulates the
-    site-phase / attribution wall-time split across the series, plus
-    the exchange replay-cache hit/miss counters.
+    share one :class:`~repro.pipeline.engine.ScanPlan`, so the
+    per-domain attribution tables are built once for the whole series,
+    and every run records into the columnar :mod:`repro.store`.
+    ``phase_stats`` (a :class:`~repro.pipeline.engine.ScanPhaseStats`)
+    accumulates the site-phase / attribution wall-time split across the
+    series, plus the exchange replay-cache hit/miss counters.
 
     ``plugins`` selects the measurement plugins every week runs
     (default: just the core ``ecn`` scan; see :mod:`repro.plugins`).
     Plugin variants ride the same executor, exchange cache, checkpoint
     and supervision machinery as the core scan; their merged rows land
-    on each run's ``plugin_rows`` (and as per-plugin store columns
-    under the store backend).  The ``trace`` plugin — like
-    ``run_tracebox``, which it subsumes — is incompatible with
-    checkpointing.
+    on each run's ``plugin_rows`` and as per-plugin store columns.  The
+    ``trace`` plugin — like ``run_tracebox``, which it subsumes — is
+    incompatible with checkpointing.
 
     ``exchange_cache`` (default on) is what makes re-measuring stable
     site-weeks cheap: exchanges whose inputs repeat across the series
     replay cached outcomes byte-identically (:mod:`repro.exchange`).
     ``exchange_cache=False`` forces every exchange to run fresh (the
     golden tests compare the two).
+
+    ``workers`` switches the site phase to a
+    :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: the encoded
+    world is published to one shared-memory segment, a persistent pool
+    of that many forked workers decodes it zero-copy at startup, and
+    the campaign's weeks are prefetched as (site-range, week-range)
+    tickets so the whole series costs one dispatch round trip per
+    worker (``ticket_sites`` overrides the site-range size).  Pool
+    campaigns use deterministic per-site RNG substreams rather than the
+    shared reference stream — reproducible and worker-count
+    independent, but a different realisation of the stochastic draws
+    (docs/architecture.md#worker-pool--shared-world).
 
     ``checkpoint_dir`` makes the campaign crash-safe: every completed
     week's site-phase entries persist atomically under that directory
@@ -160,37 +154,25 @@ def run_campaign(
     weeks are byte-identical to executed ones (records fill in the same
     order, the clock sums the same floats), so an interrupted campaign
     resumes to exactly the uninterrupted result.  Checkpointing
-    requires ``shards`` — only per-site RNG substreams survive skipping
+    requires the pool — only per-site RNG substreams survive skipping
     weeks; the shared reference stream's position would diverge — and
-    is incompatible with ``reuse_site_results`` / ``run_tracebox``
-    (their effects live outside the checkpointed entries).  Shard count
-    and executor may differ between the original run and the resume.
-
-    ``workers`` switches the site phase to a
-    :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: the encoded
-    world is published to one shared-memory segment, a persistent pool
-    of that many forked workers decodes it zero-copy at startup, and
-    the campaign's weeks are prefetched as (site-range, week-range)
-    tickets so the whole series costs one dispatch round trip per
-    worker (``ticket_sites`` overrides the site-range size).  Mutually
-    exclusive with ``shards``; same per-site RNG semantics, same
-    supervision, same checkpoint compatibility — a campaign
-    checkpointed under ``shards`` resumes under ``workers`` and vice
-    versa.
+    is incompatible with ``run_tracebox`` (trace results live outside
+    the checkpointed entries).  The worker count may differ between the
+    original run and the resume.
 
     ``engine`` supplies a pre-built engine instead (closing stays the
     caller's job — this is how benchmarks keep one warm pool across
     repeated campaigns); it is mutually exclusive with the
     engine-construction parameters above.
 
-    ``shard_timeout`` / ``max_shard_retries`` tune the sharded engine's
-    worker supervision (docs/robustness.md); ``fault_plan`` injects
+    ``shard_timeout`` / ``max_shard_retries`` tune the pool's ticket
+    supervision (docs/robustness.md); ``fault_plan`` injects
     deterministic faults (tests only, :mod:`repro.faults`).
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments the run:
     campaign → week → phase spans on the registry's tracer, worker
-    shard/ticket spans re-parented under their dispatching week, and
-    the campaign's counters published into the registry at the end
+    ticket spans re-parented under their dispatching week, and the
+    campaign's counters published into the registry at the end
     (docs/observability.md).  Instrumentation never changes results —
     golden tests pin instrumented campaigns byte-identical to
     uninstrumented ones.  ``progress`` (a
@@ -199,7 +181,7 @@ def run_campaign(
     is restored afterwards, so a shared ``world.scan_engine()`` never
     leaks instrumentation into later runs.
     """
-    from repro.pipeline.sharding import ShardedScanEngine, ShmPoolScanEngine
+    from repro.pipeline.sharding import ShmPoolScanEngine
     from repro.plugins.registry import resolve_plugins
 
     plugin_names = resolve_plugins(
@@ -209,79 +191,51 @@ def run_campaign(
         plugin_names = plugin_names + ("trace",)
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
-    if shards is not None and workers is not None:
-        raise ValueError(
-            "shards and workers are mutually exclusive: shards=N selects the "
-            "per-dispatch sharded engine, workers=N the shared-memory pool"
-        )
     if ticket_sites is not None and workers is None:
         raise ValueError(
             "ticket_sites has no effect without workers; pass workers=N to "
             "run the shared-memory pool"
         )
+    supervised = shard_timeout is not None or max_shard_retries is not None
     if engine is not None:
-        if shards is not None or workers is not None:
+        if workers is not None:
             raise ValueError(
-                "engine= is mutually exclusive with shards/workers; configure "
+                "engine= is mutually exclusive with workers; configure "
                 "the supplied engine directly"
             )
-        if shard_timeout is not None or max_shard_retries is not None:
+        if supervised:
             raise ValueError(
                 "engine= is mutually exclusive with shard_timeout/"
                 "max_shard_retries; configure the supplied engine directly"
             )
+    elif workers is None and supervised:
+        raise ValueError(
+            "shard_timeout/max_shard_retries have no effect without workers; "
+            "pass workers=N to run a supervised pool site phase"
+        )
     if checkpoint_dir is not None:
-        if (
-            shards is None
-            and workers is None
-            and not isinstance(engine, ShardedScanEngine)
-        ):
+        if workers is None and not isinstance(engine, ShmPoolScanEngine):
             raise ValueError(
-                "checkpointing requires a sharded campaign (shards=N or "
-                "workers=N): only per-site RNG substreams are valid across "
-                "resumed weeks"
-            )
-        if reuse_site_results:
-            raise ValueError(
-                "checkpointing is incompatible with reuse_site_results: "
-                "cross-week reuse state lives outside the checkpointed entries"
-            )
-        if run_tracebox:
-            raise ValueError(
-                "checkpointing is incompatible with run_tracebox: trace "
-                "results are not part of the checkpointed site phase"
+                "checkpointing requires a pool campaign (workers=N): only "
+                "per-site RNG substreams are valid across resumed weeks"
             )
         if "trace" in plugin_names:
             raise ValueError(
-                "checkpointing is incompatible with the trace plugin: trace "
-                "results are not part of the checkpointed site phase"
+                "checkpointing is incompatible with the trace plugin (and "
+                "run_tracebox): trace results are not part of the "
+                "checkpointed site phase"
             )
-    if (
-        shards is None
-        and workers is None
-        and engine is None
-        and (shard_timeout is not None or max_shard_retries is not None)
-    ):
-        raise ValueError(
-            "shard_timeout/max_shard_retries have no effect without shards; "
-            "pass shards=N to run a supervised sharded site phase"
-        )
     if weeks is None:
         weeks = campaign_weeks(world, cadence_weeks)
     owns_engine = engine is None
-    supervision = {}
-    if shard_timeout is not None:
-        supervision["shard_timeout"] = shard_timeout
-    if max_shard_retries is not None:
-        supervision["max_shard_retries"] = max_shard_retries
     if engine is not None:
         pass  # caller-built engine: caller configures and closes it
     elif workers is not None:
-        if shard_executor != "inline":
-            raise ValueError(
-                f"shard_executor={shard_executor!r} applies to shards=N; "
-                "workers=N always runs the shared-memory process pool"
-            )
+        supervision = {}
+        if shard_timeout is not None:
+            supervision["shard_timeout"] = shard_timeout
+        if max_shard_retries is not None:
+            supervision["max_shard_retries"] = max_shard_retries
         engine = ShmPoolScanEngine(
             world,
             workers=workers,
@@ -290,27 +244,12 @@ def run_campaign(
             fault_plan=fault_plan,
             **supervision,
         )
-    elif shards is None:
-        if shard_executor != "inline":
-            raise ValueError(
-                f"shard_executor={shard_executor!r} has no effect without shards; "
-                "pass shards=N to run a sharded site phase"
-            )
-        if exchange_cache:
-            engine = world.scan_engine()
-        else:
-            from repro.pipeline.engine import ScanEngine
-
-            engine = ScanEngine(world, exchange_cache=False)
+    elif exchange_cache:
+        engine = world.scan_engine()
     else:
-        engine = ShardedScanEngine(
-            world,
-            shards=shards,
-            executor=shard_executor,
-            exchange_cache=exchange_cache,
-            fault_plan=fault_plan,
-            **supervision,
-        )
+        from repro.pipeline.engine import ScanEngine
+
+        engine = ScanEngine(world, exchange_cache=False)
     checkpointer = None
     if checkpoint_dir is not None:
         from repro.pipeline.checkpoint import (
@@ -350,7 +289,6 @@ def run_campaign(
                 compute_weeks, vantage_id, populations=populations,
                 plugins=plugin_names,
             )
-    reuse = SiteResultCache() if reuse_site_results else None
     campaign = Campaign()
     # Instrumentation setup.  phase_stats doubles as the registry
     # source: when the caller did not pass one, an internal split
@@ -368,7 +306,7 @@ def run_campaign(
 
             stats = ScanPhaseStats()
         stats_base = replace(stats)
-        if isinstance(engine, ShardedScanEngine):
+        if isinstance(engine, ShmPoolScanEngine):
             supervision_base = engine.supervision.snapshot()
         engine.telemetry = telemetry
         tracer = telemetry.tracer
@@ -378,8 +316,8 @@ def run_campaign(
         else None
     )
     weeks_done = 0
-    # Domain totals come from the finished runs (len() on the store
-    # backend's lazy views is O(1)) — summing world.domains up front
+    # Domain totals come from the finished runs (len() on the store's
+    # lazy views is O(1)) — summing world.domains up front
     # costs more than the whole telemetry layer at bench scales.
     domains_scanned = 0
     try:
@@ -391,8 +329,6 @@ def run_campaign(
             week_kwargs = dict(
                 populations=populations,
                 plugins=plugin_names,
-                reuse=reuse,
-                backend=backend,
                 phase_stats=stats,
             )
             week_span = (
@@ -433,7 +369,7 @@ def run_campaign(
                 cache = engine.exchange_cache
                 sup = (
                     engine.supervision
-                    if isinstance(engine, ShardedScanEngine)
+                    if isinstance(engine, ShmPoolScanEngine)
                     else None
                 )
                 progress.week_done(
@@ -469,10 +405,10 @@ def run_campaign(
             tracer.end(campaign_span)
         engine.telemetry = prior_telemetry
         # Caller-supplied engines outlive the campaign (warm pools are
-        # the point of passing one in); self-built sharded/pool engines
-        # tear down here — on success, injected aborts and crashed
+        # the point of passing one in); self-built pool engines tear
+        # down here — on success, injected aborts and crashed
         # workers alike, which is what keeps shared segments from
         # leaking.
-        if owns_engine and isinstance(engine, ShardedScanEngine):
+        if owns_engine and isinstance(engine, ShmPoolScanEngine):
             engine.close()
     return campaign

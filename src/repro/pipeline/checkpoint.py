@@ -14,9 +14,10 @@ a resumed campaign is byte-identical to an uninterrupted one
 Files are keyed by :func:`campaign_checkpoint_key` — a digest over the
 world fingerprint and every campaign parameter the entries depend on
 (vantage, populations, family, TCP inclusion) plus the codec format
-versions.  Shard count and executor are deliberately *excluded*: per-site
-RNG substreams make results partition-independent, so a campaign may
-resume under a different shard count or executor than it started with.
+versions.  Worker count, ticket tiling and executor are deliberately
+*excluded*: per-site RNG substreams make results partition-independent,
+so a campaign may resume under a different worker count than it started
+with — including files the removed fork-pool executor wrote.
 Any mismatch — different world, drifted specs, bumped codec — simply
 misses, and the week recomputes.  Corrupt files (torn writes, bit rot)
 fail the frame checksum and are likewise treated as absent, never

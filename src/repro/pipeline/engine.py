@@ -33,8 +33,8 @@ config, route epoch, response) the recorded result and clock trajectory
 replay byte-identically instead of re-simulating the connection.
 
 :meth:`ScanEngine.site_events` exposes the ordered site phase as data.
-:class:`~repro.pipeline.sharding.ShardedScanEngine` partitions it across
-workers; the ``site_rng`` mode below is what makes that sound:
+:class:`~repro.pipeline.sharding.ShmPoolScanEngine` partitions it across
+worker processes; the ``site_rng`` mode below is what makes that sound:
 
 * ``"shared"`` (default) — exchanges draw from the world's one
   sequential network RNG stream and advance the one shared clock, in
@@ -43,14 +43,18 @@ workers; the ``site_rng`` mode below is what makes that sound:
   :class:`~repro.util.rng.RngStream` seeded deterministically from
   (world seed, week, vantage, family, site, kind) and runs against its
   own virtual clock.  Exchanges become order-independent, so any
-  partition of the site phase — serial, shards, processes, any worker
-  permutation — produces identical results.
+  partition of the site phase — serial, any worker count, any ticket
+  tiling — produces identical results.
+
+Attribution records into the columnar
+:class:`~repro.store.columns.ObservationStore` (O(sites) per week);
+runs serve observations as lazy :class:`~repro.store.views.ObservationView`
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
 from time import perf_counter
 from typing import TYPE_CHECKING, Final, Sequence
 
@@ -68,7 +72,7 @@ from repro.exchange.core import (
 )
 from repro.netsim.clock import Clock
 from repro.obs.metrics import safe_ratio
-from repro.pipeline.runs import WeeklyRun, ensure_site_record
+from repro.pipeline.runs import ensure_site_record
 from repro.plugins.base import PLUGIN_KIND_BASE, VariantBinding
 from repro.plugins.registry import (
     DEFAULT_PLUGINS,
@@ -77,16 +81,15 @@ from repro.plugins.registry import (
     resolve_plugins,
     stream_tag,
 )
-from repro.quic.connection import QuicConnectionResult
 from repro.scanner.quic_scan import QuicScanConfig, quic_client_config, scan_site_quic
-from repro.scanner.results import DomainObservation
 from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp, tcp_client_config
-from repro.store.columns import plan_columns
+from repro.store.columns import ObservationStore, plan_columns
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (world -> engine)
-    from repro.web.world import Site, World
+if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from repro.store.views import StoreWeeklyRun  # views -> runs -> pipeline
+    from repro.web.world import Site, World  # world -> engine
 
 #: Event kinds of the site phase, ordered as the reference loop fires
 #: them at one domain position (QUIC before TCP).
@@ -110,10 +113,10 @@ def _kind_label(kind: int) -> str:
 class ShardResultMissing(RuntimeError):
     """A site-phase merge is missing results for scheduled events.
 
-    Raised by the central merge — sharded execution or checkpoint
+    Raised by the central merge — pool execution or checkpoint
     replay — *before* any record is mutated, naming exactly which
     ``(site_index, kind)`` entries are absent (and, when the caller
-    knows the partition, which shard owned them), instead of surfacing
+    knows the partition, which ticket owned them), instead of surfacing
     as a bare ``KeyError`` mid-merge.
     """
 
@@ -209,21 +212,21 @@ class ScanPhaseStats:
     """Accumulated wall-time split of weekly runs (pass to ``run_week``).
 
     ``site_phase_seconds`` covers the per-site exchanges,
-    ``attribution_seconds`` the per-domain materialisation/fan-out
-    (object path) or the O(sites) store recording (store path).
-    ``analysis_seconds`` is filled by callers that time an analysis
-    pass over the finished runs — the engine never runs analysis.
+    ``attribution_seconds`` the O(sites) store recording plus plugin
+    row merging.  ``analysis_seconds`` is filled by callers that time
+    an analysis pass over the finished runs — the engine never runs
+    analysis.
 
     The ``exchange_cache_*`` counters account the replay cache
     (:mod:`repro.exchange`) over the covered site phases: ``hits``
     replayed a cached outcome, ``misses`` ran fresh and populated the
     cache, ``uncacheable`` ran fresh because the path may draw
-    randomness.  Fork-pool runs merge worker-side counters in before
-    the site phase ends, so the split is executor-independent.
+    randomness.  Pool runs merge worker-side counters in before the
+    site phase ends, so the split is executor-independent.
 
-    The ``shard_*`` counters account supervised sharded execution
-    (:class:`~repro.pipeline.sharding.ShardedScanEngine`):
-    ``shard_timeouts`` shard attempts that exceeded the deadline (hung
+    The ``shard_*`` counters account supervised pool execution
+    (:class:`~repro.pipeline.sharding.ShmPoolScanEngine`):
+    ``shard_timeouts`` ticket attempts that exceeded the deadline (hung
     or dead worker), ``shard_failures`` attempts that raised (worker
     crash, corrupt result buffer), ``shard_retries`` recovery
     executions — pool re-dispatches plus the final inline fallback.  A
@@ -285,25 +288,6 @@ class ScanPhaseStats:
         self.exchange_cache_misses += other.exchange_cache_misses
         self.exchange_cache_uncacheable += other.exchange_cache_uncacheable
 
-    def merge_supervision_counters(self, other: "ScanPhaseStats") -> None:
-        """Fold another split's shard supervision counters into this one."""
-        self.shard_retries += other.shard_retries
-        self.shard_timeouts += other.shard_timeouts
-        self.shard_failures += other.shard_failures
-
-
-@dataclass
-class SiteResultCache:
-    """Cross-week QUIC result reuse (opt-in, see :meth:`ScanEngine.run_weeks`).
-
-    Maps site index to (behaviour epoch key, result).  Reusing a result
-    skips the exchange — and therefore the RNG draws it would have made —
-    so reuse trades bit-identical loss realisations for speed; only the
-    epoch-stable behaviour is guaranteed to match.
-    """
-
-    quic: dict[int, tuple[object, QuicConnectionResult]] = field(default_factory=dict)
-
 
 class ScanEngine:
     """Runs weekly scans site-first against one :class:`World`.
@@ -324,7 +308,7 @@ class ScanEngine:
     """
 
     #: The ``site_rng`` mode :meth:`run_week` resolves ``None`` to.
-    #: Sharded engines override this with ``"per-site"`` — shared-stream
+    #: The pool engine overrides this with ``"per-site"`` — shared-stream
     #: semantics cannot be partitioned.
     default_site_rng = "shared"
 
@@ -595,7 +579,7 @@ class ScanEngine:
         include_tcp: bool = False,
         plugins: Sequence[str] | None = None,
     ) -> list[SiteEvent]:
-        """Public view of the site phase (the week-sharding hook)."""
+        """Public view of the site phase (what pool workers rebuild)."""
         plan = self.plan_for(ip_version, populations)
         events, _ = self._schedule(
             plan, week, vantage_id, include_tcp, resolve_plugins(plugins)
@@ -603,52 +587,8 @@ class ScanEngine:
         return events
 
     # ------------------------------------------------------------------
-    # Cross-week reuse
+    # Exchanges
     # ------------------------------------------------------------------
-    def behaviour_epoch(
-        self, site: "Site", week: Week, vantage_id: str, ip_version: int = 4
-    ) -> tuple:
-        """Key identifying everything that shapes a site's scan outcome.
-
-        Two weeks with equal epochs present the same stack behaviour over
-        the same route under the same policy; only stochastic path
-        effects (loss draws) can differ between their exchanges.
-        """
-        world = self.world
-        policy = world.site_policy(site, vantage_id)
-        behavior = None
-        if policy.reachable and policy.quic_profile is not None:
-            behavior = world.stack_registry.behavior(policy.quic_profile, week)
-        route_key = site.route_key + ("/v6" if ip_version == 6 else "")
-        try:
-            template = world.network.template_for(vantage_id, route_key, week)
-        except KeyError:
-            template = None
-        return (policy, behavior, id(template))
-
-    def _site_quic(
-        self,
-        site: "Site",
-        week: Week,
-        vantage_id: str,
-        config: QuicScanConfig,
-        authority_domain: str,
-        reuse: SiteResultCache | None,
-        rng: RngStream | None = None,
-        clock: Clock | None = None,
-    ) -> QuicConnectionResult:
-        if reuse is not None:
-            epoch = self.behaviour_epoch(site, week, vantage_id, config.ip_version)
-            cached = reuse.quic.get(site.index)
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
-        result = self._exchange(
-            QUIC_EVENT, site, week, vantage_id, config, authority_domain, rng, clock
-        )
-        if reuse is not None:
-            reuse.quic[site.index] = (epoch, result)
-        return result
-
     def _exchange(
         self,
         kind: int,
@@ -731,8 +671,8 @@ class ScanEngine:
         derived from the same site/week/route state, its distinct
         client config hashes to distinct cache keys, and hit / miss /
         uncacheable behave exactly as for the core scan — which is how
-        variants inherit caching, sharding, checkpointing and the
-        shm pool without any executor knowing plugins exist.
+        variants inherit caching, checkpointing and the shm pool
+        without any executor knowing plugins exist.
         """
         world = self.world
         authority = f"www.{authority_domain}"
@@ -771,7 +711,7 @@ class ScanEngine:
     ) -> RngStream:
         """The deterministic RNG substream of one site event.
 
-        Seeded from everything that identifies the exchange — the shard
+        Seeded from everything that identifies the exchange — the ticket
         layout, executor, and worker order never enter the seed, which is
         why any partition of the site phase reproduces the same draws.
         Plugin-variant events use their registry tag
@@ -798,7 +738,6 @@ class ScanEngine:
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
         records: dict,
-        reuse: SiteResultCache | None,
         rng: RngStream | None = None,
         clock: Clock | None = None,
         plugin_rows: dict | None = None,
@@ -808,7 +747,7 @@ class ScanEngine:
         Core events land on the site record; plugin-variant events run
         the variant exchange and store the plugin's typed row under
         ``(site_index, kind)`` — rows, not raw results, are what
-        variants contribute downstream (store columns, shard frames,
+        variants contribute downstream (store columns, ticket frames,
         checkpoints).
         """
         site = self.world.sites[event.site_index]
@@ -830,28 +769,21 @@ class ScanEngine:
                 )
             return
         record = ensure_site_record(records, event.site_index, event.address)
-        if event.kind == QUIC_EVENT:
-            record.quic = self._site_quic(
-                site,
-                week,
-                vantage_id,
-                quic_config,
-                event.authority_domain,
-                reuse,
-                rng=rng,
-                clock=clock,
-            )
+        is_quic = event.kind == QUIC_EVENT
+        result = self._exchange(
+            event.kind,
+            site,
+            week,
+            vantage_id,
+            quic_config if is_quic else tcp_config,
+            event.authority_domain,
+            rng,
+            clock,
+        )
+        if is_quic:
+            record.quic = result
         else:
-            record.tcp = self._exchange(
-                TCP_EVENT,
-                site,
-                week,
-                vantage_id,
-                tcp_config,
-                event.authority_domain,
-                rng,
-                clock,
-            )
+            record.tcp = result
 
     def _execute_site_phase(
         self,
@@ -862,7 +794,6 @@ class ScanEngine:
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
         records: dict,
-        reuse: SiteResultCache | None,
         site_rng: str,
         entry_sink: list | None = None,
         replay: dict[tuple[int, int], tuple[object, float]] | None = None,
@@ -871,7 +802,7 @@ class ScanEngine:
         plugins: tuple[str, ...] | None = None,
         plugin_rows: dict | None = None,
     ) -> None:
-        """Run all site events (serially; overridden by the sharded engine).
+        """Run all site events (serially; overridden by the pool engine).
 
         ``entry_sink``, when given, collects ``(site_index, kind,
         result, elapsed)`` entries in event order — the unit campaign
@@ -897,39 +828,21 @@ class ScanEngine:
             for event in events:
                 self._run_event(
                     event, week, vantage_id, quic_config, tcp_config, records,
-                    reuse, plugin_rows=plugin_rows,
+                    plugin_rows=plugin_rows,
                 )
             return
         if site_rng != "per-site":
             raise ValueError(f"unknown site_rng mode: {site_rng!r}")
-        if replay is not None:
-            self._apply_replay(
-                events, replay, records, entry_sink=entry_sink,
-                plugin_rows=plugin_rows,
-            )
-            return
-        # Independent substream + private clock per event; the shared
-        # clock advances by the summed elapsed time, in event order, so
-        # any executor that merges in event order lands on the same
-        # (bit-identical) float.
-        if plugin_rows is None:
-            plugin_rows = {}
-        elapsed_total = 0.0
-        for event in events:
-            elapsed = self._run_event_per_site(
-                event, week, vantage_id, ip_version, quic_config, tcp_config,
-                records, reuse, plugin_rows=plugin_rows,
-            )
-            elapsed_total += elapsed
-            if entry_sink is not None:
-                if event.kind == QUIC_EVENT:
-                    result = records[event.site_index].quic
-                elif event.kind == TCP_EVENT:
-                    result = records[event.site_index].tcp
-                else:
-                    result = plugin_rows[(event.site_index, event.kind)]
-                entry_sink.append((event.site_index, event.kind, result, elapsed))
-        self.world.clock.advance(elapsed_total)
+        if replay is None:
+            replay = {
+                (site_index, kind): (result, elapsed)
+                for site_index, kind, result, elapsed in self._execute_entries(
+                    events, week, vantage_id, ip_version, quic_config, tcp_config
+                )
+            }
+        self._apply_replay(
+            events, replay, records, entry_sink=entry_sink, plugin_rows=plugin_rows
+        )
 
     def _apply_replay(
         self,
@@ -944,8 +857,9 @@ class ScanEngine:
     ) -> None:
         """Fill ``records`` from previously produced per-event results.
 
-        The single definition of the central merge: sharded execution
-        and checkpoint rehydration both land here.  Coverage is
+        The single definition of the central merge: serial per-site
+        execution, pool tickets and checkpoint rehydration all land
+        here.  Coverage is
         validated *before* any record is touched — a gap raises
         :class:`ShardResultMissing` with the full list of absent
         ``(site_index, kind)`` pairs and leaves ``records`` and the
@@ -982,38 +896,48 @@ class ScanEngine:
                 entry_sink.append((event.site_index, event.kind, result, elapsed))
         self.world.clock.advance(elapsed_total)
 
-    def _run_event_per_site(
+    def _execute_entries(
         self,
-        event: SiteEvent,
+        events: list[SiteEvent],
         week: Week,
         vantage_id: str,
         ip_version: int,
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
-        records: dict,
-        reuse: SiteResultCache | None = None,
-        plugin_rows: dict | None = None,
-    ) -> float:
-        """One event on its own substream + clock; returns elapsed time.
+    ) -> list[tuple[int, int, object, float]]:
+        """Run events on their per-site substreams; returns checkpoint entries.
 
-        The single definition of per-site execution — the serial
-        per-site mode above and every sharded executor run exactly this,
-        which is what keeps them bit-identical.
+        Each event gets an independent RNG substream and a private
+        clock, and yields one ``(site_index, kind, result, elapsed)``
+        entry.  The single definition of per-site execution: the serial
+        per-site mode, shm-pool workers and the pool's inline fallback
+        all run exactly this, and the central merge then sums elapsed
+        times in event order — which is what keeps them bit-identical.
         """
-        clock = Clock()
-        self._run_event(
-            event,
-            week,
-            vantage_id,
-            quic_config,
-            tcp_config,
-            records,
-            reuse,
-            rng=self.event_stream(event, week, vantage_id, ip_version),
-            clock=clock,
-            plugin_rows=plugin_rows,
-        )
-        return clock.now
+        out: list[tuple[int, int, object, float]] = []
+        records: dict = {}
+        plugin_rows: dict[tuple[int, int], tuple] = {}
+        for event in events:
+            clock = Clock()
+            self._run_event(
+                event,
+                week,
+                vantage_id,
+                quic_config,
+                tcp_config,
+                records,
+                rng=self.event_stream(event, week, vantage_id, ip_version),
+                clock=clock,
+                plugin_rows=plugin_rows,
+            )
+            if event.kind == QUIC_EVENT:
+                result = records[event.site_index].quic
+            elif event.kind == TCP_EVENT:
+                result = records[event.site_index].tcp
+            else:
+                result = plugin_rows[(event.site_index, event.kind)]
+            out.append((event.site_index, event.kind, result, clock.now))
+        return out
 
     def run_week(
         self,
@@ -1027,13 +951,11 @@ class ScanEngine:
         tcp_config: TcpScanConfig | None = None,
         run_tracebox: bool = False,
         plugins: Sequence[str] | None = None,
-        reuse: SiteResultCache | None = None,
         site_rng: str | None = None,
-        backend: str = "objects",
         phase_stats: ScanPhaseStats | None = None,
         entry_sink: list | None = None,
         replay_entries: Sequence[tuple[int, int, object, float]] | None = None,
-    ) -> WeeklyRun:
+    ) -> "StoreWeeklyRun":
         """One weekly run, equal field-for-field to the reference loop.
 
         ``plugins`` selects the measurement plugins for the week
@@ -1046,7 +968,7 @@ class ScanEngine:
 
         ``site_rng="per-site"`` switches the site phase to independent
         per-event RNG substreams (see the module docstring) — the mode
-        the sharded engine golden-tests against.  ``None`` resolves to
+        the pool engine golden-tests against.  ``None`` resolves to
         :attr:`default_site_rng`.
 
         ``entry_sink`` collects the week's ``(site_index, kind, result,
@@ -1055,17 +977,12 @@ class ScanEngine:
         phase from such entries instead of executing it.  Both require
         ``site_rng="per-site"``.
 
-        ``backend`` picks the results layer: ``"objects"`` materialises
-        one :class:`DomainObservation` per domain (the defining
-        semantics); ``"store"`` records the run into a columnar
-        :class:`~repro.store.columns.ObservationStore` — attribution
-        becomes O(sites) recording plus lazy index arrays, and
-        observations are served as field-identical lazy views
-        (golden-tested equal in ``tests/test_store_golden.py``).
-        Campaigns default to the store backend.
+        The run records into a columnar
+        :class:`~repro.store.columns.ObservationStore` — attribution is
+        O(sites) recording plus lazy index arrays, and observations are
+        served as lazy views field-identical to the reference loop's
+        objects (golden-tested in ``tests/test_store_golden.py``).
         """
-        if backend not in ("objects", "store"):
-            raise ValueError(f"unknown backend: {backend!r}")
         if site_rng is None:
             site_rng = self.default_site_rng
         selection = resolve_plugins(tuple(plugins) if plugins is not None else None)
@@ -1075,14 +992,9 @@ class ScanEngine:
         plan = self.plan_for(ip_version, populations)
         quic_config = quic_config or QuicScanConfig(ip_version=ip_version)
         tcp_config = tcp_config or TcpScanConfig(ip_version=ip_version)
-        if backend == "store":
-            from repro.store.views import StoreWeeklyRun
+        from repro.store.views import StoreWeeklyRun
 
-            run: WeeklyRun = StoreWeeklyRun(
-                week=week, vantage_id=vantage_id, ip_version=ip_version
-            )
-        else:
-            run = WeeklyRun(week=week, vantage_id=vantage_id, ip_version=ip_version)
+        run = StoreWeeklyRun(week=week, vantage_id=vantage_id, ip_version=ip_version)
 
         # Phase 1: per-site exchanges, in reference trigger order.
         events, quic_capable = self._schedule(
@@ -1126,7 +1038,6 @@ class ScanEngine:
             quic_config,
             tcp_config,
             records,
-            reuse,
             site_rng,
             entry_sink,
             replay,
@@ -1155,14 +1066,11 @@ class ScanEngine:
         # Phase 2: attribute per-site results to domains.
         share = world.adoption_share(week)
         attr_span = (
-            tracer.begin("attribution", "phase", week=str(week), backend=backend)
+            tracer.begin("attribution", "phase", week=str(week))
             if tracer is not None
             else None
         )
-        if backend == "store":
-            self._attribute_store(run, plan, records, quic_capable, include_tcp, share)
-        else:
-            self._attribute_objects(run, plan, records, quic_capable, include_tcp, share)
+        self._attribute_store(run, plan, records, quic_capable, include_tcp, share)
         if tracer is not None:
             tracer.end(attr_span)
         self._attribute_plugins(run, plan, selection, plugin_rows, telemetry)
@@ -1173,44 +1081,16 @@ class ScanEngine:
             plugin.finalize_run(world, run, week, vantage_id, ip_version)
         return run
 
-    def _attribute_objects(
-        self,
-        run: WeeklyRun,
-        plan: ScanPlan,
-        records: dict,
-        quic_capable: dict[int, bool],
-        include_tcp: bool,
-        share: float,
-    ) -> None:
-        """The eager path: one slotted observation per domain + fan-out."""
-        run.observations = list(starmap(DomainObservation, plan.protos))
-        observations = run.observations
-        for plan_site in plan.sites:
-            record = records.get(plan_site.site_index)
-            if quic_capable[plan_site.site_index]:
-                result = record.quic if record is not None else None
-                for pos, rank in zip(plan_site.positions, plan_site.ranks, strict=True):
-                    if rank < share:
-                        obs = observations[pos]
-                        obs.quic_attempted = True
-                        obs.quic = result
-            if include_tcp and record is not None:
-                tcp_result = record.tcp
-                for pos in plan_site.positions:
-                    observations[pos].tcp = tcp_result
-
     def _attribute_store(
         self,
-        run: WeeklyRun,
+        run: "StoreWeeklyRun",
         plan: ScanPlan,
         records: dict,
         quic_capable: dict[int, bool],
         include_tcp: bool,
         share: float,
     ) -> None:
-        """The columnar path: O(sites) recording, no per-domain work."""
-        from repro.store.columns import ObservationStore, plan_columns
-
+        """O(sites) recording into the run's store, no per-domain work."""
         store = ObservationStore(
             plan_columns(plan),
             week=run.week,
@@ -1231,7 +1111,7 @@ class ScanEngine:
 
     def _attribute_plugins(
         self,
-        run: WeeklyRun,
+        run: "StoreWeeklyRun",
         plan: ScanPlan,
         selection: PluginSelection,
         plugin_rows: dict[tuple[int, int], tuple],
@@ -1241,9 +1121,9 @@ class ScanEngine:
 
         Multi-variant plugins merge field-wise: the last variant in
         declaration order with a non-``None`` value for a field wins.
-        Store-backed runs additionally materialise the merged rows as
-        per-plugin columns (:meth:`ObservationStore.add_plugin_columns`)
-        aligned with the plan's site segments.
+        The merged rows also land in the run's store as per-plugin
+        columns (:meth:`ObservationStore.add_plugin_columns`) aligned
+        with the plan's site segments.
         """
         if not selection.row_plugins:
             return
@@ -1272,63 +1152,16 @@ class ScanEngine:
                             for i in range(width)
                         )
             run.plugin_rows[plugin.name] = merged
-            store = getattr(run, "store", None)
-            if store is not None:
-                field_names = [field.name for field in plugin.fields]
-                columns: dict[str, list] = {name: [] for name in field_names}
-                for plan_site in plan.sites:
-                    row = merged.get(plan_site.site_index)
-                    for i, name in enumerate(field_names):
-                        columns[name].append(row[i] if row is not None else None)
-                store.add_plugin_columns(plugin.name, columns)
+            field_names = [field.name for field in plugin.fields]
+            columns: dict[str, list] = {name: [] for name in field_names}
+            for plan_site in plan.sites:
+                row = merged.get(plan_site.site_index)
+                for i, name in enumerate(field_names):
+                    columns[name].append(row[i] if row is not None else None)
+            run.store.add_plugin_columns(plugin.name, columns)
             if telemetry is not None:
                 telemetry.registry.add_counter(
                     f"plugin.{plugin.name}.rows", len(merged)
                 )
             if tracer is not None:
                 tracer.end(span)
-
-    def run_weeks(
-        self,
-        weeks: Sequence[Week],
-        vantage_id: str = "main-aachen",
-        *,
-        ip_version: int = 4,
-        populations: Sequence[str] = ("cno", "toplist"),
-        include_tcp: bool = False,
-        quic_config: QuicScanConfig | None = None,
-        tcp_config: TcpScanConfig | None = None,
-        run_tracebox: bool = False,
-        plugins: Sequence[str] | None = None,
-        reuse_site_results: bool = False,
-        site_rng: str | None = None,
-        backend: str = "objects",
-        phase_stats: ScanPhaseStats | None = None,
-    ) -> list[WeeklyRun]:
-        """A run per week, sharing one plan (and optionally site results).
-
-        With ``reuse_site_results`` a site whose behaviour epoch is
-        unchanged since its last exchange keeps that result instead of
-        rescanning — the campaign-scale shortcut §4.4 justifies.  Loss is
-        stochastic, so reused weeks are epoch-accurate, not draw-accurate;
-        leave it off when bit-identical reference semantics matter.
-        """
-        reuse = SiteResultCache() if reuse_site_results else None
-        return [
-            self.run_week(
-                week,
-                vantage_id,
-                ip_version=ip_version,
-                populations=populations,
-                include_tcp=include_tcp,
-                quic_config=quic_config,
-                tcp_config=tcp_config,
-                run_tracebox=run_tracebox,
-                plugins=plugins,
-                reuse=reuse,
-                site_rng=site_rng,
-                backend=backend,
-                phase_stats=phase_stats,
-            )
-            for week in weeks
-        ]

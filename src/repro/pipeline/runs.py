@@ -14,7 +14,7 @@ The per-site records below (:func:`ensure_site_record` filling
 ``WeeklyRun.site_records``) are also the unit of crash recovery: a
 week's ordered ``(site_index, kind, result, elapsed)`` site-phase
 entries are what campaign checkpoints persist and what supervised
-shard retries re-produce byte-identically
+ticket retries re-produce byte-identically
 (:mod:`repro.pipeline.checkpoint`, docs/robustness.md).
 """
 
@@ -82,19 +82,15 @@ def run_weekly_scan(
     tcp_config: TcpScanConfig | None = None,
     run_tracebox: bool = False,
     plugins: tuple[str, ...] | None = None,
-    backend: str = "objects",
     telemetry=None,
     phase_stats=None,
 ) -> WeeklyRun:
     """Scan every domain of the selected populations for one week.
 
     ``plugins`` selects the measurement plugins to run alongside the
-    core scan (default: just ``ecn``); see :mod:`repro.plugins`.
-
-    ``backend="store"`` serves the observations from the columnar
-    :mod:`repro.store` instead of materialising per-domain objects —
-    field-identical results either way (campaigns default to the store;
-    single scans keep the eager objects).
+    core scan (default: just ``ecn``); see :mod:`repro.plugins`.  The
+    observations are served from the columnar :mod:`repro.store` as
+    lazy views, field-identical to :func:`run_weekly_scan_reference`.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) wraps the run in a
     ``week`` span with ``site``/``attribution`` phase children;
@@ -123,7 +119,6 @@ def run_weekly_scan(
             tcp_config=tcp_config,
             run_tracebox=run_tracebox,
             plugins=plugins,
-            backend=backend,
             phase_stats=phase_stats,
         )
     finally:
@@ -147,7 +142,10 @@ def run_weekly_scan_reference(
     """The defining per-domain scan loop (slow; for equivalence testing).
 
     Kept verbatim in structure so the engine's RNG/clock trajectory can
-    be compared against it; production code calls :func:`run_weekly_scan`.
+    be compared against it, and the only producer of eager
+    :class:`DomainObservation` objects — the oracle the store's lazy
+    views are golden-tested against.  Production code calls
+    :func:`run_weekly_scan`.
     """
     quic_config = quic_config or QuicScanConfig(ip_version=ip_version)
     tcp_config = tcp_config or TcpScanConfig(ip_version=ip_version)

@@ -2,8 +2,8 @@
 
 ``import repro.plugins`` registers the builtin plugins in a fixed
 order (``ecn``, ``grease``, ``trace``, ``ebpf``), which pins their
-variants' global event kinds — the engine, forked shard workers and
-shm-pool workers all see the same assignment.  See ``docs/plugins.md``
+variants' global event kinds — the engine and forked shm-pool workers
+all see the same assignment.  See ``docs/plugins.md``
 for the API and a worked example.
 """
 

@@ -15,13 +15,13 @@ A :class:`MeasurementPlugin` declares
   ``ExchangeInputs``: the plugin contributes a frozen client config
   (:meth:`MeasurementPlugin.client_config`) and the engine reuses the
   whole ``prepare inputs → exchange-cache → run/replay`` choke point
-  from PR 4, so variant connections are cached, sharded, ticketed and
-  checkpointed exactly like the core scan.
+  (:mod:`repro.exchange`), so variant connections are cached, ticketed
+  and checkpointed exactly like the core scan.
 * ``fields`` — typed per-flow outputs.  :meth:`MeasurementPlugin.row`
   maps one exchange result to one value tuple (aligned with
   ``fields``); the columnar ``ObservationStore`` materialises them as
-  per-plugin columns and the ECNSTOR codec ships them through shard
-  and ticket result frames.
+  per-plugin columns and the ECNSTOR codec ships them through ticket
+  result frames and checkpoints.
 
 **Purity requirement:** ``row`` must be a pure function of the
 exchange result.  The exchange-replay cache memoises ``(result,
@@ -122,8 +122,8 @@ class VariantBinding:
     """A registered (plugin, variant) pair bound to its stable kind.
 
     The registry assigns kinds globally at registration time, so a
-    binding's kind is identical in the parent process, forked shard
-    workers and shm-pool workers (they all import the same builtin
+    binding's kind is identical in the parent process and forked
+    shm-pool workers (they all import the same builtin
     registrations in the same order) and independent of which plugins
     a particular run selects.
     """

@@ -5,7 +5,7 @@ field names that do not collide with the core observation columns,
 known transports) and assigns every declared variant a **stable
 event kind** ≥ :data:`~repro.plugins.base.PLUGIN_KIND_BASE` from a
 global counter.  Kinds are a property of registration order, not of
-per-run selection, so shard buffers, ticket frames and checkpoint
+per-run selection, so ticket result frames and checkpoint
 entries encoded in one process decode identically in any other that
 performed the same registrations — the builtin plugins register in a
 fixed order on ``import repro.plugins``, and forked workers inherit
@@ -55,8 +55,8 @@ def _reserved_field_names() -> frozenset:
 RESERVED_FIELD_NAMES: Final = _reserved_field_names()
 
 # Registry state is Final (never rebound) and filled only during
-# import-time registration, so parent, forked shard workers and
-# shm-pool workers all hold identical contents (REP003).
+# import-time registration, so the parent and forked shm-pool workers
+# all hold identical contents (REP003).
 _PLUGINS: Final[dict[str, MeasurementPlugin]] = {}
 _BINDINGS_BY_KIND: Final[dict[int, VariantBinding]] = {}
 _BINDINGS_BY_PLUGIN: Final[dict[str, tuple[VariantBinding, ...]]] = {}

@@ -97,7 +97,7 @@ def scan_site_quic(
     Returns a (possibly failed) :class:`QuicConnectionResult`; an
     unreachable or QUIC-less site yields ``connected=False``.
     ``rng``/``clock`` override the world's shared network stream and
-    virtual clock — the sharded engine passes per-site substreams here.
+    virtual clock — per-site execution passes per-site substreams here.
     ``inputs`` skips re-deriving the exchange capsule for callers (the
     replay cache) that already hold it.
     """

@@ -63,7 +63,7 @@ def scan_site_tcp(
     """Run the TCP ECN scan against one site.
 
     ``rng``/``clock`` override the shared network stream and clock for
-    sharded execution, exactly as in :func:`scan_site_quic`; ``inputs``
+    per-site execution, exactly as in :func:`scan_site_quic`; ``inputs``
     skips re-deriving the exchange capsule.
     """
     config = config or TcpScanConfig()

@@ -17,12 +17,13 @@ dimension represented by index arrays computed at plan build.
   field-compatible stand-in for :class:`DomainObservation`;
   :class:`StoreObservations`, the sequence view analysis iterates; and
   :class:`StoreWeeklyRun`, the store-backed weekly run.
-* :mod:`repro.store.codec` — a compact binary codec for shard result
-  batches, so fork-pool workers ship one buffer per shard instead of
-  pickled object lists.
+* :mod:`repro.store.codec` — a compact binary codec for site-phase
+  result batches, so pool workers ship one buffer per ticket-week
+  instead of pickled object lists.
 
-Store-backed runs are golden-identical to the object path (pinned by
-``tests/test_store_golden.py``) and are the default for campaigns.
+Every engine run records into the store; its views are golden-identical
+to the reference loop's eager objects (pinned by
+``tests/test_store_golden.py``).
 """
 
 from repro.store.codec import decode_shard_results, encode_shard_results

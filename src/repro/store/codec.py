@@ -15,14 +15,14 @@ schema negotiation — just a magic/version prefix to fail fast on
 mismatched buffers.
 
 Entries are ``(site_index, kind, result, elapsed)`` exactly as
-:meth:`ShardedScanEngine._run_shard` produces them; decoding yields
+:meth:`ScanEngine._execute_entries` produces them; decoding yields
 objects that compare equal (``==``) to the originals, which the codec
-round-trip tests and the sharded golden tests pin.
+round-trip tests and the pool golden tests pin.
 
 Version 2 adds a fixed three-varint header field carrying the worker's
 exchange replay-cache counters (hits, misses, uncacheable) for the
-encoded shard, so fork-pool runs report the same cache accounting as
-in-process executors.  :func:`decode_shard_results` keeps returning
+encoded shard, so pool runs report the same cache accounting as the
+in-process engine.  :func:`decode_shard_results` keeps returning
 just the entries; :func:`decode_shard_payload` returns both.
 
 Version 3 wraps every buffer in a **checksummed frame** —

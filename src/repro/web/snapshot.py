@@ -26,8 +26,8 @@ sections** — pure functions of those tables, materialised on first
 touch — so a rehydrated world lands in exactly the state a fresh
 :func:`~repro.web.world.build_world` produces, which is what the
 golden tests (``tests/test_world_snapshot.py``) pin: byte-identical
-campaign + analysis output across vantages, families, shard counts and
-executors.  Post-build mutations (extra resolver records, manual route
+campaign + analysis output across vantages, families, the serial
+engine and shm-pool worker counts.  Post-build mutations (extra resolver records, manual route
 registrations, registry swaps) are *not* captured; snapshot the world
 before mutating it.
 

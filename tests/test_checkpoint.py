@@ -3,19 +3,23 @@
 The contract: a campaign interrupted after any week and resumed from
 its checkpoint directory produces results *identical* to an
 uninterrupted run — same observations, same site records, same shared
-clock — for any shard count and executor, including resuming under a
-different partition than the one that wrote the checkpoints.  Corrupt,
+clock — equal to the serial per-site oracle, including resuming under a
+different worker count or ticket tiling than the one that wrote the
+checkpoints, and resuming files written by earlier releases (the
+committed fixtures, resumed in ``tests/test_shm_pool.py``).  Corrupt,
 foreign or missing checkpoint files are never trusted: the week
 recomputes and the output is unchanged.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline import run_campaign
+from repro.pipeline import Campaign, run_campaign
 from repro.pipeline.checkpoint import (
     CampaignCheckpointer,
     campaign_checkpoint_key,
@@ -28,6 +32,10 @@ from tests.test_pipeline_sharding import _assert_runs_equal
 
 SCALE = 6_000
 POPULATIONS = ("cno", "toplist")
+#: ECNCKPT1 week files a fork-pool campaign wrote before that executor
+#: was removed: ``repro campaign --scale 20000`` (default seed, cadence
+#: 12, ``--shards 2 --shard-executor process --checkpoint-dir``).
+LEGACY_CHECKPOINTS = Path(__file__).parent / "fixtures" / "checkpoints"
 
 
 def _build():
@@ -40,7 +48,7 @@ def _weeks(world):
 
 
 def _campaign(world, **kwargs):
-    kwargs.setdefault("shards", 2)
+    kwargs.setdefault("workers", 2)
     return run_campaign(
         world, weeks=_weeks(world), populations=POPULATIONS, **kwargs
     )
@@ -55,58 +63,50 @@ def _assert_campaigns_equal(ref_world, reference, world, campaign):
 
 @pytest.fixture(scope="module")
 def uninterrupted():
-    """The golden reference: one sharded campaign, never interrupted."""
+    """The golden reference: the serial per-site oracle, never interrupted."""
     world = _build()
-    return world, _campaign(world)
+    engine = world.scan_engine()
+    campaign = Campaign()
+    for week in _weeks(world):
+        campaign.add_run(
+            engine.run_week(week, populations=POPULATIONS, site_rng="per-site")
+        )
+    return world, campaign
 
 
-@pytest.mark.parametrize(
-    "executor", ["inline", pytest.param("process", marks=requires_fork)]
-)
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_kill_and_resume_matches_uninterrupted(
-    tmp_path, uninterrupted, shards, executor
-):
+@requires_fork
+def test_kill_and_resume_matches_uninterrupted(tmp_path, uninterrupted):
     ref_world, reference = uninterrupted
     # Crash (via the fault harness) after the second of three weeks...
     world = _build()
     plan = FaultPlan().abort_campaign_after(_weeks(world)[1])
     with pytest.raises(InjectedFault):
-        _campaign(
-            world,
-            shards=shards,
-            shard_executor=executor,
-            checkpoint_dir=tmp_path,
-            fault_plan=plan,
-        )
+        _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan)
     # ...then resume on a fresh world: completed weeks rehydrate from
     # disk, the rest compute, and the result is the uninterrupted one.
     resumed_world = _build()
+    resumed = _campaign(resumed_world, checkpoint_dir=tmp_path, resume=True)
+    _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
+
+
+@requires_fork
+def test_resume_survives_shard_and_executor_changes(tmp_path, uninterrupted):
+    """Checkpoints key on results, not partition: write with 2 workers,
+    resume with 4 workers on small tickets — still golden."""
+    ref_world, reference = uninterrupted
+    world = _build()
+    plan = FaultPlan().abort_campaign_after(_weeks(world)[0])
+    with pytest.raises(InjectedFault):
+        _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan)
+    resumed_world = _build()
     resumed = _campaign(
-        resumed_world,
-        shards=shards,
-        shard_executor=executor,
-        checkpoint_dir=tmp_path,
+        resumed_world, workers=4, ticket_sites=7, checkpoint_dir=tmp_path,
         resume=True,
     )
     _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
 
 
-def test_resume_survives_shard_and_executor_changes(tmp_path, uninterrupted):
-    """Checkpoints key on results, not partition: write with 2 inline
-    shards, resume with 4 — still golden."""
-    ref_world, reference = uninterrupted
-    world = _build()
-    plan = FaultPlan().abort_campaign_after(_weeks(world)[0])
-    with pytest.raises(InjectedFault):
-        _campaign(world, shards=2, checkpoint_dir=tmp_path, fault_plan=plan)
-    resumed_world = _build()
-    resumed = _campaign(
-        resumed_world, shards=4, checkpoint_dir=tmp_path, resume=True
-    )
-    _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
-
-
+@requires_fork
 def test_corrupted_checkpoint_file_recomputes(tmp_path, uninterrupted):
     ref_world, reference = uninterrupted
     world = _build()
@@ -123,6 +123,7 @@ def test_corrupted_checkpoint_file_recomputes(tmp_path, uninterrupted):
     _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
 
 
+@requires_fork
 def test_checkpoint_corrupted_at_write_time_recomputes(tmp_path, uninterrupted):
     """A checkpoint damaged as it is written (fault hook) is simply
     never trusted on resume."""
@@ -166,6 +167,7 @@ def test_checkpointer_rejects_key_and_week_mismatches(tmp_path):
     assert store.load(week) is None
 
 
+@requires_fork
 def test_rerun_without_resume_recomputes_and_overwrites(tmp_path, uninterrupted):
     ref_world, reference = uninterrupted
     first = _build()
@@ -182,15 +184,11 @@ def test_checkpoint_validation_errors():
     world = _build()
     with pytest.raises(ValueError, match="resume"):
         run_campaign(world, resume=True)
-    with pytest.raises(ValueError, match="shards"):
+    with pytest.raises(ValueError, match="workers"):
         run_campaign(world, checkpoint_dir="/tmp/nowhere")
-    with pytest.raises(ValueError, match="reuse_site_results"):
-        run_campaign(
-            world, shards=2, checkpoint_dir="/tmp/nowhere", reuse_site_results=True
-        )
     with pytest.raises(ValueError, match="tracebox"):
         run_campaign(
-            world, shards=2, checkpoint_dir="/tmp/nowhere", run_tracebox=True
+            world, workers=2, checkpoint_dir="/tmp/nowhere", run_tracebox=True
         )
     with pytest.raises(ValueError, match="shard_timeout"):
         run_campaign(world, shard_timeout=5.0)

@@ -3,8 +3,8 @@
 The exchange replay cache's contract is that caching is invisible: a
 run that replays cached outcomes serves exactly the observations,
 site records, traces and shared-clock trajectory a cache-disabled run
-produces — for every vantage, both IP families, TCP+QUIC, any shard
-count, any worker permutation, and both shard executors (the same bar
+produces — for every vantage, both IP families, TCP+QUIC, the serial
+engine and the shm pool at any worker count (the same bar
 ``tests/test_store_golden.py`` sets for the columnar store).  Worlds
 are built in identically-seeded pairs and driven in lockstep over
 *multiple weeks*, so the cached side actually replays (week two of a
@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.analysis.report import longitudinal_report
 from repro.pipeline.engine import ScanEngine, ScanPhaseStats
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
 
@@ -126,11 +126,11 @@ def test_replay_returns_identical_result_objects_across_weeks():
 
 
 # ----------------------------------------------------------------------
-# Sharded execution: counts 1/2/4, worker permutation, fork pool
+# Pool execution: workers 1/2/4, ticket tiling, worker-side accounting
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fresh_per_site_runs():
-    """Cache-disabled serial per-site runs — the sharded golden reference."""
+    """Cache-disabled serial per-site runs — the pool's golden reference."""
     world = _build(DEEP_SCALE)
     engine = ScanEngine(world, exchange_cache=False)
     week = world.config.reference_week
@@ -141,38 +141,39 @@ def fresh_per_site_runs():
     return world, runs
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_cached_matches_fresh_serial(fresh_per_site_runs, shards):
+def _assert_pool_weeks_match(fresh_per_site_runs, **engine_kwargs):
     world_ref, references = fresh_per_site_runs
     world = _build(DEEP_SCALE)
-    engine = ShardedScanEngine(world, shards=shards)
     week = world.config.reference_week
-    for reference, scan_week in zip(references, (week + (-1), week), strict=True):
-        run = engine.run_week(scan_week, include_tcp=True)
-        _assert_runs_equal(reference, run)
+    with ShmPoolScanEngine(world, **engine_kwargs) as engine:
+        for reference, scan_week in zip(references, (week + (-1), week), strict=True):
+            run = engine.run_week(scan_week, include_tcp=True)
+            _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
+    return engine
+
+
+@requires_fork
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_sharded_cached_matches_fresh_serial(fresh_per_site_runs, shards):
+    engine = _assert_pool_weeks_match(fresh_per_site_runs, workers=shards)
     assert engine.exchange_cache.stats.hits > 0
 
 
+@requires_fork
 def test_sharded_cached_invariant_under_worker_permutation(fresh_per_site_runs):
-    world_ref, references = fresh_per_site_runs
-    world = _build(DEEP_SCALE)
-    engine = ShardedScanEngine(world, shards=4, shard_order=[2, 0, 3, 1])
-    week = world.config.reference_week
-    for reference, scan_week in zip(references, (week + (-1), week), strict=True):
-        run = engine.run_week(scan_week, include_tcp=True)
-        _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
+    """Many small tickets, harvested in any worker order, merge the same."""
+    _assert_pool_weeks_match(fresh_per_site_runs, workers=4, ticket_sites=9)
 
 
 @requires_fork
 def test_fork_pool_cached_matches_fresh_serial(fresh_per_site_runs):
-    """Workers replay from their fork-inherited caches; still golden."""
+    """Workers replay from their warm caches; still golden."""
     world_ref, references = fresh_per_site_runs
     world = _build(DEEP_SCALE)
     week = world.config.reference_week
     stats = ScanPhaseStats()
-    with ShardedScanEngine(world, shards=3, executor="process") as engine:
+    with ShmPoolScanEngine(world, workers=3) as engine:
         for reference, scan_week in zip(references, (week + (-1), week), strict=True):
             run = engine.run_week(
                 scan_week, include_tcp=True, phase_stats=stats

@@ -1,10 +1,12 @@
-"""Supervised shard execution under injected faults.
+"""Supervised pool execution under injected faults.
 
-Every fault the harness can inject — worker crash, stalled shard,
+Every fault the harness can inject — worker crash, stalled ticket,
 corrupted result buffer — must be absorbed by supervision (retry, then
-inline fallback) with results *identical* to a clean run: per-site RNG
-substreams make retried shards byte-deterministic, so recovery is
-invisible in the output and visible only in the supervision counters.
+inline fallback) with results *identical* to the serial per-site
+oracle: per-site RNG substreams make retried tickets byte-deterministic,
+so recovery is invisible in the output and visible only in the
+supervision counters.  Fault rules address tickets by index (the
+``shard`` coordinate); two workers cover the sites with tickets 0 and 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 import repro
 from repro.faults import FaultPlan, InjectedFault
 from repro.pipeline.engine import ScanPhaseStats, ShardResultMissing
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.web.spec import WorldConfig
 
 from tests.conftest import requires_fork
@@ -36,13 +38,12 @@ def serial_per_site():
     return world, run
 
 
-def _run_faulted(plan, *, shards=2, max_shard_retries=2, shard_timeout=3.0):
+def _run_faulted(plan, *, max_shard_retries=2, shard_timeout=3.0):
     world = _build()
     stats = ScanPhaseStats()
-    engine = ShardedScanEngine(
+    engine = ShmPoolScanEngine(
         world,
-        shards=shards,
-        executor="process",
+        workers=2,
         fault_plan=plan,
         shard_timeout=shard_timeout,
         max_shard_retries=max_shard_retries,
@@ -96,10 +97,10 @@ def test_stalled_shard_times_out_and_results_match(serial_per_site):
 
 @requires_fork
 def test_persistent_crash_falls_back_inline(serial_per_site):
-    """A shard that fails every pool attempt re-executes in the parent."""
+    """A ticket that fails every pool attempt re-executes in the parent."""
     world_ref, reference = serial_per_site
     week = world_ref.config.reference_week
-    # attempt=None: every dispatch of shard 1 crashes its worker.
+    # attempt=None: every dispatch of ticket 1 crashes its worker.
     plan = FaultPlan(seed=4).crash_worker(shard=1, week=week, attempt=None)
     world, run, stats, engine = _run_faulted(
         plan, max_shard_retries=1, shard_timeout=1.5
@@ -113,10 +114,10 @@ def test_persistent_crash_falls_back_inline(serial_per_site):
 
 def test_missing_shard_results_raise_typed_error():
     world = _build()
-    engine = ShardedScanEngine(world, shards=2)
     week = world.config.reference_week
-    with pytest.raises(ShardResultMissing) as excinfo:
-        engine.run_week(week, include_tcp=True, replay_entries=[])
+    with ShmPoolScanEngine(world, workers=2) as engine:
+        with pytest.raises(ShardResultMissing) as excinfo:
+            engine.run_week(week, include_tcp=True, replay_entries=[])
     message = str(excinfo.value)
     assert "missing" in message
     assert "site" in message
@@ -128,22 +129,25 @@ def test_missing_shard_results_raise_typed_error():
 
 def test_partial_replay_names_only_absent_entries():
     world = _build()
-    engine = ShardedScanEngine(world, shards=2)
     week = world.config.reference_week
-    # Replay covering only half the schedule: the error names the rest.
+    # Entries captured by the serial per-site oracle...
     run_entries = []
-    full = engine.run_week(week, include_tcp=True, entry_sink=run_entries)
+    full = world.scan_engine().run_week(
+        week, include_tcp=True, site_rng="per-site", entry_sink=run_entries
+    )
     assert run_entries
+    # ...replayed on the pool: covering only half the schedule, the
+    # error names the rest.
     half = run_entries[: len(run_entries) // 2]
     world2 = _build()
-    engine2 = ShardedScanEngine(world2, shards=2)
-    with pytest.raises(ShardResultMissing) as excinfo:
-        engine2.run_week(week, include_tcp=True, replay_entries=half)
+    with ShmPoolScanEngine(world2, workers=2) as engine2:
+        with pytest.raises(ShardResultMissing) as excinfo:
+            engine2.run_week(week, include_tcp=True, replay_entries=half)
     assert len(excinfo.value.missing) == len(run_entries) - len(half)
     # A full replay reproduces the executed run exactly.
     world3 = _build()
-    engine3 = ShardedScanEngine(world3, shards=4)  # different partition: irrelevant
-    replayed = engine3.run_week(week, include_tcp=True, replay_entries=run_entries)
+    with ShmPoolScanEngine(world3, workers=4) as engine3:  # partition: irrelevant
+        replayed = engine3.run_week(week, include_tcp=True, replay_entries=run_entries)
     _assert_runs_equal(full, replayed)
     assert world.clock.now == world3.clock.now
 
@@ -169,7 +173,7 @@ def test_abort_rule_raises_injected_fault():
     weeks = [world.config.start_week, world.config.reference_week]
     plan = FaultPlan().abort_campaign_after(weeks[0])
     with pytest.raises(InjectedFault):
-        repro.run_campaign(world, weeks=weeks, shards=2, fault_plan=plan)
+        repro.run_campaign(world, weeks=weeks, fault_plan=plan)
 
 
 def test_fault_plan_rejects_unknown_modes():

@@ -1,6 +1,6 @@
 """Span tracing: blob codec, cross-process re-parenting, trace export.
 
-The acceptance bar for the telemetry layer: every worker shard/ticket
+The acceptance bar for the telemetry layer: every worker ticket
 span lands under its dispatching week's site-phase span — including
 retried and inline-fallback executions — the Chrome trace export is
 structurally valid, and instrumentation never changes results (the
@@ -172,7 +172,7 @@ def test_trace_events_empty_tracer():
 
 
 # ----------------------------------------------------------------------
-# End-to-end re-parenting across executors
+# End-to-end re-parenting of pool worker spans
 # ----------------------------------------------------------------------
 def _campaign_spans(world, telemetry, **kwargs):
     run_campaign(world, weeks=_weeks(world), telemetry=telemetry, **kwargs)
@@ -198,27 +198,16 @@ def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
 
 
 @requires_fork
-def test_forkpool_worker_spans_reparent_under_week():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world, telemetry, shards=2, shard_executor="process"
-    )
-    workers = _assert_worker_spans_under_their_week(spans)
-    # Worker spans recorded in worker processes: different pid.
-    assert {span.pid for span in workers} != {telemetry.tracer.pid}
-    assert all(span.name == "shard" for span in workers)
-    # Worker-side cache counters shipped through the blob trailer.
-    assert telemetry.registry.value("worker.exchange_cache.misses") > 0
-
-
-@requires_fork
 def test_shm_pool_worker_spans_reparent_under_week():
     world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     telemetry = Telemetry()
     spans = _campaign_spans(world, telemetry, workers=2)
     workers = _assert_worker_spans_under_their_week(spans)
     assert all(span.name == "ticket" for span in workers)
+    # Worker spans recorded in worker processes: different pid.
+    assert {span.pid for span in workers} != {telemetry.tracer.pid}
+    # Worker-side cache counters shipped through the blob trailer.
+    assert telemetry.registry.value("worker.exchange_cache.misses") > 0
     # Multi-week tickets are harvested inside one week's site phase but
     # must still split per week: every campaign week has its own
     # ticket spans.
@@ -235,42 +224,15 @@ def test_retried_shard_spans_tag_attempt():
     spans = _campaign_spans(
         world,
         telemetry,
-        shards=2,
-        shard_executor="process",
+        workers=2,
         fault_plan=plan,
         shard_timeout=1.5,
     )
     workers = _assert_worker_spans_under_their_week(spans)
     retried = [span for span in workers if span.attrs["attempt"] > 0]
-    assert retried, "expected a retried shard span tagged attempt>0"
+    assert retried, "expected a retried ticket span tagged attempt>0"
     assert all(not span.attrs.get("fallback") for span in retried)
     assert telemetry.registry.value("campaign.supervision.retries") >= 1
-
-
-@requires_fork
-def test_fallback_shard_spans_tag_fallback():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
-    # attempt=None: every pool dispatch of shard 1 crashes, so
-    # supervision re-executes it inline in the parent.
-    plan = FaultPlan(seed=6).crash_worker(shard=1, week=weeks[0], attempt=None)
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        shards=2,
-        shard_executor="process",
-        fault_plan=plan,
-        shard_timeout=1.5,
-        max_shard_retries=1,
-    )
-    workers = _assert_worker_spans_under_their_week(spans)
-    fallbacks = [span for span in workers if span.attrs.get("fallback")]
-    assert fallbacks, "expected an inline-fallback span tagged fallback=True"
-    # Inline fallback runs in the parent process.
-    parent_pid = telemetry.tracer.pid
-    assert all(span.pid == parent_pid for span in fallbacks)
-    assert telemetry.registry.value("campaign.supervision.fallbacks") >= 1
 
 
 @requires_fork
@@ -291,6 +253,10 @@ def test_shm_pool_fallback_ticket_spans_tag_fallback():
     fallbacks = [span for span in workers if span.attrs.get("fallback")]
     assert fallbacks, "expected inline-fallback ticket spans"
     assert all(span.attrs["week"] in {str(w) for w in weeks} for span in fallbacks)
+    # Inline fallback runs in the parent process.
+    parent_pid = telemetry.tracer.pid
+    assert all(span.pid == parent_pid for span in fallbacks)
+    assert telemetry.registry.value("campaign.supervision.fallbacks") >= 1
 
 
 def test_inline_campaign_trace_is_exportable(tmp_path):

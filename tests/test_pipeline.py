@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.pipeline.campaign import campaign_weeks
 from repro.pipeline.toplists import list_sizes, merged_toplist_domains, toplist_membership
 from repro.pipeline.vantage import forwarded_targets, run_distributed
 from repro.util.weeks import Week
@@ -46,6 +47,14 @@ def test_campaign_weeks_ordered(campaign):
     weeks = campaign.weeks()
     assert weeks == sorted(weeks)
     assert campaign.closest_run(Week(2023, 14)).week == weeks[-1]
+
+
+@pytest.mark.parametrize("cadence", [0, -4])
+def test_campaign_weeks_rejects_non_positive_cadence(shape_world, cadence):
+    # A zero cadence never advanced (an endless loop); a negative one
+    # overflowed the week arithmetic.
+    with pytest.raises(ValueError, match="cadence_weeks"):
+        campaign_weeks(shape_world, cadence)
 
 
 def test_campaign_run_at_missing_week_raises(campaign):

@@ -1,11 +1,11 @@
-"""Sharded site phase: determinism and golden equivalence.
+"""Parallel site phase: determinism and golden equivalence.
 
-The sharded engine's contract is that the *partition is invisible*:
+The pool engine's contract is that the *partition is invisible*:
 per-site RNG substreams are seeded from stable identities (world seed,
-week, vantage, family, site, kind), so any shard count, any worker
-permutation, and both executors must merge to results identical to the
-serial :class:`ScanEngine` run in ``site_rng="per-site"`` mode — same
-observations, same site records, same shared-clock trajectory.
+week, vantage, family, site, kind), so any worker count and any ticket
+tiling must merge to results identical to the serial
+:class:`ScanEngine` run in ``site_rng="per-site"`` mode — the oracle —
+with the same observations, site records and shared-clock trajectory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 import repro
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
 
@@ -57,37 +57,44 @@ def serial_per_site():
     return world, run
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_matches_serial_per_site(serial_per_site, shards):
+@requires_fork
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sharded_matches_serial_per_site(serial_per_site, workers):
     world_ref, reference = serial_per_site
     world = _build()
-    engine = ShardedScanEngine(world, shards=shards)
-    run = engine.run_week(
-        world.config.reference_week, include_tcp=True, run_tracebox=True
-    )
+    with ShmPoolScanEngine(world, workers=workers) as engine:
+        run = engine.run_week(
+            world.config.reference_week, include_tcp=True, run_tracebox=True
+        )
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
 
+@requires_fork
 def test_sharded_results_invariant_under_worker_permutation(serial_per_site):
+    """Many small tickets land on workers in arbitrary order; the merge
+    is still the serial per-site result."""
     world_ref, reference = serial_per_site
     world = _build()
-    engine = ShardedScanEngine(world, shards=4, shard_order=[3, 1, 0, 2])
-    run = engine.run_week(
-        world.config.reference_week, include_tcp=True, run_tracebox=True
-    )
+    with ShmPoolScanEngine(world, workers=3, ticket_sites=5) as engine:
+        run = engine.run_week(
+            world.config.reference_week, include_tcp=True, run_tracebox=True
+        )
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
 
 @requires_fork
 def test_sharded_process_executor_matches(serial_per_site):
+    """Prefetched tickets (the campaign path) merge like on-demand ones."""
     world_ref, reference = serial_per_site
     world = _build()
-    with ShardedScanEngine(world, shards=3, executor="process") as engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, run_tracebox=True
-        )
+    week = world.config.reference_week
+    with ShmPoolScanEngine(world, workers=3) as engine:
+        assert engine.prefetch_weeks(
+            [week], include_tcp=True, plugins=("ecn", "trace")
+        ) == 3
+        run = engine.run_week(week, include_tcp=True, run_tracebox=True)
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
@@ -103,24 +110,14 @@ def test_per_site_mode_is_reproducible_run_to_run():
     _assert_runs_equal(run_a, run_b)
 
 
-def test_partition_is_stable_and_keeps_sites_together():
-    world = _build()
-    engine = ShardedScanEngine(world, shards=4)
-    events = engine.site_events(world.config.reference_week, include_tcp=True)
-    groups = engine.partition(events)
-    assert len(groups) == 4
-    assert sum(len(g) for g in groups) == len(events)
-    for index, group in enumerate(groups):
-        for event in group:
-            assert event.site_index % 4 == index  # QUIC+TCP co-sharded
-
-
+@requires_fork
 def test_campaign_with_shards_matches_unsharded_per_site():
     world_a, world_b = _build(), _build()
     weeks = [world_a.config.start_week, world_a.config.reference_week]
-    runs = world_a.scan_engine().run_weeks(weeks, site_rng="per-site")
+    engine = world_a.scan_engine()
+    runs = [engine.run_week(week, site_rng="per-site") for week in weeks]
     campaign = repro.run_campaign(
-        world_b, weeks=weeks, shards=2, populations=("cno", "toplist")
+        world_b, weeks=weeks, workers=2, populations=("cno", "toplist")
     )
     for reference, run in zip(runs, campaign.runs, strict=True):
         _assert_runs_equal(reference, run)
@@ -129,18 +126,20 @@ def test_campaign_with_shards_matches_unsharded_per_site():
 
 def test_sharded_engine_rejects_shared_stream_and_bad_executors():
     world = _build()
-    with pytest.raises(ValueError):
-        ShardedScanEngine(world, executor="threads")
-    with pytest.raises(ValueError):
-        ShardedScanEngine(world, shards=0)
-    engine = ShardedScanEngine(world, shards=2)
-    with pytest.raises(ValueError):
-        engine.run_week(world.config.reference_week, site_rng="shared")
+    with pytest.raises(ValueError, match="workers"):
+        ShmPoolScanEngine(world, workers=0)
+    with pytest.raises(ValueError, match="shard_timeout"):
+        ShmPoolScanEngine(world, shard_timeout=0)
+    with pytest.raises(ValueError, match="max_shard_retries"):
+        ShmPoolScanEngine(world, max_shard_retries=-1)
+    with ShmPoolScanEngine(world, workers=2) as engine:
+        with pytest.raises(ValueError, match="shared-stream"):
+            engine.run_week(world.config.reference_week, site_rng="shared")
 
 
 def test_sharded_engine_shares_plan_cache_with_serial_engine():
     world = _build()
     serial = world.scan_engine()
     plan = serial.plan_for(4, ("cno", "toplist"))
-    engine = ShardedScanEngine(world, shards=2)
-    assert engine.plan_for(4, ("cno", "toplist")) is plan
+    with ShmPoolScanEngine(world, workers=2) as engine:
+        assert engine.plan_for(4, ("cno", "toplist")) is plan

@@ -6,10 +6,10 @@ are stable global properties, and a bad selection fails loudly (CLI
 included — unknown plugin is a usage error, exit 2).  Second, the
 engine contract: selecting the default ``ecn`` plugin explicitly is
 **byte-identical** to the pre-plugin engine across vantages, address
-families, the TCP leg, shard counts and all executors; and multi-plugin
-selections produce identical rows under every executor, flow through
-the exchange cache, checkpoint/resume, the columnar store and the
-report unchanged.
+families, the TCP leg, the serial engine and shm-pool worker counts;
+and multi-plugin selections produce identical rows under both
+executors, flow through the exchange cache, checkpoint/resume, the
+columnar store and the report unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import repro
 from repro.analysis.report import plugin_summary
 from repro.cli import main
 from repro.pipeline import ShmPoolScanEngine, run_campaign
-from repro.pipeline.sharding import ShardedScanEngine
 from repro.plugins.base import (
     PLUGIN_KIND_BASE,
     FieldSpec,
@@ -176,6 +175,7 @@ def test_ecn_plugin_byte_identical_serial_matrix():
     assert world_ref.clock.now == world.clock.now
 
 
+@requires_fork
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_ecn_plugin_byte_identical_sharded(shards):
     world_ref, world = _build(), _build()
@@ -183,9 +183,8 @@ def test_ecn_plugin_byte_identical_sharded(shards):
     reference = world_ref.scan_engine().run_week(
         week, site_rng="per-site", include_tcp=True
     )
-    run = ShardedScanEngine(world, shards=shards).run_week(
-        week, plugins=("ecn",), include_tcp=True
-    )
+    with ShmPoolScanEngine(world, workers=shards) as engine:
+        run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
@@ -193,31 +192,25 @@ def test_ecn_plugin_byte_identical_sharded(shards):
 @requires_fork
 @pytest.mark.parametrize(
     "engine_factory",
-    [
-        lambda world: ShardedScanEngine(world, shards=2, executor="process"),
-        lambda world: ShmPoolScanEngine(world, workers=2),
-    ],
-    ids=["fork-pool", "shm-pool"],
+    [lambda world: ShmPoolScanEngine(world, workers=2, ticket_sites=16)],
+    ids=["shm-pool"],
 )
 def test_ecn_plugin_byte_identical_fork_executors(engine_factory):
+    """The prefetched-ticket path (what campaigns use) is byte-identical too."""
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
     reference = world_ref.scan_engine().run_week(
         week, site_rng="per-site", include_tcp=True
     )
-    engine = engine_factory(world)
-    try:
+    with engine_factory(world) as engine:
+        assert engine.prefetch_weeks([week], plugins=("ecn",), include_tcp=True)
         run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
 
 # ----------------------------------------------------------------------
-# Multi-plugin runs: identical rows under every executor
+# Multi-plugin runs: identical rows under both executors
 # ----------------------------------------------------------------------
 PLUGINS = ("ecn", "grease", "ebpf")
 
@@ -251,13 +244,15 @@ def test_multi_plugin_rows_have_declared_width(multi_plugin_reference):
         assert all(len(row) == width for row in rows.values())
 
 
+@requires_fork
 @pytest.mark.parametrize("shards", [2, 4])
 def test_multi_plugin_sharded_matches_serial(multi_plugin_reference, shards):
     world_ref, reference = multi_plugin_reference
     world = _build()
-    run = ShardedScanEngine(world, shards=shards).run_week(
-        world.config.reference_week, include_tcp=True, plugins=PLUGINS
-    )
+    with ShmPoolScanEngine(world, workers=shards) as engine:
+        run = engine.run_week(
+            world.config.reference_week, include_tcp=True, plugins=PLUGINS
+        )
     _assert_runs_equal(reference, run)
     _assert_plugin_rows_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
@@ -265,9 +260,10 @@ def test_multi_plugin_sharded_matches_serial(multi_plugin_reference, shards):
 
 @requires_fork
 def test_multi_plugin_shm_pool_matches_serial(multi_plugin_reference):
+    """Many small tickets: plugin rows merge across ticket boundaries."""
     world_ref, reference = multi_plugin_reference
     world = _build()
-    with ShmPoolScanEngine(world, workers=2) as engine:
+    with ShmPoolScanEngine(world, workers=3, ticket_sites=5) as engine:
         run = engine.run_week(
             world.config.reference_week, include_tcp=True, plugins=PLUGINS
         )
@@ -282,7 +278,6 @@ def test_plugin_store_columns_align_with_rows():
         world,
         world.config.reference_week,
         plugins=("ecn", "grease"),
-        backend="store",
     )
     columns = run.store.plugin_columns["grease"]
     fields = get_plugin("grease").fields
@@ -331,7 +326,7 @@ def test_campaign_plugins_checkpoint_resume(tmp_path):
         world_ref,
         weeks=_weeks(world_ref),
         plugins=("ecn", "grease"),
-        shards=1,
+        workers=1,
         checkpoint_dir=tmp_path,
     )
     for run in reference.runs:
@@ -341,7 +336,7 @@ def test_campaign_plugins_checkpoint_resume(tmp_path):
         world,
         weeks=_weeks(world),
         plugins=("ecn", "grease"),
-        shards=2,
+        workers=2,
         checkpoint_dir=tmp_path,
         resume=True,
     )
@@ -379,7 +374,7 @@ def test_campaign_rejects_trace_plugin_with_checkpoints(tmp_path):
             world,
             weeks=_weeks(world),
             plugins=("ecn", "trace"),
-            shards=1,
+            workers=1,
             checkpoint_dir=tmp_path,
         )
 
@@ -413,21 +408,18 @@ def test_codec_rejects_unknown_row_value_type():
 
 
 # ----------------------------------------------------------------------
-# CLI: selection flags, usage errors, deprecated aliases
+# CLI: selection flags and usage errors
 # ----------------------------------------------------------------------
 def test_cli_scan_with_plugins(capsys):
-    code = main(
-        ["scan", "--scale", "20000", "--plugins", "ecn,grease", "--no-tracebox"]
-    )
+    code = main(["scan", "--scale", "20000", "--plugins", "ecn,grease"])
     assert code == 0
     captured = capsys.readouterr()
     assert "Plugin measurements" in captured.out
-    assert "--no-tracebox is deprecated" in captured.err
+    assert "Table 4" not in captured.out  # no 'trace' plugin, no tracebox table
 
 
 def test_cli_scan_auto_prepends_ecn(capsys):
-    code = main(["scan", "--scale", "20000", "--plugins", "grease",
-                 "--no-tracebox"])
+    code = main(["scan", "--scale", "20000", "--plugins", "grease"])
     assert code == 0
     assert "Plugin measurements" in capsys.readouterr().out
 
@@ -443,18 +435,3 @@ def test_cli_campaign_unknown_plugin_is_usage_error(capsys):
     assert code == 2
     assert "unknown measurement plugin 'nope'" in capsys.readouterr().err
 
-
-def test_cli_deprecated_grease_alias_points_at_plugin(capsys):
-    code = main(["grease", "--scale", "20000", "--max-sites", "10"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "visibility gain" in captured.out
-    assert "deprecated alias" in captured.err
-
-
-def test_cli_deprecated_trace_alias_points_at_plugin(capsys):
-    code = main(
-        ["trace", "--provider", "Server Central", "--scale", "20000"]
-    )
-    assert code == 0
-    assert "deprecated alias" in capsys.readouterr().err

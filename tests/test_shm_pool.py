@@ -3,10 +3,11 @@
 The contract: a campaign executed by the :class:`ShmPoolScanEngine` —
 world published once to a shared segment, persistent fork-pool workers
 decoding it zero-copy and consuming (site range x week range) tickets —
-is *byte-identical* to the inline per-site engine, through the campaign
+is *byte-identical* to the serial per-site engine, through the campaign
 results and through the analysis layer, for every vantage, address
 family, TCP leg, worker count and ticket size; including resuming from
-a checkpoint after a worker was killed mid-campaign.  And the pool
+a checkpoint after a worker was killed mid-campaign, and from
+checkpoints the removed fork-pool executor wrote.  And the pool
 never leaks: the shared segment is unlinked after clean runs, worker
 crashes and campaign aborts alike (the session fixture in conftest.py
 additionally holds this line for the whole suite).
@@ -15,6 +16,7 @@ additionally holds this line for the whole suite).
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from repro.analysis.report import longitudinal_report
 from repro.cli import main
 from repro.core.codepoints import ECN
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline import ShmPoolScanEngine, plan_tickets, run_campaign
+from repro.obs import Telemetry
+from repro.pipeline import Campaign, ShmPoolScanEngine, plan_tickets, run_campaign
 from repro.pipeline.engine import ScanPhaseStats
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.util import shm
@@ -34,7 +37,7 @@ from repro.web.snapshot import SnapshotCorruption, decode_world, encode_world
 from repro.web.spec import WorldConfig
 
 from tests.conftest import requires_fork
-from tests.test_checkpoint import _assert_campaigns_equal
+from tests.test_checkpoint import LEGACY_CHECKPOINTS, _assert_campaigns_equal
 from tests.test_pipeline_sharding import _assert_runs_equal
 
 #: Coarse world: the all-vantages weekly matrix and lifecycle tests.
@@ -60,14 +63,17 @@ def _shm_entries():
 
 @pytest.fixture(scope="module")
 def campaign_reference():
-    """The golden reference: one inline per-site campaign + its report."""
+    """The golden reference: the serial per-site oracle + its report."""
     world = _build(CAMPAIGN_SCALE)
-    campaign = run_campaign(world, weeks=_weeks(world), shards=1)
+    engine = world.scan_engine()
+    campaign = Campaign()
+    for week in _weeks(world):
+        campaign.add_run(engine.run_week(week, populations=("cno",), site_rng="per-site"))
     return world, campaign, longitudinal_report(campaign)
 
 
 # ----------------------------------------------------------------------
-# Golden matrix: pool == inline, campaign + analysis
+# Golden matrix: pool == serial per-site, campaign + analysis
 # ----------------------------------------------------------------------
 @requires_fork
 @pytest.mark.parametrize(
@@ -199,36 +205,28 @@ def test_worker_kill_and_resume_matches_uninterrupted(
 
 
 @requires_fork
-def test_resume_crosses_pool_and_sharded_engines(tmp_path, campaign_reference):
-    """Checkpoints key on results, not the executor: a campaign
-    interrupted under workers=N resumes under shards=N and vice versa."""
-    ref_world, reference, _ = campaign_reference
-    directions = [
-        ({"workers": 2}, {"shards": 2}),
-        ({"shards": 2}, {"workers": 2}),
-    ]
-    for i, (interrupt_with, resume_with) in enumerate(directions):
-        checkpoint_dir = tmp_path / f"direction-{i}"
-        world = _build(CAMPAIGN_SCALE)
-        weeks = _weeks(world)
-        plan = FaultPlan().abort_campaign_after(weeks[1])
-        with pytest.raises(InjectedFault):
-            run_campaign(
-                world,
-                weeks=weeks,
-                checkpoint_dir=checkpoint_dir,
-                fault_plan=plan,
-                **interrupt_with,
-            )
-        resumed_world = _build(CAMPAIGN_SCALE)
-        resumed = run_campaign(
-            resumed_world,
-            weeks=weeks,
-            checkpoint_dir=checkpoint_dir,
-            resume=True,
-            **resume_with,
-        )
-        _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
+def test_resume_crosses_pool_and_sharded_engines(tmp_path):
+    """Checkpoints key on results, not the executor: the week files the
+    removed fork-pool (sharded) engine wrote resume on the shm pool —
+    every week rehydrates, none recomputes, and the campaign equals a
+    fresh pool campaign."""
+    checkpoints = tmp_path / "checkpoints"
+    shutil.copytree(LEGACY_CHECKPOINTS, checkpoints)
+    assert len(list(checkpoints.rglob("*.ecnc"))) == 5
+    # The fixtures come from the CLI, which parses --scale as a float;
+    # the float is part of the world fingerprint the checkpoint key digests.
+    fresh_world = _build(20_000.0)
+    fresh = run_campaign(fresh_world, cadence_weeks=12, workers=2)
+    world = _build(20_000.0)
+    telemetry = Telemetry()
+    resumed = run_campaign(
+        world, cadence_weeks=12, workers=2, checkpoint_dir=checkpoints,
+        resume=True, telemetry=telemetry,
+    )
+    registry = telemetry.registry
+    assert registry.counter("campaign.checkpoint.weeks_resumed").value == 5
+    assert registry.counter("campaign.checkpoint.weeks_stored").value == 0
+    _assert_campaigns_equal(fresh_world, fresh, world, resumed)
     assert shm.live_segments() == []
 
 
@@ -436,16 +434,14 @@ def test_engine_close_is_idempotent():
 # ----------------------------------------------------------------------
 def test_campaign_pool_validation_errors():
     world = _build(400_000)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        run_campaign(world, shards=2, workers=2)
     with pytest.raises(ValueError, match="ticket_sites"):
         run_campaign(world, ticket_sites=8)
     with pytest.raises(ValueError, match="engine="):
         run_campaign(world, workers=2, engine=object())
     with pytest.raises(ValueError, match="engine="):
         run_campaign(world, engine=object(), shard_timeout=1.0)
-    with pytest.raises(ValueError, match="shard_executor"):
-        run_campaign(world, workers=2, shard_executor="process")
+    with pytest.raises(ValueError, match="workers"):
+        run_campaign(world, max_shard_retries=1)
 
 
 @requires_fork
@@ -455,6 +451,8 @@ def test_engine_constructor_validations():
         ShmPoolScanEngine(world, ticket_sites=0)
     with pytest.raises(ValueError, match="ticket_weeks"):
         ShmPoolScanEngine(world, ticket_weeks=0)
+    with pytest.raises(ValueError, match="workers"):
+        ShmPoolScanEngine(world, workers=0)
 
 
 @requires_fork
@@ -468,8 +466,16 @@ def test_cli_campaign_workers_runs(capsys):
     assert shm.live_segments() == []
 
 
-def test_cli_campaign_flag_conflicts(capsys):
-    assert main(["campaign", "--shards", "2", "--workers", "2"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+def test_cli_campaign_flag_conflicts(capsys, tmp_path):
     assert main(["campaign", "--ticket-sites", "9"]) == 2
     assert "--ticket-sites requires --workers" in capsys.readouterr().err
+    assert main(["campaign", "--checkpoint-dir", str(tmp_path)]) == 2
+    assert "--checkpoint-dir requires --workers" in capsys.readouterr().err
+    assert main(["campaign", "--shard-retries", "3"]) == 2
+    assert "--shard-retries requires --workers" in capsys.readouterr().err
+    # The removed fork-pool flags are unknown options, not aliases.
+    for flag in ("--shards", "--shard-executor"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", flag, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import repro
 from repro.core.counters import EcnCounts
 from repro.core.validation import ValidationOutcome
-from repro.pipeline.sharding import ShardedScanEngine
 from repro.quic.connection import QuicConnectionResult
 from repro.quic.versions import QuicVersion
 from repro.store.codec import MAGIC, decode_shard_results, encode_shard_results
@@ -111,17 +110,19 @@ def test_codec_rejects_foreign_buffers_and_types():
 
 
 def test_codec_round_trips_a_real_shard():
-    """Encode/decode the exact entries a sharded worker would ship."""
+    """Encode/decode the exact entries a pool worker would ship for the
+    first half of the site range."""
     world = repro.build_world(WorldConfig(scale=40_000))
-    engine = ShardedScanEngine(world, shards=2)
+    engine = world.scan_engine()
     week = world.config.reference_week
     events = engine.site_events(week, include_tcp=True)
-    shard = engine.partition(events)[0]
+    half = len(world.sites) // 2
+    ticket = [event for event in events if event.site_index < half]
     from repro.scanner.quic_scan import QuicScanConfig
     from repro.scanner.tcp_scan import TcpScanConfig
 
-    produced = engine._run_shard(
-        shard, week, "main-aachen", 4, QuicScanConfig(), TcpScanConfig()
+    produced = engine._execute_entries(
+        ticket, week, "main-aachen", 4, QuicScanConfig(), TcpScanConfig()
     )
     assert produced
     decoded = decode_shard_results(encode_shard_results(produced))

@@ -1,12 +1,13 @@
-"""Columnar store ↔ object path golden equivalence.
+"""Columnar store ↔ eager objects golden equivalence.
 
-The store's contract is that the results layer is invisible: a
-store-backed run serves exactly the fields the eager per-domain
-observation objects would have carried — for every vantage, both IP
-families, TCP+QUIC runs, any shard count, any worker permutation, and
-both shard executors — and every analysis output built on top is
-identical.  Worlds are always built in identically-seeded pairs and
-driven in lockstep, so both paths see the same shared-RNG trajectory.
+The store's contract is that the results layer is invisible: an engine
+run serves exactly the fields the eager per-domain observation objects
+of the reference loop (:func:`run_weekly_scan_reference`) carry — for
+every vantage, both IP families, TCP+QUIC runs, the serial engine and
+the shm pool at any worker count — and every analysis output built on
+top is identical.  Worlds are always built in identically-seeded pairs
+and driven in lockstep, so both paths see the same shared-RNG
+trajectory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from repro.analysis import figures as fig
 from repro.analysis import tables as tab
 from repro.analysis.aggregate import count_by_org, distinct_ips, org_ecn_counts
 from repro.analysis.report import longitudinal_report, reference_report
-from repro.pipeline.sharding import ShardedScanEngine
+from repro.pipeline.campaign import Campaign, campaign_weeks
+from repro.pipeline.runs import run_weekly_scan_reference
+from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.scanner.results import DomainObservation
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 from repro.web.spec import WorldConfig
@@ -69,7 +72,8 @@ def test_store_matches_objects_for_every_vantage_family_and_tcp():
         for ip_version, include_tcp in ((4, True), (4, False), (6, False))
     ]
     for vantage_id, ip_version, include_tcp in cases:
-        reference = world_objects.scan_engine().run_week(
+        reference = run_weekly_scan_reference(
+            world_objects,
             week,
             vantage_id,
             ip_version=ip_version,
@@ -82,7 +86,6 @@ def test_store_matches_objects_for_every_vantage_family_and_tcp():
             ip_version=ip_version,
             populations=("cno",),
             include_tcp=include_tcp,
-            backend="store",
         )
         assert isinstance(run, StoreWeeklyRun)
         _assert_runs_equal(reference, run)
@@ -93,12 +96,10 @@ def test_store_run_with_tracebox_matches_objects():
     world_objects = _build(DEEP_SCALE)
     world_store = _build(DEEP_SCALE)
     week = world_objects.config.reference_week
-    reference = world_objects.scan_engine().run_week(
-        week, include_tcp=True, run_tracebox=True
+    reference = run_weekly_scan_reference(
+        world_objects, week, include_tcp=True, run_tracebox=True
     )
-    run = world_store.scan_engine().run_week(
-        week, include_tcp=True, run_tracebox=True, backend="store"
-    )
+    run = world_store.scan_engine().run_week(week, include_tcp=True, run_tracebox=True)
     _assert_runs_equal(reference, run)
     assert world_objects.clock.now == world_store.clock.now
     # Observation sequence protocol: indexing, slicing, negative index.
@@ -119,11 +120,11 @@ def test_store_run_with_tracebox_matches_objects():
 
 
 # ----------------------------------------------------------------------
-# Sharded execution: counts 1/2/4, worker permutation, fork pool
+# Pool execution: workers 1/2/4, ticket tiling, cache-free workers
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def per_site_objects_run():
-    """Serial per-site-RNG object run — the sharded golden reference."""
+def per_site_run():
+    """Serial per-site-RNG run — the pool's golden reference."""
     world = _build(DEEP_SCALE)
     run = world.scan_engine().run_week(
         world.config.reference_week,
@@ -134,58 +135,53 @@ def per_site_objects_run():
     return world, run
 
 
+def _pool_run(world, **engine_kwargs):
+    with ShmPoolScanEngine(world, **engine_kwargs) as engine:
+        return engine.run_week(
+            world.config.reference_week, include_tcp=True, run_tracebox=True
+        )
+
+
+@requires_fork
 @pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_store_matches_serial_objects(per_site_objects_run, shards):
-    world_ref, reference = per_site_objects_run
+def test_sharded_store_matches_serial_objects(per_site_run, shards):
+    world_ref, reference = per_site_run
     world = _build(DEEP_SCALE)
-    engine = ShardedScanEngine(world, shards=shards)
-    run = engine.run_week(
-        world.config.reference_week,
-        include_tcp=True,
-        run_tracebox=True,
-        backend="store",
-    )
+    run = _pool_run(world, workers=shards)
     assert isinstance(run, StoreWeeklyRun)
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
 
-def test_sharded_store_invariant_under_worker_permutation(per_site_objects_run):
-    world_ref, reference = per_site_objects_run
+@requires_fork
+def test_sharded_store_invariant_under_worker_permutation(per_site_run):
+    """Many small tickets, harvested in any worker order, merge the same."""
+    world_ref, reference = per_site_run
     world = _build(DEEP_SCALE)
-    engine = ShardedScanEngine(world, shards=4, shard_order=[2, 0, 3, 1])
-    run = engine.run_week(
-        world.config.reference_week,
-        include_tcp=True,
-        run_tracebox=True,
-        backend="store",
-    )
+    run = _pool_run(world, workers=4, ticket_sites=9)
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
 
 @requires_fork
-def test_sharded_store_fork_pool_matches(per_site_objects_run):
-    """Fork-pool workers marshal through the codec; results still golden."""
-    world_ref, reference = per_site_objects_run
+def test_sharded_store_fork_pool_matches(per_site_run):
+    """Cache-free workers run every exchange fresh; results still golden."""
+    world_ref, reference = per_site_run
     world = _build(DEEP_SCALE)
-    with ShardedScanEngine(world, shards=3, executor="process") as engine:
-        run = engine.run_week(
-            world.config.reference_week,
-            include_tcp=True,
-            run_tracebox=True,
-            backend="store",
-        )
+    run = _pool_run(world, workers=3, exchange_cache=False)
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
 
 # ----------------------------------------------------------------------
-# Campaign level: store is the default and analysis is identical
+# Campaign level: store runs and analysis equal the reference objects
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def campaign_pair():
-    objects = repro.run_campaign(_build(DEEP_SCALE), backend="objects")
+    world = _build(DEEP_SCALE)
+    objects = Campaign()
+    for week in campaign_weeks(world):
+        objects.add_run(run_weekly_scan_reference(world, week, populations=("cno",)))
     store = repro.run_campaign(_build(DEEP_SCALE))
     return objects, store
 
@@ -210,12 +206,10 @@ def test_reference_analysis_outputs_identical():
     world_objects = _build(DEEP_SCALE)
     world_store = _build(DEEP_SCALE)
     week = world_objects.config.reference_week
-    reference = world_objects.scan_engine().run_week(
-        week, include_tcp=True, run_tracebox=True
+    reference = run_weekly_scan_reference(
+        world_objects, week, include_tcp=True, run_tracebox=True
     )
-    run = world_store.scan_engine().run_week(
-        week, include_tcp=True, run_tracebox=True, backend="store"
-    )
+    run = world_store.scan_engine().run_week(week, include_tcp=True, run_tracebox=True)
     assert tab.table1(reference) == tab.table1(run)
     assert tab.table2(reference) == tab.table2(run)
     assert tab.table3(reference) == tab.table3(run)
@@ -241,8 +235,3 @@ def test_reference_analysis_outputs_identical():
         obs_store, predicate=lambda o: o.mirroring
     )
 
-
-def test_store_backend_rejects_unknown_backend():
-    world = _build(MATRIX_SCALE)
-    with pytest.raises(ValueError):
-        world.scan_engine().run_week(world.config.reference_week, backend="parquet")

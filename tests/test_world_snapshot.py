@@ -3,9 +3,9 @@
 The snapshot's contract is that rehydration is invisible: a world
 decoded from a snapshot serves exactly the observations, site records,
 traces, reports and shared-clock trajectory a freshly built world
-produces — for every vantage, both IP families, TCP+QUIC, shard counts
-1/2/4 and both shard executors (the bar the store and exchange-cache
-golden tests set).  Both sides run in lockstep so stateful machinery
+produces — for every vantage, both IP families, TCP+QUIC, the serial
+engine and shm-pool worker counts 1/2/4 (the bar the store and
+exchange-cache golden tests set).  Both sides run in lockstep so stateful machinery
 (clock, replay cache, plans) advances identically.
 """
 
@@ -32,7 +32,7 @@ from repro.web.spec import WorldConfig
 
 from tests.conftest import requires_fork
 
-#: Coarse world for the wide (vantage x family x shards) matrix.
+#: Coarse world for the wide (vantage x family x workers) matrix.
 MATRIX_SCALE = 40_000
 #: Representative world for the deep campaign/analysis comparisons.
 DEEP_SCALE = 12_000
@@ -180,19 +180,15 @@ def test_rehydrated_matches_fresh_for_every_vantage_and_family():
     assert fresh.clock.now == rehydrated.clock.now
 
 
-@pytest.mark.parametrize("shards,executor", [
-    (1, "inline"), (2, "inline"), (4, "inline"),
-    pytest.param(2, "process", marks=requires_fork),
-    pytest.param(4, "process", marks=requires_fork),
-])
-def test_rehydrated_campaign_and_analysis_identical(shards, executor):
-    """Sharded campaigns + longitudinal analysis, both executors."""
+@requires_fork
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_rehydrated_campaign_and_analysis_identical(workers):
+    """Pool campaigns + longitudinal analysis, workers 1/2/4."""
     fresh = _build(MATRIX_SCALE)
     rehydrated = _rehydrated(MATRIX_SCALE)
     weeks = [Week(2022, 22), Week(2023, 5), Week(2023, 15)]
     campaigns = [
-        repro.run_campaign(world, weeks=weeks, shards=shards,
-                           shard_executor=executor)
+        repro.run_campaign(world, weeks=weeks, workers=workers)
         for world in (fresh, rehydrated)
     ]
     for exp_run, act_run in zip(campaigns[0].runs, campaigns[1].runs, strict=True):
