@@ -24,9 +24,8 @@ SMALL_SCALE = 20_000
 #: Calibration world: shape assertions against the paper's percentages.
 SHAPE_SCALE = 2_000
 
-#: Platform gates for the fork-pool executors.  Tests that fork worker
-#: processes (the sharded "process" executor and the shm pool) skip
-#: with a reason instead of erroring on platforms without fork;
+#: Platform gate for the shm pool.  Tests that fork its worker
+#: processes skip with a reason instead of erroring on platforms without fork;
 #: /dev/shm-specific assertions additionally branch on the segment
 #: backend (the mmap fallback never appears there).
 FORK_AVAILABLE = shm.fork_available()
@@ -34,6 +33,27 @@ requires_fork = pytest.mark.skipif(
     not FORK_AVAILABLE,
     reason="fork-pool executors need the fork start method (POSIX)",
 )
+
+
+def pool_path_kwargs(path, plan=None):
+    """``run_campaign`` kwargs that route every shm-pool ticket down ``path``.
+
+    A pool ticket's results reach the parent one of two ways: computed
+    in a forked worker (``"process"``), or re-executed inline in the
+    parent by the supervision fallback (``"inline"``).  The inline path
+    is forced by corrupting every worker result buffer and allowing no
+    re-dispatch.  ``plan`` carries the caller's other fault rules; it is
+    extended in place.
+    """
+    if path == "process":
+        return {"fault_plan": plan} if plan is not None else {}
+    if path != "inline":
+        raise ValueError(f"unknown pool path: {path!r}")
+    from repro.faults import FaultPlan
+
+    plan = plan if plan is not None else FaultPlan(seed=3)
+    plan.corrupt_shard_buffer(attempt=None)
+    return {"fault_plan": plan, "max_shard_retries": 0}
 
 
 @pytest.fixture(scope="session", autouse=True)

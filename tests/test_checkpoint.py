@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline import Campaign, run_campaign
+from repro.pipeline import Campaign, ScanPhaseStats, run_campaign
 from repro.pipeline.checkpoint import (
     CampaignCheckpointer,
     campaign_checkpoint_key,
@@ -27,7 +27,7 @@ from repro.pipeline.checkpoint import (
 from repro.util.atomic import atomic_write_bytes
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
+from tests.conftest import pool_path_kwargs, requires_fork
 from tests.test_pipeline_sharding import _assert_runs_equal
 
 SCALE = 6_000
@@ -75,18 +75,41 @@ def uninterrupted():
 
 
 @requires_fork
-def test_kill_and_resume_matches_uninterrupted(tmp_path, uninterrupted):
+@pytest.mark.parametrize("path", ["inline", "process"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_kill_and_resume_matches_uninterrupted(
+    tmp_path, uninterrupted, workers, path
+):
+    """Golden for every worker count, whether the pool's tickets run in
+    worker processes or fall back to inline execution in the parent."""
     ref_world, reference = uninterrupted
     # Crash (via the fault harness) after the second of three weeks...
     world = _build()
     plan = FaultPlan().abort_campaign_after(_weeks(world)[1])
     with pytest.raises(InjectedFault):
-        _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan)
+        _campaign(
+            world,
+            workers=workers,
+            checkpoint_dir=tmp_path,
+            **pool_path_kwargs(path, plan),
+        )
     # ...then resume on a fresh world: completed weeks rehydrate from
     # disk, the rest compute, and the result is the uninterrupted one.
     resumed_world = _build()
-    resumed = _campaign(resumed_world, checkpoint_dir=tmp_path, resume=True)
+    stats = ScanPhaseStats()
+    resumed = _campaign(
+        resumed_world,
+        workers=workers,
+        checkpoint_dir=tmp_path,
+        resume=True,
+        phase_stats=stats,
+        **pool_path_kwargs(path),
+    )
     _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
+    # Only the inline path leaves supervision work behind: each ticket
+    # of the recomputed week fails once and re-executes in the parent.
+    assert (stats.shard_failures > 0) == (path == "inline")
+    assert stats.shard_retries == stats.shard_failures
 
 
 @requires_fork

@@ -10,6 +10,7 @@ golden test pins instrumented == uninstrumented report text).
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.spans import OBS_BLOB_VERSION
-from repro.pipeline import run_campaign
+from repro.pipeline import ShmPoolScanEngine, run_campaign
 from repro.web.spec import WorldConfig
 
 from tests.conftest import SMALL_SCALE, requires_fork
@@ -198,6 +199,26 @@ def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
 
 
 @requires_fork
+def test_forkpool_worker_spans_reparent_under_week():
+    """One-week tickets on a caller-built pool: every forked worker's
+    span is filed under the week it computed, one per site range."""
+    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
+    telemetry = Telemetry()
+    with ShmPoolScanEngine(world, workers=2, ticket_weeks=1) as engine:
+        spans = _campaign_spans(world, telemetry, engine=engine)
+    workers = _assert_worker_spans_under_their_week(spans)
+    # Worker spans recorded in worker processes: not the parent's pid.
+    assert telemetry.tracer.pid not in {span.pid for span in workers}
+    assert all(span.name == "ticket" for span in workers)
+    assert all(span.attrs["attempt"] == 0 for span in workers)
+    assert Counter(span.attrs["week"] for span in workers) == {
+        str(week): 2 for week in _weeks(world)
+    }
+    # Worker-side cache counters shipped through the blob trailer.
+    assert telemetry.registry.value("worker.exchange_cache.misses") > 0
+
+
+@requires_fork
 def test_shm_pool_worker_spans_reparent_under_week():
     world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     telemetry = Telemetry()
@@ -233,6 +254,34 @@ def test_retried_shard_spans_tag_attempt():
     assert retried, "expected a retried ticket span tagged attempt>0"
     assert all(not span.attrs.get("fallback") for span in retried)
     assert telemetry.registry.value("campaign.supervision.retries") >= 1
+
+
+@requires_fork
+def test_fallback_shard_spans_tag_fallback():
+    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
+    weeks = _weeks(world)
+    # attempt=None: every pool dispatch of ticket 1 returns a corrupt
+    # buffer, so supervision re-executes it inline in the parent.
+    plan = FaultPlan(seed=6).corrupt_shard_buffer(
+        shard=1, week=weeks[0], attempt=None
+    )
+    telemetry = Telemetry()
+    spans = _campaign_spans(
+        world,
+        telemetry,
+        workers=2,
+        fault_plan=plan,
+        max_shard_retries=1,
+    )
+    workers = _assert_worker_spans_under_their_week(spans)
+    fallbacks = [span for span in workers if span.attrs.get("fallback")]
+    assert fallbacks, "expected an inline-fallback span tagged fallback=True"
+    assert {span.attrs["ticket"] for span in fallbacks} == {1}
+    # Inline fallback runs in the parent process.
+    parent_pid = telemetry.tracer.pid
+    assert all(span.pid == parent_pid for span in fallbacks)
+    assert telemetry.registry.value("campaign.supervision.failures") == 2
+    assert telemetry.registry.value("campaign.supervision.fallbacks") == 1
 
 
 @requires_fork

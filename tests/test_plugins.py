@@ -192,11 +192,15 @@ def test_ecn_plugin_byte_identical_sharded(shards):
 @requires_fork
 @pytest.mark.parametrize(
     "engine_factory",
-    [lambda world: ShmPoolScanEngine(world, workers=2, ticket_sites=16)],
-    ids=["shm-pool"],
+    [
+        lambda world: ShmPoolScanEngine(world, workers=2),
+        lambda world: ShmPoolScanEngine(world, workers=2, ticket_sites=16),
+    ],
+    ids=["fork-pool", "shm-pool"],
 )
 def test_ecn_plugin_byte_identical_fork_executors(engine_factory):
-    """The prefetched-ticket path (what campaigns use) is byte-identical too."""
+    """The prefetched-ticket path (what campaigns use) is byte-identical
+    too, with one site range per forked worker or many small tickets."""
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
     reference = world_ref.scan_engine().run_week(

@@ -4,7 +4,8 @@ The snapshot's contract is that rehydration is invisible: a world
 decoded from a snapshot serves exactly the observations, site records,
 traces, reports and shared-clock trajectory a freshly built world
 produces — for every vantage, both IP families, TCP+QUIC, the serial
-engine and shm-pool worker counts 1/2/4 (the bar the store and
+engine and shm-pool worker counts 1/2/4, with pool tickets run in
+worker processes or inline in the parent (the bar the store and
 exchange-cache golden tests set).  Both sides run in lockstep so stateful machinery
 (clock, replay cache, plans) advances identically.
 """
@@ -30,7 +31,7 @@ from repro.web.providers import (
 )
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
+from tests.conftest import pool_path_kwargs, requires_fork
 
 #: Coarse world for the wide (vantage x family x workers) matrix.
 MATRIX_SCALE = 40_000
@@ -181,14 +182,20 @@ def test_rehydrated_matches_fresh_for_every_vantage_and_family():
 
 
 @requires_fork
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_rehydrated_campaign_and_analysis_identical(workers):
-    """Pool campaigns + longitudinal analysis, workers 1/2/4."""
+@pytest.mark.parametrize("workers,path", [
+    (1, "inline"), (2, "inline"), (4, "inline"), (2, "process"), (4, "process"),
+])
+def test_rehydrated_campaign_and_analysis_identical(workers, path):
+    """Pool campaigns + longitudinal analysis, workers 1/2/4, with the
+    tickets computed in worker processes or inline in the parent (which
+    then scans the rehydrated world itself)."""
     fresh = _build(MATRIX_SCALE)
     rehydrated = _rehydrated(MATRIX_SCALE)
     weeks = [Week(2022, 22), Week(2023, 5), Week(2023, 15)]
     campaigns = [
-        repro.run_campaign(world, weeks=weeks, workers=workers)
+        repro.run_campaign(
+            world, weeks=weeks, workers=workers, **pool_path_kwargs(path)
+        )
         for world in (fresh, rehydrated)
     ]
     for exp_run, act_run in zip(campaigns[0].runs, campaigns[1].runs, strict=True):
