@@ -1,8 +1,8 @@
 """Fault-injection smoke: recovery must be invisible in the output.
 
 Not a perf benchmark — a CI robustness gate (docs/robustness.md).  It
-runs the same scale-1000 campaign three ways on a 4-worker shm pool and
-demands byte-identical results:
+runs the same scale-1000 campaign on a 4-worker shm pool under each
+fault below and demands byte-identical results:
 
 1. **clean** — no faults; must finish with zero ticket retries (the
    supervised dispatch path behaving exactly like a blocking map);
@@ -12,9 +12,11 @@ demands byte-identical results:
    prefetches one ticket per worker, covering every week); supervision
    must absorb both (retries > 0) and the campaign, its analysis
    report and the shared clock must equal the clean run's exactly;
-3. **kill-and-resume** — the campaign is aborted after its second
-   week, then resumed from its checkpoint directory on a fresh world;
-   the resumed campaign must equal the clean run's exactly.
+3. **kill-and-resume**, once on the pool and once on the serial
+   engine — the campaign is aborted after its second week, then resumed
+   from its checkpoint directory on a fresh world with the same
+   executor; the resumed campaign, its report and the world clock must
+   equal the clean pool run's exactly.
 
 Any divergence, missed fault or unexpected retry exits non-zero::
 
@@ -63,11 +65,11 @@ def _weeks(world):
 
 def _campaign(world, **kwargs):
     stats = kwargs.pop("phase_stats", None) or ScanPhaseStats()
+    kwargs.setdefault("workers", WORKERS)
     campaign = repro.run_campaign(
         world,
         weeks=_weeks(world),
         populations=POPULATIONS,
-        workers=WORKERS,
         phase_stats=stats,
         **kwargs,
     )
@@ -133,33 +135,39 @@ def main() -> int:
            "faulted campaign clock identical to clean run")
 
     # ------------------------------------------------------------------
-    # Leg 2: kill after the second week, resume from checkpoints.
+    # Leg 2: kill after the second week, resume from checkpoints — on
+    # the pool and on the serial engine.
     # ------------------------------------------------------------------
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
-        killed_world = _build()
-        abort = FaultPlan().abort_campaign_after(weeks[1])
-        try:
-            _campaign(killed_world, checkpoint_dir=checkpoint_dir,
-                      fault_plan=abort)
-        except InjectedFault:
-            pass
-        else:
-            _check(False, "abort fault interrupted the campaign")
-        stored = sorted(Path(checkpoint_dir).rglob("*.ecnc"))
-        _check(len(stored) == 2,
-               f"two weeks checkpointed before the kill (found {len(stored)})")
-        resumed_world = _build()
-        resumed, resumed_stats = _campaign(
-            resumed_world, checkpoint_dir=checkpoint_dir, resume=True
-        )
-        _check(_campaigns_equal(clean, resumed),
-               "resumed campaign observations identical to clean run")
-        _check(repr(longitudinal_report(resumed)) == clean_report,
-               "resumed campaign analysis report identical to clean run")
-        _check(resumed_world.clock.now == clean_world.clock.now,
-               "resumed campaign clock identical to clean run")
-        _check(resumed_stats.shard_retries == 0,
-               "resume needed no ticket retries")
+    for executor, workers in (("pool", WORKERS), ("serial", None)):
+        with tempfile.TemporaryDirectory() as checkpoint_dir:
+            killed_world = _build()
+            abort = FaultPlan().abort_campaign_after(weeks[1])
+            try:
+                _campaign(killed_world, workers=workers,
+                          checkpoint_dir=checkpoint_dir, fault_plan=abort)
+            except InjectedFault:
+                pass
+            else:
+                _check(False, f"{executor}: abort fault interrupted the campaign")
+            stored = sorted(Path(checkpoint_dir).rglob("*.ecnc"))
+            _check(len(stored) == 2,
+                   f"{executor}: two weeks checkpointed before the kill "
+                   f"(found {len(stored)})")
+            resumed_world = _build()
+            resumed, resumed_stats = _campaign(
+                resumed_world, workers=workers,
+                checkpoint_dir=checkpoint_dir, resume=True,
+            )
+            _check(_campaigns_equal(clean, resumed),
+                   f"{executor}: resumed campaign observations identical to "
+                   f"clean run")
+            _check(repr(longitudinal_report(resumed)) == clean_report,
+                   f"{executor}: resumed campaign analysis report identical "
+                   f"to clean run")
+            _check(resumed_world.clock.now == clean_world.clock.now,
+                   f"{executor}: resumed campaign clock identical to clean run")
+            _check(resumed_stats.shard_retries == 0,
+                   f"{executor}: resume needed no ticket retries")
 
     if _failures:
         print(f"\n{len(_failures)} fault-injection check(s) failed",

@@ -338,7 +338,7 @@ def bench_full_weekly_scan(benchmark):
     def scan():
         run, elapsed = _timed(
             lambda: repro.run_weekly_scan(
-                world, world.config.reference_week, run_tracebox=True
+                world, world.config.reference_week, plugins=("ecn", "trace")
             )
         )
         durations.append(elapsed)
@@ -435,7 +435,7 @@ def run_full() -> None:
 
     run, best = _best_of(
         lambda: repro.run_weekly_scan(
-            world, world.config.reference_week, run_tracebox=True
+            world, world.config.reference_week, plugins=("ecn", "trace")
         )
     )
     _record(
@@ -498,7 +498,7 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     world.scan_engine().plan_for(4, ("cno", "toplist"))
     run, scan_best = _best_of(
         lambda: repro.run_weekly_scan(
-            world, world.config.reference_week, run_tracebox=True
+            world, world.config.reference_week, plugins=("ecn", "trace")
         )
     )
     campaign, campaign_best, _, cache_totals = _campaign_with_split(world)

@@ -34,7 +34,7 @@ def world():
 @pytest.fixture(scope="session")
 def main_run(world):
     """IPv4 reference run (week 15/2023) incl. tracebox."""
-    return repro.run_weekly_scan(world, world.config.reference_week, run_tracebox=True)
+    return repro.run_weekly_scan(world, world.config.reference_week, plugins=("ecn", "trace"))
 
 
 @pytest.fixture(scope="session")

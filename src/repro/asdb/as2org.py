@@ -47,6 +47,3 @@ class AsOrgMap:
         return sorted(
             asn for asn in self._org_by_asn if self.org_for(asn) == org
         )
-
-    def organizations(self) -> list[str]:
-        return sorted({self.org_for(asn) for asn in self._org_by_asn})

@@ -273,7 +273,6 @@ def _cmd_campaign(args) -> int:
     if args.workers is None:
         pool_only = (
             ("--ticket-sites", args.ticket_sites),
-            ("--checkpoint-dir", args.checkpoint_dir),
             ("--shard-timeout", args.shard_timeout),
             ("--shard-retries", args.shard_retries),
         )
@@ -286,6 +285,10 @@ def _cmd_campaign(args) -> int:
         return 2
     plugins = _resolve_plugin_args(args)
     if plugins is None:
+        return 2
+    if args.checkpoint_dir is not None and "trace" in plugins:
+        print("--checkpoint-dir cannot be combined with the trace plugin",
+              file=sys.stderr)
         return 2
     world = _build_world(args)
     stats = ScanPhaseStats()
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sharing one shared-memory world snapshot; weeks are "
              "prefetched as (site-range, week-range) tickets, so the "
              "whole campaign costs one dispatch round trip per worker; "
-             "sites draw from deterministic per-site RNG substreams (see "
+             "output is identical to the serial run (see "
              "docs/architecture.md#worker-pool--shared-world)",
     )
     campaign.add_argument(
@@ -419,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="persist each completed week's results under DIR (atomic, "
-             "checksummed; requires --workers) so an "
-             "interrupted campaign can --resume without recomputing "
-             "finished weeks",
+             "checksummed; serial or --workers) so an interrupted "
+             "campaign can --resume, with any executor, without "
+             "recomputing finished weeks",
     )
     campaign.add_argument(
         "--resume",

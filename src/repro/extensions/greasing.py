@@ -15,8 +15,7 @@ infer this from mirroring or in-network telemetry.
 The client configuration lives in :mod:`repro.plugins.grease` (shared
 with the ``grease`` measurement plugin, which runs the same greased
 stack per (site, week) inside weekly scans and campaigns); this module
-keeps the bespoke off/on visibility comparison the CLI's deprecated
-``grease`` subcommand reports.
+keeps the bespoke off/on visibility comparison of one sample.
 """
 
 from __future__ import annotations

@@ -139,9 +139,3 @@ class Network:
         template = self.template_for(vantage_id, group_id, week)
         path = template.select(packet.flow_key)
         return path.traverse(packet, self.clock, self.rng)
-
-    def path_for_flow(
-        self, vantage_id: str, group_id: str, flow: FlowKey, week: Week
-    ) -> NetworkPath:
-        """The concrete ECMP member a given flow would take."""
-        return self.template_for(vantage_id, group_id, week).select(flow)

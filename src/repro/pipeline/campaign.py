@@ -94,7 +94,6 @@ def run_campaign(
     cadence_weeks: int = 4,
     vantage_id: str = "main-aachen",
     populations: tuple[str, ...] = ("cno",),
-    run_tracebox: bool = False,
     plugins: tuple[str, ...] | None = None,
     workers: int | None = None,
     ticket_sites: int | None = None,
@@ -125,8 +124,7 @@ def run_campaign(
     Plugin variants ride the same executor, exchange cache, checkpoint
     and supervision machinery as the core scan; their merged rows land
     on each run's ``plugin_rows`` and as per-plugin store columns.  The
-    ``trace`` plugin — like ``run_tracebox``, which it subsumes — is
-    incompatible with checkpointing.
+    ``trace`` plugin is incompatible with checkpointing.
 
     ``exchange_cache`` (default on) is what makes re-measuring stable
     site-weeks cheap: exchanges whose inputs repeat across the series
@@ -140,10 +138,9 @@ def run_campaign(
     of that many forked workers decodes it zero-copy at startup, and
     the campaign's weeks are prefetched as (site-range, week-range)
     tickets so the whole series costs one dispatch round trip per
-    worker (``ticket_sites`` overrides the site-range size).  Pool
-    campaigns use deterministic per-site RNG substreams rather than the
-    shared reference stream — reproducible and worker-count
-    independent, but a different realisation of the stochastic draws
+    worker (``ticket_sites`` overrides the site-range size).  Every
+    executor runs each site exchange on a deterministic per-site RNG
+    substream, so pool campaigns equal serial ones exactly
     (docs/architecture.md#worker-pool--shared-world).
 
     ``checkpoint_dir`` makes the campaign crash-safe: every completed
@@ -153,12 +150,10 @@ def run_campaign(
     checkpoint verifies are rehydrated instead of recomputed; replayed
     weeks are byte-identical to executed ones (records fill in the same
     order, the clock sums the same floats), so an interrupted campaign
-    resumes to exactly the uninterrupted result.  Checkpointing
-    requires the pool — only per-site RNG substreams survive skipping
-    weeks; the shared reference stream's position would diverge — and
-    is incompatible with ``run_tracebox`` (trace results live outside
-    the checkpointed entries).  The worker count may differ between the
-    original run and the resume.
+    resumes to exactly the uninterrupted result.  Checkpointing is
+    incompatible with the ``trace`` plugin (trace results live outside
+    the checkpointed entries).  The executor may differ between the
+    original run and the resume: serial, or a pool of any worker count.
 
     ``engine`` supplies a pre-built engine instead (closing stays the
     caller's job — this is how benchmarks keep one warm pool across
@@ -187,8 +182,6 @@ def run_campaign(
     plugin_names = resolve_plugins(
         tuple(plugins) if plugins is not None else None
     ).names
-    if run_tracebox and "trace" not in plugin_names:
-        plugin_names = plugin_names + ("trace",)
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
     if ticket_sites is not None and workers is None:
@@ -213,18 +206,11 @@ def run_campaign(
             "shard_timeout/max_shard_retries have no effect without workers; "
             "pass workers=N to run a supervised pool site phase"
         )
-    if checkpoint_dir is not None:
-        if workers is None and not isinstance(engine, ShmPoolScanEngine):
-            raise ValueError(
-                "checkpointing requires a pool campaign (workers=N): only "
-                "per-site RNG substreams are valid across resumed weeks"
-            )
-        if "trace" in plugin_names:
-            raise ValueError(
-                "checkpointing is incompatible with the trace plugin (and "
-                "run_tracebox): trace results are not part of the "
-                "checkpointed site phase"
-            )
+    if checkpoint_dir is not None and "trace" in plugin_names:
+        raise ValueError(
+            "checkpointing is incompatible with the trace plugin: tracebox "
+            "results are not part of the checkpointed site phase"
+        )
     if weeks is None:
         weeks = campaign_weeks(world, cadence_weeks)
     owns_engine = engine is None

@@ -12,10 +12,11 @@ The engine splits a weekly run into two phases (docs/architecture.md):
 1. **Site phase** — everything expensive happens once per
    (site, week, vantage, family): policy resolution (memoized on the
    world), the QUIC/TCP exchanges, and — at world build time — ASN/org
-   attribution.  Scans are issued in exactly the order the per-domain
-   reference loop would have triggered them, so the shared network
-   RNG stream and virtual clock advance identically and results are
-   byte-for-byte equal to the reference semantics
+   attribution.  Every exchange runs on its own RNG substream and
+   private virtual clock; the central merge fills site records and
+   advances the world clock once, summing elapsed times in exactly the
+   order the per-domain reference loop triggers the exchanges, so
+   results are byte-for-byte equal to the reference semantics
    (:func:`repro.pipeline.runs.run_weekly_scan_reference`).
 2. **Attribution phase** — per-site results fan out to domains through
    bindings precomputed in a :class:`ScanPlan` (resolution, org,
@@ -33,18 +34,13 @@ config, route epoch, response) the recorded result and clock trajectory
 replay byte-identically instead of re-simulating the connection.
 
 :meth:`ScanEngine.site_events` exposes the ordered site phase as data.
-:class:`~repro.pipeline.sharding.ShmPoolScanEngine` partitions it across
-worker processes; the ``site_rng`` mode below is what makes that sound:
-
-* ``"shared"`` (default) — exchanges draw from the world's one
-  sequential network RNG stream and advance the one shared clock, in
-  reference trigger order.  Byte-identical to the per-domain loop.
-* ``"per-site"`` — every site event draws from an independent
-  :class:`~repro.util.rng.RngStream` seeded deterministically from
-  (world seed, week, vantage, family, site, kind) and runs against its
-  own virtual clock.  Exchanges become order-independent, so any
-  partition of the site phase — serial, any worker count, any ticket
-  tiling — produces identical results.
+Each site event draws from an independent :class:`~repro.util.rng.RngStream`
+seeded deterministically from (world seed, week, vantage, family, site,
+kind) — built only when the exchange runs fresh on a path that can draw
+— and runs against its own virtual clock.  Exchanges are therefore
+order-independent: any partition of the site phase — serial,
+:class:`~repro.pipeline.sharding.ShmPoolScanEngine` with any worker
+count or ticket tiling, checkpoint replay — produces identical results.
 
 Attribution records into the columnar
 :class:`~repro.store.columns.ObservationStore` (O(sites) per week);
@@ -72,8 +68,8 @@ from repro.exchange.core import (
 )
 from repro.netsim.clock import Clock
 from repro.obs.metrics import safe_ratio
-from repro.pipeline.runs import ensure_site_record
-from repro.plugins.base import PLUGIN_KIND_BASE, VariantBinding
+from repro.pipeline.runs import ensure_site_record, site_stream
+from repro.plugins.base import PLUGIN_KIND_BASE
 from repro.plugins.registry import (
     DEFAULT_PLUGINS,
     PluginSelection,
@@ -89,7 +85,7 @@ from repro.util.weeks import Week
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.store.views import StoreWeeklyRun  # views -> runs -> pipeline
-    from repro.web.world import Site, World  # world -> engine
+    from repro.web.world import World  # world -> engine
 
 #: Event kinds of the site phase, ordered as the reference loop fires
 #: them at one domain position (QUIC before TCP).
@@ -306,11 +302,6 @@ class ScanEngine:
     ``tests/test_exchange_golden.py``).  Pass ``exchange_cache=False``
     to force every exchange to run fresh.
     """
-
-    #: The ``site_rng`` mode :meth:`run_week` resolves ``None`` to.
-    #: The pool engine overrides this with ``"per-site"`` — shared-stream
-    #: semantics cannot be partitioned.
-    default_site_rng = "shared"
 
     def __init__(self, world: "World", *, exchange_cache: bool = True):
         self.world = world
@@ -587,123 +578,6 @@ class ScanEngine:
         return events
 
     # ------------------------------------------------------------------
-    # Exchanges
-    # ------------------------------------------------------------------
-    def _exchange(
-        self,
-        kind: int,
-        site: "Site",
-        week: Week,
-        vantage_id: str,
-        config,
-        authority_domain: str,
-        rng: RngStream | None,
-        clock: Clock | None,
-    ):
-        """One site exchange through the replay cache.
-
-        Byte-identical to a fresh scan whichever branch runs: a miss
-        executes the real scan against a :class:`RecordingClock` and
-        caches (result, advance trajectory); a hit replays exactly that
-        trajectory into the caller's clock and returns the same result
-        object.  Exchanges whose key derivation reports ``None`` (the
-        path may draw randomness) always run fresh, preserving the RNG
-        stream draw for draw.
-        """
-        world = self.world
-        authority = f"www.{authority_domain}"
-        cache = self.exchange_cache
-        if kind == QUIC_EVENT:
-            scan, prepare, client_config_for = (
-                scan_site_quic,
-                quic_exchange_inputs,
-                quic_client_config,
-            )
-        else:
-            scan, prepare, client_config_for = (
-                scan_site_tcp,
-                tcp_exchange_inputs,
-                tcp_client_config,
-            )
-        if cache is None:
-            return scan(
-                world, site, week, vantage_id, config,
-                authority=authority, rng=rng, clock=clock,
-            )
-        client_config = client_config_for(config, world.vantages[vantage_id].source_ip)
-        inputs = prepare(
-            world, site, week, vantage_id, client_config, path_memo=cache.path_memo
-        )
-        key = cache.key_for(inputs)
-        if key is None:
-            cache.stats.uncacheable += 1
-            return scan(
-                world, site, week, vantage_id, config,
-                authority=authority, rng=rng, clock=clock, inputs=inputs,
-            )
-        outcome = cache.fetch(key)
-        target_clock = clock if clock is not None else world.clock
-        if outcome is not None:
-            return replay_outcome(outcome, target_clock)
-        recorder = RecordingClock(target_clock)
-        result = scan(
-            world, site, week, vantage_id, config,
-            authority=authority, rng=rng, clock=recorder, inputs=inputs,
-        )
-        cache.store(key, ExchangeOutcome(result, tuple(recorder.advances)))
-        return result
-
-    def _plugin_exchange(
-        self,
-        binding: VariantBinding,
-        site: "Site",
-        week: Week,
-        vantage_id: str,
-        ip_version: int,
-        authority_domain: str,
-        rng: RngStream | None,
-        clock: Clock | None,
-    ):
-        """One plugin-variant exchange through the replay cache.
-
-        Mirrors :meth:`_exchange` with the plugin's client config in
-        place of the scan config: the variant's ``ExchangeInputs`` are
-        derived from the same site/week/route state, its distinct
-        client config hashes to distinct cache keys, and hit / miss /
-        uncacheable behave exactly as for the core scan — which is how
-        variants inherit caching, checkpointing and the shm pool
-        without any executor knowing plugins exist.
-        """
-        world = self.world
-        authority = f"www.{authority_domain}"
-        client_config = binding.client_config(
-            world.vantages[vantage_id].source_ip, ip_version
-        )
-        if binding.variant.transport == "quic":
-            prepare, run = quic_exchange_inputs, run_quic_exchange
-        else:
-            prepare, run = tcp_exchange_inputs, run_tcp_exchange
-        cache = self.exchange_cache
-        if cache is None:
-            inputs = prepare(world, site, week, vantage_id, client_config)
-            return run(world, inputs, week, vantage_id, authority, rng=rng, clock=clock)
-        inputs = prepare(
-            world, site, week, vantage_id, client_config, path_memo=cache.path_memo
-        )
-        key = cache.key_for(inputs)
-        if key is None:
-            cache.stats.uncacheable += 1
-            return run(world, inputs, week, vantage_id, authority, rng=rng, clock=clock)
-        outcome = cache.fetch(key)
-        target_clock = clock if clock is not None else world.clock
-        if outcome is not None:
-            return replay_outcome(outcome, target_clock)
-        recorder = RecordingClock(target_clock)
-        result = run(world, inputs, week, vantage_id, authority, rng=rng, clock=recorder)
-        cache.store(key, ExchangeOutcome(result, tuple(recorder.advances)))
-        return result
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def event_stream(
@@ -718,74 +592,94 @@ class ScanEngine:
         (``plugin/variant``), so a variant's draws are independent of
         the core scan's and of every other variant's.
         """
-        if event.kind == QUIC_EVENT:
-            kind = "quic"
-        elif event.kind == TCP_EVENT:
-            kind = "tcp"
-        else:
-            kind = stream_tag(event.kind)
-        name = (
-            f"site-scan/{week}/{vantage_id}/v{ip_version}/"
-            f"{event.site_index}/{kind}"
+        return site_stream(
+            self.world, week, vantage_id, ip_version, event.site_index,
+            _kind_label(event.kind),
         )
-        return RngStream(self.world.config.seed, name)
 
-    def _run_event(
+    def _run_exchange(
         self,
         event: SiteEvent,
         week: Week,
         vantage_id: str,
+        ip_version: int,
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
-        records: dict,
-        rng: RngStream | None = None,
-        clock: Clock | None = None,
-        plugin_rows: dict | None = None,
-    ) -> None:
-        """Execute one site event into ``records`` (or ``plugin_rows``).
+    ) -> tuple[object, float]:
+        """One site event on a private clock: ``(result, elapsed)``.
 
-        Core events land on the site record; plugin-variant events run
-        the variant exchange and store the plugin's typed row under
-        ``(site_index, kind)`` — rows, not raw results, are what
+        Core events return the exchange result; plugin-variant events
+        return the plugin's typed row — rows, not raw results, are what
         variants contribute downstream (store columns, ticket frames,
-        checkpoints).
+        checkpoints).  Both go through the replay cache the same way:
+        a miss runs the real exchange against a :class:`RecordingClock`
+        and caches (result, advance trajectory), a hit replays exactly
+        that trajectory, and an exchange whose key derivation reports
+        ``None`` (the path may draw randomness) always runs fresh.  The
+        event's RNG substream is built only for a fresh exchange on a
+        path that can draw; every other exchange never consults it.
         """
-        site = self.world.sites[event.site_index]
-        if event.kind >= PLUGIN_KIND_BASE:
-            binding = binding_for_kind(event.kind)
-            result = self._plugin_exchange(
-                binding,
-                site,
-                week,
-                vantage_id,
-                quic_config.ip_version,
-                event.authority_domain,
-                rng,
-                clock,
-            )
-            if plugin_rows is not None:
-                plugin_rows[(event.site_index, event.kind)] = binding.plugin.row(
-                    binding.variant, result
-                )
-            return
-        record = ensure_site_record(records, event.site_index, event.address)
-        is_quic = event.kind == QUIC_EVENT
-        result = self._exchange(
-            event.kind,
-            site,
-            week,
-            vantage_id,
-            quic_config if is_quic else tcp_config,
-            event.authority_domain,
-            rng,
-            clock,
-        )
-        if is_quic:
-            record.quic = result
+        world = self.world
+        site = world.sites[event.site_index]
+        kind = event.kind
+        source_ip = world.vantages[vantage_id].source_ip
+        binding = None
+        if kind == QUIC_EVENT:
+            quic = True
+            client_config = quic_client_config(quic_config, source_ip)
+        elif kind == TCP_EVENT:
+            quic = False
+            client_config = tcp_client_config(tcp_config, source_ip)
         else:
-            record.tcp = result
+            binding = binding_for_kind(kind)
+            quic = binding.variant.transport == "quic"
+            client_config = binding.client_config(source_ip, quic_config.ip_version)
+        prepare = quic_exchange_inputs if quic else tcp_exchange_inputs
+        cache = self.exchange_cache
+        clock = Clock()
+        inputs = prepare(
+            world, site, week, vantage_id, client_config,
+            path_memo=cache.path_memo if cache is not None else None,
+        )
+        key = cache.key_for(inputs) if cache is not None else None
+        if key is not None:
+            outcome = cache.fetch(key)
+            if outcome is not None:
+                result = replay_outcome(outcome, clock)
+                if binding is not None:
+                    result = binding.plugin.row(binding.variant, result)
+                return result, clock.now
+        elif cache is not None:
+            cache.stats.uncacheable += 1
+        path = inputs.path
+        rng = (
+            self.event_stream(event, week, vantage_id, ip_version)
+            if path is not None and not path.draw_free
+            else None
+        )
+        target = RecordingClock(clock) if key is not None else clock
+        authority = f"www.{event.authority_domain}"
+        if binding is not None:
+            run = run_quic_exchange if quic else run_tcp_exchange
+            result = run(world, inputs, week, vantage_id, authority, rng=rng, clock=target)
+        else:
+            # Core exchanges go through the scanner entry points by
+            # module-global lookup, so wrappers installed on this
+            # module's names see every fresh scan.
+            scan, config = (
+                (scan_site_quic, quic_config) if quic else (scan_site_tcp, tcp_config)
+            )
+            result = scan(
+                world, site, week, vantage_id, config,
+                authority=authority, rng=rng, clock=target, inputs=inputs,
+            )
+        if key is not None:
+            cache.store(key, ExchangeOutcome(result, tuple(target.advances)))
+        if binding is not None:
+            result = binding.plugin.row(binding.variant, result)
+        return result, clock.now
 
-    def _execute_site_phase(
+    def _execute_entries(
         self,
         events: list[SiteEvent],
         week: Week,
@@ -793,56 +687,54 @@ class ScanEngine:
         ip_version: int,
         quic_config: QuicScanConfig,
         tcp_config: TcpScanConfig,
-        records: dict,
-        site_rng: str,
-        entry_sink: list | None = None,
-        replay: dict[tuple[int, int], tuple[object, float]] | None = None,
-        populations: Sequence[str] | None = None,
-        include_tcp: bool = False,
-        plugins: tuple[str, ...] | None = None,
-        plugin_rows: dict | None = None,
-    ) -> None:
-        """Run all site events (serially; overridden by the pool engine).
+    ) -> list[tuple[int, int, object, float]]:
+        """Run events on their per-site substreams; returns checkpoint entries.
 
-        ``entry_sink``, when given, collects ``(site_index, kind,
-        result, elapsed)`` entries in event order — the unit campaign
-        checkpoints persist.  Plugin-variant entries carry the
-        plugin's typed row as their result.  ``replay`` short-circuits
-        execution with previously produced entries (a rehydrated
-        checkpoint); both require ``site_rng="per-site"`` because
-        shared-stream draws depend on the events actually executing.
-
-        ``populations``/``include_tcp``/``plugins`` restate the
-        schedule parameters that produced ``events``: this serial
-        engine derives nothing from them, but the shm-pool engine
-        needs them to describe the week to workers that rebuild the
-        event list themselves.  ``plugin_rows`` collects variant rows
-        keyed ``(site_index, kind)``.
+        Each event yields one ``(site_index, kind, result, elapsed)``
+        entry (:meth:`_run_exchange`).  The single definition of site
+        execution: the serial engine, shm-pool workers and the pool's
+        inline fallback all run exactly this, and the central merge then
+        sums elapsed times in event order — which is what keeps them
+        bit-identical.
         """
-        if site_rng == "shared":
-            if entry_sink is not None or replay is not None:
-                raise ValueError(
-                    "entry capture/replay requires site_rng='per-site'; the "
-                    "shared RNG stream's draws depend on events executing"
-                )
-            for event in events:
-                self._run_event(
-                    event, week, vantage_id, quic_config, tcp_config, records,
-                    plugin_rows=plugin_rows,
-                )
-            return
-        if site_rng != "per-site":
-            raise ValueError(f"unknown site_rng mode: {site_rng!r}")
-        if replay is None:
-            replay = {
-                (site_index, kind): (result, elapsed)
-                for site_index, kind, result, elapsed in self._execute_entries(
-                    events, week, vantage_id, ip_version, quic_config, tcp_config
-                )
-            }
-        self._apply_replay(
-            events, replay, records, entry_sink=entry_sink, plugin_rows=plugin_rows
+        run_exchange = self._run_exchange
+        out: list[tuple[int, int, object, float]] = []
+        for event in events:
+            result, elapsed = run_exchange(
+                event, week, vantage_id, ip_version, quic_config, tcp_config
+            )
+            out.append((event.site_index, event.kind, result, elapsed))
+        return out
+
+    def _week_entries(
+        self,
+        events: list[SiteEvent],
+        week: Week,
+        vantage_id: str,
+        ip_version: int,
+        quic_config: QuicScanConfig,
+        tcp_config: TcpScanConfig,
+        spec: tuple,
+    ) -> tuple[dict[tuple[int, int], tuple[object, float]], str]:
+        """Produce a week's entries keyed ``(site_index, kind)``.
+
+        Returns the entries and the merge's diagnostic source name.
+        The serial engine executes ``events`` here; the shm-pool engine
+        overrides this (and only this) to collect the week's tickets —
+        ``spec`` restates the schedule parameters ``(populations,
+        include_tcp, plugins)`` its workers need to rebuild the events.
+        """
+        entries = self._execute_entries(
+            events, week, vantage_id, ip_version, quic_config, tcp_config
         )
+        return {
+            (site_index, kind): (result, elapsed)
+            for site_index, kind, result, elapsed in entries
+        }, "serial site phase"
+
+    #: Maps a site index to the work unit that produced its entries, for
+    #: :class:`ShardResultMissing` messages; ``None`` when unpartitioned.
+    _shard_of = None
 
     def _apply_replay(
         self,
@@ -852,21 +744,20 @@ class ScanEngine:
         *,
         entry_sink: list | None = None,
         source: str = "site-phase replay",
-        shard_of=None,
         plugin_rows: dict | None = None,
     ) -> None:
         """Fill ``records`` from previously produced per-event results.
 
-        The single definition of the central merge: serial per-site
-        execution, pool tickets and checkpoint rehydration all land
-        here.  Coverage is
-        validated *before* any record is touched — a gap raises
+        The single definition of the central merge: serial execution,
+        pool tickets and checkpoint rehydration all land here.  Coverage
+        is validated *before* any record is touched — a gap raises
         :class:`ShardResultMissing` with the full list of absent
         ``(site_index, kind)`` pairs and leaves ``records`` and the
-        clock untouched, so callers can recover by recomputing.  Entries
-        then apply in serial event order: records fill in the same
-        sequence and the clock sums the same floats in the same order
-        as the serial per-site engine (bit-identical trajectory).
+        clock untouched, so callers can recover by recomputing.
+        Entries then apply in event order: records fill in the same
+        sequence and the world clock advances once by the elapsed times
+        summed in trigger order (bit-identical whichever executor
+        produced them).
 
         Plugin-variant entries (kind >= :data:`PLUGIN_KIND_BASE`) carry
         row tuples, not exchange results; they land in ``plugin_rows``
@@ -878,7 +769,7 @@ class ScanEngine:
             if (event.site_index, event.kind) not in replay
         ]
         if missing:
-            raise ShardResultMissing(missing, source=source, shard_of=shard_of)
+            raise ShardResultMissing(missing, source=source, shard_of=self._shard_of)
         elapsed_total = 0.0
         for event in events:
             result, elapsed = replay[(event.site_index, event.kind)]
@@ -896,49 +787,6 @@ class ScanEngine:
                 entry_sink.append((event.site_index, event.kind, result, elapsed))
         self.world.clock.advance(elapsed_total)
 
-    def _execute_entries(
-        self,
-        events: list[SiteEvent],
-        week: Week,
-        vantage_id: str,
-        ip_version: int,
-        quic_config: QuicScanConfig,
-        tcp_config: TcpScanConfig,
-    ) -> list[tuple[int, int, object, float]]:
-        """Run events on their per-site substreams; returns checkpoint entries.
-
-        Each event gets an independent RNG substream and a private
-        clock, and yields one ``(site_index, kind, result, elapsed)``
-        entry.  The single definition of per-site execution: the serial
-        per-site mode, shm-pool workers and the pool's inline fallback
-        all run exactly this, and the central merge then sums elapsed
-        times in event order — which is what keeps them bit-identical.
-        """
-        out: list[tuple[int, int, object, float]] = []
-        records: dict = {}
-        plugin_rows: dict[tuple[int, int], tuple] = {}
-        for event in events:
-            clock = Clock()
-            self._run_event(
-                event,
-                week,
-                vantage_id,
-                quic_config,
-                tcp_config,
-                records,
-                rng=self.event_stream(event, week, vantage_id, ip_version),
-                clock=clock,
-                plugin_rows=plugin_rows,
-            )
-            if event.kind == QUIC_EVENT:
-                result = records[event.site_index].quic
-            elif event.kind == TCP_EVENT:
-                result = records[event.site_index].tcp
-            else:
-                result = plugin_rows[(event.site_index, event.kind)]
-            out.append((event.site_index, event.kind, result, clock.now))
-        return out
-
     def run_week(
         self,
         week: Week,
@@ -949,9 +797,7 @@ class ScanEngine:
         include_tcp: bool = False,
         quic_config: QuicScanConfig | None = None,
         tcp_config: TcpScanConfig | None = None,
-        run_tracebox: bool = False,
         plugins: Sequence[str] | None = None,
-        site_rng: str | None = None,
         phase_stats: ScanPhaseStats | None = None,
         entry_sink: list | None = None,
         replay_entries: Sequence[tuple[int, int, object, float]] | None = None,
@@ -963,19 +809,15 @@ class ScanEngine:
         pre-plugin engine).  Plugin connection variants are scheduled
         after the core stream and their merged rows land on
         ``run.plugin_rows``; plugins with a ``finalize_run`` hook (e.g.
-        ``trace``) run it after attribution.  ``run_tracebox=True`` is
-        equivalent to adding ``"trace"`` to the selection.
+        ``trace``) run it after attribution.
 
-        ``site_rng="per-site"`` switches the site phase to independent
-        per-event RNG substreams (see the module docstring) — the mode
-        the pool engine golden-tests against.  ``None`` resolves to
-        :attr:`default_site_rng`.
-
-        ``entry_sink`` collects the week's ``(site_index, kind, result,
-        elapsed)`` site-phase entries in event order (what campaign
+        The site phase is: schedule, produce the week's entries
+        (:meth:`_week_entries` — executed here, or collected from pool
+        tickets), one central merge (:meth:`_apply_replay`), then
+        attribution.  ``entry_sink`` collects the week's ``(site_index,
+        kind, result, elapsed)`` entries in event order (what campaign
         checkpoints persist); ``replay_entries`` rehydrates the site
-        phase from such entries instead of executing it.  Both require
-        ``site_rng="per-site"``.
+        phase from such entries instead of producing them.
 
         The run records into a columnar
         :class:`~repro.store.columns.ObservationStore` — attribution is
@@ -983,11 +825,7 @@ class ScanEngine:
         served as lazy views field-identical to the reference loop's
         objects (golden-tested in ``tests/test_store_golden.py``).
         """
-        if site_rng is None:
-            site_rng = self.default_site_rng
         selection = resolve_plugins(tuple(plugins) if plugins is not None else None)
-        if run_tracebox and "trace" not in selection.names:
-            selection = resolve_plugins(selection.names + ("trace",))
         world = self.world
         plan = self.plan_for(ip_version, populations)
         quic_config = quic_config or QuicScanConfig(ip_version=ip_version)
@@ -996,7 +834,7 @@ class ScanEngine:
 
         run = StoreWeeklyRun(week=week, vantage_id=vantage_id, ip_version=ip_version)
 
-        # Phase 1: per-site exchanges, in reference trigger order.
+        # Phase 1: per-site exchanges, merged in reference trigger order.
         events, quic_capable = self._schedule(
             plan, week, vantage_id, include_tcp, selection
         )
@@ -1009,12 +847,6 @@ class ScanEngine:
             else None
         )
         phase_start = perf_counter() if phase_stats is not None else 0.0
-        replay = None
-        if replay_entries is not None:
-            replay = {
-                (site_index, kind): (result, elapsed)
-                for site_index, kind, result, elapsed in replay_entries
-            }
         telemetry = self.telemetry
         tracer = telemetry.tracer if telemetry is not None else None
         if tracer is not None:
@@ -1030,21 +862,20 @@ class ScanEngine:
             if supervision is not None and phase_stats is not None
             else None
         )
-        self._execute_site_phase(
-            events,
-            week,
-            vantage_id,
-            ip_version,
-            quic_config,
-            tcp_config,
-            records,
-            site_rng,
-            entry_sink,
-            replay,
-            populations=tuple(populations),
-            include_tcp=include_tcp,
-            plugins=selection.names,
-            plugin_rows=plugin_rows,
+        if replay_entries is not None:
+            replay = {
+                (site_index, kind): (result, elapsed)
+                for site_index, kind, result, elapsed in replay_entries
+            }
+            source = "site-phase replay"
+        else:
+            replay, source = self._week_entries(
+                events, week, vantage_id, ip_version, quic_config, tcp_config,
+                (tuple(populations), include_tcp, selection.names),
+            )
+        self._apply_replay(
+            events, replay, records,
+            entry_sink=entry_sink, source=source, plugin_rows=plugin_rows,
         )
         if tracer is not None:
             tracer.end(site_span)

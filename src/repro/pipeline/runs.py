@@ -23,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.validation import ValidationOutcome
+from repro.netsim.clock import Clock
 from repro.scanner.quic_scan import QuicScanConfig, scan_site_quic
 from repro.scanner.results import DomainObservation, SiteScanRecord
 from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp
 from repro.tracebox.classify import TraceSummary, classify_trace
 from repro.tracebox.probe import trace_site
 from repro.tracebox.sampling import TraceSampler
+from repro.util.rng import RngStream
 from repro.util.weeks import Week
 from repro.web.world import World
 
@@ -70,6 +72,19 @@ def ensure_site_record(
     return record
 
 
+def site_stream(
+    world: World, week: Week, vantage_id: str, ip_version: int, site_index: int, kind: str
+) -> RngStream:
+    """The RNG substream of one site exchange (``kind``: ``quic``, ``tcp``
+    or a plugin variant's ``plugin/variant`` tag).
+
+    Seeded only from what identifies the exchange, so the engine, every
+    pool partition and the reference loop draw identically.
+    """
+    name = f"site-scan/{week}/{vantage_id}/v{ip_version}/{site_index}/{kind}"
+    return RngStream(world.config.seed, name)
+
+
 def run_weekly_scan(
     world: World,
     week: Week,
@@ -80,7 +95,6 @@ def run_weekly_scan(
     include_tcp: bool = False,
     quic_config: QuicScanConfig | None = None,
     tcp_config: TcpScanConfig | None = None,
-    run_tracebox: bool = False,
     plugins: tuple[str, ...] | None = None,
     telemetry=None,
     phase_stats=None,
@@ -117,7 +131,6 @@ def run_weekly_scan(
             include_tcp=include_tcp,
             quic_config=quic_config,
             tcp_config=tcp_config,
-            run_tracebox=run_tracebox,
             plugins=plugins,
             phase_stats=phase_stats,
         )
@@ -141,16 +154,36 @@ def run_weekly_scan_reference(
 ) -> WeeklyRun:
     """The defining per-domain scan loop (slow; for equivalence testing).
 
-    Kept verbatim in structure so the engine's RNG/clock trajectory can
-    be compared against it, and the only producer of eager
-    :class:`DomainObservation` objects — the oracle the store's lazy
-    views are golden-tested against.  Production code calls
-    :func:`run_weekly_scan`.
+    Kept verbatim in structure so the engine can be compared against
+    it, and the only producer of eager :class:`DomainObservation`
+    objects — the oracle the store's lazy views are golden-tested
+    against.  Each site exchange runs on its per-site substream
+    (:func:`site_stream`) and a private clock; the world clock advances
+    once by the elapsed times summed in trigger order, before tracing.
+    ``run_tracebox`` traces sampled abnormal sites like the ``trace``
+    plugin does.  Production code calls :func:`run_weekly_scan`.
     """
     quic_config = quic_config or QuicScanConfig(ip_version=ip_version)
     tcp_config = tcp_config or TcpScanConfig(ip_version=ip_version)
     run = WeeklyRun(week=week, vantage_id=vantage_id, ip_version=ip_version)
     records = run.site_records
+    elapsed_total = 0.0
+
+    def scan(scan_site, config, site, domain, kind):
+        nonlocal elapsed_total
+        clock = Clock()
+        result = scan_site(
+            world,
+            site,
+            week,
+            vantage_id,
+            config,
+            authority=f"www.{domain.name}",
+            rng=site_stream(world, week, vantage_id, ip_version, site.index, kind),
+            clock=clock,
+        )
+        elapsed_total += clock.now
+        return result
 
     for domain in world.domains:
         if domain.population not in populations:
@@ -185,29 +218,16 @@ def run_weekly_scan_reference(
             obs.quic_attempted = True
             record = ensure_site_record(records, site.index, address)
             if record.quic is None:
-                record.quic = scan_site_quic(
-                    world,
-                    site,
-                    week,
-                    vantage_id,
-                    quic_config,
-                    authority=f"www.{domain.name}",
-                )
+                record.quic = scan(scan_site_quic, quic_config, site, domain, "quic")
             obs.quic = record.quic
         if include_tcp:
             record = ensure_site_record(records, site.index, address)
             if record.tcp is None:
-                record.tcp = scan_site_tcp(
-                    world,
-                    site,
-                    week,
-                    vantage_id,
-                    tcp_config,
-                    authority=f"www.{domain.name}",
-                )
+                record.tcp = scan(scan_site_tcp, tcp_config, site, domain, "tcp")
             obs.tcp = record.tcp
         run.observations.append(obs)
 
+    world.clock.advance(elapsed_total)
     if run_tracebox:
         _run_traces(world, week, vantage_id, ip_version, run)
     return run

@@ -16,12 +16,8 @@ substream seeded by (world seed, week, vantage, family, site, kind) —
 clock, so no exchange can observe another's draws or timing.  As a
 consequence the merged output is *identical* for any worker count and
 any ticket tiling, and equals the serial
-:class:`~repro.pipeline.engine.ScanEngine` run in ``site_rng="per-site"``
-mode (golden-tested in ``tests/test_pipeline_sharding.py`` and
-``tests/test_shm_pool.py``).  Relative to the default ``"shared"`` mode
-the per-site substreams realise a different (equally valid) sequence of
-stochastic loss draws; epoch-level behaviour — what the paper's tables
-and figures aggregate — is the same.
+:class:`~repro.pipeline.engine.ScanEngine` (golden-tested in
+``tests/test_pipeline_sharding.py`` and ``tests/test_shm_pool.py``).
 
 Tickets are **supervised** (docs/robustness.md): each ticket attempt
 has a per-week deadline (``shard_timeout``).  A ticket whose result does
@@ -201,8 +197,9 @@ class ShmPoolScanEngine(ScanEngine):
     Drop-in for ``ScanEngine``: ``run_week`` / ``site_events`` keep their
     signatures, and scan plans are shared with the world's serial engine
     so campaigns pay planning once no matter which engine executes them.
-    ``site_rng`` defaults to ``"per-site"`` (:attr:`default_site_rng`) —
-    shared-stream semantics cannot be partitioned.
+    It overrides only how a week's entries are produced
+    (:meth:`_week_entries`); scheduling, the merge and attribution are
+    the serial engine's.
 
     The campaign world is encoded **once** into a
     :class:`repro.util.shm.SharedSegment`, a pool of ``workers``
@@ -229,8 +226,6 @@ class ShmPoolScanEngine(ScanEngine):
     segment; the leak regression tests scan ``/dev/shm`` to hold that
     line.
     """
-
-    default_site_rng = "per-site"
 
     #: Parent replay-cache bound, matching :attr:`_ShmWorker.MEMO_LIMIT`:
     #: large enough for every (week, spec) a campaign produces, small
@@ -386,54 +381,27 @@ class ShmPoolScanEngine(ScanEngine):
         return pool.apply_async(_pool_run_ticket, (payload,))
 
     # ------------------------------------------------------------------
-    def _execute_site_phase(
-        self,
-        events,
-        week,
-        vantage_id,
-        ip_version,
-        quic_config,
-        tcp_config,
-        records,
-        site_rng,
-        entry_sink=None,
-        replay=None,
-        populations=None,
-        include_tcp=False,
-        plugins=None,
-        plugin_rows=None,
-    ) -> None:
-        if site_rng == "shared":
-            raise ValueError(
-                "ShmPoolScanEngine cannot execute shared-stream site phases; "
-                "use site_rng='per-site' (the default here) or the serial "
-                "ScanEngine"
-            )
-        source = "site-phase replay"
-        if replay is None:
-            spec = self._spec(
-                vantage_id, ip_version, populations, include_tcp, quic_config,
-                tcp_config, plugins,
-            )
-            replay = self._collect_week(week, spec)
-            source = f"shm-pool merge ({self.workers} workers)"
-            # Always drain the stash (bounded memory either way); ingest
-            # the week's worker spans under the current site-phase span
-            # only when this run is instrumented.
-            telemetry = self.telemetry
-            for blob in self._collected_obs.pop((week, spec), ()):
-                if telemetry is not None:
-                    _ingest_obs(telemetry, blob)
-        span = self._site_span()
-        self._apply_replay(
-            events,
-            replay,
-            records,
-            entry_sink=entry_sink,
-            source=source,
-            shard_of=lambda site_index: site_index // span,
-            plugin_rows=plugin_rows,
+    def _week_entries(
+        self, events, week, vantage_id, ip_version, quic_config, tcp_config, spec
+    ):
+        """Collect the week's entries from its tickets (dispatched on demand)."""
+        populations, include_tcp, plugins = spec
+        key = self._spec(
+            vantage_id, ip_version, populations, include_tcp, quic_config,
+            tcp_config, plugins,
         )
+        entries = self._collect_week(week, key)
+        # Always drain the stash (bounded memory either way); ingest the
+        # week's worker spans under the current site-phase span only
+        # when this run is instrumented.
+        telemetry = self.telemetry
+        for blob in self._collected_obs.pop((week, key), ()):
+            if telemetry is not None:
+                _ingest_obs(telemetry, blob)
+        return entries, f"shm-pool merge ({self.workers} workers)"
+
+    def _shard_of(self, site_index: int) -> int:
+        return site_index // self._site_span()
 
     # ------------------------------------------------------------------
     def _collect_week(self, week: Week, spec: tuple) -> dict:

@@ -5,8 +5,8 @@ ladders against a *sample* of abnormal sites chosen after attribution
 (the paper traces hosts whose QUIC connect succeeded but whose ECN
 validation failed).  The plugin therefore declares no variants or
 fields and instead registers a :meth:`finalize_run` hook that invokes
-the same sampler + probe + classification path ``run_tracebox=True``
-always drove, so ``--plugins ecn,trace`` ≡ the old tracebox flag.
+the sampler + probe + classification path the reference loop's
+``run_tracebox=True`` drives.
 
 Traces land on ``run.traces`` (site index → classified summary), the
 structure Tables 4/7 read — not in the columnar store, which holds

@@ -482,11 +482,9 @@ def _request_template(
 # Wire-format helpers
 # ----------------------------------------------------------------------
 _TP_MAGIC = b"TPRM"
-_H3_MAGIC = b"H3RS"
 
-# In-memory registry that lets the simulation attach structured responses
-# to stream bytes without a full TLS + QPACK implementation.
-_response_registry: dict[bytes, HttpResponse] = {}
+# In-memory registry that lets the simulation attach structured transport
+# parameters to CRYPTO bytes without a full TLS implementation.
 _params_registry: dict[bytes, TransportParameters] = {}
 
 
@@ -516,20 +514,10 @@ def _extract_transport_params(data: bytes) -> TransportParameters | None:
     return TransportParameters.decode(data[len(_TP_MAGIC) :])
 
 
-def embed_response(response: HttpResponse, key: bytes) -> bytes:
-    """Attach a structured HTTP response to a stream-payload key."""
-    blob = _H3_MAGIC + key
-    _response_registry[blob] = response
-    return blob
-
-
 def _extract_response(frame: StreamFrame) -> HttpResponse | None:
     # Simulation hot path: stacks attach the structured response directly.
     if isinstance(frame.data, HttpResponse):
         return frame.data
-    # Wire-realistic path: responses registered against encoded stream keys.
-    if isinstance(frame.data, bytes) and frame.data.startswith(_H3_MAGIC):
-        return _response_registry.get(frame.data)
     return None
 
 

@@ -26,10 +26,6 @@ class QuicVersion(enum.IntEnum):
             return "v1"
         return f"d{self.value & 0xFF:d}"
 
-    @property
-    def is_draft(self) -> bool:
-        return (self.value >> 8) == 0xFF0000
-
     @classmethod
     def from_label(cls, label: str) -> "QuicVersion":
         for version in cls:

@@ -102,7 +102,6 @@ class _ConnState:
         "counts",
         "marked_arrivals",
         "ect_arrivals",
-        "total_arrivals",
         "sent_pns",
         "handshake_done_sent",
         "request_buffer",
@@ -119,7 +118,6 @@ class _ConnState:
         )
         self.marked_arrivals = 0  # quirk-internal counter (HALVED skip logic)
         self.ect_arrivals = 0  # packets that arrived with any ECN codepoint
-        self.total_arrivals = 0
         self.sent_pns: dict[PacketNumberSpace, int] = dict.fromkeys(_SPACES, 0)
         self.handshake_done_sent = False
         self.request_buffer = bytearray()
@@ -153,10 +151,6 @@ class QuicServerStack:
         ECT(1), CE) — the network-side ECN visibility a greasing client
         keeps alive even when validation disabled ECN (§9.3)."""
         return self._conn.ect_arrivals
-
-    @property
-    def observed_total_arrivals(self) -> int:
-        return self._conn.total_arrivals
 
     # ------------------------------------------------------------------
     def handle_datagram(self, packet: IpPacket) -> list[IpPacket]:
@@ -219,7 +213,6 @@ class QuicServerStack:
     # ------------------------------------------------------------------
     def _record_arrival(self, space: PacketNumberSpace, ip_ecn: ECN) -> None:
         conn = self._conn
-        conn.total_arrivals += 1
         if ip_ecn is not ECN.NOT_ECT:
             conn.ect_arrivals += 1
         quirk = self.behavior.mirror_quirk

@@ -96,8 +96,8 @@ def scan_site_quic(
 
     Returns a (possibly failed) :class:`QuicConnectionResult`; an
     unreachable or QUIC-less site yields ``connected=False``.
-    ``rng``/``clock`` override the world's shared network stream and
-    virtual clock — per-site execution passes per-site substreams here.
+    ``rng``/``clock`` override the world's network stream and virtual
+    clock — the scan engine passes per-site substreams and clocks here.
     ``inputs`` skips re-deriving the exchange capsule for callers (the
     replay cache) that already hold it.
     """

@@ -1,13 +1,10 @@
 """Compact binary codec for shard result batches.
 
-The fork-pool executor used to return per-shard *lists of result
-objects* — every :class:`QuicConnectionResult` pickled with its nested
-counters, enums and header strings, per site, per week.  This codec
-marshals one shard's results into **one flat buffer**: varint-packed
-fields, a deduplicating string table (server headers repeat massively
-across sites), IEEE-754 doubles for the elapsed clock times (bit-exact,
-the merged shared clock must land on the same float), and enums by
-index.
+The codec marshals one ticket-week's site-phase results into **one
+flat buffer** instead of pickled result objects: varint-packed fields,
+a deduplicating string table (server headers repeat massively across
+sites), IEEE-754 doubles for the elapsed clock times (bit-exact, the
+merged world clock must land on the same float), and enums by index.
 
 The format is internal wire format, not an archive format: both ends
 are the same build of this module, so there is no cross-version
@@ -31,7 +28,7 @@ Version 3 wraps every buffer in a **checksummed frame** —
 campaign checkpoint files.  Any truncation or bit flip of a framed
 buffer raises the typed :class:`CodecCorruption` before a single body
 byte is interpreted: corrupted bytes never decode to plausible-but-
-wrong results (crashed fork-pool workers and torn checkpoint files can
+wrong results (crashed pool workers and torn checkpoint files can
 produce exactly such buffers; docs/robustness.md).
 
 Version 4 adds a length-prefixed **observability blob** after the

@@ -337,9 +337,6 @@ class ObservationStore:
             for result in self.quic_results
         ]
 
-    def all_positions(self) -> range:
-        return range(self.columns.count)
-
     def positions_for(self, population: str) -> array:
         return self.columns.population_positions(population)
 

@@ -51,10 +51,6 @@ class TraceResult:
     def observed_quotes(self) -> list[HopObservation]:
         return [hop for hop in self.hops if hop.responded]
 
-    def final_quote_ecn(self) -> ECN | None:
-        quotes = self.observed_quotes()
-        return quotes[-1].quote_ecn if quotes else None
-
 
 def _probe_packet(
     source_ip: str, target_ip: str, sport: int, ttl: int, probe_ecn: ECN, version: int

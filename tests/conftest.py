@@ -104,7 +104,7 @@ def shape_world():
 def reference_run(shape_world):
     """IPv4 week-15/2023 run with tracebox (Tables 1-7 source)."""
     return repro.run_weekly_scan(
-        shape_world, shape_world.config.reference_week, run_tracebox=True
+        shape_world, shape_world.config.reference_week, plugins=("ecn", "trace")
     )
 
 

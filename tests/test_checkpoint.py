@@ -2,9 +2,9 @@
 
 The contract: a campaign interrupted after any week and resumed from
 its checkpoint directory produces results *identical* to an
-uninterrupted run — same observations, same site records, same shared
-clock — equal to the serial per-site oracle, including resuming under a
-different worker count or ticket tiling than the one that wrote the
+uninterrupted run — same observations, same site records, same world
+clock — equal to the serial oracle, including resuming on a different
+executor, worker count or ticket tiling than the one that wrote the
 checkpoints, and resuming files written by earlier releases (the
 committed fixtures, resumed in ``tests/test_shm_pool.py``).  Corrupt,
 foreign or missing checkpoint files are never trusted: the week
@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.faults import FaultPlan, InjectedFault
+from repro.obs import Telemetry
 from repro.pipeline import Campaign, ScanPhaseStats, run_campaign
 from repro.pipeline.checkpoint import (
     CampaignCheckpointer,
@@ -63,25 +64,39 @@ def _assert_campaigns_equal(ref_world, reference, world, campaign):
 
 @pytest.fixture(scope="module")
 def uninterrupted():
-    """The golden reference: the serial per-site oracle, never interrupted."""
+    """The golden reference: the serial engine, never interrupted."""
     world = _build()
     engine = world.scan_engine()
     campaign = Campaign()
     for week in _weeks(world):
         campaign.add_run(
-            engine.run_week(week, populations=POPULATIONS, site_rng="per-site")
+            engine.run_week(week, populations=POPULATIONS)
         )
     return world, campaign
 
 
-@requires_fork
-@pytest.mark.parametrize("path", ["inline", "process"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
+#: Kill-and-resume legs: every pool worker count down both ticket
+#: paths, plus the serial engine (``workers=None``).
+_RESUME_LEGS = [
+    pytest.param(workers, path, id=f"{workers}-{path}", marks=requires_fork)
+    for workers in (1, 2, 4)
+    for path in ("inline", "process")
+] + [pytest.param(None, "serial", id="serial")]
+
+
+def _path_kwargs(path, plan=None):
+    if path == "serial":
+        return {"fault_plan": plan} if plan is not None else {}
+    return pool_path_kwargs(path, plan)
+
+
+@pytest.mark.parametrize(("workers", "path"), _RESUME_LEGS)
 def test_kill_and_resume_matches_uninterrupted(
     tmp_path, uninterrupted, workers, path
 ):
-    """Golden for every worker count, whether the pool's tickets run in
-    worker processes or fall back to inline execution in the parent."""
+    """Golden for the serial engine and every worker count, whether the
+    pool's tickets run in worker processes or fall back to inline
+    execution in the parent."""
     ref_world, reference = uninterrupted
     # Crash (via the fault harness) after the second of three weeks...
     world = _build()
@@ -91,7 +106,7 @@ def test_kill_and_resume_matches_uninterrupted(
             world,
             workers=workers,
             checkpoint_dir=tmp_path,
-            **pool_path_kwargs(path, plan),
+            **_path_kwargs(path, plan),
         )
     # ...then resume on a fresh world: completed weeks rehydrate from
     # disk, the rest compute, and the result is the uninterrupted one.
@@ -103,13 +118,38 @@ def test_kill_and_resume_matches_uninterrupted(
         checkpoint_dir=tmp_path,
         resume=True,
         phase_stats=stats,
-        **pool_path_kwargs(path),
+        **_path_kwargs(path),
     )
     _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
     # Only the inline path leaves supervision work behind: each ticket
     # of the recomputed week fails once and re-executes in the parent.
     assert (stats.shard_failures > 0) == (path == "inline")
     assert stats.shard_retries == stats.shard_failures
+
+
+@requires_fork
+@pytest.mark.parametrize(
+    ("writer", "reader"), [(None, 2), (2, None)], ids=["serial-to-pool", "pool-to-serial"]
+)
+def test_resume_crosses_serial_and_pool_executors(
+    tmp_path, uninterrupted, writer, reader
+):
+    """Checkpoints written by one executor resume on the other, golden."""
+    ref_world, reference = uninterrupted
+    world = _build()
+    plan = FaultPlan().abort_campaign_after(_weeks(world)[1])
+    with pytest.raises(InjectedFault):
+        _campaign(world, workers=writer, checkpoint_dir=tmp_path, fault_plan=plan)
+    resumed_world = _build()
+    telemetry = Telemetry()
+    resumed = _campaign(
+        resumed_world, workers=reader, checkpoint_dir=tmp_path, resume=True,
+        telemetry=telemetry,
+    )
+    _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
+    registry = telemetry.registry
+    assert registry.counter("campaign.checkpoint.weeks_resumed").value == 2
+    assert registry.counter("campaign.checkpoint.weeks_stored").value == 1
 
 
 @requires_fork
@@ -207,11 +247,9 @@ def test_checkpoint_validation_errors():
     world = _build()
     with pytest.raises(ValueError, match="resume"):
         run_campaign(world, resume=True)
-    with pytest.raises(ValueError, match="workers"):
-        run_campaign(world, checkpoint_dir="/tmp/nowhere")
     with pytest.raises(ValueError, match="tracebox"):
         run_campaign(
-            world, workers=2, checkpoint_dir="/tmp/nowhere", run_tracebox=True
+            world, workers=2, checkpoint_dir="/tmp/nowhere", plugins=("ecn", "trace")
         )
     with pytest.raises(ValueError, match="shard_timeout"):
         run_campaign(world, shard_timeout=5.0)

@@ -269,6 +269,29 @@ def test_cli_progress_heartbeat(capsys):
 
 
 # ----------------------------------------------------------------------
+# --checkpoint-dir on the serial engine
+# ----------------------------------------------------------------------
+def test_cli_serial_campaign_checkpoints_and_resumes(tmp_path, capsys):
+    from repro.obs import load_metrics
+
+    checkpoints = tmp_path / "checkpoints"
+    args = ["campaign", "--scale", "20000", "--cadence", "26",
+            "--checkpoint-dir", str(checkpoints)]
+    assert main(args) == 0  # no --workers needed
+    first = capsys.readouterr().out
+    stored = list(checkpoints.rglob("*.ecnc"))
+    assert stored
+    metrics_path = tmp_path / "metrics.json"
+    assert main(args + ["--resume", "--metrics-out", str(metrics_path)]) == 0
+    assert capsys.readouterr().out == first
+    metrics = load_metrics(metrics_path)["metrics"]
+    assert metrics["campaign.checkpoint.weeks_resumed"]["value"] == len(stored)
+    # Trace results are not checkpointed: a usage error, not a traceback.
+    assert main(args + ["--plugins", "ecn,trace"]) == 2
+    assert "trace plugin" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
 # --world-cache
 # ----------------------------------------------------------------------
 def test_cli_world_cache_persists_and_rehydrates(tmp_path, capsys):

@@ -99,9 +99,9 @@ def test_cached_run_with_tracebox_matches_fresh():
     fresh_engine = ScanEngine(world_fresh, exchange_cache=False)
     week = world_cached.config.reference_week
     for scan_week in (week + (-1), week):
-        fresh = fresh_engine.run_week(scan_week, include_tcp=True, run_tracebox=True)
+        fresh = fresh_engine.run_week(scan_week, include_tcp=True, plugins=("ecn", "trace"))
         cached = world_cached.scan_engine().run_week(
-            scan_week, include_tcp=True, run_tracebox=True
+            scan_week, include_tcp=True, plugins=("ecn", "trace")
         )
         _assert_runs_equal(fresh, cached)
     assert world_cached.clock.now == world_fresh.clock.now
@@ -135,7 +135,7 @@ def fresh_per_site_runs():
     engine = ScanEngine(world, exchange_cache=False)
     week = world.config.reference_week
     runs = [
-        engine.run_week(scan_week, site_rng="per-site", include_tcp=True)
+        engine.run_week(scan_week, include_tcp=True)
         for scan_week in (week + (-1), week)
     ]
     return world, runs

@@ -34,7 +34,7 @@ def serial_per_site():
     """The serial engine in per-site RNG mode — the golden reference."""
     world = _build()
     week = world.config.reference_week
-    run = world.scan_engine().run_week(week, site_rng="per-site", include_tcp=True)
+    run = world.scan_engine().run_week(week, include_tcp=True)
     return world, run
 
 
@@ -133,7 +133,7 @@ def test_partial_replay_names_only_absent_entries():
     # Entries captured by the serial per-site oracle...
     run_entries = []
     full = world.scan_engine().run_week(
-        week, include_tcp=True, site_rng="per-site", entry_sink=run_entries
+        week, include_tcp=True, entry_sink=run_entries
     )
     assert run_entries
     # ...replayed on the pool: covering only half the schedule, the

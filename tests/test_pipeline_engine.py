@@ -1,8 +1,9 @@
 """Site-first scan engine: golden equivalence against the reference loop.
 
 The engine must reproduce the per-domain reference scan *byte for byte*
-— same observations, same site records, same traces, same shared
-RNG/clock trajectory — while doing per-site instead of per-domain work.
+— same observations, same site records, same traces, same per-site
+RNG substreams and world-clock trajectory — while doing per-site
+instead of per-domain work.
 Two identically-seeded worlds are built and driven in lockstep: one by
 the reference loop, one by the engine.
 """
@@ -13,7 +14,9 @@ import dataclasses
 
 import repro
 from repro.core.codepoints import ECN
-from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT
+from repro.netsim.network import PathTemplate
+from repro.netsim.path import NetworkPath
+from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanEngine, ScanPhaseStats
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
@@ -49,10 +52,10 @@ def test_engine_matches_reference_v4_with_tracebox():
     world_ref, world_eng = _world_pair()
     week = world_ref.config.reference_week
     reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
-    engine_run = repro.run_weekly_scan(world_eng, week, run_tracebox=True)
+    engine_run = repro.run_weekly_scan(world_eng, week, plugins=("ecn", "trace"))
     _assert_runs_equal(reference, engine_run)
-    # The shared clock advanced identically: the engine issued the same
-    # exchanges in the same order.
+    # The world clock advanced identically: the engine summed the same
+    # exchanges' elapsed times in the same order.
     assert world_ref.clock.now == world_eng.clock.now
 
 
@@ -97,9 +100,76 @@ def test_engine_matches_reference_with_cross_site_resolver_override():
     mutated(world_ref), mutated(world_eng)
     week = world_ref.config.reference_week
     reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
-    engine_run = repro.run_weekly_scan(world_eng, week, run_tracebox=True)
+    engine_run = repro.run_weekly_scan(world_eng, week, plugins=("ecn", "trace"))
     _assert_runs_equal(reference, engine_run)
     assert world_ref.clock.now == world_eng.clock.now
+
+
+def _with_lossy_route(world, week):
+    """Re-register one scanned site's route with a randomly dropping hop.
+
+    The calibrated world builds only draw-free paths; this one can draw,
+    so its exchanges are uncacheable and consult their RNG substreams.
+    """
+    site_index = world.scan_engine().site_events(week)[0].site_index
+    route_key = world.sites[site_index].route_key
+    template = world.network.template_for("main-aachen", route_key, week)
+    variants = [
+        NetworkPath(
+            hops=[dataclasses.replace(path.hops[0], drop_probability=0.3), *path.hops[1:]],
+            base_loss=path.base_loss,
+        )
+        for path in template.variants
+    ]
+    world.network.register(
+        "main-aachen",
+        route_key,
+        PathTemplate(template.name, variants, template.weights),
+        start=week,
+    )
+
+
+def test_engine_matches_reference_on_a_lossy_route(monkeypatch):
+    """Exchanges that draw randomness agree with the reference loop too."""
+    world_ref, world_eng = _world_pair()
+    week = world_ref.config.tcp_week
+    _with_lossy_route(world_ref, week)
+    _with_lossy_route(world_eng, week)
+    streams = []
+    original = ScanEngine.event_stream
+
+    def counting(self, *args):
+        streams.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(ScanEngine, "event_stream", counting)
+    reference = run_weekly_scan_reference(
+        world_ref, week, populations=("cno",), include_tcp=True
+    )
+    stats = ScanPhaseStats()
+    engine_run = repro.run_weekly_scan(
+        world_eng, week, populations=("cno",), include_tcp=True, phase_stats=stats
+    )
+    # Substreams are built only for exchanges that can draw, and those
+    # are all uncacheable.
+    assert 0 < len(streams) <= stats.exchange_cache_uncacheable
+    _assert_runs_equal(reference, engine_run)
+    assert world_ref.clock.now == world_eng.clock.now
+
+
+def test_draw_free_world_never_builds_a_substream(monkeypatch):
+    """Every calibrated path is draw-free, so no exchange — fresh or
+    replayed, core or plugin variant — needs its RNG substream."""
+
+    def forbidden(*args, **kwargs):  # pragma: no cover - only on regression
+        raise AssertionError("a draw-free exchange built an RNG substream")
+
+    monkeypatch.setattr(ScanEngine, "event_stream", forbidden)
+    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
+    week = world.config.reference_week
+    for engine in (ScanEngine(world, exchange_cache=False), world.scan_engine()):
+        run = engine.run_week(week, include_tcp=True, plugins=("ecn", "grease"))
+        assert run.site_records
 
 
 def test_engine_matches_reference_across_consecutive_runs():
@@ -140,7 +210,7 @@ def test_hot_loop_never_parses_ips_and_resolves_policy_once(monkeypatch):
 
     monkeypatch.setattr(type(world), "_compute_site_policy", counting_compute)
 
-    run = engine.run_week(world.config.reference_week, run_tracebox=True)
+    run = engine.run_week(world.config.reference_week, plugins=("ecn", "trace"))
     assert run.observations
     assert len(compute_calls) <= len(world.sites)
     assert len(compute_calls) == len(set(compute_calls))  # once per (site, vantage)

@@ -4,8 +4,8 @@ The pool engine's contract is that the *partition is invisible*:
 per-site RNG substreams are seeded from stable identities (world seed,
 week, vantage, family, site, kind), so any worker count and any ticket
 tiling must merge to results identical to the serial
-:class:`ScanEngine` run in ``site_rng="per-site"`` mode — the oracle —
-with the same observations, site records and shared-clock trajectory.
+:class:`ScanEngine` — the oracle — with the same observations, site
+records and world-clock trajectory.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def serial_per_site():
     world = _build()
     week = world.config.reference_week
     run = world.scan_engine().run_week(
-        week, site_rng="per-site", include_tcp=True, run_tracebox=True
+        week, include_tcp=True, plugins=("ecn", "trace")
     )
     return world, run
 
@@ -64,7 +64,7 @@ def test_sharded_matches_serial_per_site(serial_per_site, workers):
     world = _build()
     with ShmPoolScanEngine(world, workers=workers) as engine:
         run = engine.run_week(
-            world.config.reference_week, include_tcp=True, run_tracebox=True
+            world.config.reference_week, include_tcp=True, plugins=("ecn", "trace")
         )
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
@@ -78,7 +78,7 @@ def test_sharded_results_invariant_under_worker_permutation(serial_per_site):
     world = _build()
     with ShmPoolScanEngine(world, workers=3, ticket_sites=5) as engine:
         run = engine.run_week(
-            world.config.reference_week, include_tcp=True, run_tracebox=True
+            world.config.reference_week, include_tcp=True, plugins=("ecn", "trace")
         )
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
@@ -94,7 +94,7 @@ def test_sharded_process_executor_matches(serial_per_site):
         assert engine.prefetch_weeks(
             [week], include_tcp=True, plugins=("ecn", "trace")
         ) == 3
-        run = engine.run_week(week, include_tcp=True, run_tracebox=True)
+        run = engine.run_week(week, include_tcp=True, plugins=("ecn", "trace"))
     _assert_runs_equal(reference, run)
     assert world_ref.clock.now == world.clock.now
 
@@ -102,10 +102,10 @@ def test_sharded_process_executor_matches(serial_per_site):
 def test_per_site_mode_is_reproducible_run_to_run():
     """Two identically-seeded worlds produce identical per-site runs."""
     run_a = _build().scan_engine().run_week(
-        _build().config.reference_week, site_rng="per-site"
+        _build().config.reference_week
     )
     run_b = _build().scan_engine().run_week(
-        _build().config.reference_week, site_rng="per-site"
+        _build().config.reference_week
     )
     _assert_runs_equal(run_a, run_b)
 
@@ -115,7 +115,7 @@ def test_campaign_with_shards_matches_unsharded_per_site():
     world_a, world_b = _build(), _build()
     weeks = [world_a.config.start_week, world_a.config.reference_week]
     engine = world_a.scan_engine()
-    runs = [engine.run_week(week, site_rng="per-site") for week in weeks]
+    runs = [engine.run_week(week) for week in weeks]
     campaign = repro.run_campaign(
         world_b, weeks=weeks, workers=2, populations=("cno", "toplist")
     )
@@ -124,7 +124,7 @@ def test_campaign_with_shards_matches_unsharded_per_site():
     assert world_a.clock.now == world_b.clock.now
 
 
-def test_sharded_engine_rejects_shared_stream_and_bad_executors():
+def test_sharded_engine_rejects_bad_executors():
     world = _build()
     with pytest.raises(ValueError, match="workers"):
         ShmPoolScanEngine(world, workers=0)
@@ -132,9 +132,6 @@ def test_sharded_engine_rejects_shared_stream_and_bad_executors():
         ShmPoolScanEngine(world, shard_timeout=0)
     with pytest.raises(ValueError, match="max_shard_retries"):
         ShmPoolScanEngine(world, max_shard_retries=-1)
-    with ShmPoolScanEngine(world, workers=2) as engine:
-        with pytest.raises(ValueError, match="shared-stream"):
-            engine.run_week(world.config.reference_week, site_rng="shared")
 
 
 def test_sharded_engine_shares_plan_cache_with_serial_engine():

@@ -20,6 +20,7 @@ import repro
 from repro.analysis.report import plugin_summary
 from repro.cli import main
 from repro.pipeline import ShmPoolScanEngine, run_campaign
+from repro.pipeline.runs import run_weekly_scan_reference
 from repro.plugins.base import (
     PLUGIN_KIND_BASE,
     FieldSpec,
@@ -181,7 +182,7 @@ def test_ecn_plugin_byte_identical_sharded(shards):
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
     reference = world_ref.scan_engine().run_week(
-        week, site_rng="per-site", include_tcp=True
+        week, include_tcp=True
     )
     with ShmPoolScanEngine(world, workers=shards) as engine:
         run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
@@ -204,7 +205,7 @@ def test_ecn_plugin_byte_identical_fork_executors(engine_factory):
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
     reference = world_ref.scan_engine().run_week(
-        week, site_rng="per-site", include_tcp=True
+        week, include_tcp=True
     )
     with engine_factory(world) as engine:
         assert engine.prefetch_weeks([week], plugins=("ecn",), include_tcp=True)
@@ -231,7 +232,6 @@ def multi_plugin_reference():
     world = _build()
     run = world.scan_engine().run_week(
         world.config.reference_week,
-        site_rng="per-site",
         include_tcp=True,
         plugins=PLUGINS,
     )
@@ -384,12 +384,14 @@ def test_campaign_rejects_trace_plugin_with_checkpoints(tmp_path):
 
 
 def test_run_tracebox_alias_selects_trace_plugin():
+    """The reference loop's ``run_tracebox`` traces what the plugin does."""
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
-    reference = world_ref.scan_engine().run_week(week, run_tracebox=True)
+    reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
     run = world.scan_engine().run_week(week, plugins=("ecn", "trace"))
-    _assert_runs_equal(reference, run)
     assert run.traces
+    assert run.traces == reference.traces
+    assert world_ref.clock.now == world.clock.now
 
 
 # ----------------------------------------------------------------------

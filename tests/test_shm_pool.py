@@ -68,7 +68,7 @@ def campaign_reference():
     engine = world.scan_engine()
     campaign = Campaign()
     for week in _weeks(world):
-        campaign.add_run(engine.run_week(week, populations=("cno",), site_rng="per-site"))
+        campaign.add_run(engine.run_week(week, populations=("cno",)))
     return world, campaign, longitudinal_report(campaign)
 
 
@@ -113,14 +113,14 @@ def test_pool_week_matrix_all_vantages_families_tcp():
             kwargs = dict(ip_version=4, populations=("cno",))
             _assert_runs_equal(
                 fresh.scan_engine().run_week(
-                    week, vantage.vantage_id, site_rng="per-site", **kwargs
+                    week, vantage.vantage_id, **kwargs
                 ),
                 engine.run_week(week, vantage.vantage_id, **kwargs),
             )
         v6 = dict(ip_version=6, populations=("cno",))
         _assert_runs_equal(
             fresh.scan_engine().run_week(
-                fresh.config.ipv6_week, site_rng="per-site", **v6
+                fresh.config.ipv6_week, **v6
             ),
             engine.run_week(pooled.config.ipv6_week, **v6),
         )
@@ -131,7 +131,7 @@ def test_pool_week_matrix_all_vantages_families_tcp():
         )
         _assert_runs_equal(
             fresh.scan_engine().run_week(
-                fresh.config.tcp_week, site_rng="per-site", **tcp
+                fresh.config.tcp_week, **tcp
             ),
             engine.run_week(pooled.config.tcp_week, **tcp),
         )
@@ -469,8 +469,6 @@ def test_cli_campaign_workers_runs(capsys):
 def test_cli_campaign_flag_conflicts(capsys, tmp_path):
     assert main(["campaign", "--ticket-sites", "9"]) == 2
     assert "--ticket-sites requires --workers" in capsys.readouterr().err
-    assert main(["campaign", "--checkpoint-dir", str(tmp_path)]) == 2
-    assert "--checkpoint-dir requires --workers" in capsys.readouterr().err
     assert main(["campaign", "--shard-retries", "3"]) == 2
     assert "--shard-retries requires --workers" in capsys.readouterr().err
     # The removed fork-pool flags are unknown options, not aliases.

@@ -99,7 +99,7 @@ def test_store_run_with_tracebox_matches_objects():
     reference = run_weekly_scan_reference(
         world_objects, week, include_tcp=True, run_tracebox=True
     )
-    run = world_store.scan_engine().run_week(week, include_tcp=True, run_tracebox=True)
+    run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
     _assert_runs_equal(reference, run)
     assert world_objects.clock.now == world_store.clock.now
     # Observation sequence protocol: indexing, slicing, negative index.
@@ -128,9 +128,8 @@ def per_site_run():
     world = _build(DEEP_SCALE)
     run = world.scan_engine().run_week(
         world.config.reference_week,
-        site_rng="per-site",
         include_tcp=True,
-        run_tracebox=True,
+        plugins=("ecn", "trace"),
     )
     return world, run
 
@@ -138,7 +137,7 @@ def per_site_run():
 def _pool_run(world, **engine_kwargs):
     with ShmPoolScanEngine(world, **engine_kwargs) as engine:
         return engine.run_week(
-            world.config.reference_week, include_tcp=True, run_tracebox=True
+            world.config.reference_week, include_tcp=True, plugins=("ecn", "trace")
         )
 
 
@@ -209,7 +208,7 @@ def test_reference_analysis_outputs_identical():
     reference = run_weekly_scan_reference(
         world_objects, week, include_tcp=True, run_tracebox=True
     )
-    run = world_store.scan_engine().run_week(week, include_tcp=True, run_tracebox=True)
+    run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
     assert tab.table1(reference) == tab.table1(run)
     assert tab.table2(reference) == tab.table2(run)
     assert tab.table3(reference) == tab.table3(run)

@@ -211,7 +211,7 @@ def test_rehydrated_full_reports_identical():
     reports = []
     for world in (fresh, rehydrated):
         ref = repro.run_weekly_scan(
-            world, world.config.reference_week, run_tracebox=True
+            world, world.config.reference_week, plugins=("ecn", "trace")
         )
         v6 = repro.run_weekly_scan(
             world, world.config.ipv6_week, ip_version=6, populations=("cno",)
