@@ -19,10 +19,12 @@ The engine splits a weekly run into two phases (docs/architecture.md):
    results are byte-for-byte equal to the reference semantics
    (:func:`repro.pipeline.runs.run_weekly_scan_reference`).
 2. **Attribution phase** — per-site results fan out to domains through
-   bindings precomputed in a :class:`ScanPlan` (resolution, org,
-   site attachment are week-invariant for a given IP family).  The
-   per-domain work is a tuple-splat construction plus a few attribute
-   stores; no string parsing, no trie walks, no policy evaluation.
+   a :class:`ScanPlan`: one walk over the world's domains resolves
+   each once and fills the store's week-invariant per-position columns
+   and per-site segments (resolution, org and site attachment are
+   week-invariant for a given IP family).  Recording a week is one
+   store write per site; no per-domain work, no string parsing, no
+   trie walks, no policy evaluation.
 
 The site phase is emitted pre-ordered (no per-week sort): a
 week-invariant QUIC trigger index — prefix-minimum records over the
@@ -50,7 +52,8 @@ objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Final, Sequence
 
@@ -79,7 +82,13 @@ from repro.plugins.registry import (
 )
 from repro.scanner.quic_scan import QuicScanConfig, quic_client_config, scan_site_quic
 from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp, tcp_client_config
-from repro.store.columns import ObservationStore, plan_columns
+from repro.store.columns import (
+    NO_ROW,
+    UNKNOWN_ORG,
+    DomainColumns,
+    ObservationStore,
+    plan_columns,
+)
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
 
@@ -139,22 +148,6 @@ class ShardResultMissing(RuntimeError):
 
 
 @dataclass(slots=True)
-class SitePlan:
-    """Week-invariant bindings of one site for one (family, populations).
-
-    ``positions`` index into the run's observation list (world order);
-    ``ranks`` are the domains' QUIC adoption thresholds; ``names`` feed
-    the scan authority (the reference loop used the triggering domain).
-    """
-
-    site_index: int
-    address: str
-    positions: list[int] = field(default_factory=list)
-    ranks: list[float] = field(default_factory=list)
-    names: list[str] = field(default_factory=list)
-
-
-@dataclass(slots=True)
 class SiteEvent:
     """One scheduled per-site exchange of the site phase."""
 
@@ -165,42 +158,45 @@ class SiteEvent:
     authority_domain: str
 
 
-def _emit_quic_trigger(trigger: tuple, share: float, quic_capable: dict, append) -> None:
-    """Append the QUIC event of one trigger candidate if it fires.
-
-    A candidate fires when the weekly share strictly exceeds its
-    activation rank but not its deactivation rank (at which point an
-    earlier position of the same site takes over), and the site is
-    QUIC-capable from this vantage.
-    """
-    position, site_index, address, name, rank_on, rank_off = trigger
-    if rank_on < share and rank_off >= share and quic_capable[site_index]:
-        append(SiteEvent(position, QUIC_EVENT, site_index, address, name))
-
-
 @dataclass
 class ScanPlan:
     """Precomputed attribution for one (ip family, populations) pair."""
 
     ip_version: int
     populations: tuple[str, ...]
-    #: Positional constructor args for every :class:`DomainObservation`.
-    protos: list[tuple]
-    #: Site plans ordered by first attributed observation position.
-    sites: list[SitePlan]
-    #: Week-invariant columnar layout (lazily built by
-    #: :func:`repro.store.columns.plan_columns`; cached here so every
-    #: store-backed run of a campaign shares one column set).
-    columns: "object | None" = None
+    #: Week-invariant columnar layout, shared by every run of a
+    #: campaign; its segments are the planned sites, ordered by first
+    #: attributed position.
+    columns: DomainColumns
     #: Week-invariant QUIC trigger index: position-sorted candidate
-    #: tuples ``(position, site_index, address, name, rank_on,
-    #: rank_off)`` derived from the columns' rank-sorted
+    #: tuples ``(position, site_index, rank_on, rank_off)`` derived
+    #: from the columns' rank-sorted
     #: :class:`~repro.store.columns.SiteSegment` arrays.  At a weekly
     #: share exactly one candidate per site satisfies
     #: ``rank_on < share <= rank_off`` — its position is where the
     #: site's QUIC exchange fires — so the site phase emits events
     #: pre-ordered with no per-week sort.
-    quic_triggers: "list[tuple] | None" = None
+    quic_triggers: list[tuple]
+
+
+def _quic_triggers(columns: DomainColumns) -> list[tuple]:
+    """The position-sorted QUIC trigger index of one column set.
+
+    Candidates come from the rank-sorted
+    :class:`~repro.store.columns.SiteSegment` arrays: each is a
+    prefix-minimum record — the position that becomes the site's
+    earliest QUIC-wanting domain once the weekly share exceeds
+    ``rank_on``, superseded when it exceeds ``rank_off`` (the next,
+    earlier-position candidate of the same site).
+    """
+    triggers = []
+    for segment in columns.segments:
+        candidates = segment.quic_trigger_candidates()
+        rank_offs = [rank for rank, _ in candidates[1:]] + [float("inf")]
+        for (rank_on, position), rank_off in zip(candidates, rank_offs, strict=True):
+            triggers.append((position, segment.site_index, rank_on, rank_off))
+    triggers.sort()  # positions are globally unique
+    return triggers
 
 
 @dataclass
@@ -333,157 +329,82 @@ class ScanEngine:
         return plan
 
     def _build_plan(self, ip_version: int, populations: tuple[str, ...]) -> ScanPlan:
+        """One walk over the world's domains, straight into the columns.
+
+        Each planned domain resolves once and appends to every
+        per-position column; an attributed one also joins the
+        ``(positions, ranks)`` group of the site that owns its resolved
+        address — not the site it was built under, so a resolver
+        mutated post-build to point a domain elsewhere needs no special
+        case.  Walk order gives ascending positions within a site and
+        orders the groups by first position, which is what scheduling
+        and the store's segments require.
+        """
         world = self.world
         # Attribution is a lazy world section; the plan bakes Site.org
-        # into its protos, so materialise it before the first walk.
+        # into its columns, so materialise it before the walk.
         world.ensure_site_attribution()
         resolve = world.resolver.resolve_address
         site_by_ip = world.site_by_ip
-        protos: list[tuple] = []
-        #: domain index -> (observation position, site index, address)
-        attributed: dict[int, tuple[int, int, str]] = {}
-        position = 0
-        for domain_index, domain in enumerate(world.domains):
-            if domain.population not in populations:
+        domains: list[str] = []
+        domain_populations: list[str] = []
+        lists: list[tuple[str, ...]] = []
+        parked = bytearray()
+        resolved = bytearray()
+        ips: list[str | None] = []
+        orgs: list[str] = []
+        site_indexes = array("q")
+        groups: dict[int, tuple[list[int], list[float]]] = {}
+        for domain in world.domains:
+            population = domain.population
+            if population not in populations:
                 continue
             name = domain.name
             address = resolve(name, family=ip_version)
-            if address is None:
-                protos.append((name, domain.population, domain.lists, domain.parked, False))
-                position += 1
-                continue
-            site = site_by_ip(address)
-            if site is None:  # defensive: IP without a registered host
-                protos.append(
-                    (name, domain.population, domain.lists, domain.parked, True, address)
+            # An address without a registered host stays site-less.
+            site = site_by_ip(address) if address is not None else None
+            if site is None:
+                orgs.append(UNKNOWN_ORG)
+                site_indexes.append(NO_ROW)
+            else:
+                orgs.append(
+                    site.org
+                    if site.asn is not None
+                    else world.asorg.org_for(world.prefixes.lookup(site.ip))
                 )
-                position += 1
-                continue
-            org = (
-                site.org
-                if site.asn is not None
-                else world.asorg.org_for(world.prefixes.lookup(site.ip))
-            )
-            protos.append(
-                (
-                    name,
-                    domain.population,
-                    domain.lists,
-                    domain.parked,
-                    True,
-                    address,
-                    org,
-                    site.index,
-                )
-            )
-            attributed[domain_index] = (position, site.index, address)
-            position += 1
+                site_indexes.append(site.index)
+                group = groups.get(site.index)
+                if group is None:
+                    group = groups[site.index] = ([], [])
+                group[0].append(len(domains))
+                group[1].append(domain.adoption_rank)
+            domains.append(name)
+            domain_populations.append(population)
+            lists.append(domain.lists)
+            parked.append(domain.parked)
+            resolved.append(address is not None)
+            ips.append(address)
+        columns = plan_columns(
+            groups,
+            domains=domains,
+            populations=domain_populations,
+            lists=lists,
+            parked=parked,
+            resolved=resolved,
+            ips=ips,
+            orgs=orgs,
+            site_indexes=site_indexes,
+        )
         return ScanPlan(
             ip_version=ip_version,
             populations=populations,
-            protos=protos,
-            sites=self._group_by_site(attributed),
+            columns=columns,
+            quic_triggers=_quic_triggers(columns),
         )
-
-    def _group_by_site(
-        self, attributed: dict[int, tuple[int, int, str]]
-    ) -> list[SitePlan]:
-        """Fan attributed domains out to per-site plans.
-
-        Walks the world's precomputed ``site_domains`` bindings (the
-        normal case: DNS points every attached domain at its own site);
-        attributions the bindings do not cover — a resolver mutated
-        post-build to point a domain elsewhere — fall back to direct
-        grouping so reference semantics hold for them too.
-        """
-        world = self.world
-        domains = world.domains
-        by_site: dict[int, SitePlan] = {}
-        ordered: list[SitePlan] = []
-        for site_index, domain_indices in enumerate(world.site_domains):
-            plan_site = None
-            for domain_index in domain_indices:
-                entry = attributed.get(domain_index)
-                if entry is None or entry[1] != site_index:
-                    continue
-                del attributed[domain_index]
-                if plan_site is None:
-                    plan_site = SitePlan(site_index=site_index, address=entry[2])
-                    by_site[site_index] = plan_site
-                    ordered.append(plan_site)
-                domain = domains[domain_index]
-                plan_site.positions.append(entry[0])
-                plan_site.ranks.append(domain.adoption_rank)
-                plan_site.names.append(domain.name)
-        if attributed:  # leftovers outside the build-time bindings
-            touched: set[int] = set()
-            for domain_index in sorted(attributed):
-                pos, site_index, address = attributed[domain_index]
-                plan_site = by_site.get(site_index)
-                if plan_site is None:
-                    plan_site = SitePlan(site_index=site_index, address=address)
-                    by_site[site_index] = plan_site
-                    ordered.append(plan_site)
-                domain = domains[domain_index]
-                plan_site.positions.append(pos)
-                plan_site.ranks.append(domain.adoption_rank)
-                plan_site.names.append(domain.name)
-                touched.add(site_index)
-            for site_index in touched:  # restore scan-order within the site
-                plan_site = by_site[site_index]
-                triples = sorted(
-                    zip(plan_site.positions, plan_site.ranks, plan_site.names, strict=True)
-                )
-                plan_site.positions = [t[0] for t in triples]
-                plan_site.ranks = [t[1] for t in triples]
-                plan_site.names = [t[2] for t in triples]
-        # Scheduling merges the TCP stream (a site's first position) with
-        # the position-sorted QUIC trigger index, so the "ordered by first
-        # attributed position" contract is enforced here rather than
-        # assumed.  For worlds built normally this is already the append
-        # order and the sort is a linear no-op.
-        ordered.sort(key=lambda plan_site: plan_site.positions[0])
-        return ordered
 
     # ------------------------------------------------------------------
     # Site phase scheduling
     # ------------------------------------------------------------------
-    def _quic_triggers(self, plan: ScanPlan) -> list[tuple]:
-        """The plan's position-sorted QUIC trigger index (built once).
-
-        Candidates come from the columnar store's rank-sorted
-        :class:`~repro.store.columns.SiteSegment` arrays: each is a
-        prefix-minimum record — the position that becomes the site's
-        earliest QUIC-wanting domain once the weekly share exceeds
-        ``rank_on``, superseded when it exceeds ``rank_off`` (the next,
-        earlier-position candidate of the same site).
-        """
-        triggers = plan.quic_triggers
-        if triggers is None:
-            triggers = []
-            for plan_site, segment in zip(plan.sites, plan_columns(plan).segments, strict=True):
-                name_at = dict(zip(plan_site.positions, plan_site.names, strict=True))
-                candidates = segment.quic_trigger_candidates()
-                for index, (rank_on, position) in enumerate(candidates):
-                    rank_off = (
-                        candidates[index + 1][0]
-                        if index + 1 < len(candidates)
-                        else float("inf")
-                    )
-                    triggers.append(
-                        (
-                            position,
-                            plan_site.site_index,
-                            plan_site.address,
-                            name_at[position],
-                            rank_on,
-                            rank_off,
-                        )
-                    )
-            triggers.sort()  # positions are globally unique
-            plan.quic_triggers = triggers
-        return triggers
-
     def _schedule(
         self,
         plan: ScanPlan,
@@ -515,41 +436,45 @@ class ScanEngine:
         sites = world.sites
         site_policy = world.site_policy
         share = world.adoption_share(week)
+        columns = plan.columns
+        segments = columns.segments
         quic_capable: dict[int, bool] = {}
-        for plan_site in plan.sites:
-            index = plan_site.site_index
+        for segment in segments:
+            index = segment.site_index
             policy = site_policy(sites[index], vantage_id)
             quic_capable[index] = policy.reachable and policy.quic_profile is not None
 
-        events: list[SiteEvent] = []
-        append = events.append
-        triggers = self._quic_triggers(plan)
-        cursor, trigger_count = 0, len(triggers)
+        # A trigger fires when the weekly share strictly exceeds its
+        # activation rank but not its deactivation rank (where an earlier
+        # position of the same site takes over) at a QUIC-capable site.
+        ips, domains = columns.ips, columns.domains
+        fired = [
+            SiteEvent(position, QUIC_EVENT, site_index, ips[position], domains[position])
+            for position, site_index, rank_on, rank_off in plan.quic_triggers
+            if rank_on < share <= rank_off and quic_capable[site_index]
+        ]
         if include_tcp:
-            for plan_site in plan.sites:
-                first = plan_site.positions[0]
+            events: list[SiteEvent] = []
+            cursor = 0
+            for segment in segments:
+                first = segment.positions[0]
                 # QUIC sorts before TCP at equal positions (same site).
-                while cursor < trigger_count and triggers[cursor][0] <= first:
-                    _emit_quic_trigger(triggers[cursor], share, quic_capable, append)
+                while cursor < len(fired) and fired[cursor].position <= first:
+                    events.append(fired[cursor])
                     cursor += 1
-                append(
+                events.append(
                     SiteEvent(
-                        first,
-                        TCP_EVENT,
-                        plan_site.site_index,
-                        plan_site.address,
-                        plan_site.names[0],
+                        first, TCP_EVENT, segment.site_index, ips[first], domains[first]
                     )
                 )
-        while cursor < trigger_count:
-            _emit_quic_trigger(triggers[cursor], share, quic_capable, append)
-            cursor += 1
+            events.extend(fired[cursor:])
+        else:
+            events = list(fired)
         if selection is not None and selection.bindings:
-            fired = [event for event in events if event.kind == QUIC_EVENT]
             for binding in selection.bindings:
                 kind = binding.kind
                 for event in fired:
-                    append(
+                    events.append(
                         SiteEvent(
                             event.position,
                             kind,
@@ -923,15 +848,15 @@ class ScanEngine:
     ) -> None:
         """O(sites) recording into the run's store, no per-domain work."""
         store = ObservationStore(
-            plan_columns(plan),
+            plan.columns,
             week=run.week,
             vantage_id=run.vantage_id,
             ip_version=run.ip_version,
             share=share,
         )
-        for segment_index, plan_site in enumerate(plan.sites):
-            record = records.get(plan_site.site_index)
-            capable = quic_capable[plan_site.site_index]
+        for segment_index, segment in enumerate(plan.columns.segments):
+            record = records.get(segment.site_index)
+            capable = quic_capable[segment.site_index]
             store.record_site(
                 segment_index,
                 quic_capable=capable,
@@ -985,8 +910,8 @@ class ScanEngine:
             run.plugin_rows[plugin.name] = merged
             field_names = [field.name for field in plugin.fields]
             columns: dict[str, list] = {name: [] for name in field_names}
-            for plan_site in plan.sites:
-                row = merged.get(plan_site.site_index)
+            for segment in plan.columns.segments:
+                row = merged.get(segment.site_index)
                 for i, name in enumerate(field_names):
                     columns[name].append(row[i] if row is not None else None)
             run.store.add_plugin_columns(plugin.name, columns)

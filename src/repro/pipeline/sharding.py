@@ -146,36 +146,27 @@ def plan_tickets(
     weeks: Sequence[Week],
     *,
     ticket_sites: int,
-    ticket_weeks: int | None = None,
 ) -> list[Ticket]:
     """Tile ``[0, site_count) x weeks`` into tickets.
 
     Pure and total: every (site, week) cell lands in exactly one ticket
     (property-tested in ``tests/test_shm_pool.py``), tickets are emitted
-    in (site range, week range) order, and the tiling depends only on
-    the arguments — merge order cannot matter because ranges never
-    overlap.  ``ticket_weeks=None`` puts all weeks on one ticket per
-    site range (the campaign default: one round trip per worker).
+    in site-range order, and the tiling depends only on the arguments —
+    merge order cannot matter because ranges never overlap.  All weeks
+    share one ticket per site range (a campaign prefetch costs one round
+    trip per worker; single-week dispatch passes one week).
     """
     if site_count < 0:
         raise ValueError("site_count must be >= 0")
     if ticket_sites < 1:
         raise ValueError("ticket_sites must be >= 1")
     weeks = tuple(weeks)
-    if ticket_weeks is None:
-        ticket_weeks = max(1, len(weeks))
-    if ticket_weeks < 1:
-        raise ValueError("ticket_weeks must be >= 1")
-    tickets: list[Ticket] = []
-    index = 0
-    for site_lo in range(0, site_count, ticket_sites):
-        site_hi = min(site_lo + ticket_sites, site_count)
-        for week_lo in range(0, len(weeks), ticket_weeks):
-            tickets.append(
-                Ticket(index, site_lo, site_hi, weeks[week_lo : week_lo + ticket_weeks])
-            )
-            index += 1
-    return tickets
+    if not weeks:
+        return []
+    return [
+        Ticket(index, site_lo, min(site_lo + ticket_sites, site_count), weeks)
+        for index, site_lo in enumerate(range(0, site_count, ticket_sites))
+    ]
 
 
 class _TicketState:
@@ -238,7 +229,6 @@ class ShmPoolScanEngine(ScanEngine):
         *,
         workers: int | None = None,
         ticket_sites: int | None = None,
-        ticket_weeks: int | None = None,
         exchange_cache: bool = True,
         shard_timeout: float = 60.0,
         max_shard_retries: int = 2,
@@ -257,8 +247,6 @@ class ShmPoolScanEngine(ScanEngine):
             raise ValueError("workers must be >= 1")
         if ticket_sites is not None and ticket_sites < 1:
             raise ValueError("ticket_sites must be >= 1")
-        if ticket_weeks is not None and ticket_weeks < 1:
-            raise ValueError("ticket_weeks must be >= 1")
         if shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive")
         if max_shard_retries < 0:
@@ -270,7 +258,6 @@ class ShmPoolScanEngine(ScanEngine):
         #: range per worker when ``ticket_sites`` is not given).
         self.workers = workers
         self.ticket_sites = ticket_sites
-        self.ticket_weeks = ticket_weeks
         #: Per-week result deadline of one ticket attempt (seconds).
         self.shard_timeout = shard_timeout
         #: Pool re-dispatches per ticket before the inline fallback.
@@ -362,8 +349,7 @@ class ShmPoolScanEngine(ScanEngine):
 
     def _dispatch_tickets(self, weeks: tuple[Week, ...], spec: tuple) -> int:
         tickets = plan_tickets(
-            len(self.world.sites), weeks,
-            ticket_sites=self._site_span(), ticket_weeks=self.ticket_weeks,
+            len(self.world.sites), weeks, ticket_sites=self._site_span()
         )
         pool = self._ensure_pool()
         states = [
@@ -390,7 +376,7 @@ class ShmPoolScanEngine(ScanEngine):
             vantage_id, ip_version, populations, include_tcp, quic_config,
             tcp_config, plugins,
         )
-        entries = self._collect_week(week, key)
+        entries = self._collect_week(week, key, events)
         # Always drain the stash (bounded memory either way); ingest the
         # week's worker spans under the current site-phase span only
         # when this run is instrumented.
@@ -404,8 +390,14 @@ class ShmPoolScanEngine(ScanEngine):
         return site_index // self._site_span()
 
     # ------------------------------------------------------------------
-    def _collect_week(self, week: Week, spec: tuple) -> dict:
-        """Harvest (dispatching on demand) every ticket covering a week."""
+    def _collect_week(self, week: Week, spec: tuple, events: list[SiteEvent]) -> dict:
+        """Harvest (dispatching on demand) every ticket covering a week.
+
+        The merged entries are kept for replay only when they cover
+        every scheduled event: a gap then surfaces as
+        :class:`ShardResultMissing` in the merge, and the next run of
+        the week re-dispatches instead of replaying the gap.
+        """
         key = (week, spec)
         hit = self._replayed.get(key)
         if hit is not None:
@@ -424,9 +416,10 @@ class ShmPoolScanEngine(ScanEngine):
             self._harvest(state)
         merged = self._collected.pop(key, {})
         stats = self._collected_stats.pop(key, (0, 0, 0))
-        while len(self._replayed) >= self.REPLAY_LIMIT:
-            self._replayed.pop(next(iter(self._replayed)))
-        self._replayed[key] = (merged, stats)
+        if all((event.site_index, event.kind) in merged for event in events):
+            while len(self._replayed) >= self.REPLAY_LIMIT:
+                self._replayed.pop(next(iter(self._replayed)))
+            self._replayed[key] = (merged, stats)
         return merged
 
     def _harvest(self, state: _TicketState) -> None:

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from repro.pipeline.runs import WeeklyRun
 from repro.quic.connection import QuicConnectionResult
 from repro.scanner.quic_scan import QuicScanConfig, scan_site_quic
-from repro.tracebox.classify import TraceSummary, classify_trace
-from repro.tracebox.probe import trace_site
 from repro.util.weeks import Week
 from repro.web.world import World
 
@@ -38,7 +36,6 @@ class VantageRun:
     results: dict[int, QuicConnectionResult] = field(default_factory=dict)
     mapped_domains: dict[int, int] = field(default_factory=dict)
     failed_sites: list[int] = field(default_factory=list)
-    traces: dict[int, TraceSummary] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def total_mapped(self) -> int:
@@ -81,7 +78,6 @@ def run_vantage(
     week: Week,
     *,
     ip_version: int = 4,
-    run_tracebox: bool = False,
 ) -> VantageRun:
     """Scan the forwarded targets from one cloud vantage point."""
     run = VantageRun(vantage_id=vantage_id, week=week, ip_version=ip_version)
@@ -97,9 +93,6 @@ def run_vantage(
         run.mapped_domains[site.index] = target.mapped_domains
         if not result.connected:
             run.failed_sites.append(site.index)
-        elif run_tracebox and result.mirroring:
-            trace = trace_site(world, site, week, vantage_id, ip_version=ip_version)
-            run.traces[site.index] = classify_trace(trace)
     return run
 
 
@@ -110,7 +103,6 @@ def run_distributed(
     ip_version: int = 4,
     vantage_ids: list[str] | None = None,
     main_run: WeeklyRun | None = None,
-    run_tracebox: bool = False,
 ) -> dict[str, VantageRun]:
     """The full §8 distributed measurement.
 
@@ -135,12 +127,7 @@ def run_distributed(
             runs[vantage_id] = _main_as_vantage_run(main_run, targets)
         else:
             runs[vantage_id] = run_vantage(
-                world,
-                vantage_id,
-                targets,
-                week,
-                ip_version=ip_version,
-                run_tracebox=run_tracebox,
+                world, vantage_id, targets, week, ip_version=ip_version
             )
     return runs
 

@@ -97,9 +97,8 @@ class ObservationDerived:
 class DomainObservation(ObservationDerived):
     """Everything one weekly scan learned about one domain.
 
-    A weekly run materialises one of these per domain, so the class is
-    slotted and the scan engine constructs it positionally from
-    precomputed prototype tuples — keep new fields appended and defaulted.
+    The per-domain reference loop materialises one of these per domain,
+    so the class is slotted — keep new fields appended and defaulted.
     Store-backed runs skip the materialisation entirely and serve the
     same fields through :class:`repro.store.views.ObservationView`.
     """

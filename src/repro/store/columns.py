@@ -6,10 +6,10 @@ Two layers, split by what varies:
   :class:`DomainObservation` that is in fact *week-invariant* for one
   ``(ip family, populations)`` scan plan: domain names, populations,
   list memberships, parked/resolved flags, resolved addresses, org
-  attribution, site indices.  Built **once per plan** (and therefore
-  once per campaign) from the plan's prototype tuples, alongside
-  per-site :class:`SiteSegment` arrays that encode the attribution
-  fan-out in rank order.
+  attribution, site indices.  Filled **once per plan** (and therefore
+  once per campaign) by the plan's single walk over the world's
+  domains; :func:`plan_columns` adds the per-site :class:`SiteSegment`
+  arrays that encode the attribution fan-out in rank order.
 * :class:`ObservationStore` — the per-run layer: one result row per
   planned site plus the week's attempted-count per segment.  Recording
   a run is O(sites); the per-position index arrays that make
@@ -29,7 +29,6 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.engine import ScanPlan, SitePlan
     from repro.quic.connection import QuicConnectionResult
     from repro.tcp.client import TcpScanOutcome
 
@@ -94,7 +93,15 @@ class SiteSegment:
 
 
 class DomainColumns:
-    """Week-invariant per-position columns of one scan plan."""
+    """Week-invariant per-position columns of one scan plan.
+
+    One entry per planned position (world order): ``domains``,
+    ``populations``, ``lists``, ``parked``/``resolved`` flags, ``ips``
+    (``None`` when unresolved), ``orgs`` (:data:`UNKNOWN_ORG` when the
+    position has no site) and ``site_indexes`` (:data:`NO_ROW` when it
+    has none).  ``segments`` holds one :class:`SiteSegment` per attributed
+    site, ordered by first position.
+    """
 
     __slots__ = (
         "count",
@@ -110,30 +117,20 @@ class DomainColumns:
         "_population_positions",
     )
 
-    def __init__(self, protos: Sequence[tuple], sites: Sequence["SitePlan"]):
-        n = len(protos)
-        self.count = n
-        domains: list[str] = []
-        populations: list[str] = []
-        lists: list[tuple[str, ...]] = []
-        parked = bytearray(n)
-        resolved = bytearray(n)
-        ips: list[str | None] = [None] * n
-        orgs: list[str] = [UNKNOWN_ORG] * n
-        site_indexes = array("q", (NO_ROW,)) * n
-        for position, proto in enumerate(protos):
-            domains.append(proto[0])
-            populations.append(proto[1])
-            lists.append(proto[2])
-            if proto[3]:
-                parked[position] = 1
-            if proto[4]:
-                resolved[position] = 1
-                if len(proto) > 5:
-                    ips[position] = proto[5]
-                if len(proto) > 6:
-                    orgs[position] = proto[6]
-                    site_indexes[position] = proto[7]
+    def __init__(
+        self,
+        *,
+        domains: list[str],
+        populations: list[str],
+        lists: list[tuple[str, ...]],
+        parked: bytearray,
+        resolved: bytearray,
+        ips: list[str | None],
+        orgs: list[str],
+        site_indexes: array,
+        segments: list[SiteSegment],
+    ):
+        self.count = len(domains)
         self.domains = domains
         self.populations = populations
         self.lists = lists
@@ -142,9 +139,7 @@ class DomainColumns:
         self.ips = ips
         self.orgs = orgs
         self.site_indexes = site_indexes
-        self.segments = [
-            SiteSegment(site.site_index, site.positions, site.ranks) for site in sites
-        ]
+        self.segments = segments
         self._population_positions: dict[str, array] = {}
 
     def population_positions(self, population: str) -> array:
@@ -169,17 +164,20 @@ class DomainColumns:
         return positions
 
 
-def plan_columns(plan: "ScanPlan") -> DomainColumns:
-    """The plan's :class:`DomainColumns`, built on first use.
+def plan_columns(groups: dict[int, tuple[list[int], list[float]]], **columns) -> DomainColumns:
+    """Assemble a scan plan's :class:`DomainColumns` from its walk.
 
-    Cached on the plan itself, so every run of a campaign — and every
-    engine sharing the plan cache — pays the column build exactly once.
+    ``columns`` are the per-position lists the plan walk filled (the
+    :class:`DomainColumns` keyword fields except ``segments``);
+    ``groups`` maps each attributed site index to its ``(positions,
+    ranks)`` in walk order — ascending positions, sites ordered by first
+    position — and becomes the site's rank-sorted :class:`SiteSegment`.
     """
-    columns = plan.columns
-    if columns is None:
-        columns = DomainColumns(plan.protos, plan.sites)
-        plan.columns = columns
-    return columns
+    segments = [
+        SiteSegment(site_index, positions, ranks)
+        for site_index, (positions, ranks) in groups.items()
+    ]
+    return DomainColumns(segments=segments, **columns)
 
 
 class ObservationStore:

@@ -21,7 +21,7 @@ codec this is an internal cache format, not an archive format.
 
 What the snapshot captures is the world's *constructed tables*: config,
 sites, domains, the prefix trie and AS/org entries.  Routes, DNS
-records, site attribution and the fan-out bindings are **lazy
+records and site attribution are **lazy
 sections** — pure functions of those tables, materialised on first
 touch — so a rehydrated world lands in exactly the state a fresh
 :func:`~repro.web.world.build_world` produces, which is what the
@@ -494,7 +494,7 @@ def decode_world(
             ),
         )
     )
-    # Routes, DNS, attribution and fan-out bindings stay lazy — the
+    # Routes, DNS and attribution stay lazy — the
     # rehydrated world is in exactly the state build_world leaves.
     world._attribution_stale = True
     return world

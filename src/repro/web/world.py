@@ -150,8 +150,6 @@ class World:
         self.prefixes = PrefixTree()
         self.sites: list[Site] = []
         self.domains: list[Domain] = []
-        self._site_domains: list[list[int]] | None = None
-        self._site_domains_count = -1
         self._sites_by_ip: dict[str, Site] = {}
         self._overrides: dict[tuple[str, str, str], list[VantageOverrideSpec]] = {}
         self._policy_cache: dict[tuple[int, str], SitePolicy] = {}
@@ -177,35 +175,8 @@ class World:
     # ------------------------------------------------------------------
     # Lookup helpers
     # ------------------------------------------------------------------
-    @property
-    def site_domains(self) -> list[list[int]]:
-        """Per-site indices into ``domains`` (the attribution fan-out lists).
-
-        A lazy section: a pure function of the domain table, derived on
-        first access and rebuilt if the table has grown since (tests
-        attach domains post-build).
-        """
-        cached = self._site_domains
-        if cached is None or self._site_domains_count != len(self.domains):
-            cached = [[] for _ in self.sites]
-            for index, domain in enumerate(self.domains):
-                if domain.site_index >= 0:
-                    cached[domain.site_index].append(index)
-            self._site_domains = cached
-            self._site_domains_count = len(self.domains)
-        return cached
-
     def site_by_ip(self, ip: str) -> Site | None:
         return self._sites_by_ip.get(ip)
-
-    def site_of(self, domain: Domain) -> Site | None:
-        if domain.site_index < 0:
-            return None
-        return self.sites[domain.site_index]
-
-    def domains_of(self, site: Site) -> list[Domain]:
-        """All domains attached to ``site`` (world order)."""
-        return [self.domains[i] for i in self.site_domains[site.index]]
 
     def scan_engine(self):
         """The world's site-first :class:`~repro.pipeline.engine.ScanEngine`.
@@ -553,11 +524,11 @@ def _add_domains(
 
 
 def _attach_domain(world: World, domain: Domain, site: Site) -> None:
-    """The one place a domain joins a site.  Neither the fan-out binding
-    (``site_domains``) nor the zone record is materialised here — both
-    are lazy sections derived from exactly these tables
-    (:attr:`World.site_domains`, :func:`dns_record_for`), so they can
-    never drift from ``domains``."""
+    """The one place a domain joins a site.  The zone record is not
+    materialised here — it is a lazy section derived from exactly these
+    tables (:func:`dns_record_for`), and scan plans group domains by the
+    site their address resolves to, so neither can drift from
+    ``domains``."""
     world.domains.append(domain)
 
 

@@ -248,29 +248,23 @@ def _reference_schedule(engine, plan, week, vantage_id, include_tcp):
     """The old sort-based scheduler, kept here as the order oracle."""
     world = engine.world
     share = world.adoption_share(week)
+    rank_of = {domain.name: domain.adoption_rank for domain in world.domains}
+    columns = plan.columns
     events = []
-    for plan_site in plan.sites:
-        index = plan_site.site_index
+    for segment in columns.segments:
+        index = segment.site_index
         policy = world.site_policy(world.sites[index], vantage_id)
         capable = policy.reachable and policy.quic_profile is not None
         if capable:
-            for pos, rank, name in zip(
-                plan_site.positions, plan_site.ranks, plan_site.names, strict=True
-            ):
-                if rank < share:
-                    events.append(
-                        SiteEvent(pos, QUIC_EVENT, index, plan_site.address, name)
-                    )
+            for pos in segment.positions:
+                name = columns.domains[pos]
+                if rank_of[name] < share:
+                    events.append(SiteEvent(pos, QUIC_EVENT, index, columns.ips[pos], name))
                     break
         if include_tcp:
+            first = segment.positions[0]
             events.append(
-                SiteEvent(
-                    plan_site.positions[0],
-                    TCP_EVENT,
-                    index,
-                    plan_site.address,
-                    plan_site.names[0],
-                )
+                SiteEvent(first, TCP_EVENT, index, columns.ips[first], columns.domains[first])
             )
     events.sort(key=lambda event: (event.position, event.kind))
     return events
@@ -298,7 +292,7 @@ def test_preordered_emission_matches_sorted_reference():
 
 
 def test_preordered_emission_matches_reference_after_resolver_mutation():
-    """The fallback grouping (out-of-binding attributions) stays ordered."""
+    """A domain the resolver moved to another site stays ordered."""
     from repro.dns.resolver import DnsRecord
 
     world = repro.build_world(WorldConfig(scale=SCALE))

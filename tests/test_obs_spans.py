@@ -200,11 +200,11 @@ def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
 
 @requires_fork
 def test_forkpool_worker_spans_reparent_under_week():
-    """One-week tickets on a caller-built pool: every forked worker's
-    span is filed under the week it computed, one per site range."""
+    """A caller-built pool: every forked worker records one span per
+    ticket-week, filed under the week it computed, one per site range."""
     world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     telemetry = Telemetry()
-    with ShmPoolScanEngine(world, workers=2, ticket_weeks=1) as engine:
+    with ShmPoolScanEngine(world, workers=2) as engine:
         spans = _campaign_spans(world, telemetry, engine=engine)
     workers = _assert_worker_spans_under_their_week(spans)
     # Worker spans recorded in worker processes: not the parent's pid.

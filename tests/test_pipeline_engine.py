@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 import repro
 from repro.core.codepoints import ECN
 from repro.netsim.network import PathTemplate
@@ -20,6 +22,7 @@ from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanEngine, ScanPhaseSt
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
+from repro.store.columns import NO_ROW
 from repro.web.spec import WorldConfig
 
 GOLDEN_SCALE = 20_000
@@ -30,6 +33,16 @@ OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
 def _world_pair():
     config = WorldConfig(scale=GOLDEN_SCALE)
     return repro.build_world(config), repro.build_world(config)
+
+
+def _point_first_domain_at_last_site(world):
+    """Resolver mutated post-build: a site-0 domain now resolves to the
+    last site's IP.  Returns the mutated domain's name."""
+    from repro.dns.resolver import DnsRecord
+
+    domain = next(d for d in world.domains if d.site_index == 0)
+    world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
+    return domain.name
 
 
 def _assert_runs_equal(reference, engine_run):
@@ -88,16 +101,10 @@ def test_engine_matches_reference_include_tcp():
 
 def test_engine_matches_reference_with_cross_site_resolver_override():
     """A resolver mutated post-build (domain pointed at another site's
-    IP) exercises the plan's fallback grouping outside ``site_domains``."""
-    from repro.dns.resolver import DnsRecord
-
-    def mutated(world):
-        domain = next(d for d in world.domains if d.site_index == 0)
-        world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
-        return world
-
+    IP) groups the domain under the site that owns its new address."""
     world_ref, world_eng = _world_pair()
-    mutated(world_ref), mutated(world_eng)
+    _point_first_domain_at_last_site(world_ref)
+    _point_first_domain_at_last_site(world_eng)
     week = world_ref.config.reference_week
     reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
     engine_run = repro.run_weekly_scan(world_eng, week, plugins=("ecn", "trace"))
@@ -258,10 +265,41 @@ def test_world_site_attribution_materialised():
     for site in world.sites:
         assert site.asn == site.provider.asn
         assert site.org == world.asorg.org_for(site.provider.asn)
-    # Attribution fan-out lists cover exactly the resolvable domains.
-    attached = sum(len(indices) for indices in world.site_domains)
-    resolvable = sum(1 for d in world.domains if d.site_index >= 0)
-    assert attached == resolvable
-    for site in world.sites[:25]:
-        for domain in world.domains_of(site):
-            assert domain.site_index == site.index
+
+
+@pytest.mark.parametrize("resolver", ["default", "cross-site-override"])
+def test_plan_segments_partition_attributed_positions(resolver):
+    """The plan's site segments are exactly its attributed positions,
+    grouped by the site that owns each resolved address."""
+    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
+    moved = (
+        _point_first_domain_at_last_site(world)
+        if resolver == "cross-site-override"
+        else None
+    )
+    columns = world.scan_engine().plan_for(4, ("cno", "toplist")).columns
+    site_indexes = columns.site_indexes
+    attributed = []
+    for position in range(columns.count):
+        address = columns.ips[position]
+        site = world.site_by_ip(address) if address is not None else None
+        assert bool(columns.resolved[position]) == (address is not None)
+        if site is None:  # unresolved or site-less
+            assert site_indexes[position] == NO_ROW
+        else:
+            assert site_indexes[position] == site.index
+            attributed.append(position)
+    segmented = []
+    firsts = []
+    for segment in columns.segments:
+        positions = list(segment.positions)
+        assert positions == sorted(positions)
+        assert all(site_indexes[p] == segment.site_index for p in positions)
+        firsts.append(positions[0])
+        segmented.extend(positions)
+    assert firsts == sorted(firsts)
+    assert sorted(segmented) == attributed  # a partition: no gap, no overlap
+    assert len({segment.site_index for segment in columns.segments}) == len(firsts)
+    if moved is not None:
+        position = columns.domains.index(moved)
+        assert site_indexes[position] == world.sites[-1].index

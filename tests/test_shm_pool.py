@@ -157,6 +157,39 @@ def test_warm_engine_reruns_identically(campaign_reference):
     assert shm.live_segments() == []
 
 
+@requires_fork
+def test_week_with_missing_entries_is_redispatched_not_replayed(monkeypatch):
+    """A week whose merged entries have a gap is never kept for replay:
+    after one ShardResultMissing the same engine re-dispatches the week
+    and then equals a serial run."""
+    from repro.pipeline import sharding
+    from repro.pipeline.engine import ShardResultMissing
+
+    decode = sharding.decode_shard_payload_obs
+    decoded = []
+
+    def drop_first_entry_once(buffer):
+        entries, cache_stats, obs = decode(buffer)
+        if not decoded and entries:
+            entries = entries[1:]
+        decoded.append(len(entries))
+        return entries, cache_stats, obs
+
+    monkeypatch.setattr(sharding, "decode_shard_payload_obs", drop_first_entry_once)
+    fresh = _build(20_000)
+    pooled = _build(20_000)
+    week = fresh.config.reference_week
+    kwargs = dict(populations=("cno",))
+    with ShmPoolScanEngine(pooled, workers=2) as engine:
+        with pytest.raises(ShardResultMissing):
+            engine.run_week(week, **kwargs)
+        run = engine.run_week(week, **kwargs)
+    _assert_runs_equal(fresh.scan_engine().run_week(week, **kwargs), run)
+    assert fresh.clock.now == pooled.clock.now
+    assert len(decoded) > 2  # the second run decoded fresh buffers
+    assert shm.live_segments() == []
+
+
 # ----------------------------------------------------------------------
 # Kill-and-resume under worker crash
 # ----------------------------------------------------------------------
@@ -241,14 +274,9 @@ _week_st = st.builds(Week, st.integers(2020, 2026), st.integers(1, 52))
     site_count=st.integers(0, 120),
     weeks=st.lists(_week_st, max_size=6, unique=True),
     ticket_sites=st.integers(1, 130),
-    ticket_weeks=st.one_of(st.none(), st.integers(1, 7)),
 )
-def test_tickets_tile_every_cell_exactly_once(
-    site_count, weeks, ticket_sites, ticket_weeks
-):
-    tickets = plan_tickets(
-        site_count, weeks, ticket_sites=ticket_sites, ticket_weeks=ticket_weeks
-    )
+def test_tickets_tile_every_cell_exactly_once(site_count, weeks, ticket_sites):
+    tickets = plan_tickets(site_count, weeks, ticket_sites=ticket_sites)
     assert [t.index for t in tickets] == list(range(len(tickets)))
     covered = {}
     for ticket in tickets:
@@ -268,18 +296,13 @@ def test_tickets_tile_every_cell_exactly_once(
     site_count=st.integers(1, 60),
     weeks=st.lists(_week_st, min_size=1, max_size=4, unique=True),
     ticket_sites=st.integers(1, 70),
-    ticket_weeks=st.one_of(st.none(), st.integers(1, 5)),
     data=st.data(),
 )
-def test_ticket_merge_is_order_independent(
-    site_count, weeks, ticket_sites, ticket_weeks, data
-):
+def test_ticket_merge_is_order_independent(site_count, weeks, ticket_sites, data):
     """Workers compute a pure function of the cell, and tickets never
     overlap — so harvesting them in any completion order merges to the
     same result."""
-    tickets = plan_tickets(
-        site_count, weeks, ticket_sites=ticket_sites, ticket_weeks=ticket_weeks
-    )
+    tickets = plan_tickets(site_count, weeks, ticket_sites=ticket_sites)
 
     def result_of(ticket):
         return {
@@ -304,8 +327,6 @@ def test_plan_tickets_validates_arguments():
         plan_tickets(-1, [week], ticket_sites=4)
     with pytest.raises(ValueError, match="ticket_sites"):
         plan_tickets(10, [week], ticket_sites=0)
-    with pytest.raises(ValueError, match="ticket_weeks"):
-        plan_tickets(10, [week], ticket_sites=4, ticket_weeks=0)
     assert plan_tickets(0, [week], ticket_sites=4) == []
     assert plan_tickets(5, [], ticket_sites=4) == []
 
@@ -449,8 +470,6 @@ def test_engine_constructor_validations():
     world = _build(400_000)
     with pytest.raises(ValueError, match="ticket_sites"):
         ShmPoolScanEngine(world, ticket_sites=0)
-    with pytest.raises(ValueError, match="ticket_weeks"):
-        ShmPoolScanEngine(world, ticket_weeks=0)
     with pytest.raises(ValueError, match="workers"):
         ShmPoolScanEngine(world, workers=0)
 
