@@ -389,9 +389,9 @@ def bench_campaign_shm_pool(benchmark):
 
     The engine outlives the rounds, as it outlives the weeks of a real
     campaign: round one pays pool spin-up + world publication, later
-    rounds replay worker-memoised tickets — best-of-N reports the warm
-    steady state, same as every other case here benefits from the warm
-    exchange cache of the shared world.
+    rounds replay the weeks the parent already merged — best-of-N
+    reports the warm steady state, same as every other case here
+    benefits from the warm exchange cache of the shared world.
     """
     world = _shared_world()
     durations: list[float] = []

@@ -18,7 +18,10 @@ one parent parser.
 Reports print to stdout; diagnostics (cache/supervision stats, the
 ``--progress`` heartbeat, obs-output notes) go to stderr, silenced by
 ``--quiet``.  Numeric options are validated argparse-side: a zero or
-negative count, cadence, scale or timeout is a usage error (exit 2).
+negative count, cadence, scale or timeout is a usage error (exit 2), and
+so is an output path that cannot be written (``--world-cache`` or
+``--checkpoint-dir`` naming a file, ``--metrics-out``/``--trace-out``
+in a missing directory).
 ``scan`` and ``campaign`` take ``--metrics-out`` / ``--trace-out`` for
 the telemetry layer (docs/observability.md).
 """
@@ -26,6 +29,7 @@ the telemetry layer (docs/observability.md).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -65,6 +69,31 @@ _non_negative_int = _number_type(int, "non-negative int", minimum=0, inclusive=T
 _positive_float = _number_type(float, "positive float", minimum=0.0, inclusive=False)
 
 
+def _directory(text: str) -> str:
+    """argparse type for a directory the run creates on demand.
+
+    The path, or its nearest existing ancestor, must be a directory —
+    checked before any world is built, not when the first write fails.
+    """
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"not a directory: {path!r}")
+    return text
+
+
+def _output_file(text: str) -> str:
+    """argparse type for a file written after the run: its directory
+    must exist and the path must not name a directory."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")
+    return text
+
+
 def _world_parent() -> argparse.ArgumentParser:
     """The shared world options, hoisted into one parent parser.
 
@@ -83,6 +112,7 @@ def _world_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--world-cache",
         metavar="DIR",
+        type=_directory,
         default=None,
         help="snapshot cache directory: the built world is stored as a "
              "compact snapshot keyed on its config/spec fingerprint and "
@@ -135,6 +165,7 @@ def _add_obs_args(parser: argparse.ArgumentParser, *, progress: bool = True) -> 
     parser.add_argument(
         "--metrics-out",
         metavar="FILE",
+        type=_output_file,
         default=None,
         help="write the run's metrics registry and span summaries as "
              "schema-versioned JSON (docs/observability.md)",
@@ -142,6 +173,7 @@ def _add_obs_args(parser: argparse.ArgumentParser, *, progress: bool = True) -> 
     parser.add_argument(
         "--trace-out",
         metavar="FILE",
+        type=_output_file,
         default=None,
         help="write the run's span tree as Chrome trace-event JSON, "
              "loadable in Perfetto or chrome://tracing",
@@ -420,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
+        type=_directory,
         default=None,
         help="persist each completed week's results under DIR (atomic, "
              "checksummed; serial or --workers) so an interrupted "

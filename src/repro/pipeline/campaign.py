@@ -21,50 +21,26 @@ class Campaign:
     """An ordered series of runs from one vantage point."""
 
     runs: list[WeeklyRun] = field(default_factory=list)
-    #: Week index for exact-hit run_at / closest_run.  ``runs`` may be
-    #: mutated directly (analysis code appends), so lookups validate the
-    #: index against an identity snapshot — an O(n) pointer comparison,
-    #: but ~50x cheaper than the Week-ordinal arithmetic of the linear
-    #: scan it replaced, and always correct under replace/remove too.
-    #: First run wins on duplicate weeks, matching the old linear scan.
-    _by_week: dict[Week, WeeklyRun] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _indexed_ids: list[int] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
 
     def add_run(self, run: WeeklyRun) -> None:
-        self._index()  # settle the snapshot before extending it
         self.runs.append(run)
-        self._by_week.setdefault(run.week, run)
-        self._indexed_ids.append(id(run))
-
-    def _index(self) -> dict[Week, WeeklyRun]:
-        current_ids = list(map(id, self.runs))
-        if current_ids != self._indexed_ids:
-            index: dict[Week, WeeklyRun] = {}
-            for run in self.runs:
-                index.setdefault(run.week, run)
-            self._by_week = index
-            self._indexed_ids = current_ids
-        return self._by_week
 
     def weeks(self) -> list[Week]:
         return [run.week for run in self.runs]
 
     def run_at(self, week: Week) -> WeeklyRun:
-        run = self._index().get(week)
-        if run is None:
-            raise KeyError(f"no run for {week}")
-        return run
+        """The first run of ``week`` (a campaign holds at most ~50 runs,
+        so a scan beats keeping an index in sync with ``runs``)."""
+        for run in self.runs:
+            if run.week == week:
+                return run
+        raise KeyError(f"no run for {week}")
 
     def closest_run(self, week: Week) -> WeeklyRun:
         if not self.runs:
             raise ValueError("empty campaign")
-        exact = self._index().get(week)
-        if exact is not None:
-            return exact
+        # min keeps the first of equally close runs, so an exact hit
+        # returns the first run of that week, like run_at.
         return min(self.runs, key=lambda run: abs(run.week - week))
 
 
@@ -123,8 +99,8 @@ def run_campaign(
     (default: just the core ``ecn`` scan; see :mod:`repro.plugins`).
     Plugin variants ride the same executor, exchange cache, checkpoint
     and supervision machinery as the core scan; their merged rows land
-    on each run's ``plugin_rows`` and as per-plugin store columns.  The
-    ``trace`` plugin is incompatible with checkpointing.
+    on each run's ``plugin_rows``.  The ``trace`` plugin is incompatible
+    with checkpointing.
 
     ``exchange_cache`` (default on) is what makes re-measuring stable
     site-weeks cheap: exchanges whose inputs repeat across the series

@@ -495,7 +495,8 @@ class ScanEngine:
         include_tcp: bool = False,
         plugins: Sequence[str] | None = None,
     ) -> list[SiteEvent]:
-        """Public view of the site phase (what pool workers rebuild)."""
+        """Public view of the site phase: one week's ordered events (what
+        the pool engine slices into tickets)."""
         plan = self.plan_for(ip_version, populations)
         events, _ = self._schedule(
             plan, week, vantage_id, include_tcp, resolve_plugins(plugins)
@@ -535,8 +536,8 @@ class ScanEngine:
 
         Core events return the exchange result; plugin-variant events
         return the plugin's typed row — rows, not raw results, are what
-        variants contribute downstream (store columns, ticket frames,
-        checkpoints).  Both go through the replay cache the same way:
+        variants contribute downstream (``run.plugin_rows``, ticket
+        frames, checkpoints).  Both go through the replay cache the same way:
         a miss runs the real exchange against a :class:`RecordingClock`
         and caches (result, advance trajectory), a hit replays exactly
         that trajectory, and an exchange whose key derivation reports
@@ -632,23 +633,18 @@ class ScanEngine:
         return out
 
     def _week_entries(
-        self,
-        events: list[SiteEvent],
-        week: Week,
-        vantage_id: str,
-        ip_version: int,
-        quic_config: QuicScanConfig,
-        tcp_config: TcpScanConfig,
-        spec: tuple,
+        self, events: list[SiteEvent], week: Week, spec: tuple
     ) -> tuple[dict[tuple[int, int], tuple[object, float]], str]:
         """Produce a week's entries keyed ``(site_index, kind)``.
 
         Returns the entries and the merge's diagnostic source name.
-        The serial engine executes ``events`` here; the shm-pool engine
-        overrides this (and only this) to collect the week's tickets —
-        ``spec`` restates the schedule parameters ``(populations,
-        include_tcp, plugins)`` its workers need to rebuild the events.
+        ``spec`` is the week's ``(vantage_id, ip_version, populations,
+        include_tcp, quic_config, tcp_config, plugins)``.  The serial
+        engine executes ``events`` here; the shm-pool engine overrides
+        this (and only this) to collect the week's tickets, keyed on
+        ``spec``.
         """
+        vantage_id, ip_version, _, _, quic_config, tcp_config, _ = spec
         entries = self._execute_entries(
             events, week, vantage_id, ip_version, quic_config, tcp_config
         )
@@ -795,8 +791,9 @@ class ScanEngine:
             source = "site-phase replay"
         else:
             replay, source = self._week_entries(
-                events, week, vantage_id, ip_version, quic_config, tcp_config,
-                (tuple(populations), include_tcp, selection.names),
+                events, week,
+                (vantage_id, ip_version, tuple(populations), include_tcp,
+                 quic_config, tcp_config, selection.names),
             )
         self._apply_replay(
             events, replay, records,
@@ -829,7 +826,7 @@ class ScanEngine:
         self._attribute_store(run, plan, records, quic_capable, include_tcp, share)
         if tracer is not None:
             tracer.end(attr_span)
-        self._attribute_plugins(run, plan, selection, plugin_rows, telemetry)
+        self._attribute_plugins(run, selection, plugin_rows, telemetry)
         if phase_stats is not None:
             phase_stats.attribution_seconds += perf_counter() - phase_start
 
@@ -868,7 +865,6 @@ class ScanEngine:
     def _attribute_plugins(
         self,
         run: "StoreWeeklyRun",
-        plan: ScanPlan,
         selection: PluginSelection,
         plugin_rows: dict[tuple[int, int], tuple],
         telemetry=None,
@@ -877,9 +873,6 @@ class ScanEngine:
 
         Multi-variant plugins merge field-wise: the last variant in
         declaration order with a non-``None`` value for a field wins.
-        The merged rows also land in the run's store as per-plugin
-        columns (:meth:`ObservationStore.add_plugin_columns`) aligned
-        with the plan's site segments.
         """
         if not selection.row_plugins:
             return
@@ -908,13 +901,6 @@ class ScanEngine:
                             for i in range(width)
                         )
             run.plugin_rows[plugin.name] = merged
-            field_names = [field.name for field in plugin.fields]
-            columns: dict[str, list] = {name: [] for name in field_names}
-            for segment in plan.columns.segments:
-                row = merged.get(segment.site_index)
-                for i, name in enumerate(field_names):
-                    columns[name].append(row[i] if row is not None else None)
-            run.store.add_plugin_columns(plugin.name, columns)
             if telemetry is not None:
                 telemetry.registry.add_counter(
                     f"plugin.{plugin.name}.rows", len(merged)

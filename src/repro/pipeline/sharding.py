@@ -3,12 +3,14 @@
 :class:`ShmPoolScanEngine` runs the ordered site phase of weekly runs on
 a pool of forked worker processes.  The encoded world snapshot is
 published **once** to a shared-memory segment (:mod:`repro.util.shm`),
-every worker decodes it zero-copy at startup, and work travels as tiny
-(site-range, week-range) :class:`Ticket` descriptors — the long-lived
-worker/queue architecture PATHspider uses for its path-transparency
-scans, applied to the weekly site phase.  Attribution, tracebox and
-analysis stay central: workers only ever produce per-site scan entries,
-marshalled as one codec buffer per ticket-week (:mod:`repro.store.codec`).
+every worker decodes it zero-copy at startup, and work travels as
+(site-range, week-range) :class:`Ticket` descriptors that carry the
+range's scheduled events — the long-lived worker/queue architecture
+PATHspider uses for its path-transparency scans, applied to the weekly
+site phase.  Planning, scheduling, attribution, tracebox and analysis
+stay central: workers only execute the events they are sent and return
+per-site scan entries, marshalled as one codec buffer per ticket-week
+(:mod:`repro.store.codec`).
 
 Determinism is the whole design.  Every site event draws from an RNG
 substream seeded by (world seed, week, vantage, family, site, kind) —
@@ -38,7 +40,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.obs.spans import Tracer, decode_obs_blob, encode_obs_blob
@@ -129,16 +132,18 @@ def _worker_obs_blob(tracer: Tracer, cache_delta: tuple[int, int, int]) -> bytes
 class Ticket:
     """One unit of pool work: a site-index range x a week range.
 
-    ``site_lo`` is inclusive, ``site_hi`` exclusive.  Tickets carry no
-    events and no world state — workers rebuild the week's event list
-    from their own shared-memory world and filter it to the site range,
-    so a ticket pickles in microseconds regardless of scale.
+    ``site_lo`` is inclusive, ``site_hi`` exclusive.  ``events`` holds,
+    per covered week, the range's scheduled events in schedule order as
+    plain :class:`SiteEvent` field tuples (:func:`slice_schedule`) —
+    tuples pickle at half the size of the dataclass.  The parent owns
+    the scan plan and the schedule; workers never rebuild either.
     """
 
     index: int
     site_lo: int
     site_hi: int
     weeks: tuple[Week, ...]
+    events: tuple[tuple[tuple, ...], ...] = ()
 
 
 def plan_tickets(
@@ -153,8 +158,11 @@ def plan_tickets(
     (property-tested in ``tests/test_shm_pool.py``), tickets are emitted
     in site-range order, and the tiling depends only on the arguments —
     merge order cannot matter because ranges never overlap.  All weeks
-    share one ticket per site range (a campaign prefetch costs one round
-    trip per worker; single-week dispatch passes one week).
+    share one ticket per site range, so each worker owns its sites for
+    the whole campaign and its exchange cache stays warm: per-week
+    tickets would land on whichever worker is free, missing the cache
+    once per worker that sees a site and breaking the
+    executor-independent cache split :class:`ScanPhaseStats` documents.
     """
     if site_count < 0:
         raise ValueError("site_count must be >= 0")
@@ -166,6 +174,31 @@ def plan_tickets(
     return [
         Ticket(index, site_lo, min(site_lo + ticket_sites, site_count), weeks)
         for index, site_lo in enumerate(range(0, site_count, ticket_sites))
+    ]
+
+
+def slice_schedule(
+    tickets: Sequence[Ticket], schedule: Sequence[Sequence[SiteEvent]]
+) -> list[Ticket]:
+    """Give every ticket its site range's events for each week it covers.
+
+    ``schedule[i]`` is the ordered event list of the tickets' ``i``-th
+    week (one tiling's tickets share their weeks).  Pure: every event
+    lands in exactly one ticket-week whose range contains its site, in
+    schedule order (property-tested in ``tests/test_shm_pool.py``), so
+    a worker's cache sees its sites in the serial engine's order.
+    """
+    site_los = [ticket.site_lo for ticket in tickets]
+    sliced: list[list[list[tuple]]] = [[[] for _ in schedule] for _ in tickets]
+    for week_index, events in enumerate(schedule):
+        for event in events:
+            sliced[bisect_right(site_los, event.site_index) - 1][week_index].append(
+                (event.position, event.kind, event.site_index, event.address,
+                 event.authority_domain)
+            )
+    return [
+        replace(ticket, events=tuple(map(tuple, weeks)))
+        for ticket, weeks in zip(tickets, sliced, strict=True)
     ]
 
 
@@ -182,6 +215,19 @@ class _TicketState:
         self.done = False
 
 
+@dataclass
+class _WeekHarvest:
+    """What the harvested tickets delivered for one (week, spec) so far:
+    merged ``{(site, kind): (result, elapsed)}`` entries, summed worker
+    exchange-cache stats, and worker obs blobs.  A ticket may cover many
+    weeks while the tracer is inside *one* week's site phase, so blobs
+    wait here until the week they describe is merged."""
+
+    entries: dict = field(default_factory=dict)
+    stats: tuple[int, int, int] = (0, 0, 0)
+    obs: list[bytes] = field(default_factory=list)
+
+
 class ShmPoolScanEngine(ScanEngine):
     """Persistent fork-pool engine over a shared-memory world.
 
@@ -196,13 +242,10 @@ class ShmPoolScanEngine(ScanEngine):
     :class:`repro.util.shm.SharedSegment`, a pool of ``workers``
     processes attaches at startup (each decodes its world zero-copy
     from the mapped buffer and hydrates lazy sections on demand), and
-    work travels as :class:`Ticket` descriptors — a site range and a
-    week range, a few dozen bytes.  Workers stay warm across weeks:
-    their exchange caches, scan plans and event lists amortise over the
-    whole campaign, and a worker that has already computed a ticket
-    replays the recorded result buffers immediately (per-site RNG
-    substreams make recomputation and replay byte-identical, so this is
-    safe by the same argument that makes retries safe).
+    work travels as :class:`Ticket` descriptors — a site range, a week
+    range and the range's events, which the parent schedules from its
+    own plan.  Workers never plan or schedule; they stay warm across
+    weeks only through their exchange caches.
 
     Supervision works at ticket granularity: each ticket attempt has
     ``shard_timeout`` seconds *per week it covers* to deliver buffers
@@ -218,9 +261,9 @@ class ShmPoolScanEngine(ScanEngine):
     line.
     """
 
-    #: Parent replay-cache bound, matching :attr:`_ShmWorker.MEMO_LIMIT`:
-    #: large enough for every (week, spec) a campaign produces, small
-    #: enough that a long-lived engine cannot grow without limit.
+    #: Parent replay-cache bound: large enough for every (week, spec) a
+    #: campaign produces, small enough that a long-lived engine cannot
+    #: grow without limit.
     REPLAY_LIMIT = 64
 
     def __init__(
@@ -273,22 +316,14 @@ class ShmPoolScanEngine(ScanEngine):
         self._plans = world.scan_engine()._plans  # share plan cache
         #: (week, spec) -> tickets whose ranges cover that week.
         self._pending: dict[tuple, list[_TicketState]] = {}
-        #: (week, spec) -> merged {(site, kind): (result, elapsed)}.
-        self._collected: dict[tuple, dict] = {}
-        #: (week, spec) -> worker exchange-cache stats folded so far.
-        self._collected_stats: dict[tuple, tuple[int, int, int]] = {}
-        #: (week, spec) -> worker obs blobs harvested but not yet
-        #: ingested.  A ticket may cover many weeks while the tracer is
-        #: inside *one* week's site phase, so blobs wait here until the
-        #: week they describe is merged (and its span is current).
-        self._collected_obs: dict[tuple, list[bytes]] = {}
+        #: (week, spec) -> what its harvested tickets delivered so far.
+        self._harvests: dict[tuple, _WeekHarvest] = {}
         #: (week, spec) -> (merged entries, stats): weeks this parent
-        #: already decoded once.  The parent-side peer of the worker
-        #: ticket memo — a persistent engine serving repeat campaigns
-        #: replays straight from here, with no dispatch, IPC or decode
-        #: (results are immutable and :meth:`_apply_replay` only reads,
-        #: so sharing the merged dict across runs is safe).  Bounded
-        #: FIFO like the worker memo.
+        #: already merged once.  A persistent engine serving repeat
+        #: campaigns replays straight from here, with no dispatch, IPC
+        #: or decode (results are immutable and :meth:`_apply_replay`
+        #: only reads, so sharing the merged dict across runs is safe).
+        #: Bounded FIFO.
         self._replayed: dict[tuple, tuple[dict, tuple[int, int, int]]] = {}
 
     # ------------------------------------------------------------------
@@ -296,19 +331,6 @@ class ShmPoolScanEngine(ScanEngine):
         if self.ticket_sites is not None:
             return self.ticket_sites
         return max(1, -(-len(self.world.sites) // self.workers))
-
-    @staticmethod
-    def _spec(
-        vantage_id, ip_version, populations, include_tcp, quic_config, tcp_config,
-        plugins,
-    ):
-        # Frozen-dataclass configs hash and compare by value, so a spec
-        # tuple is usable as a dict key and matches across run_week /
-        # prefetch_weeks calls that resolved the same defaults.
-        return (
-            vantage_id, ip_version, tuple(populations), include_tcp,
-            quic_config, tcp_config, tuple(plugins),
-        )
 
     def prefetch_weeks(
         self,
@@ -322,34 +344,51 @@ class ShmPoolScanEngine(ScanEngine):
         tcp_config: TcpScanConfig | None = None,
         plugins: Sequence[str] | None = None,
     ) -> int:
-        """Dispatch tickets covering ``weeks`` ahead of their run_week.
+        """Schedule ``weeks`` and dispatch their tickets ahead of run_week.
 
         The campaign calls this once with every week it will execute, so
         the whole campaign costs one ticket round trip per worker; weeks
-        already pending or collected under the same spec are skipped.
+        already pending or replayable under the same spec are skipped.
         Returns the number of tickets dispatched.
         """
         quic_config = quic_config or QuicScanConfig(ip_version=ip_version)
         tcp_config = tcp_config or TcpScanConfig(ip_version=ip_version)
         names = resolve_plugins(tuple(plugins) if plugins is not None else None).names
-        spec = self._spec(
-            vantage_id, ip_version, populations, include_tcp, quic_config,
-            tcp_config, names,
+        # The same tuple run_week builds: frozen-dataclass configs hash
+        # and compare by value, so calls that resolved the same defaults
+        # share one key.
+        spec = (
+            vantage_id, ip_version, tuple(populations), include_tcp,
+            quic_config, tcp_config, names,
         )
         todo = [
             week
             for week in dict.fromkeys(weeks)
             if (week, spec) not in self._pending
-            and (week, spec) not in self._collected
             and (week, spec) not in self._replayed
         ]
         if not todo:
             return 0
-        return self._dispatch_tickets(tuple(todo), spec)
+        # Fork first: the workers decode the world while the parent
+        # plans and schedules.  The schedule is not kept — run_week
+        # reschedules each week for its merge, which is cheaper than
+        # holding every week's events for the whole campaign.
+        self._ensure_pool()
+        schedule = [
+            self.site_events(
+                week, vantage_id, ip_version=ip_version, populations=populations,
+                include_tcp=include_tcp, plugins=names,
+            )
+            for week in todo
+        ]
+        return self._dispatch_tickets(tuple(todo), spec, schedule)
 
-    def _dispatch_tickets(self, weeks: tuple[Week, ...], spec: tuple) -> int:
-        tickets = plan_tickets(
-            len(self.world.sites), weeks, ticket_sites=self._site_span()
+    def _dispatch_tickets(
+        self, weeks: tuple[Week, ...], spec: tuple, schedule: Sequence[list[SiteEvent]]
+    ) -> int:
+        tickets = slice_schedule(
+            plan_tickets(len(self.world.sites), weeks, ticket_sites=self._site_span()),
+            schedule,
         )
         pool = self._ensure_pool()
         states = [
@@ -362,36 +401,11 @@ class ShmPoolScanEngine(ScanEngine):
         return len(states)
 
     def _submit(self, pool, ticket: Ticket, spec: tuple, attempt: int):
-        payload = (ticket.index, attempt, ticket.site_lo, ticket.site_hi,
-                   ticket.weeks, *spec)
-        return pool.apply_async(_pool_run_ticket, (payload,))
+        return pool.apply_async(_pool_run_ticket, (ticket, attempt, spec))
 
     # ------------------------------------------------------------------
-    def _week_entries(
-        self, events, week, vantage_id, ip_version, quic_config, tcp_config, spec
-    ):
-        """Collect the week's entries from its tickets (dispatched on demand)."""
-        populations, include_tcp, plugins = spec
-        key = self._spec(
-            vantage_id, ip_version, populations, include_tcp, quic_config,
-            tcp_config, plugins,
-        )
-        entries = self._collect_week(week, key, events)
-        # Always drain the stash (bounded memory either way); ingest the
-        # week's worker spans under the current site-phase span only
-        # when this run is instrumented.
-        telemetry = self.telemetry
-        for blob in self._collected_obs.pop((week, key), ()):
-            if telemetry is not None:
-                _ingest_obs(telemetry, blob)
-        return entries, f"shm-pool merge ({self.workers} workers)"
-
-    def _shard_of(self, site_index: int) -> int:
-        return site_index // self._site_span()
-
-    # ------------------------------------------------------------------
-    def _collect_week(self, week: Week, spec: tuple, events: list[SiteEvent]) -> dict:
-        """Harvest (dispatching on demand) every ticket covering a week.
+    def _week_entries(self, events, week, spec):
+        """Collect the week's entries from its tickets (dispatched on demand).
 
         The merged entries are kept for replay only when they cover
         every scheduled event: a gap then surfaces as
@@ -399,28 +413,35 @@ class ShmPoolScanEngine(ScanEngine):
         the week re-dispatches instead of replaying the gap.
         """
         key = (week, spec)
+        source = f"shm-pool merge ({self.workers} workers)"
         hit = self._replayed.get(key)
         if hit is not None:
             merged, stats = hit
-            # Replayed accounting: the worker exchange-cache counters
-            # recorded in the original buffers fold again, exactly as a
-            # worker memo replay folds its recorded trailers.
+            # The worker exchange-cache counters recorded in the
+            # original buffers fold again, so a rerun accounts exactly
+            # like the run it replays.
             if self.exchange_cache is not None and any(stats):
                 self.exchange_cache.stats.add(*stats)
-            return merged
-        if key not in self._pending and key not in self._collected:
+            return merged, source
+        if key not in self._pending:
             # run_week outside a prefetch (standalone weekly runs, or a
             # recompute after ShardResultMissing): single-week tickets.
-            self._dispatch_tickets((week,), spec)
+            self._dispatch_tickets((week,), spec, [events])
         for state in self._pending.pop(key, []):
             self._harvest(state)
-        merged = self._collected.pop(key, {})
-        stats = self._collected_stats.pop(key, (0, 0, 0))
-        if all((event.site_index, event.kind) in merged for event in events):
+        harvest = self._harvests.pop(key, None) or _WeekHarvest()
+        if all((event.site_index, event.kind) in harvest.entries for event in events):
             while len(self._replayed) >= self.REPLAY_LIMIT:
                 self._replayed.pop(next(iter(self._replayed)))
-            self._replayed[key] = (merged, stats)
-        return merged
+            self._replayed[key] = (harvest.entries, harvest.stats)
+        # Worker spans re-parent under the current site-phase span.
+        if self.telemetry is not None:
+            for blob in harvest.obs:
+                _ingest_obs(self.telemetry, blob)
+        return harvest.entries, source
+
+    def _shard_of(self, site_index: int) -> int:
+        return site_index // self._site_span()
 
     def _harvest(self, state: _TicketState) -> None:
         """Collect one ticket under supervision (timeout/retry/fallback).
@@ -471,16 +492,14 @@ class ShmPoolScanEngine(ScanEngine):
                 )
                 break
         for week, (entries, stats, obs) in week_entries.items():
-            key = (week, state.spec)
-            target = self._collected.setdefault(key, {})
+            harvest = self._harvests.setdefault((week, state.spec), _WeekHarvest())
             for site_index, kind, result, elapsed in entries:
-                target[(site_index, kind)] = (result, elapsed)
-            prior = self._collected_stats.get(key, (0, 0, 0))
-            self._collected_stats[key] = tuple(
-                a + b for a, b in zip(prior, stats, strict=True)
+                harvest.entries[(site_index, kind)] = (result, elapsed)
+            harvest.stats = tuple(
+                a + b for a, b in zip(harvest.stats, stats, strict=True)
             )
             if obs:
-                self._collected_obs.setdefault(key, []).append(obs)
+                harvest.obs.append(obs)
         state.done = True
 
     def _decode_ticket_payload(self, ticket: Ticket, payload) -> dict:
@@ -506,42 +525,22 @@ class ShmPoolScanEngine(ScanEngine):
         return week_entries
 
     def _run_ticket_inline(self, ticket: Ticket, spec: tuple, *, attempt: int = 0) -> dict:
-        (vantage_id, ip_version, populations, include_tcp,
-         quic_config, tcp_config, plugins) = spec
-        instrumented = self.telemetry is not None
         week_entries = {}
-        for week in ticket.weeks:
-            events = self.site_events(
-                week, vantage_id, ip_version=ip_version,
-                populations=populations, include_tcp=include_tcp,
-                plugins=plugins,
-            )
-            mine = [e for e in events if ticket.site_lo <= e.site_index < ticket.site_hi]
+        for week, events in zip(ticket.weeks, ticket.events, strict=True):
             # Fallback spans are recorded into a throwaway tracer and
             # stashed as blobs like worker spans: a multi-week ticket is
             # harvested inside *one* week's site phase, so recording
             # directly into the live tracer would mis-parent the other
             # weeks.  The blob routes each span to its own week's merge.
-            tracer = Tracer() if instrumented else None
-            if tracer is not None:
-                span = tracer.begin(
-                    "ticket", "worker",
-                    ticket=ticket.index, attempt=attempt, fallback=True,
-                    week=str(week), site_lo=ticket.site_lo,
-                    site_hi=ticket.site_hi, events=len(mine),
-                )
-            entries = self._execute_entries(
-                mine, week, vantage_id, ip_version, quic_config, tcp_config
+            tracer = Tracer() if self.telemetry is not None else None
+            entries = _run_ticket_week(
+                self, ticket, week, events, spec, tracer,
+                attempt=attempt, fallback=True,
             )
-            if tracer is not None:
-                tracer.end(span)
             # Inline execution accounts its exchange-cache hits live, so
             # there is no recorded trailer to fold (or to replay later).
-            week_entries[week] = (
-                entries,
-                (0, 0, 0),
-                encode_obs_blob(tracer.spans) if tracer is not None else b"",
-            )
+            blob = encode_obs_blob(tracer.spans) if tracer is not None else b""
+            week_entries[week] = (entries, (0, 0, 0), blob)
         return week_entries
 
     # ------------------------------------------------------------------
@@ -576,9 +575,7 @@ class ShmPoolScanEngine(ScanEngine):
     def close(self) -> None:
         """Tear down the pool and unlink the shared segment (idempotent)."""
         self._pending.clear()
-        self._collected.clear()
-        self._collected_stats.clear()
-        self._collected_obs.clear()
+        self._harvests.clear()
         self._replayed.clear()
         try:
             if self._pool is not None:
@@ -609,28 +606,30 @@ class ShmPoolScanEngine(ScanEngine):
             pass
 
 
-class _ShmWorker:
-    """Per-worker state: the decoded world's engine plus warm caches."""
+def _run_ticket_week(
+    engine: ScanEngine, ticket: Ticket, week: Week, events, spec: tuple, tracer,
+    **attrs,
+) -> list:
+    """Execute one ticket-week's events, under a ``ticket`` span when
+    ``tracer`` is given (``attrs`` tag the attempt)."""
+    vantage_id, ip_version, _, _, quic_config, tcp_config, _ = spec
+    if tracer is not None:
+        span = tracer.begin(
+            "ticket", "worker", ticket=ticket.index, **attrs, week=str(week),
+            site_lo=ticket.site_lo, site_hi=ticket.site_hi, events=len(events),
+        )
+    entries = engine._execute_entries(
+        [SiteEvent(*event) for event in events],
+        week, vantage_id, ip_version, quic_config, tcp_config,
+    )
+    if tracer is not None:
+        tracer.end(span)
+    return entries
 
-    __slots__ = ("engine", "fault_plan", "events", "results")
 
-    #: Ticket-result memo bound: large enough for every campaign shape
-    #: in the test matrix, small enough that a long-lived pool serving
-    #: many distinct specs cannot grow without limit.
-    MEMO_LIMIT = 64
-
-    def __init__(self, engine: ScanEngine, fault_plan):
-        self.engine = engine
-        self.fault_plan = fault_plan
-        #: (week, vantage, family, populations, tcp, plugins) -> full
-        #: event list.
-        self.events: dict[tuple, list[SiteEvent]] = {}
-        #: Full ticket identity -> encoded per-week result buffers.
-        self.results: dict[tuple, tuple[bytes, ...]] = {}
-
-
-#: This worker's state; built by the pool initializer after fork.
-_SHM_WORKER: _ShmWorker | None = None
+#: This worker's ``(engine, fault_plan)``; built by the pool initializer
+#: after fork.
+_SHM_WORKER: tuple[ScanEngine, object] | None = None
 
 
 def _shm_worker_init(segment, providers, vantages, overrides, exchange_cache, fault_plan):
@@ -652,84 +651,44 @@ def _shm_worker_init(segment, providers, vantages, overrides, exchange_cache, fa
         )
     finally:
         view.release()
-    engine = ScanEngine(world, exchange_cache=exchange_cache)
-    _SHM_WORKER = _ShmWorker(engine, fault_plan)
+    _SHM_WORKER = (ScanEngine(world, exchange_cache=exchange_cache), fault_plan)
 
 
-def _pool_run_ticket(payload) -> list:
-    """Pool task: run one ticket, return one codec buffer per week.
+def _pool_run_ticket(ticket: Ticket, attempt: int, spec: tuple) -> list:
+    """Pool task: run one ticket's events, return one codec buffer per week.
 
-    A ticket the worker has computed before replays its recorded
-    buffers (and their recorded cache-stat trailers — replayed
-    accounting) without touching the engine; per-site RNG substreams
-    make replay and recomputation byte-identical.  Fault hooks apply
-    per (ticket, week, attempt) *around* the memo — ``before_shard``
-    can still crash a warm worker, ``mangle_shard_buffer`` still
-    corrupts exactly the attempts its rules name.
+    Fault hooks apply per (ticket, week, attempt): ``before_shard`` can
+    crash the worker before a week runs, ``mangle_shard_buffer``
+    corrupts exactly the buffers its rules name.
     """
-    state = _SHM_WORKER
-    if state is None:  # pragma: no cover - misuse guard
+    if _SHM_WORKER is None:  # pragma: no cover - misuse guard
         raise RuntimeError("worker was not initialised with a shared world")
-    (index, attempt, site_lo, site_hi, weeks,
-     vantage_id, ip_version, populations, include_tcp,
-     quic_config, tcp_config, plugins) = payload
-    engine = state.engine
-    memo_key = (site_lo, site_hi, weeks, vantage_id, ip_version,
-                populations, include_tcp, quic_config, tcp_config, plugins)
-    cached = state.results.get(memo_key)
-    built: list[bytes] = []
+    engine, fault_plan = _SHM_WORKER
+    cache = engine.exchange_cache
     out = []
-    for position, week in enumerate(weeks):
-        if state.fault_plan is not None:
-            state.fault_plan.before_shard(shard=index, week=week, attempt=attempt)
-        if cached is not None:
-            buffer = cached[position]
+    for week, events in zip(ticket.weeks, ticket.events, strict=True):
+        if fault_plan is not None:
+            fault_plan.before_shard(shard=ticket.index, week=week, attempt=attempt)
+        base = cache.stats.snapshot() if cache is not None else (0, 0, 0)
+        # One worker span per ticket-week, shipped in this week's
+        # buffer.  Workers always record it (one perf_counter pair and
+        # ~100 blob bytes), so instrumented parents never need to
+        # rebuild the pool to start tracing.
+        tracer = Tracer()
+        entries = _run_ticket_week(
+            engine, ticket, week, events, spec, tracer, attempt=attempt
+        )
+        if cache is not None:
+            now = cache.stats.snapshot()
+            delta = (now[0] - base[0], now[1] - base[1], now[2] - base[2])
         else:
-            events_key = (week, vantage_id, ip_version, populations, include_tcp, plugins)
-            events = state.events.get(events_key)
-            if events is None:
-                events = engine.site_events(
-                    week, vantage_id, ip_version=ip_version,
-                    populations=populations, include_tcp=include_tcp,
-                    plugins=plugins,
-                )
-                state.events[events_key] = events
-            mine = [e for e in events if site_lo <= e.site_index < site_hi]
-            cache = engine.exchange_cache
-            base = cache.stats.snapshot() if cache is not None else (0, 0, 0)
-            # One worker span per fresh ticket-week, shipped in this
-            # week's buffer.  Memoized replays reuse the buffer as-is,
-            # so their blobs carry the *original* attempt's span —
-            # replayed accounting, same as the cache-stat trailers.
-            # Workers always record it (one perf_counter pair and ~100
-            # blob bytes), so instrumented parents never need to rebuild
-            # the pool to start tracing.
-            tracer = Tracer()
-            span = tracer.begin(
-                "ticket", "worker",
-                ticket=index, attempt=attempt, week=str(week),
-                site_lo=site_lo, site_hi=site_hi, events=len(mine),
-            )
-            entries = engine._execute_entries(
-                mine, week, vantage_id, ip_version, quic_config, tcp_config
-            )
-            tracer.end(span)
-            if cache is not None:
-                now = cache.stats.snapshot()
-                delta = (now[0] - base[0], now[1] - base[1], now[2] - base[2])
-            else:
-                delta = (0, 0, 0)
-            buffer = encode_shard_results(
-                entries, cache_stats=delta, obs=_worker_obs_blob(tracer, delta)
-            )
-            built.append(buffer)
-        if state.fault_plan is not None:
-            buffer = state.fault_plan.mangle_shard_buffer(
-                buffer, shard=index, week=week, attempt=attempt
+            delta = (0, 0, 0)
+        buffer = encode_shard_results(
+            entries, cache_stats=delta, obs=_worker_obs_blob(tracer, delta)
+        )
+        if fault_plan is not None:
+            buffer = fault_plan.mangle_shard_buffer(
+                buffer, shard=ticket.index, week=week, attempt=attempt
             )
         out.append((week, buffer))
-    if cached is None:
-        while len(state.results) >= _ShmWorker.MEMO_LIMIT:
-            state.results.pop(next(iter(state.results)))
-        state.results[memo_key] = tuple(built)
     return out

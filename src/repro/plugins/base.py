@@ -19,9 +19,8 @@ A :class:`MeasurementPlugin` declares
   and checkpointed exactly like the core scan.
 * ``fields`` — typed per-flow outputs.  :meth:`MeasurementPlugin.row`
   maps one exchange result to one value tuple (aligned with
-  ``fields``); the columnar ``ObservationStore`` materialises them as
-  per-plugin columns and the ECNSTOR codec ships them through ticket
-  result frames and checkpoints.
+  ``fields``); merged rows land on ``run.plugin_rows`` and the ECNSTOR
+  codec ships them through ticket result frames and checkpoints.
 
 **Purity requirement:** ``row`` must be a pure function of the
 exchange result.  The exchange-replay cache memoises ``(result,

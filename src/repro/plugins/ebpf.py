@@ -6,7 +6,7 @@ ECN codepoints and ECE/CWR flags on every inbound segment
 (site, week) probing with **ECT(0)** — distinct from the core scan's
 CE probe (§6.3), so the variant exercises the non-CE treatment of the
 same path and hashes to its own exchange-cache entries — and ships
-the raw counter row as per-plugin store columns.
+the raw counter row as the plugin's rows.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ stack that *greases* the ECN field — randomly enforcing codepoints on
 packets that would otherwise be not-ECT, the paper's proposal for
 keeping ECN visible to middleboxes even where it is not used.  The
 client-side observables (connection success, greased packet count,
-whether the path mirrored markings back) become per-plugin store
-columns.
+whether the path mirrored markings back) become the plugin's rows.
 
 The grease draws come from the client's own deterministic fallback
 stream (``RngStream(0, "quic-client")``), *not* from per-site state:

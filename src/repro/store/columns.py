@@ -202,7 +202,6 @@ class ObservationStore:
         "quic_results",
         "quic_counts",
         "tcp_results",
-        "plugin_columns",
         "_quic_row",
         "_tcp_row",
     )
@@ -228,10 +227,6 @@ class ObservationStore:
         self.quic_counts = array("q", bytes(8 * segment_count))
         #: Per-segment TCP result (None unless the run included TCP).
         self.tcp_results: list["TcpScanOutcome | None"] = [None] * segment_count
-        #: Per-plugin measurement columns: plugin name -> field name ->
-        #: one value per site segment (None where the plugin produced
-        #: no row).  Filled by :meth:`add_plugin_columns`.
-        self.plugin_columns: dict[str, dict[str, list]] = {}
         self._quic_row: array | None = None
         self._tcp_row: array | None = None
 
@@ -254,22 +249,6 @@ class ObservationStore:
             self.quic_results[segment_index] = quic
         if tcp is not None:
             self.tcp_results[segment_index] = tcp
-
-    def add_plugin_columns(self, name: str, columns: dict[str, list]) -> None:
-        """Attach one plugin's segment-aligned measurement columns.
-
-        ``columns`` maps field name to one value per site segment (in
-        segment order, ``None`` where the plugin produced no row for
-        that site).  Column lengths must match the segment count.
-        """
-        segment_count = len(self.columns.segments)
-        for field_name, values in columns.items():
-            if len(values) != segment_count:
-                raise ValueError(
-                    f"plugin {name!r} column {field_name!r} has "
-                    f"{len(values)} values for {segment_count} segments"
-                )
-        self.plugin_columns[name] = columns
 
     # ------------------------------------------------------------------
     # Lazy per-position index

@@ -133,6 +133,46 @@ def test_cli_rejects_bad_numbers_with_usage_error(capsys, argv):
     assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
 
 
+# ----------------------------------------------------------------------
+# Output paths (regression: a file passed as --checkpoint-dir or
+# --world-cache, or a --trace-out in a missing directory, raised a
+# traceback only after the world was built or the whole run finished)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", "--checkpoint-dir", "{file}"],
+        ["scan", "--world-cache", "{file}"],
+        ["campaign", "--world-cache", "{file}/sub"],
+        ["campaign", "--trace-out", "{missing}/y.json"],
+        ["scan", "--metrics-out", "{missing}/m.json"],
+        ["campaign", "--metrics-out", "{dir}"],
+        ["scan", "--trace-out", "{dir}"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_rejects_bad_output_paths_before_building(
+    tmp_path, monkeypatch, capsys, argv
+):
+    regular = tmp_path / "file"
+    regular.write_text("not a directory")
+    paths = dict(file=regular, missing=tmp_path / "missing", dir=tmp_path)
+    built = []
+
+    def no_build(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("the world was built before the path was checked")
+
+    monkeypatch.setattr(repro, "build_world", no_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(**paths) for arg in argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert built == []
+
+
 def test_cli_accepts_valid_week_forms():
     parser = build_parser()
     args = parser.parse_args(["scan", "--week", "2023-W15"])

@@ -65,7 +65,7 @@ def test_campaign_run_at_missing_week_raises(campaign):
 def test_campaign_run_at_uses_week_index(campaign):
     for run in campaign.runs:
         assert campaign.run_at(run.week) is run
-        assert campaign.closest_run(run.week) is run  # exact hit, O(1)
+        assert campaign.closest_run(run.week) is run  # exact hit
 
 
 def test_campaign_index_tolerates_direct_appends():

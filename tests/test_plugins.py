@@ -276,26 +276,6 @@ def test_multi_plugin_shm_pool_matches_serial(multi_plugin_reference):
     assert world_ref.clock.now == world.clock.now
 
 
-def test_plugin_store_columns_align_with_rows():
-    world = _build()
-    run = repro.run_weekly_scan(
-        world,
-        world.config.reference_week,
-        plugins=("ecn", "grease"),
-    )
-    columns = run.store.plugin_columns["grease"]
-    fields = get_plugin("grease").fields
-    assert set(columns) == {f.name for f in fields}
-    rows = run.plugin_rows["grease"]
-    segments = len(run.store.columns.segments)
-    for i, field in enumerate(fields):
-        column = columns[field.name]
-        assert len(column) == segments
-        assert sorted(v for v in column if v is not None) == sorted(
-            row[i] for row in rows.values() if row[i] is not None
-        )
-
-
 def test_plugin_summary_in_report():
     world = _build()
     run = repro.run_weekly_scan(

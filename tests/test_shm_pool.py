@@ -29,7 +29,8 @@ from repro.core.codepoints import ECN
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import Telemetry
 from repro.pipeline import Campaign, ShmPoolScanEngine, plan_tickets, run_campaign
-from repro.pipeline.engine import ScanPhaseStats
+from repro.pipeline.engine import ScanEngine, ScanPhaseStats, SiteEvent
+from repro.pipeline.sharding import slice_schedule
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.util import shm
 from repro.util.weeks import Week
@@ -142,8 +143,8 @@ def test_pool_week_matrix_all_vantages_families_tcp():
 
 @requires_fork
 def test_warm_engine_reruns_identically(campaign_reference):
-    """A persistent engine serves back-to-back campaigns; the second
-    replays worker-memoised ticket buffers and is still golden."""
+    """A persistent engine serves back-to-back campaigns; the parent's
+    replay memo serves the second, which is still golden."""
     ref_world, reference, ref_report = campaign_reference
     world = _build(CAMPAIGN_SCALE)
     with ShmPoolScanEngine(world, workers=2) as engine:
@@ -187,6 +188,25 @@ def test_week_with_missing_entries_is_redispatched_not_replayed(monkeypatch):
     _assert_runs_equal(fresh.scan_engine().run_week(week, **kwargs), run)
     assert fresh.clock.now == pooled.clock.now
     assert len(decoded) > 2  # the second run decoded fresh buffers
+    assert shm.live_segments() == []
+
+
+@requires_fork
+def test_workers_never_build_a_plan(tmp_path, monkeypatch):
+    """The parent plans and schedules once; workers only execute the
+    events their tickets carry."""
+    log = tmp_path / "plan-builds"
+    build_plan = ScanEngine._build_plan
+
+    def recording_build_plan(self, *args):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return build_plan(self, *args)
+
+    monkeypatch.setattr(ScanEngine, "_build_plan", recording_build_plan)
+    world = _build(MATRIX_SCALE)
+    run_campaign(world, weeks=_weeks(world), workers=2)
+    assert log.read_text().split() == [str(os.getpid())]
     assert shm.live_segments() == []
 
 
@@ -319,6 +339,43 @@ def test_ticket_merge_is_order_independent(site_count, weeks, ticket_sites, data
 
     shuffled = data.draw(st.permutations(tickets))
     assert merge(tickets) == merge(shuffled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    site_count=st.integers(1, 80),
+    weeks=st.lists(_week_st, min_size=1, max_size=4, unique=True),
+    ticket_sites=st.integers(1, 90),
+    data=st.data(),
+)
+def test_slicing_puts_every_event_in_one_ticket_week(
+    site_count, weeks, ticket_sites, data
+):
+    """Every scheduled event lands in exactly one ticket-week whose site
+    range contains it, and each ticket keeps the schedule's order."""
+    cells = st.tuples(st.integers(0, site_count - 1), st.integers(0, 3))
+    schedule = [
+        [
+            SiteEvent(position, kind, site, f"10.0.{site}.1", f"d{position}.example")
+            for position, (site, kind) in enumerate(
+                data.draw(st.lists(cells, max_size=40))
+            )
+        ]
+        for _ in weeks
+    ]
+    tickets = slice_schedule(
+        plan_tickets(site_count, weeks, ticket_sites=ticket_sites), schedule
+    )
+    for week_index, events in enumerate(schedule):
+        placed = []
+        for ticket in tickets:
+            positions = [event[0] for event in ticket.events[week_index]]
+            assert positions == sorted(positions)  # schedule order
+            for event in ticket.events[week_index]:
+                assert ticket.site_lo <= event[2] < ticket.site_hi
+                assert SiteEvent(*event) == events[event[0]]
+            placed.extend(positions)
+        assert sorted(placed) == list(range(len(events)))
 
 
 def test_plan_tickets_validates_arguments():
