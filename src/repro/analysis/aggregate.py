@@ -1,12 +1,11 @@
 """Provider (AS organization) aggregation and ranking helpers.
 
-Every aggregation here accepts either plain observation lists or a
-store-backed :class:`~repro.store.views.StoreObservations` slice; the
-latter takes a column-native fast path (site-result flags computed once
-per site row, then array-indexed per domain) that is pinned equal to
-the object path by ``tests/test_store_golden.py``.  Iteration order is
-ascending position order in both paths, so insertion-ordered outputs
-(Counters, first-seen dicts) are identical.
+Every aggregation here accepts plain observation lists or a
+store-backed :class:`~repro.store.views.StoreObservations` slice.
+:func:`org_ecn_counts` aggregates a store slice per site — one result
+and one attempted count per site, weighted by that count — and is
+pinned equal to the per-observation loop by
+``tests/test_store_golden.py``, first-seen org order included.
 """
 
 from __future__ import annotations
@@ -35,16 +34,7 @@ def count_by_org(
     predicate: Callable[[DomainObservation], bool] | None = None,
 ) -> Counter:
     """Count observations per org, optionally filtered."""
-    if predicate is None:
-        sliced = store_slice(observations)
-        if sliced is not None:
-            store, positions = sliced
-            orgs = store.columns.orgs
-            counter: Counter = Counter()
-            for position in positions:
-                counter[orgs[position]] += 1
-            return counter
-    counter = Counter()
+    counter: Counter = Counter()
     for obs in observations:
         if predicate is None or predicate(obs):
             counter[obs.org] += 1
@@ -58,23 +48,21 @@ def org_ecn_counts(observations: Iterable[DomainObservation]) -> list[OrgCounts]
     use: Counter = Counter()
     sliced = store_slice(observations)
     if sliced is not None:
-        store, positions = sliced
+        store, population = sliced
         orgs = store.columns.orgs
-        quic_row = store.quic_row
-        flags = store.quic_flag_rows()
-        for position in positions:
-            row = quic_row[position]
-            if row < 0:
+        first: dict[str, int] = {}
+        for segment, result, count in store.quic_sites(population):
+            if not result.connected:
                 continue
-            available, mirrors, uses = flags[row]
-            if not available:
-                continue
-            org = orgs[position]
-            totals[org] += 1
-            if mirrors:
-                mirroring[org] += 1
-            if uses:
-                use[org] += 1
+            org = orgs[segment.positions[0]]
+            totals[org] += count
+            if result.mirroring:
+                mirroring[org] += count
+            if result.server_set_ect:
+                use[org] += count
+            position = min(segment.rank_positions[:count])
+            first[org] = min(first.get(org, position), position)
+        totals = first_seen_order(totals, first)
     else:
         for obs in observations:
             if not obs.quic_available:
@@ -88,6 +76,16 @@ def org_ecn_counts(observations: Iterable[DomainObservation]) -> list[OrgCounts]
         OrgCounts(org=org, total=totals[org], mirroring=mirroring[org], use=use[org])
         for org in totals
     ]
+
+
+def first_seen_order(counts: dict, first: dict) -> dict:
+    """``counts`` re-keyed in ascending ``first[key]`` order.
+
+    Site-grained aggregation adds whole sites at a time; ordering keys
+    by the earliest position counted for them restores the insertion
+    order of a per-domain loop in position order.
+    """
+    return {key: counts[key] for key in sorted(counts, key=first.__getitem__)}
 
 
 def rank_map(values: dict[str, int]) -> dict[str, int]:
@@ -105,15 +103,6 @@ def distinct_ips(
     predicate: Callable[[DomainObservation], bool] | None = None,
 ) -> set[str]:
     """The set of server IPs behind the (filtered) observations."""
-    if predicate is None:
-        sliced = store_slice(observations)
-        if sliced is not None:
-            store, positions = sliced
-            column = store.columns.ips
-            return {
-                ip for ip in (column[position] for position in positions)
-                if ip is not None
-            }
     ips: set[str] = set()
     for obs in observations:
         if obs.ip is None:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import pairwise
 
+from repro.analysis.aggregate import first_seen_order
 from repro.analysis.classify import quic_group, support_group, tcp_group
 from repro.pipeline.campaign import Campaign
 from repro.pipeline.runs import WeeklyRun
@@ -38,28 +40,18 @@ def figure3(campaign: Campaign) -> list[Figure3Point]:
         observations = run.observations_for("cno")
         sliced = store_slice(observations)
         if sliced is not None:
-            store, positions = sliced
-            quic_row = store.quic_row
-            # Per site row: (available, mirroring, server label) — the
-            # per-domain loop below is then pure index arithmetic.
-            row_info = [
-                (
-                    result is not None and result.connected,
-                    result is not None and result.mirroring,
-                    server_label_of(result),
-                )
-                for result in store.quic_results
-            ]
-            for position in positions:
-                row = quic_row[position]
-                if row < 0:
+            store, population = sliced
+            first: dict[str, int] = {}
+            for segment, result, count in store.quic_sites(population):
+                if not result.connected:
                     continue
-                available, mirrors, label = row_info[row]
-                if not available:
-                    continue
-                total += 1
-                if mirrors:
-                    by_server[label] += 1
+                total += count
+                if result.mirroring:
+                    label = server_label_of(result)
+                    by_server[label] += count
+                    position = min(segment.rank_positions[:count])
+                    first[label] = min(first.get(label, position), position)
+            by_server = first_seen_order(by_server, first)
         else:
             for obs in observations:
                 if not obs.quic_available:
@@ -91,7 +83,7 @@ class TransitionData:
 
 def _domain_state_of(result) -> str:
     """Figure 4/8 state label of one QUIC result (shared by both the
-    per-observation path and the store's per-row fan-out)."""
+    per-observation path and the store's per-site groups)."""
     if result is None or not result.connected:
         return "Unavailable"
     label = "Mirroring" if result.mirroring else "No Mirroring"
@@ -120,38 +112,32 @@ def figure4(
         weeks = campaign.weeks()
         snapshots = (weeks[0], weeks[len(weeks) // 2], weeks[-1])
     runs = [campaign.closest_run(week) for week in snapshots]
-    states_by_domain: dict[str, list[str]] = defaultdict(
-        lambda: ["Unavailable"] * len(runs)
-    )
-    for index, run in enumerate(runs):
-        observations = run.observations_for("cno")
-        sliced = store_slice(observations)
-        if sliced is not None:
-            store, positions = sliced
-            domains = store.columns.domains
-            quic_row = store.quic_row
-            row_state = [_domain_state_of(result) for result in store.quic_results]
-            for position in positions:
-                row = quic_row[position]
-                states_by_domain[domains[position]][index] = (
-                    row_state[row] if row >= 0 else "Unavailable"
-                )
-        else:
-            for obs in observations:
+    slices = [store_slice(run.observations_for("cno")) for run in runs]
+    stores = [sliced[0] for sliced in slices if sliced is not None]
+    if len(stores) == len(runs) and len({id(store.columns) for store in stores}) == 1:
+        groups = _state_groups(stores, "cno")
+    else:
+        # Runs of different plans share no segments: one group per domain.
+        states_by_domain: dict[str, list[str]] = defaultdict(
+            lambda: ["Unavailable"] * len(runs)
+        )
+        for index, run in enumerate(runs):
+            for obs in run.observations_for("cno"):
                 states_by_domain[obs.domain][index] = _domain_state(obs)
+        groups = [(1, tuple(states)) for states in states_by_domain.values()]
     if require_ecn_touch:
-        states_by_domain = {
-            name: states
-            for name, states in states_by_domain.items()
+        groups = [
+            (size, states)
+            for size, states in groups
             if any(state.startswith("Mirroring") for state in states)
-        }
+        ]
     state_counts: list[dict[str, int]] = [Counter() for _ in runs]
     flows: list[Counter] = [Counter() for _ in range(len(runs) - 1)]
-    for states in states_by_domain.values():
+    for size, states in groups:
         for index, state in enumerate(states):
-            state_counts[index][state] += 1
+            state_counts[index][state] += size
             if index > 0:
-                flows[index - 1][(states[index - 1], state)] += 1
+                flows[index - 1][(states[index - 1], state)] += size
     filtered_flows = tuple(
         {pair: count for pair, count in flow.items() if count >= min_flow}
         for flow in flows
@@ -161,6 +147,36 @@ def figure4(
         state_counts=tuple(dict(c) for c in state_counts),
         flows=filtered_flows,
     )
+
+
+def _state_groups(stores, population: str) -> list[tuple[int, tuple[str, ...]]]:
+    """``(domain count, state per run)`` groups of one plan's domains.
+
+    Each site's rank-ordered members split at the runs' attempted
+    counts into at most ``len(stores) + 1`` groups of equal states; the
+    positions without a site form one all-``Unavailable`` group.
+    Groups come in order of their earliest position, so every Counter
+    built from them inserts keys in the per-domain loop's order.
+    """
+    columns = stores[0].columns
+    keyed = []
+    unattributed = len(columns.population_positions(population))
+    for index, segment in columns.population_segments(population):
+        counts = [store.attempted(index, segment) for store in stores]
+        states = [_domain_state_of(store.quic_results[index]) for store in stores]
+        for lo, hi in pairwise(sorted({0, len(segment.positions), *counts})):
+            group_states = tuple(
+                state if hi <= count else "Unavailable"
+                for state, count in zip(states, counts, strict=True)
+            )
+            keyed.append((min(segment.rank_positions[lo:hi]), hi - lo, group_states))
+        unattributed -= len(segment.positions)
+    if unattributed:
+        segment_of = columns.segment_of
+        first = next(p for p in columns.population_positions(population) if segment_of[p] < 0)
+        keyed.append((first, unattributed, ("Unavailable",) * len(stores)))
+    keyed.sort()
+    return [(size, states) for _first, size, states in keyed]
 
 
 def figure8(campaign: Campaign, snapshots: tuple[Week, ...] | None = None) -> TransitionData:

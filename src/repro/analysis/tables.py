@@ -36,39 +36,28 @@ class Table1Row:
         return 100.0 * self.use / self.quic if self.quic else 0.0
 
 
-def _table1_rows_columnar(scope: str, store, positions) -> list[Table1Row]:
-    """Both Table 1 rows of one population in a single column pass."""
-    ips_column = store.columns.ips
-    resolved_column = store.columns.resolved
-    quic_row = store.quic_row
-    flags = store.quic_flag_rows()
-    resolved = quic = mirroring = use = 0
-    resolved_ips: set[str] = set()
+def _table1_rows_columnar(scope: str, store, population) -> list[Table1Row]:
+    """Both Table 1 rows of one population: resolution from the plan's
+    (week-invariant) columns, QUIC counts per site."""
+    columns = store.columns
+    positions = columns.population_positions(population)
+    resolved = sum(columns.resolved[position] for position in positions)
+    resolved_ips = {columns.ips[position] for position in positions} - {None}
+    quic = mirroring = use = 0
     quic_ips: set[str] = set()
     mirroring_ips: set[str] = set()
     use_ips: set[str] = set()
-    for position in positions:
-        if resolved_column[position]:
-            resolved += 1
-        ip = ips_column[position]
-        if ip is not None:
-            resolved_ips.add(ip)
-        row = quic_row[position]
-        if row < 0:
-            continue
-        available, mirrors, uses = flags[row]
-        if available:
-            quic += 1
-            if ip is not None:
-                quic_ips.add(ip)
-        if mirrors:
-            mirroring += 1
-            if ip is not None:
-                mirroring_ips.add(ip)
-        if uses:
-            use += 1
-            if ip is not None:
-                use_ips.add(ip)
+    for segment, result, count in store.quic_sites(population):
+        ip = columns.ips[segment.positions[0]]
+        if result.connected:
+            quic += count
+            quic_ips.add(ip)
+        if result.mirroring:
+            mirroring += count
+            mirroring_ips.add(ip)
+        if result.server_set_ect:
+            use += count
+            use_ips.add(ip)
     return [
         Table1Row(
             scope=scope,
@@ -274,27 +263,13 @@ def _validation_counts(run: WeeklyRun) -> dict[ValidationClass, ValidationCell]:
     observations = run.observations_for("cno")
     sliced = store_slice(observations)
     if sliced is not None:
-        store, positions = sliced
-        ips_column = store.columns.ips
-        quic_row = store.quic_row
-        # One classification per site result row, fanned out by index.
-        row_class = [
-            None
-            if result is None or not result.connected
-            else validation_class_of(result)
-            for result in store.quic_results
-        ]
-        for position in positions:
-            row = quic_row[position]
-            if row < 0:
+        store, population = sliced
+        for segment, result, count in store.quic_sites(population):
+            if not result.connected:
                 continue
-            cls = row_class[row]
-            if cls is None:
-                continue
-            domains[cls] += 1
-            ip = ips_column[position]
-            if ip is not None:
-                ips[cls].add(ip)
+            cls = validation_class_of(result)
+            domains[cls] += count
+            ips[cls].add(store.columns.ips[segment.positions[0]])
     else:
         for obs in observations:
             if not obs.quic_available:
@@ -346,22 +321,11 @@ def table6(
     observations = run.observations_for("cno")
     sliced = store_slice(observations)
     if sliced is not None:
-        store, positions = sliced
-        orgs = store.columns.orgs
-        quic_row = store.quic_row
-        row_class = [
-            None
-            if result is None or not result.connected
-            else validation_class_of(result)
-            for result in store.quic_results
-        ]
-        for position in positions:
-            row = quic_row[position]
-            if row < 0:
-                continue
-            cls = row_class[row]
-            if cls is not None and cls in per_class:
-                per_class[cls][orgs[position]] += 1
+        store, population = sliced
+        for segment, result, count in store.quic_sites(population):
+            cls = validation_class_of(result)
+            if result.connected and cls in per_class:
+                per_class[cls][store.columns.orgs[segment.positions[0]]] += count
     else:
         for obs in observations:
             if not obs.quic_available:
@@ -445,17 +409,13 @@ def parking_summary(run: WeeklyRun) -> ParkingSummary:
     observations = run.observations_for("cno")
     sliced = store_slice(observations)
     if sliced is not None:
-        store, positions = sliced
+        store, population = sliced
         parked_column = store.columns.parked
-        quic_row = store.quic_row
-        flags = store.quic_flag_rows()
-        for position in positions:
-            row = quic_row[position]
-            if row < 0 or not flags[row][0]:
-                continue
-            quic += 1
-            if parked_column[position]:
-                parked += 1
+        for segment, result, count in store.quic_sites(population):
+            if result.connected:
+                quic += count
+                # Parking is per domain but week-invariant: a plan column.
+                parked += sum(parked_column[p] for p in segment.rank_positions[:count])
     else:
         for obs in observations:
             if not obs.quic_available:

@@ -32,6 +32,7 @@ import argparse
 import os
 import re
 import sys
+from time import perf_counter
 
 import repro
 from repro.analysis.report import global_report, longitudinal_report, reference_report
@@ -346,7 +347,14 @@ def _cmd_campaign(args) -> int:
         telemetry=telemetry,
         progress=progress,
     )
-    print(longitudinal_report(campaign))
+    analysis_start = perf_counter()
+    report = longitudinal_report(campaign)
+    if telemetry is not None:
+        # run_campaign published the scan phases; the report is timed here.
+        telemetry.registry.gauge("campaign.phase.analysis_seconds").set(
+            perf_counter() - analysis_start
+        )
+    print(report)
     attempts = stats.exchange_cache_hits + stats.exchange_cache_misses
     if attempts or stats.exchange_cache_uncacheable:
         _note(

@@ -25,9 +25,9 @@ def server_label_of(quic: QuicConnectionResult | None) -> str:
     """Figure 3 server grouping of one QUIC result.
 
     The result-level entry point: store-backed analysis labels each
-    site result row once and fans the label out by index; the
-    observation property below delegates here so the two paths share
-    one grouping rule.
+    site's result once and counts it for the site's attempted domains;
+    the observation property below delegates here so the two paths
+    share one grouping rule.
     """
     if quic is None or not quic.connected:
         return "Unavailable"

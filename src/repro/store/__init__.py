@@ -7,12 +7,13 @@ object per domain per weekly run — ~40 % of a serial campaign week.
 This package stores a run the way large measurement platforms do
 (PathSpider's typed result records, zgrab2's output pipeline): as
 typed parallel arrays over observation positions, with the domain
-dimension represented by index arrays computed at plan build.
+dimension represented by per-site segments computed at plan build: a
+week is one result and one attempted count per site.
 
 * :mod:`repro.store.columns` — :class:`DomainColumns` (week-invariant
   per-position columns + per-site attribution segments, built once per
   scan plan) and :class:`ObservationStore` (the per-run record of the
-  site phase: one result row per site, lazy position→row index arrays).
+  site phase: one result row and one attempted count per site).
 * :mod:`repro.store.views` — :class:`ObservationView`, a lazy,
   field-compatible stand-in for :class:`DomainObservation`;
   :class:`StoreObservations`, the sequence view analysis iterates; and

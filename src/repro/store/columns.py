@@ -12,9 +12,10 @@ Two layers, split by what varies:
   arrays that encode the attribution fan-out in rank order.
 * :class:`ObservationStore` — the per-run layer: one result row per
   planned site plus the week's attempted-count per segment.  Recording
-  a run is O(sites); the per-position index arrays that make
-  ``position -> site row`` an O(1) lookup are built lazily, only when
-  something actually reads per-domain data.
+  a run is O(sites), and so is reading it: a week's attempted domains
+  of segment ``i`` are ``rank_positions[:quic_counts[i]]``.  Analysis
+  aggregates per site; a per-domain read goes through the plan's
+  ``segment_of``/``rank_of`` columns to the same two facts.
 
 The store never copies scan results: rows reference the same
 :class:`QuicConnectionResult` / :class:`TcpScanOutcome` objects the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quic.connection import QuicConnectionResult
@@ -49,6 +50,9 @@ class SiteSegment:
     QUIC adoption rank, so the set of positions attempting QUIC at a
     weekly share is the prefix ``rank_positions[:k]`` with ``k``
     found by bisection — no per-domain comparison at run time.
+
+    A site owns one address per family, so every member of a segment
+    shares the site's ``ip`` and ``org`` columns.
     """
 
     __slots__ = ("site_index", "positions", "rank_positions", "sorted_ranks")
@@ -100,7 +104,9 @@ class DomainColumns:
     (``None`` when unresolved), ``orgs`` (:data:`UNKNOWN_ORG` when the
     position has no site) and ``site_indexes`` (:data:`NO_ROW` when it
     has none).  ``segments`` holds one :class:`SiteSegment` per attributed
-    site, ordered by first position.
+    site, ordered by first position; ``segment_of`` maps a position to
+    its segment index (:data:`NO_ROW` without a site) and ``rank_of``
+    to its index in that segment's rank order.
     """
 
     __slots__ = (
@@ -114,7 +120,10 @@ class DomainColumns:
         "orgs",
         "site_indexes",
         "segments",
+        "segment_of",
+        "rank_of",
         "_population_positions",
+        "_population_segments",
     )
 
     def __init__(
@@ -129,6 +138,8 @@ class DomainColumns:
         orgs: list[str],
         site_indexes: array,
         segments: list[SiteSegment],
+        segment_of: array,
+        rank_of: array,
     ):
         self.count = len(domains)
         self.domains = domains
@@ -140,16 +151,14 @@ class DomainColumns:
         self.orgs = orgs
         self.site_indexes = site_indexes
         self.segments = segments
+        self.segment_of = segment_of
+        self.rank_of = rank_of
         self._population_positions: dict[str, array] = {}
+        self._population_segments: dict[str | None, list[tuple[int, SiteSegment]]] = {}
 
     def population_positions(self, population: str) -> array:
-        """Ascending positions of one population (cached).
-
-        Ascending order matters: analysis fast paths iterate these and
-        must visit domains in exactly the object path's order so that
-        insertion-ordered aggregations (Counters, first-seen dicts)
-        come out identical.
-        """
+        """Ascending positions of one population (cached) — the order
+        the object path visits its domains in."""
         positions = self._population_positions.get(population)
         if positions is None:
             positions = array(
@@ -163,6 +172,37 @@ class DomainColumns:
             self._population_positions[population] = positions
         return positions
 
+    def population_segments(self, population: str | None) -> list[tuple[int, SiteSegment]]:
+        """``(segment index, segment)`` per site with a member in
+        ``population`` (``None``: every position), in plan order (cached).
+
+        A mixed segment is restricted to the population's members, with
+        their ranks, so its ``attempted_count`` counts that population
+        alone; every other one is the plan's own object, so a plan of
+        one population (every campaign's) copies nothing.
+        """
+        pairs = self._population_segments.get(population)
+        if pairs is None:
+            pairs = list(enumerate(self.segments))
+            positions = self.population_positions(population) if population else None
+            if positions is not None and len(positions) < self.count:
+                pairs = [
+                    (index, restricted)
+                    for index, segment in pairs
+                    if (restricted := self._restrict(segment, population)) is not None
+                ]
+            self._population_segments[population] = pairs
+        return pairs
+
+    def _restrict(self, segment: SiteSegment, population: str) -> SiteSegment | None:
+        members = [p for p in segment.positions if self.populations[p] == population]
+        if not members:
+            return None
+        if len(members) == len(segment.positions):
+            return segment
+        ranks = [segment.sorted_ranks[self.rank_of[p]] for p in members]
+        return SiteSegment(segment.site_index, members, ranks)
+
 
 def plan_columns(groups: dict[int, tuple[list[int], list[float]]], **columns) -> DomainColumns:
     """Assemble a scan plan's :class:`DomainColumns` from its walk.
@@ -172,25 +212,34 @@ def plan_columns(groups: dict[int, tuple[list[int], list[float]]], **columns) ->
     ``groups`` maps each attributed site index to its ``(positions,
     ranks)`` in walk order — ascending positions, sites ordered by first
     position — and becomes the site's rank-sorted :class:`SiteSegment`.
+    The position → ``(segment, rank index)`` columns are filled here,
+    once per plan.
     """
     segments = [
         SiteSegment(site_index, positions, ranks)
         for site_index, (positions, ranks) in groups.items()
     ]
-    return DomainColumns(segments=segments, **columns)
+    count = len(columns["domains"])
+    segment_of = array("i", (NO_ROW,)) * count
+    rank_of = array("i", bytes(4 * count))
+    for index, segment in enumerate(segments):
+        for rank, position in enumerate(segment.rank_positions):
+            segment_of[position] = index
+            rank_of[position] = rank
+    return DomainColumns(segments=segments, segment_of=segment_of, rank_of=rank_of, **columns)
 
 
 class ObservationStore:
     """Columnar record of one weekly run.
 
     The site phase is recorded once per planned site
-    (:meth:`record_site`, O(sites) per run); the per-position
-    ``quic_row`` / ``tcp_row`` index arrays — *attribution as array
-    indexing* — materialise lazily on first per-domain access.  A row
-    value of :data:`NO_ROW` means "no result at this position", which
-    for QUIC doubles as "not attempted" (exactly the object path's
-    ``quic_attempted`` semantics: attempted iff the site is QUIC-capable
-    and the domain's rank is under this week's adoption share).
+    (:meth:`record_site`, O(sites) per run) and nothing per position.
+    Segment ``i``'s attempted domains are its rank prefix of length
+    ``quic_counts[i]`` (zero unless the site is QUIC-capable) — exactly
+    the object path's ``quic_attempted`` semantics: attempted iff the
+    site is QUIC-capable and the domain's rank is under this week's
+    adoption share.  :meth:`quic_sites` serves analysis per site; the
+    per-position accessors serve the lazy views.
     """
 
     __slots__ = (
@@ -202,8 +251,6 @@ class ObservationStore:
         "quic_results",
         "quic_counts",
         "tcp_results",
-        "_quic_row",
-        "_tcp_row",
     )
 
     def __init__(
@@ -227,8 +274,6 @@ class ObservationStore:
         self.quic_counts = array("q", bytes(8 * segment_count))
         #: Per-segment TCP result (None unless the run included TCP).
         self.tcp_results: list["TcpScanOutcome | None"] = [None] * segment_count
-        self._quic_row: array | None = None
-        self._tcp_row: array | None = None
 
     # ------------------------------------------------------------------
     # Recording (the attribution phase)
@@ -251,79 +296,51 @@ class ObservationStore:
             self.tcp_results[segment_index] = tcp
 
     # ------------------------------------------------------------------
-    # Lazy per-position index
-    # ------------------------------------------------------------------
-    def _build_rows(self) -> None:
-        n = self.columns.count
-        quic_row = array("q", (NO_ROW,)) * n
-        tcp_row = array("q", (NO_ROW,)) * n
-        quic_counts = self.quic_counts
-        tcp_results = self.tcp_results
-        for segment_index, segment in enumerate(self.columns.segments):
-            attempted = quic_counts[segment_index]
-            if attempted:
-                for position in segment.rank_positions[:attempted]:
-                    quic_row[position] = segment_index
-            if tcp_results[segment_index] is not None:
-                for position in segment.positions:
-                    tcp_row[position] = segment_index
-        self._quic_row = quic_row
-        self._tcp_row = tcp_row
-
-    @property
-    def quic_row(self) -> array:
-        """position -> segment row of its QUIC result (:data:`NO_ROW` if none)."""
-        if self._quic_row is None:
-            self._build_rows()
-        return self._quic_row
-
-    @property
-    def tcp_row(self) -> array:
-        """position -> segment row of its TCP result (:data:`NO_ROW` if none)."""
-        if self._tcp_row is None:
-            self._build_rows()
-        return self._tcp_row
-
-    # ------------------------------------------------------------------
     # Per-position accessors (what the lazy views read)
     # ------------------------------------------------------------------
-    def quic_at(self, position: int) -> "QuicConnectionResult | None":
-        row = self.quic_row[position]
-        return self.quic_results[row] if row >= 0 else None
-
     def quic_attempted_at(self, position: int) -> bool:
-        return self.quic_row[position] >= 0
+        segment = self.columns.segment_of[position]
+        return segment >= 0 and self.columns.rank_of[position] < self.quic_counts[segment]
+
+    def quic_at(self, position: int) -> "QuicConnectionResult | None":
+        if not self.quic_attempted_at(position):
+            return None
+        return self.quic_results[self.columns.segment_of[position]]
 
     def tcp_at(self, position: int) -> "TcpScanOutcome | None":
-        row = self.tcp_row[position]
-        return self.tcp_results[row] if row >= 0 else None
+        segment = self.columns.segment_of[position]
+        return self.tcp_results[segment] if segment >= 0 else None
 
     # ------------------------------------------------------------------
-    # Column-native helpers (analysis fast paths)
+    # Site-grained reads (what analysis aggregates)
     # ------------------------------------------------------------------
-    def quic_flag_rows(self) -> list[tuple[bool, bool, bool]]:
-        """Per-segment ``(available, mirroring, use)`` flags.
+    def attempted(self, segment_index: int, segment: SiteSegment) -> int:
+        """How many of ``segment``'s members attempted QUIC this week.
 
-        One tuple per site row instead of one property chase per domain
-        — the fan-in that makes column-native aggregation cheap.
+        ``segment`` is the plan's segment ``segment_index`` or its
+        restriction to one population
+        (:meth:`DomainColumns.population_segments`); the restricted
+        count re-bisects this week's share over the members it kept.
         """
-        return [
-            (False, False, False)
-            if result is None
-            else (result.connected, result.mirroring, result.server_set_ect)
-            for result in self.quic_results
-        ]
+        count = self.quic_counts[segment_index]
+        if count and segment is not self.columns.segments[segment_index]:
+            count = segment.attempted_count(self.share)
+        return count
 
-    def positions_for(self, population: str) -> array:
-        return self.columns.population_positions(population)
+    def quic_sites(
+        self, population: str | None = None
+    ) -> Iterator[tuple[SiteSegment, "QuicConnectionResult", int]]:
+        """``(segment, result, attempted count)`` per site with a QUIC result.
 
-    def iter_quic_positions(self, positions: Iterable[int] | None = None):
-        """Yield ``(position, result)`` for attributed QUIC positions."""
-        quic_row = self.quic_row
-        quic_results = self.quic_results
-        if positions is None:
-            positions = range(self.columns.count)
-        for position in positions:
-            row = quic_row[position]
-            if row >= 0:
-                yield position, quic_results[row]
+        One tuple per site whose QUIC exchange covered at least one of
+        ``population``'s members this week (``None``: every position):
+        its ``count`` attempted members, ``segment.rank_positions[:count]``,
+        all observed ``result``.  Sites come in plan order.
+        """
+        results = self.quic_results
+        for index, segment in self.columns.population_segments(population):
+            result = results[index]
+            if result is not None:
+                count = self.attempted(index, segment)
+                if count:
+                    yield segment, result, count

@@ -5,7 +5,7 @@
 derived properties) by reading the store's columns — nothing is copied,
 nothing is materialised until a field is actually read.  Analysis code
 that iterates observations works unchanged; analysis hot paths detect
-store backing via :func:`store_slice` and skip the views entirely.
+store backing via :func:`store_slice` and aggregate per site instead.
 """
 
 from __future__ import annotations
@@ -110,21 +110,25 @@ class ObservationView(ObservationDerived):
 class StoreObservations(Sequence):
     """Sequence facade over store positions, yielding lazy views.
 
-    ``positions=None`` covers every position of the run (the
-    ``run.observations`` shape); a positions array restricts the view
-    to a population slice.  Iteration order is always ascending
-    position order — the object path's order.
+    ``population=None`` covers every position of the run (the
+    ``run.observations`` shape); a population restricts the view to
+    its positions.  Iteration order is always ascending position
+    order — the object path's order.
     """
 
-    __slots__ = ("store", "positions")
+    __slots__ = ("store", "population", "positions")
 
-    def __init__(self, store: ObservationStore, positions: Sequence[int] | None = None):
+    def __init__(self, store: ObservationStore, population: str | None = None):
         self.store = store
-        self.positions = positions
+        self.population = population
+        columns = store.columns
+        self.positions: Sequence[int] = (
+            range(columns.count)
+            if population is None
+            else columns.population_positions(population)
+        )
 
     def __len__(self) -> int:
-        if self.positions is None:
-            return self.store.columns.count
         return len(self.positions)
 
     @overload
@@ -135,48 +139,25 @@ class StoreObservations(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            if self.positions is None:
-                return [
-                    ObservationView(self.store, position)
-                    for position in range(*index.indices(self.store.columns.count))
-                ]
-            return [
-                ObservationView(self.store, position)
-                for position in self.positions[index]
-            ]
-        if self.positions is None:
-            count = self.store.columns.count
-            if index < 0:
-                index += count
-            if not 0 <= index < count:
-                raise IndexError(index)
-            return ObservationView(self.store, index)
+            return [ObservationView(self.store, p) for p in self.positions[index]]
         return ObservationView(self.store, self.positions[index])
 
     def __iter__(self) -> Iterator[ObservationView]:
         store = self.store
-        if self.positions is None:
-            for position in range(store.columns.count):
-                yield ObservationView(store, position)
-        else:
-            for position in self.positions:
-                yield ObservationView(store, position)
+        for position in self.positions:
+            yield ObservationView(store, position)
 
 
-def store_slice(
-    observations,
-) -> tuple[ObservationStore, Sequence[int]] | None:
-    """``(store, positions)`` when ``observations`` is store-backed.
+def store_slice(observations) -> tuple[ObservationStore, str | None] | None:
+    """``(store, population)`` when ``observations`` is store-backed.
 
-    The hook analysis fast paths use to go column-native; returns
-    ``None`` for plain observation lists (the compatibility path).
+    The hook analysis fast paths use to aggregate per site
+    (``population`` is ``None`` for a slice over every position);
+    returns ``None`` for plain observation lists (the compatibility
+    path).
     """
     if isinstance(observations, StoreObservations):
-        store = observations.store
-        positions = observations.positions
-        if positions is None:
-            positions = range(store.columns.count)
-        return store, positions
+        return observations.store, observations.population
     return None
 
 
@@ -185,9 +166,10 @@ class StoreWeeklyRun(WeeklyRun):
     """A :class:`WeeklyRun` whose observations live in the store.
 
     ``observations`` is a :class:`StoreObservations` sequence (lazy
-    views), and the two per-run query helpers are overridden with
-    column-native implementations.  Everything else — site records,
-    traces, the trace sampler — is identical to the object path.
+    views), and ``observations_for`` returns a population slice of it
+    that analysis can recognise (:func:`store_slice`).  Everything
+    else — site records, traces, the trace sampler — is identical to
+    the object path.
     """
 
     store: ObservationStore | None = None
@@ -196,15 +178,5 @@ class StoreWeeklyRun(WeeklyRun):
         self.store = store
         self.observations = StoreObservations(store)
 
-    # ------------------------------------------------------------------
-    def quic_domains(self) -> list[ObservationView]:
-        store = self.store
-        views = []
-        for position, result in store.iter_quic_positions():
-            if result is not None and result.connected:
-                views.append(ObservationView(store, position))
-        return views
-
     def observations_for(self, population: str) -> StoreObservations:
-        store = self.store
-        return StoreObservations(store, store.positions_for(population))
+        return StoreObservations(self.store, population)

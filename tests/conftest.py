@@ -56,6 +56,16 @@ def pool_path_kwargs(path, plan=None):
     return {"fault_plan": plan, "max_shard_retries": 0}
 
 
+def point_first_domain_at_last_site(world):
+    """Resolver mutated post-build: a site-0 domain now resolves to the
+    last site's IP.  Returns the mutated domain's name."""
+    from repro.dns.resolver import DnsRecord
+
+    domain = next(d for d in world.domains if d.site_index == 0)
+    world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
+    return domain.name
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _no_leaked_segments_or_workers():
     """Fail the suite if any test leaks a shared segment or a worker.

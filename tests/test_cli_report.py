@@ -283,6 +283,21 @@ def test_cli_campaign_metrics_and_trace_out(tmp_path, capsys):
     assert {"campaign", "week"} <= {event["name"] for event in events}
 
 
+def test_cli_campaign_metrics_time_the_analysis(tmp_path, capsys):
+    """The analysis gauge carries the report's wall time, not a 0.0."""
+    from repro.obs import load_metrics
+
+    metrics_path = tmp_path / "metrics.json"
+    code = main(
+        ["campaign", "--scale", "20000", "--cadence", "26", "--quiet",
+         "--metrics-out", str(metrics_path)]
+    )
+    assert code == 0
+    assert "Figure 3" in capsys.readouterr().out
+    metrics = load_metrics(metrics_path)["metrics"]
+    assert metrics["campaign.phase.analysis_seconds"]["value"] > 0
+
+
 def test_cli_scan_metrics_out(tmp_path, capsys):
     from repro.obs import load_metrics
 

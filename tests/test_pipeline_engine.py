@@ -25,6 +25,8 @@ from repro.scanner.results import DomainObservation
 from repro.store.columns import NO_ROW
 from repro.web.spec import WorldConfig
 
+from tests.conftest import point_first_domain_at_last_site
+
 GOLDEN_SCALE = 20_000
 
 OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
@@ -33,16 +35,6 @@ OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
 def _world_pair():
     config = WorldConfig(scale=GOLDEN_SCALE)
     return repro.build_world(config), repro.build_world(config)
-
-
-def _point_first_domain_at_last_site(world):
-    """Resolver mutated post-build: a site-0 domain now resolves to the
-    last site's IP.  Returns the mutated domain's name."""
-    from repro.dns.resolver import DnsRecord
-
-    domain = next(d for d in world.domains if d.site_index == 0)
-    world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
-    return domain.name
 
 
 def _assert_runs_equal(reference, engine_run):
@@ -103,8 +95,8 @@ def test_engine_matches_reference_with_cross_site_resolver_override():
     """A resolver mutated post-build (domain pointed at another site's
     IP) groups the domain under the site that owns its new address."""
     world_ref, world_eng = _world_pair()
-    _point_first_domain_at_last_site(world_ref)
-    _point_first_domain_at_last_site(world_eng)
+    point_first_domain_at_last_site(world_ref)
+    point_first_domain_at_last_site(world_eng)
     week = world_ref.config.reference_week
     reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
     engine_run = repro.run_weekly_scan(world_eng, week, plugins=("ecn", "trace"))
@@ -273,7 +265,7 @@ def test_plan_segments_partition_attributed_positions(resolver):
     grouped by the site that owns each resolved address."""
     world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
     moved = (
-        _point_first_domain_at_last_site(world)
+        point_first_domain_at_last_site(world)
         if resolver == "cross-site-override"
         else None
     )
@@ -299,6 +291,12 @@ def test_plan_segments_partition_attributed_positions(resolver):
         segmented.extend(positions)
     assert firsts == sorted(firsts)
     assert sorted(segmented) == attributed  # a partition: no gap, no overlap
+    # The position -> (segment, rank index) columns invert the segments.
+    for index, segment in enumerate(columns.segments):
+        for rank, position in enumerate(segment.rank_positions):
+            assert columns.segment_of[position] == index
+            assert columns.rank_of[position] == rank
+    assert sum(1 for s in columns.segment_of if s == NO_ROW) == columns.count - len(attributed)
     assert len({segment.site_index for segment in columns.segments}) == len(firsts)
     if moved is not None:
         position = columns.domains.index(moved)

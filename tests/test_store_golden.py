@@ -13,6 +13,7 @@ trajectory.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import pytest
 
@@ -22,13 +23,16 @@ from repro.analysis import tables as tab
 from repro.analysis.aggregate import count_by_org, distinct_ips, org_ecn_counts
 from repro.analysis.report import longitudinal_report, reference_report
 from repro.pipeline.campaign import Campaign, campaign_weeks
-from repro.pipeline.runs import run_weekly_scan_reference
+from repro.pipeline.runs import WeeklyRun, run_weekly_scan_reference
 from repro.pipeline.sharding import ShmPoolScanEngine
+from repro.quic.connection import QuicConnectionResult
 from repro.scanner.results import DomainObservation
+from repro.store.columns import NO_ROW, ObservationStore, plan_columns
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
+from repro.util.weeks import Week
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
+from tests.conftest import point_first_domain_at_last_site, requires_fork
 
 #: Small world for the wide (vantage x family x tcp) matrix...
 MATRIX_SCALE = 40_000
@@ -193,12 +197,109 @@ def test_campaign_defaults_to_store_backend(campaign_pair):
         _assert_runs_equal(reference, run)
 
 
+def _assert_figures_equal(objects, store):
+    """Figures 3/4/8 equal, including the first-seen order of every dict
+    (rendering iterates them, and ``render_transitions`` breaks count
+    ties by insertion order)."""
+    expected, actual = fig.figure3(objects), fig.figure3(store)
+    assert expected == actual
+    assert [list(point.mirroring_by_server) for point in expected] == [
+        list(point.mirroring_by_server) for point in actual
+    ]
+    for build in (fig.figure4, fig.figure8):
+        expected, actual = build(objects), build(store)
+        assert expected == actual
+        assert [list(c) for c in expected.state_counts] == [
+            list(c) for c in actual.state_counts
+        ]
+        assert [list(f) for f in expected.flows] == [list(f) for f in actual.flows]
+
+
 def test_campaign_analysis_outputs_identical(campaign_pair):
     objects, store = campaign_pair
-    assert fig.figure3(objects) == fig.figure3(store)
-    assert fig.figure4(objects) == fig.figure4(store)
-    assert fig.figure8(objects) == fig.figure8(store)
+    _assert_figures_equal(objects, store)
     assert longitudinal_report(objects) == longitudinal_report(store)
+
+
+def _three_week_campaign_pair(populations_for, *, mutate=None, invalidate_at=None):
+    """Object and store campaigns over three weeks (first, middle and
+    last of the campaign — the figures' default snapshots), in lockstep
+    worlds.
+
+    ``populations_for(index)`` picks each run's populations (so runs can
+    come from different plans); ``invalidate_at`` drops the engine's
+    plans before that run; ``mutate`` is applied to both worlds first.
+    """
+    world_objects = _build(DEEP_SCALE)
+    world_store = _build(DEEP_SCALE)
+    if mutate is not None:
+        mutate(world_objects)
+        mutate(world_store)
+    engine = world_store.scan_engine()
+    objects, store = Campaign(), Campaign()
+    weeks = campaign_weeks(world_objects)
+    for index, week in enumerate((weeks[0], weeks[len(weeks) // 2], weeks[-1])):
+        populations = populations_for(index)
+        if index == invalidate_at:
+            engine.invalidate()
+        objects.add_run(
+            run_weekly_scan_reference(world_objects, week, populations=populations)
+        )
+        store.add_run(engine.run_week(week, populations=populations))
+    assert world_objects.clock.now == world_store.clock.now
+    return objects, store
+
+
+def test_mixed_plan_campaign_figures_match_objects():
+    """Snapshot runs from different plans (a two-population run, then a
+    re-plan after ``invalidate``) share no segments; the figures still
+    equal the object path."""
+    objects, store = _three_week_campaign_pair(
+        lambda index: ("cno", "toplist") if index == 0 else ("cno",), invalidate_at=2
+    )
+    columns = [run.store.columns for run in store.runs]
+    assert columns[0] is not columns[1] and columns[1] is not columns[2]
+    _assert_figures_equal(objects, store)
+
+
+def test_two_population_campaign_figures_match_objects():
+    """Every run on one ``("cno", "toplist")`` plan: the figures read the
+    plan's segments restricted to ``cno``."""
+    objects, store = _three_week_campaign_pair(lambda index: ("cno", "toplist"))
+    columns = store.runs[0].store.columns
+    assert all(run.store.columns is columns for run in store.runs)
+    assert len(columns.population_positions("cno")) < columns.count
+    _assert_figures_equal(objects, store)
+
+
+def test_cross_site_override_campaign_figures_match_objects():
+    """A domain resolved to another site's address counts under that
+    site in every figure."""
+    objects, store = _three_week_campaign_pair(
+        lambda index: ("cno",), mutate=point_first_domain_at_last_site
+    )
+    _assert_figures_equal(objects, store)
+
+
+def _assert_tables_equal(reference, run):
+    assert tab.table1(reference) == tab.table1(run)
+    assert tab.table2(reference) == tab.table2(run)
+    assert tab.table3(reference) == tab.table3(run)
+    assert tab.table4(reference) == tab.table4(run)
+    assert tab.table5(reference) == tab.table5(run)
+    assert tab.table6(reference) == tab.table6(run)
+    assert list(tab.table7(reference)) == list(tab.table7(run))
+    assert tab.parking_summary(reference) == tab.parking_summary(run)
+    assert reference_report(reference) == reference_report(run)
+    # Per-org counts in first-seen org order, per population and over
+    # every position (the unrestricted segments).
+    for population in ("cno", "toplist"):
+        assert list(org_ecn_counts(reference.observations_for(population))) == list(
+            org_ecn_counts(run.observations_for(population))
+        )
+    assert list(org_ecn_counts(reference.observations)) == list(
+        org_ecn_counts(run.observations)
+    )
 
 
 def test_reference_analysis_outputs_identical():
@@ -209,21 +310,12 @@ def test_reference_analysis_outputs_identical():
         world_objects, week, include_tcp=True, run_tracebox=True
     )
     run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
-    assert tab.table1(reference) == tab.table1(run)
-    assert tab.table2(reference) == tab.table2(run)
-    assert tab.table3(reference) == tab.table3(run)
-    assert tab.table4(reference) == tab.table4(run)
-    assert tab.table5(reference) == tab.table5(run)
-    assert tab.table6(reference) == tab.table6(run)
-    assert tab.table7(reference) == tab.table7(run)
-    assert tab.parking_summary(reference) == tab.parking_summary(run)
-    assert reference_report(reference) == reference_report(run)
-    # Aggregate helpers: store fast paths vs the object loops, including
-    # identical (insertion-order-sensitive) Counter ordering.
+    _assert_tables_equal(reference, run)
+    # Aggregate helpers over the views agree with the object loops,
+    # including identical (insertion-order-sensitive) Counter ordering.
     obs_ref = reference.observations_for("cno")
     obs_store = run.observations_for("cno")
     assert isinstance(obs_store, StoreObservations)
-    assert org_ecn_counts(obs_ref) == org_ecn_counts(obs_store)
     ref_counts = count_by_org(obs_ref)
     store_counts = count_by_org(obs_store)
     assert ref_counts == store_counts
@@ -234,3 +326,91 @@ def test_reference_analysis_outputs_identical():
         obs_store, predicate=lambda o: o.mirroring
     )
 
+
+
+def test_cross_site_override_analysis_outputs_identical():
+    """Tables over a world whose resolver points a domain at another
+    site's address equal the reference run's."""
+    world_objects = _build(DEEP_SCALE)
+    world_store = _build(DEEP_SCALE)
+    point_first_domain_at_last_site(world_objects)
+    point_first_domain_at_last_site(world_store)
+    week = world_objects.config.reference_week
+    reference = run_weekly_scan_reference(
+        world_objects, week, include_tcp=True, run_tracebox=True
+    )
+    run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
+    _assert_runs_equal(reference, run)
+    _assert_tables_equal(reference, run)
+
+
+# ----------------------------------------------------------------------
+# Site order vs first-seen order
+# ----------------------------------------------------------------------
+def _synthetic_campaigns(shares):
+    """Store and object campaigns over a hand-built six-domain plan.
+
+    Plan (position: site, population, adoption rank):
+    0: site 0 cno 0.9 · 1: site 1 cno 0.4 · 2: site 0 cno 0.2 ·
+    3: no site cno · 4: site 2 cno 0.3 · 5: site 1 toplist 0.05.
+    Sites are in plan order 0, 1, 2, but at a share in (0.4, 0.9] the
+    first attempted ``cno`` domains come in site order 1, 0, 2, so
+    site-grained aggregation must re-order by first counted position to
+    match the per-domain loop.  Site 1 also attempts its toplist member
+    from a share of 0.05, so a ``cno`` count must not include it.
+    """
+    columns = plan_columns(
+        {0: ([0, 2], [0.9, 0.2]), 1: ([1, 5], [0.4, 0.05]), 2: ([4], [0.3])},
+        domains=[f"d{position}.com" for position in range(6)],
+        populations=["cno"] * 5 + ["toplist"],
+        lists=[()] * 6,
+        parked=bytearray([0, 1, 0, 0, 1, 0]),
+        resolved=bytearray([1, 1, 1, 0, 1, 1]),
+        ips=["10.0.0.1", "10.0.0.2", "10.0.0.1", None, "10.0.0.3", "10.0.0.2"],
+        orgs=["Org A", "Org B", "Org A", "<unknown>", "Org C", "Org B"],
+        site_indexes=array("q", [0, 1, 0, NO_ROW, 2, 1]),
+    )
+    results = [
+        QuicConnectionResult(connected=True, mirroring=True, server_header="LiteSpeed"),
+        QuicConnectionResult(connected=True, mirroring=True, server_header="Pepyaka"),
+        QuicConnectionResult(connected=True, mirroring=False, server_set_ect=True),
+    ]
+    objects, store = Campaign(), Campaign()
+    for week_number, share in enumerate(shares, start=1):
+        week = Week(2023, week_number)
+        recorded = ObservationStore(
+            columns, week=week, vantage_id="v", ip_version=4, share=share
+        )
+        for index, result in enumerate(results):
+            recorded.record_site(index, quic_capable=True, quic=result, tcp=None)
+        run = StoreWeeklyRun(week=week, vantage_id="v", ip_version=4)
+        run.attach(recorded)
+        store.add_run(run)
+        objects.add_run(
+            WeeklyRun(
+                week=week,
+                vantage_id="v",
+                ip_version=4,
+                observations=[view.materialize() for view in run.observations],
+            )
+        )
+    return objects, store
+
+
+@pytest.mark.parametrize("shares", [(0.25, 0.5, 1.0), (0.5, 0.25, 0.1), (0.1, 1.0, 0.25)])
+def test_site_grained_analysis_keeps_first_seen_order(shares):
+    objects, store = _synthetic_campaigns(shares)
+    _assert_figures_equal(objects, store)
+    for reference, run in zip(objects.runs, store.runs, strict=True):
+        for observations in (
+            (reference.observations_for("cno"), run.observations_for("cno")),
+            (reference.observations, run.observations),
+        ):
+            assert list(org_ecn_counts(observations[0])) == list(
+                org_ecn_counts(observations[1])
+            )
+        assert tab.table1(reference) == tab.table1(run)
+        assert tab.table2(reference) == tab.table2(run)
+        assert tab.table5(reference) == tab.table5(run)
+        assert tab.table6(reference) == tab.table6(run)
+        assert tab.parking_summary(reference) == tab.parking_summary(run)
