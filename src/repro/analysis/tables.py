@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.aggregate import distinct_ips, org_ecn_counts, rank_map
+from repro.analysis.aggregate import distinct_ips, first_seen_order, org_ecn_counts, rank_map
 from repro.analysis.classify import ValidationClass, validation_class, validation_class_of
 from repro.pipeline.runs import WeeklyRun
 from repro.store.views import store_slice
@@ -163,6 +163,42 @@ def table3(run: WeeklyRun) -> list[ProviderRow]:
 
 
 # ----------------------------------------------------------------------
+# Tables 4/7 — per-site units of the attempted QUIC domains
+# ----------------------------------------------------------------------
+def _quic_units(run: WeeklyRun, population: str):
+    """``(result, site_index, ip, org, domains, first)`` per counted unit.
+
+    A store run yields one unit per site with a QUIC result for
+    ``population`` (:meth:`ObservationStore.quic_sites`): its
+    ``domains`` attempted members share the site's result, index, ip
+    and org, and ``first`` is the earliest of their positions.  Any
+    other run yields one unit per observation with a QUIC result
+    (``domains`` 1, ``first`` its index).  Tables 4 and 7 key only on
+    per-site facts, so counting units weighted by ``domains`` equals the
+    per-observation loop.
+    """
+    observations = run.observations_for(population)
+    sliced = store_slice(observations)
+    if sliced is not None:
+        store, population = sliced
+        columns = store.columns
+        for segment, result, count in store.quic_sites(population):
+            member = segment.positions[0]
+            yield (
+                result,
+                segment.site_index,
+                columns.ips[member],
+                columns.orgs[member],
+                count,
+                min(segment.rank_positions[:count]),
+            )
+    else:
+        for index, obs in enumerate(observations):
+            if obs.quic is not None:
+                yield obs.quic, obs.site_index, obs.ip, obs.org, 1, index
+
+
+# ----------------------------------------------------------------------
 # Table 4 — ECN codepoint clearing per AS organization
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -196,26 +232,26 @@ def table4(run: WeeklyRun) -> ClearingTable:
     not_cleared_ips: set[str] = set()
     arelion_domains = 0
     total_cleared_domains = 0
-    for obs in run.observations_for("cno"):
-        if not obs.quic_available or obs.mirroring or obs.ip is None:
+    for result, site_index, ip, org, domains, _first in _quic_units(run, "cno"):
+        if not result.connected or result.mirroring or ip is None:
             continue
-        summary = run.trace_for(obs.site_index)
+        summary = run.trace_for(site_index)
         if summary is None:
-            not_tested[obs.org] += 1
-            not_tested_ips.add(obs.ip)
+            not_tested[org] += domains
+            not_tested_ips.add(ip)
             continue
         if summary.impairment in (
             PathImpairment.CLEARED,
             PathImpairment.REMARK_THEN_ZERO,
         ):
-            cleared[obs.org] += 1
-            cleared_ips.add(obs.ip)
-            total_cleared_domains += 1
+            cleared[org] += domains
+            cleared_ips.add(ip)
+            total_cleared_domains += domains
             if AS_ARELION in summary.culprit_candidates:
-                arelion_domains += 1
+                arelion_domains += domains
         else:
-            not_cleared[obs.org] += 1
-            not_cleared_ips.add(obs.ip)
+            not_cleared[org] += domains
+            not_cleared_ips.add(ip)
     # Sort org names first: set iteration order is hash-salted per
     # process, and a stable sort alone would leak that salt into the
     # ordering of tied rows (the table would differ run to run).
@@ -362,18 +398,22 @@ def table7(run: WeeklyRun) -> list[RootCauseRow]:
     """Cross of validation failure class x trace-observed final codepoint."""
     cells: dict[tuple[ValidationClass, str], set[str]] = defaultdict(set)
     domain_counts: Counter = Counter()
-    for obs in run.observations_for("cno"):
-        if not obs.quic_available or obs.ip is None:
+    first: dict[tuple[ValidationClass, str], int] = {}
+    for result, site_index, ip, _org, domains, position in _quic_units(run, "cno"):
+        if not result.connected or ip is None:
             continue
-        cls = validation_class(obs)
+        cls = validation_class_of(result)
         if cls not in (ValidationClass.REMARK_ECT1, ValidationClass.UNDERCOUNT):
             continue
-        summary = run.trace_for(obs.site_index)
+        summary = run.trace_for(site_index)
         if summary is None or summary.final_ecn is None:
             continue
-        label = _FINAL_LABELS[summary.final_ecn]
-        cells[(cls, label)].add(obs.ip)
-        domain_counts[(cls, label)] += 1
+        key = (cls, _FINAL_LABELS[summary.final_ecn])
+        cells[key].add(ip)
+        domain_counts[key] += domains
+        first[key] = min(first.get(key, position), position)
+    # Equal-domain rows keep the per-domain loop's first-seen order.
+    cells = first_seen_order(cells, first)
     rows = [
         RootCauseRow(
             validation=cls,

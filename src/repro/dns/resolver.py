@@ -10,6 +10,8 @@ Parking detection uses NS/CNAME records as in §5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -29,19 +31,21 @@ class DnsRecord:
 class Resolver:
     """Domain -> record store with per-vantage overrides.
 
-    Records can be added eagerly (:meth:`add`) or derived on demand by a
-    *fallback* (:meth:`set_fallback`): a callable consulted on a lookup
-    miss, whose non-None answers are memoised.  The world builder uses
-    the fallback as a lazy DNS section — zone records are a pure
-    function of the domain/site tables, so they need not be materialised
-    until something actually resolves them.  Explicit records and
-    per-vantage overrides always win over the fallback.
+    Records can be added explicitly (:meth:`add`) or derived on demand
+    by a *fallback* (:meth:`set_fallback`): a callable consulted on a
+    lookup miss.  The world builder uses the fallback as its DNS
+    section — zone records are a pure function of the domain/site
+    tables, so they are derived per call and never stored.  Explicit
+    records and per-vantage overrides always win over the fallback.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, DnsRecord] = {}
         self._overrides: dict[tuple[str, str], DnsRecord] = {}
         self._fallback = None
+        #: Read-only view of the explicit records (:meth:`add`); the
+        #: scan plan applies them on top of the table-derived answers.
+        self.records: Mapping[str, DnsRecord] = MappingProxyType(self._records)
 
     # ------------------------------------------------------------------
     def add(self, domain: str, record: DnsRecord) -> None:
@@ -52,7 +56,7 @@ class Resolver:
         self._overrides[(vantage_id, domain)] = record
 
     def set_fallback(self, fallback) -> None:
-        """Install the lazy-derivation hook (``fallback(domain) -> DnsRecord | None``)."""
+        """Install the derivation hook (``fallback(domain) -> DnsRecord | None``)."""
         self._fallback = fallback
 
     # ------------------------------------------------------------------
@@ -65,8 +69,6 @@ class Resolver:
         record = self._records.get(domain)
         if record is None and self._fallback is not None:
             record = self._fallback(domain)
-            if record is not None:
-                self._records[domain] = record
         return record
 
     def resolve_address(
@@ -77,6 +79,3 @@ class Resolver:
         if record is None:
             return None
         return record.a if family == 4 else record.aaaa
-
-    def known_domains(self) -> int:
-        return len(self._records)

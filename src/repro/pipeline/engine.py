@@ -19,9 +19,9 @@ The engine splits a weekly run into two phases (docs/architecture.md):
    results are byte-for-byte equal to the reference semantics
    (:func:`repro.pipeline.runs.run_weekly_scan_reference`).
 2. **Attribution phase** — per-site results fan out to domains through
-   a :class:`ScanPlan`: one walk over the world's domains resolves
-   each once and fills the store's week-invariant per-position columns
-   and per-site segments (resolution, org and site attachment are
+   a :class:`ScanPlan`: column passes over the world's domain and site
+   tables fill the store's week-invariant per-position columns and
+   per-site segments (address, org and site attachment are
    week-invariant for a given IP family).  Recording a week is one
    store write per site; no per-domain work, no string parsing, no
    trie walks, no policy evaluation.
@@ -89,6 +89,7 @@ from repro.store.columns import (
     ObservationStore,
     plan_columns,
 )
+from repro.util.gcpause import gc_paused
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
 
@@ -324,73 +325,85 @@ class ScanEngine:
         key = (ip_version, tuple(populations))
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._build_plan(*key)
+            with gc_paused():
+                plan = self._build_plan(*key)
             self._plans[key] = plan
         return plan
 
     def _build_plan(self, ip_version: int, populations: tuple[str, ...]) -> ScanPlan:
-        """One walk over the world's domains, straight into the columns.
+        """The plan's columns, one pass each over the domain and site tables.
 
-        Each planned domain resolves once and appends to every
-        per-position column; an attributed one also joins the
-        ``(positions, ranks)`` group of the site that owns its resolved
+        A planned domain's address follows the world's zone rule
+        (:func:`~repro.web.world.dns_record_for`): v4 is its site's
+        ``ip``, v6 its site's ``ipv6`` only when it ``has_aaaa``; its
+        site is its own when it has an address.  Org attribution is
+        computed once per site.  Explicit resolver records
+        (:meth:`~repro.dns.resolver.Resolver.add`) then override their
+        names' positions, each attached to the site that owns its
         address — not the site it was built under, so a resolver
-        mutated post-build to point a domain elsewhere needs no special
-        case.  Walk order gives ascending positions within a site and
-        orders the groups by first position, which is what scheduling
-        and the store's segments require.
+        mutated post-build needs no special case.  The ``(positions,
+        ranks)`` groups come from the final site-index column:
+        ascending positions within a site, groups ordered by first
+        position, which is what scheduling and the store's segments
+        require.
         """
         world = self.world
         # Attribution is a lazy world section; the plan bakes Site.org
-        # into its columns, so materialise it before the walk.
+        # into its columns, so materialise it before the passes.
         world.ensure_site_attribution()
-        resolve = world.resolver.resolve_address
-        site_by_ip = world.site_by_ip
-        domains: list[str] = []
-        domain_populations: list[str] = []
-        lists: list[tuple[str, ...]] = []
-        parked = bytearray()
-        resolved = bytearray()
-        ips: list[str | None] = []
-        orgs: list[str] = []
-        site_indexes = array("q")
+        sites = world.sites
+        planned = [domain for domain in world.domains if domain.population in populations]
+        # The zone rule of dns_record_for: a domain's address is its
+        # site's ``ip``, or under v6 its site's ``ipv6`` when it has AAAA.
+        v4 = ip_version == 4
+        site_addresses = [site.ip if v4 else site.ipv6 for site in sites]
+        site_indexes = array(
+            "q",
+            [
+                domain.site_index
+                if domain.site_index >= 0
+                and (v4 or domain.has_aaaa)
+                and site_addresses[domain.site_index] is not None
+                else NO_ROW
+                for domain in planned
+            ],
+        )
+        lookup = world.prefixes.lookup
+        org_for = world.asorg.org_for
+        site_orgs = [
+            site.org if site.asn is not None else org_for(lookup(site.ip)) for site in sites
+        ]
+        domains = [domain.name for domain in planned]
+        ips = [site_addresses[index] if index >= 0 else None for index in site_indexes]
+        orgs = [site_orgs[index] if index >= 0 else UNKNOWN_ORG for index in site_indexes]
+        records = world.resolver.records
+        if records:
+            site_by_ip = world.site_by_ip
+            for position, name in enumerate(domains):
+                record = records.get(name)
+                if record is None:
+                    continue
+                address = record.a if v4 else record.aaaa
+                # An address without a registered host stays site-less.
+                site = site_by_ip(address) if address is not None else None
+                ips[position] = address
+                site_indexes[position] = NO_ROW if site is None else site.index
+                orgs[position] = UNKNOWN_ORG if site is None else site_orgs[site.index]
         groups: dict[int, tuple[list[int], list[float]]] = {}
-        for domain in world.domains:
-            population = domain.population
-            if population not in populations:
-                continue
-            name = domain.name
-            address = resolve(name, family=ip_version)
-            # An address without a registered host stays site-less.
-            site = site_by_ip(address) if address is not None else None
-            if site is None:
-                orgs.append(UNKNOWN_ORG)
-                site_indexes.append(NO_ROW)
-            else:
-                orgs.append(
-                    site.org
-                    if site.asn is not None
-                    else world.asorg.org_for(world.prefixes.lookup(site.ip))
-                )
-                site_indexes.append(site.index)
-                group = groups.get(site.index)
+        for position, index in enumerate(site_indexes):
+            if index >= 0:
+                group = groups.get(index)
                 if group is None:
-                    group = groups[site.index] = ([], [])
-                group[0].append(len(domains))
-                group[1].append(domain.adoption_rank)
-            domains.append(name)
-            domain_populations.append(population)
-            lists.append(domain.lists)
-            parked.append(domain.parked)
-            resolved.append(address is not None)
-            ips.append(address)
+                    group = groups[index] = ([], [])
+                group[0].append(position)
+                group[1].append(planned[position].adoption_rank)
         columns = plan_columns(
             groups,
             domains=domains,
-            populations=domain_populations,
-            lists=lists,
-            parked=parked,
-            resolved=resolved,
+            populations=[domain.population for domain in planned],
+            lists=[domain.lists for domain in planned],
+            parked=bytearray([domain.parked for domain in planned]),
+            resolved=bytearray([address is not None for address in ips]),
             ips=ips,
             orgs=orgs,
             site_indexes=site_indexes,

@@ -7,9 +7,10 @@ Two layers, split by what varies:
   ``(ip family, populations)`` scan plan: domain names, populations,
   list memberships, parked/resolved flags, resolved addresses, org
   attribution, site indices.  Filled **once per plan** (and therefore
-  once per campaign) by the plan's single walk over the world's
-  domains; :func:`plan_columns` adds the per-site :class:`SiteSegment`
-  arrays that encode the attribution fan-out in rank order.
+  once per campaign) by the plan's column passes over the world's
+  domain and site tables; :func:`plan_columns` adds the per-site
+  :class:`SiteSegment` arrays that encode the attribution fan-out in
+  rank order.
 * :class:`ObservationStore` — the per-run layer: one result row per
   planned site plus the week's attempted-count per segment.  Recording
   a run is O(sites), and so is reading it: a week's attempted domains
@@ -205,12 +206,12 @@ class DomainColumns:
 
 
 def plan_columns(groups: dict[int, tuple[list[int], list[float]]], **columns) -> DomainColumns:
-    """Assemble a scan plan's :class:`DomainColumns` from its walk.
+    """Assemble a scan plan's :class:`DomainColumns` from its passes.
 
-    ``columns`` are the per-position lists the plan walk filled (the
-    :class:`DomainColumns` keyword fields except ``segments``);
+    ``columns`` are the per-position lists the plan build filled (the
+    :class:`DomainColumns` keyword fields except the segment ones);
     ``groups`` maps each attributed site index to its ``(positions,
-    ranks)`` in walk order — ascending positions, sites ordered by first
+    ranks)`` — ascending positions, sites ordered by first
     position — and becomes the site's rank-sorted :class:`SiteSegment`.
     The position → ``(segment, rank index)`` columns are filled here,
     once per plan.

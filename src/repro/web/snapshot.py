@@ -41,7 +41,6 @@ caller's mutations never leak into the next.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import os
 import sys
@@ -55,6 +54,7 @@ from repro.obs.metrics import global_registry
 from repro.quic.varint import decode_varint, encode_varint
 from repro.util.atomic import atomic_write_bytes
 from repro.util.framing import CodecCorruption, frame_payload, unframe_payload
+from repro.util.gcpause import gc_paused
 from repro.util.magics import WORLD_SNAPSHOT_MAGIC
 from repro.util.weeks import Week
 from repro.web.spec import (
@@ -333,14 +333,16 @@ def decode_world(
     GC passes over the growing heap are pure overhead (~3x on big
     worlds).
     """
-    if gc.isenabled():
-        gc.disable()
-        try:
-            return decode_world(
-                buf, providers=providers, vantages=vantages, overrides=overrides
-            )
-        finally:
-            gc.enable()
+    with gc_paused():
+        return _decode_world(buf, providers, vantages, overrides)
+
+
+def _decode_world(
+    buf: bytes,
+    providers: list[ProviderSpec] | None,
+    vantages: list[VantageSpec] | None,
+    overrides: list[VantageOverrideSpec] | None,
+) -> World:
     from repro.store.codec import decode_string_table
     from repro.web.providers import (
         default_providers,

@@ -120,7 +120,8 @@ class World:
       from that vantage (:meth:`ensure_routes`; router addresses are a
       pure function of the section, not of materialisation order);
     * **DNS records** — derived per domain from the domain/site tables
-      on the first resolve (the resolver fallback, memoised);
+      on each resolve (the resolver fallback; never stored), and read
+      straight from those tables by the scan plan;
     * **site attribution** — the per-site ASN/org trie walk, run once
       before the first scan plan (:meth:`ensure_site_attribution`);
     * **responses / policies** — per-site canned responses and
@@ -159,7 +160,7 @@ class World:
             key = (override.vantage_id, override.provider, override.group_key)
             self._overrides.setdefault(key, []).append(override)
         # Lazy sections: every vantage's routes start pending; DNS
-        # records derive on demand; attribution is marked stale by the
+        # records derive per call; attribution is marked stale by the
         # populate step.
         self._pending_route_sections: dict[str, int] = {
             vantage.vantage_id: index
@@ -281,11 +282,12 @@ class World:
             self.ensure_routes(vantage_id)
 
     def _derive_dns_record(self, name: str) -> DnsRecord | None:
-        """The resolver's lazy section: derive one domain's zone record.
+        """The resolver's fallback: derive one domain's zone record.
 
         Records are a pure function of the domain/site tables
-        (:func:`dns_record_for`), so nothing is materialised at build
-        time; the resolver memoises every non-None answer.  The
+        (:func:`dns_record_for`), so none is stored, at build time or
+        after.  Only direct lookups and the reference loop come here;
+        the scan plan applies the same rule to the tables itself.  The
         name index rebuilds when the domain table grows (tests attach
         domains post-build).
         """
@@ -307,7 +309,7 @@ class World:
         return {
             "pending_route_sections": sorted(self._pending_route_sections),
             "attribution_stale": self._attribution_stale,
-            "dns_records_materialised": self.resolver.known_domains(),
+            "dns_records_stored": len(self.resolver.records),
         }
 
     # ------------------------------------------------------------------
@@ -524,16 +526,22 @@ def _add_domains(
 
 
 def _attach_domain(world: World, domain: Domain, site: Site) -> None:
-    """The one place a domain joins a site.  The zone record is not
-    materialised here — it is a lazy section derived from exactly these
-    tables (:func:`dns_record_for`), and scan plans group domains by the
-    site their address resolves to, so neither can drift from
+    """The one place a domain joins a site.  No zone record is stored
+    here: lookups derive it from exactly these tables
+    (:func:`dns_record_for`), and scan plans apply the same address
+    rule to the tables directly, so neither can drift from
     ``domains``."""
     world.domains.append(domain)
 
 
 def dns_record_for(domain: Domain, site: Site) -> DnsRecord:
-    """The zone record of one attached domain (pure function of the tables)."""
+    """The zone record of one attached domain (pure function of the tables).
+
+    The address rule — A is the site's ``ip``, AAAA the site's ``ipv6``
+    only when the domain ``has_aaaa`` — is also the one
+    :meth:`~repro.pipeline.engine.ScanEngine._build_plan` applies
+    column-wise.
+    """
     return DnsRecord(
         a=site.ip,
         aaaa=site.ipv6 if domain.has_aaaa else None,

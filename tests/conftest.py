@@ -66,6 +66,32 @@ def point_first_domain_at_last_site(world):
     return domain.name
 
 
+def _segment_creator(name):
+    """Creator pid of an ``ecnw-<pid>-<n>`` segment name (None if not one)."""
+    parts = name.split("-")
+    if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
+        return int(parts[1])
+    return None
+
+
+def _process_alive(pid):
+    try:
+        os.kill(pid, 0)  # signal 0: existence check only
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
+def _leaked_by_this_suite(name):
+    """A new /dev/shm segment is this suite's leak when this process
+    created it or its creator is gone (a dead worker's segment); a live
+    foreign process's segment is not ours to judge."""
+    creator = _segment_creator(name)
+    return creator is None or creator == os.getpid() or not _process_alive(creator)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _no_leaked_segments_or_workers():
     """Fail the suite if any test leaks a shared segment or a worker.
@@ -74,7 +100,9 @@ def _no_leaked_segments_or_workers():
     too), the OS view under /dev/shm, and live multiprocessing children
     (pool workers that were never terminated).  Runs after the whole
     session so a leak anywhere in the suite is caught even if the
-    leaking test itself passed.
+    leaking test itself passed.  /dev/shm is shared by every process on
+    the machine, so a new segment there counts only when
+    :func:`_leaked_by_this_suite` attributes it to this run.
     """
     shm_dir = "/dev/shm"
     before = (
@@ -89,7 +117,8 @@ def _no_leaked_segments_or_workers():
         after = {
             name for name in os.listdir(shm_dir) if name.startswith(shm.SEGMENT_PREFIX)
         }
-        assert after <= before, f"/dev/shm segments leaked: {sorted(after - before)}"
+        leaked = sorted(name for name in after - before if _leaked_by_this_suite(name))
+        assert not leaked, f"/dev/shm segments leaked: {leaked}"
     # Terminated pools reap their workers asynchronously; give stragglers
     # a beat before declaring them leaked.
     deadline = time.monotonic() + 5.0

@@ -301,3 +301,56 @@ def test_plan_segments_partition_attributed_positions(resolver):
     if moved is not None:
         position = columns.domains.index(moved)
         assert site_indexes[position] == world.sites[-1].index
+
+
+def _assert_plan_agrees_with_resolver(world):
+    """Every planned position carries the resolver's answer and the site
+    that owns it — the address rule the plan and ``dns_record_for`` share."""
+    engine = world.scan_engine()
+    engine.invalidate()
+    resolve = world.resolver.resolve_address
+    for ip_version in (4, 6):
+        for populations in (("cno",), ("cno", "toplist")):
+            columns = engine.plan_for(ip_version, populations).columns
+            assert columns.count == sum(
+                1 for domain in world.domains if domain.population in populations
+            )
+            for position, name in enumerate(columns.domains):
+                address = resolve(name, family=ip_version)
+                assert columns.ips[position] == address, (name, ip_version)
+                assert bool(columns.resolved[position]) == (address is not None)
+                site = world.site_by_ip(address) if address is not None else None
+                expected = NO_ROW if site is None else site.index
+                assert columns.site_indexes[position] == expected, (name, ip_version)
+
+
+def test_plan_agrees_with_the_resolver():
+    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
+    _assert_plan_agrees_with_resolver(world)
+
+    # A record that moves a domain to another site.
+    moved = point_first_domain_at_last_site(world)
+    _assert_plan_agrees_with_resolver(world)
+
+    # A record with no AAAA for a domain whose zone has one: site-less
+    # and unresolved under v6, unchanged under v4.
+    from repro.dns.resolver import DnsRecord
+
+    dual = next(
+        d for d in world.domains if d.has_aaaa and d.site_index >= 0 and d.name != moved
+    )
+    world.resolver.add(dual.name, DnsRecord(a=world.sites[dual.site_index].ip))
+    _assert_plan_agrees_with_resolver(world)
+    v6 = world.scan_engine().plan_for(6, ("cno", "toplist")).columns
+    assert v6.ips[v6.domains.index(dual.name)] is None
+
+    # A record pointing at addresses no site owns: resolved, site-less.
+    stray = next(
+        d for d in world.domains if d.site_index >= 0 and d.name not in (moved, dual.name)
+    )
+    world.resolver.add(stray.name, DnsRecord(a="198.51.100.7", aaaa="2001:db8:ffff::7"))
+    _assert_plan_agrees_with_resolver(world)
+    v4 = world.scan_engine().plan_for(4, ("cno",)).columns
+    position = v4.domains.index(stray.name)
+    assert v4.resolved[position] and v4.site_indexes[position] == NO_ROW
+    assert v4.segment_of[position] == NO_ROW

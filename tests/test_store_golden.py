@@ -22,6 +22,8 @@ from repro.analysis import figures as fig
 from repro.analysis import tables as tab
 from repro.analysis.aggregate import count_by_org, distinct_ips, org_ecn_counts
 from repro.analysis.report import longitudinal_report, reference_report
+from repro.core.codepoints import ECN
+from repro.core.validation import ValidationOutcome
 from repro.pipeline.campaign import Campaign, campaign_weeks
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan_reference
 from repro.pipeline.sharding import ShmPoolScanEngine
@@ -29,7 +31,9 @@ from repro.quic.connection import QuicConnectionResult
 from repro.scanner.results import DomainObservation
 from repro.store.columns import NO_ROW, ObservationStore, plan_columns
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
+from repro.tracebox.classify import ChangePoint, PathImpairment, TraceSummary
 from repro.util.weeks import Week
+from repro.web.paths import AS_ARELION
 from repro.web.spec import WorldConfig
 
 from tests.conftest import point_first_domain_at_last_site, requires_fork
@@ -347,7 +351,7 @@ def test_cross_site_override_analysis_outputs_identical():
 # ----------------------------------------------------------------------
 # Site order vs first-seen order
 # ----------------------------------------------------------------------
-def _synthetic_campaigns(shares):
+def _synthetic_campaigns(shares, results=None, traces=None):
     """Store and object campaigns over a hand-built six-domain plan.
 
     Plan (position: site, population, adoption rank):
@@ -358,6 +362,8 @@ def _synthetic_campaigns(shares):
     site-grained aggregation must re-order by first counted position to
     match the per-domain loop.  Site 1 also attempts its toplist member
     from a share of 0.05, so a ``cno`` count must not include it.
+    ``results``/``traces`` replace the per-site QUIC results and attach
+    per-site trace summaries to every run.
     """
     columns = plan_columns(
         {0: ([0, 2], [0.9, 0.2]), 1: ([1, 5], [0.4, 0.05]), 2: ([4], [0.3])},
@@ -370,11 +376,12 @@ def _synthetic_campaigns(shares):
         orgs=["Org A", "Org B", "Org A", "<unknown>", "Org C", "Org B"],
         site_indexes=array("q", [0, 1, 0, NO_ROW, 2, 1]),
     )
-    results = [
-        QuicConnectionResult(connected=True, mirroring=True, server_header="LiteSpeed"),
-        QuicConnectionResult(connected=True, mirroring=True, server_header="Pepyaka"),
-        QuicConnectionResult(connected=True, mirroring=False, server_set_ect=True),
-    ]
+    if results is None:
+        results = [
+            QuicConnectionResult(connected=True, mirroring=True, server_header="LiteSpeed"),
+            QuicConnectionResult(connected=True, mirroring=True, server_header="Pepyaka"),
+            QuicConnectionResult(connected=True, mirroring=False, server_set_ect=True),
+        ]
     objects, store = Campaign(), Campaign()
     for week_number, share in enumerate(shares, start=1):
         week = Week(2023, week_number)
@@ -385,6 +392,7 @@ def _synthetic_campaigns(shares):
             recorded.record_site(index, quic_capable=True, quic=result, tcp=None)
         run = StoreWeeklyRun(week=week, vantage_id="v", ip_version=4)
         run.attach(recorded)
+        run.traces = dict(traces or {})
         store.add_run(run)
         objects.add_run(
             WeeklyRun(
@@ -392,6 +400,7 @@ def _synthetic_campaigns(shares):
                 vantage_id="v",
                 ip_version=4,
                 observations=[view.materialize() for view in run.observations],
+                traces=dict(traces or {}),
             )
         )
     return objects, store
@@ -414,3 +423,32 @@ def test_site_grained_analysis_keeps_first_seen_order(shares):
         assert tab.table5(reference) == tab.table5(run)
         assert tab.table6(reference) == tab.table6(run)
         assert tab.parking_summary(reference) == tab.parking_summary(run)
+
+
+@pytest.mark.parametrize("shares", [(0.25, 0.5, 1.0), (0.5, 0.25, 0.1), (0.1, 1.0, 0.25)])
+def test_site_grained_tables_4_and_7_match_the_observation_loop(shares):
+    """Tables 4 and 7 count per site on store runs; they must equal the
+    per-observation loop over the materialised objects, Table 7's
+    equal-domain rows in first-seen order (here sites 1, 0, 2)."""
+    undercount = dict(
+        connected=True, mirroring=False, validation_outcome=ValidationOutcome.UNDERCOUNT
+    )
+    results = [QuicConnectionResult(**undercount) for _ in range(3)]
+    traces = {
+        0: TraceSummary(
+            PathImpairment.CLEARED,
+            ECN.NOT_ECT,
+            changes=(ChangePoint(ECN.ECT0, ECN.NOT_ECT, 3320, AS_ARELION),),
+        ),
+        1: TraceSummary(PathImpairment.REMARKED_ECT1, ECN.ECT1),
+        2: TraceSummary(PathImpairment.NONE, ECN.ECT0),
+    }
+    objects, store = _synthetic_campaigns(shares, results=results, traces=traces)
+    for reference, run in zip(objects.runs, store.runs, strict=True):
+        assert tab.table4(reference) == tab.table4(run)
+        assert tab.table7(reference) == tab.table7(run)
+    # The tie the ordering exists for: at share 0.5 every site counts
+    # one domain, and site 1's comes first.
+    if 0.5 in shares:
+        rows = tab.table7(store.runs[shares.index(0.5)])
+        assert [row.final_codepoint for row in rows] == ["ECT(0)->ECT(1)", "Not-ECT", "ECT(0)"]

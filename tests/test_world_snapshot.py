@@ -234,7 +234,7 @@ def test_world_sections_stay_lazy_until_touched():
     world = _build(MATRIX_SCALE)
     state = world.section_state()
     assert state["attribution_stale"]
-    assert state["dns_records_materialised"] == 0
+    assert state["dns_records_stored"] == 0
     assert set(state["pending_route_sections"]) == set(world.vantages)
 
     # A single-vantage scan materialises only that vantage's routes.
@@ -243,7 +243,12 @@ def test_world_sections_stay_lazy_until_touched():
     assert not state["attribution_stale"]
     assert "main-aachen" not in state["pending_route_sections"]
     assert len(state["pending_route_sections"]) == len(world.vantages) - 1
-    assert state["dns_records_materialised"] > 0
+    # DNS answers are derived per call: neither the plan (which reads
+    # the domain/site tables) nor a direct lookup stores a record.
+    assert state["dns_records_stored"] == 0
+    attached = next(d for d in world.domains if d.site_index >= 0)
+    assert world.resolver.resolve(attached.name) is not None
+    assert world.section_state()["dns_records_stored"] == 0
 
     # Touching a route from another vantage materialises its section.
     site = world.sites[0]
