@@ -4,8 +4,9 @@ Every aggregation here accepts plain observation lists or a
 store-backed :class:`~repro.store.views.StoreObservations` slice.
 :func:`org_ecn_counts` aggregates a store slice per site — one result
 and one attempted count per site, weighted by that count — and is
-pinned equal to the per-observation loop by
-``tests/test_store_golden.py``, first-seen org order included.
+pinned equal to the per-observation loop by the table and synthetic
+site-order tests of ``tests/test_store_golden.py``, first-seen org
+order included.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ one parent parser.
 Reports print to stdout; diagnostics (cache/supervision stats, the
 ``--progress`` heartbeat, obs-output notes) go to stderr, silenced by
 ``--quiet``.  Numeric options are validated argparse-side: a zero or
-negative count, cadence, scale or timeout is a usage error (exit 2), and
+negative count, cadence or timeout, and a scale that is not a finite
+number >= 1, is a usage error (exit 2), and
 so is an output path that cannot be written (``--world-cache`` or
 ``--checkpoint-dir`` naming a file, ``--metrics-out``/``--trace-out``
 in a missing directory).
@@ -29,6 +30,7 @@ the telemetry layer (docs/observability.md).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -42,8 +44,9 @@ from repro.util.weeks import Week
 from repro.web.spec import WorldConfig
 
 
-def _number_type(convert, name: str, *, minimum, inclusive: bool):
-    """An argparse type: ``convert`` the text, then bound it below.
+def _number_type(convert, name: str, *, minimum, inclusive: bool, finite: bool = False):
+    """An argparse type: ``convert`` the text, then bound it below
+    (and, with ``finite``, reject infinity).
 
     Raising :class:`argparse.ArgumentTypeError` turns a bad value into
     a usage message and exit 2 instead of a traceback deep in the run.
@@ -54,10 +57,12 @@ def _number_type(convert, name: str, *, minimum, inclusive: bool):
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}") from None
-        if not (value >= minimum if inclusive else value > minimum):  # NaN fails too
+        in_range = value >= minimum if inclusive else value > minimum  # NaN fails too
+        if not in_range or (finite and not math.isfinite(value)):
             bound = ">=" if inclusive else ">"
+            kind = "a finite number " if finite else ""
             raise argparse.ArgumentTypeError(
-                f"invalid {name} value: {text!r} (must be {bound} {minimum})"
+                f"invalid {name} value: {text!r} (must be {kind}{bound} {minimum})"
             )
         return value
 
@@ -68,6 +73,9 @@ def _number_type(convert, name: str, *, minimum, inclusive: bool):
 _positive_int = _number_type(int, "positive int", minimum=1, inclusive=True)
 _non_negative_int = _number_type(int, "non-negative int", minimum=0, inclusive=True)
 _positive_float = _number_type(float, "positive float", minimum=0.0, inclusive=False)
+#: ``--scale``: the bound :class:`WorldConfig` enforces, checked before
+#: any world is built.
+_scale = _number_type(float, "scale", minimum=1, inclusive=True, finite=True)
 
 
 def _directory(text: str) -> str:
@@ -105,7 +113,7 @@ def _world_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--scale",
-        type=_positive_float,
+        type=_scale,
         default=4_000,
         help="world scale: 1 simulated domain = SCALE real domains",
     )

@@ -9,7 +9,8 @@ through the engine's central merge
 (:meth:`~repro.pipeline.engine.ScanEngine._apply_replay`): records fill
 in serial event order and the clock advances by the same float sums, so
 a resumed campaign is byte-identical to an uninterrupted one
-(golden-tested in ``tests/test_checkpoint.py``).
+(golden-tested in ``tests/test_checkpoint.py`` against the serial
+oracle of ``tests/differential.py``).
 
 Files are keyed by :func:`campaign_checkpoint_key` — a digest over the
 world fingerprint and every campaign parameter the entries depend on

@@ -285,8 +285,9 @@ class ScanPhaseStats:
 class ScanEngine:
     """Runs weekly scans site-first against one :class:`World`.
 
-    Plans cache DNS bindings, org attribution and per-site domain lists
-    per (family, populations); create the engine via
+    Plans cache each domain's address, site and org attribution and the
+    per-site domain segments per (family, populations), built from the
+    world's domain and site tables; create the engine via
     :meth:`World.scan_engine` so campaigns share one instance.  Call
     :meth:`invalidate` after mutating the world's resolver, prefix table
     or domain set post-build.
@@ -295,8 +296,8 @@ class ScanEngine:
     the outcome replay cache (:mod:`repro.exchange`): an exchange whose
     derived inputs repeat — same behaviour epoch, client config, route
     epoch, response — replays the recorded result and clock trajectory
-    instead of re-simulating, byte-identically (golden-tested in
-    ``tests/test_exchange_golden.py``).  Pass ``exchange_cache=False``
+    instead of re-simulating, byte-identically (golden-tested by the
+    ``uncached`` legs of ``tests/differential.py``).  Pass ``exchange_cache=False``
     to force every exchange to run fresh.
     """
 
@@ -757,7 +758,8 @@ class ScanEngine:
         :class:`~repro.store.columns.ObservationStore` — attribution is
         O(sites) recording plus lazy index arrays, and observations are
         served as lazy views field-identical to the reference loop's
-        objects (golden-tested in ``tests/test_store_golden.py``).
+        objects (golden-tested by the ``objects`` leg of
+        ``tests/differential.py``).
         """
         selection = resolve_plugins(tuple(plugins) if plugins is not None else None)
         world = self.world

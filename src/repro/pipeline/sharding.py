@@ -18,8 +18,8 @@ substream seeded by (world seed, week, vantage, family, site, kind) —
 clock, so no exchange can observe another's draws or timing.  As a
 consequence the merged output is *identical* for any worker count and
 any ticket tiling, and equals the serial
-:class:`~repro.pipeline.engine.ScanEngine` (golden-tested in
-``tests/test_pipeline_sharding.py`` and ``tests/test_shm_pool.py``).
+:class:`~repro.pipeline.engine.ScanEngine` (golden-tested by the pool
+legs of the differential harness, ``tests/differential.py``).
 
 Tickets are **supervised** (docs/robustness.md): each ticket attempt
 has a per-week deadline (``shard_timeout``).  A ticket whose result does

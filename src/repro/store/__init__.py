@@ -23,8 +23,8 @@ week is one result and one attempted count per site.
   instead of pickled object lists.
 
 Every engine run records into the store; its views are golden-identical
-to the reference loop's eager objects (pinned by
-``tests/test_store_golden.py``).
+to the reference loop's eager objects (pinned by the ``objects`` leg of
+``tests/differential.py`` and by ``tests/test_store_golden.py``).
 """
 
 from repro.store.codec import decode_shard_results, encode_shard_results

@@ -20,7 +20,8 @@ Version 2 adds a fixed three-varint header field carrying the worker's
 exchange replay-cache counters (hits, misses, uncacheable) for the
 encoded shard, so pool runs report the same cache accounting as the
 in-process engine.  :func:`decode_shard_results` keeps returning
-just the entries; :func:`decode_shard_payload` returns both.
+just the entries; :func:`decode_shard_payload_obs` returns them with
+the counters.
 
 Version 3 wraps every buffer in a **checksummed frame** —
 ``magic + body length + CRC32 + body`` (:func:`frame_payload` /
@@ -36,8 +37,8 @@ cache-stat varints: worker-side spans and metric deltas encoded by
 :mod:`repro.obs.spans`, riding inside the same CRC-checked frame so
 telemetry corruption is caught by the exact machinery that guards the
 results.  The blob is opaque to this module (empty when the run is
-uninstrumented); :func:`decode_shard_payload` keeps its two-tuple
-shape and :func:`decode_shard_payload_obs` exposes the blob.
+uninstrumented); :func:`decode_shard_payload_obs` returns it as the
+third element of ``(entries, cache stats, blob)``.
 
 Measurement-plugin variants (``repro.plugins``) add a fourth entry
 tag — :data:`_RESULT_ROW` — carrying a typed per-flow value tuple
@@ -74,7 +75,6 @@ __all__ = [
     "MAGIC",
     "CodecCorruption",
     "CodecError",
-    "decode_shard_payload",
     "decode_shard_payload_obs",
     "decode_shard_results",
     "encode_shard_results",
@@ -532,14 +532,6 @@ def decode_shard_payload_obs(
     return entries, (hits, misses, uncacheable), obs
 
 
-def decode_shard_payload(
-    buf: bytes,
-) -> tuple[list[tuple[int, int, object, float]], tuple[int, int, int]]:
-    """(entries, cache stats) view of :func:`decode_shard_payload_obs`."""
-    entries, stats, _obs = decode_shard_payload_obs(buf)
-    return entries, stats
-
-
 def decode_shard_results(buf: bytes) -> list[tuple[int, int, object, float]]:
-    """Entries-only view of :func:`decode_shard_payload`."""
+    """Entries-only view of :func:`decode_shard_payload_obs`."""
     return decode_shard_payload_obs(buf)[0]

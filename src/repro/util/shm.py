@@ -15,7 +15,7 @@ segment and must :meth:`SharedSegment.unlink` it.
 :class:`~repro.pipeline.sharding.ShmPoolScanEngine` does so in
 ``close()`` — which the campaign loop's ``finally`` reaches on clean
 runs, injected aborts and crashed workers alike (regression-tested in
-``tests/test_shm_pool.py``).  Every created segment is also recorded in
+``tests/test_shm_pool.py`` and ``tests/test_fault_injection.py``).  Every created segment is also recorded in
 a module registry; tests assert :func:`live_segments` is empty after a
 run and scan ``/dev/shm`` for :data:`SEGMENT_PREFIX` to prove nothing
 leaked at the OS level either.  Should the parent die before

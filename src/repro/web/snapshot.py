@@ -25,11 +25,12 @@ records and site attribution are **lazy
 sections** — pure functions of those tables, materialised on first
 touch — so a rehydrated world lands in exactly the state a fresh
 :func:`~repro.web.world.build_world` produces, which is what the
-golden tests (``tests/test_world_snapshot.py``) pin: byte-identical
-campaign + analysis output across vantages, families, the serial
-engine and shm-pool worker counts.  Post-build mutations (extra resolver records, manual route
-registrations, registry swaps) are *not* captured; snapshot the world
-before mutating it.
+differential harness's ``rehydrated`` legs (``tests/differential.py``)
+pin: byte-identical campaign + analysis output across vantages and
+families, and every shm-pool leg runs on worlds its workers decoded
+from the shared snapshot.  Post-build mutations (extra resolver
+records, manual route registrations, registry swaps) are *not*
+captured; snapshot the world before mutating it.
 
 :func:`acquire_world` is the build cache: worlds are keyed by a
 fingerprint over (config, provider/vantage/override specs), held as

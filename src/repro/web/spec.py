@@ -8,6 +8,7 @@ prevalences are stable and deterministic at any scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.tcp.profiles import TcpProfile
@@ -110,8 +111,11 @@ class WorldConfig:
     tcp_week: Week = Week(2023, 20)  # TCP-vs-QUIC week (§6.3)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        # One simulated domain stands for at least one real one; NaN,
+        # infinity or a scale below 1 would build an empty, degenerate
+        # or larger-than-paper world.
+        if not (math.isfinite(self.scale) and self.scale >= 1):
+            raise ValueError(f"scale must be a finite number >= 1, got {self.scale!r}")
 
     def quota(self, paper_count: float, *, min_one: bool = True) -> int:
         """Scale a paper count down to a simulated count.

@@ -2,7 +2,10 @@
 
 Heavy world builds and scan runs are session-scoped: the analysis tests
 all interrogate the same deterministic runs, which keeps the suite fast
-without sacrificing coverage.
+without sacrificing coverage.  The differential harness's two
+configurations (``tests/differential.py``) are session fixtures too:
+each execution path is computed once and every test compares against
+the same oracle.
 """
 
 from __future__ import annotations
@@ -19,42 +22,14 @@ from repro.scanner.quic_scan import QuicScanConfig
 from repro.util import shm
 from repro.web.spec import WorldConfig
 
+from tests import differential
+# The shm-pool platform gate, re-exported for the test modules.
+from tests.differential import requires_fork  # noqa: F401
+
 #: Coarse world: fast structural tests.
 SMALL_SCALE = 20_000
 #: Calibration world: shape assertions against the paper's percentages.
 SHAPE_SCALE = 2_000
-
-#: Platform gate for the shm pool.  Tests that fork its worker
-#: processes skip with a reason instead of erroring on platforms without fork;
-#: /dev/shm-specific assertions additionally branch on the segment
-#: backend (the mmap fallback never appears there).
-FORK_AVAILABLE = shm.fork_available()
-requires_fork = pytest.mark.skipif(
-    not FORK_AVAILABLE,
-    reason="fork-pool executors need the fork start method (POSIX)",
-)
-
-
-def pool_path_kwargs(path, plan=None):
-    """``run_campaign`` kwargs that route every shm-pool ticket down ``path``.
-
-    A pool ticket's results reach the parent one of two ways: computed
-    in a forked worker (``"process"``), or re-executed inline in the
-    parent by the supervision fallback (``"inline"``).  The inline path
-    is forced by corrupting every worker result buffer and allowing no
-    re-dispatch.  ``plan`` carries the caller's other fault rules; it is
-    extended in place.
-    """
-    if path == "process":
-        return {"fault_plan": plan} if plan is not None else {}
-    if path != "inline":
-        raise ValueError(f"unknown pool path: {path!r}")
-    from repro.faults import FaultPlan
-
-    plan = plan if plan is not None else FaultPlan(seed=3)
-    plan.corrupt_shard_buffer(attempt=None)
-    return {"fault_plan": plan, "max_shard_retries": 0}
-
 
 def point_first_domain_at_last_site(world):
     """Resolver mutated post-build: a site-0 domain now resolves to the
@@ -64,6 +39,13 @@ def point_first_domain_at_last_site(world):
     domain = next(d for d in world.domains if d.site_index == 0)
     world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
     return domain.name
+
+
+def shm_entries():
+    """This machine's shm-pool segments under /dev/shm (empty elsewhere)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith(shm.SEGMENT_PREFIX)}
 
 
 def _segment_creator(name):
@@ -104,21 +86,12 @@ def _no_leaked_segments_or_workers():
     the machine, so a new segment there counts only when
     :func:`_leaked_by_this_suite` attributes it to this run.
     """
-    shm_dir = "/dev/shm"
-    before = (
-        {name for name in os.listdir(shm_dir) if name.startswith(shm.SEGMENT_PREFIX)}
-        if os.path.isdir(shm_dir)
-        else set()
-    )
+    before = shm_entries()
     yield
     leaked = shm.live_segments()
     assert not leaked, f"test suite leaked shared segments: {leaked}"
-    if os.path.isdir(shm_dir):
-        after = {
-            name for name in os.listdir(shm_dir) if name.startswith(shm.SEGMENT_PREFIX)
-        }
-        leaked = sorted(name for name in after - before if _leaked_by_this_suite(name))
-        assert not leaked, f"/dev/shm segments leaked: {leaked}"
+    leaked = sorted(name for name in shm_entries() - before if _leaked_by_this_suite(name))
+    assert not leaked, f"/dev/shm segments leaked: {leaked}"
     # Terminated pools reap their workers asynchronously; give stragglers
     # a beat before declaring them leaked.
     deadline = time.monotonic() + 5.0
@@ -127,6 +100,18 @@ def _no_leaked_segments_or_workers():
         time.sleep(0.05)
         children = multiprocessing.active_children()
     assert not children, f"worker processes leaked: {children}"
+
+
+@pytest.fixture(scope="session")
+def campaign_legs():
+    """The canonical campaign's legs (``tests/differential.py``)."""
+    return differential.campaign_legs()
+
+
+@pytest.fixture(scope="session")
+def week_matrix():
+    """The vantage x family week matrix's legs (``tests/differential.py``)."""
+    return differential.week_matrix()
 
 
 @pytest.fixture(scope="session")

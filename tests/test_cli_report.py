@@ -122,6 +122,8 @@ def test_cli_rejects_out_of_range_week(capsys):
         ["scan", "--scale", "0"],
         ["scan", "--scale", "-3"],
         ["scan", "--scale", "nan"],
+        ["scan", "--scale", "inf"],
+        ["campaign", "--scale", "1e-9"],
         ["l4s", "--rounds", "0"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -171,6 +173,24 @@ def test_cli_rejects_bad_output_paths_before_building(
     assert "error:" in err
     assert "Traceback" not in err
     assert built == []
+
+
+@pytest.mark.parametrize("scale", ["inf", "1e-9", "0.5"])
+def test_cli_rejects_scale_before_building(monkeypatch, capsys, scale):
+    """Regression: ``--scale inf`` printed a report of a 133-domain world
+    and exited 0, and ``--scale 1e-9`` ran for minutes building a world
+    far larger than the paper's."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the world was built before --scale was checked")
+
+    monkeypatch.setattr(repro, "build_world", no_build)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scan", "--scale", scale])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scale: invalid scale value" in err
+    assert "must be a finite number >= 1" in err
 
 
 def test_cli_accepts_valid_week_forms():

@@ -33,7 +33,7 @@ from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanPhaseStats, SiteEve
 from repro.quic.connection import QuicClientConfig
 from repro.tcp.client import TcpClientConfig
 from repro.quicstacks.base import MirrorQuirk, StackBehavior
-from repro.store.codec import decode_shard_payload, encode_shard_results
+from repro.store.codec import decode_shard_payload_obs, encode_shard_results
 from repro.tcp.profiles import TcpProfile
 from repro.web.spec import WorldConfig
 
@@ -231,14 +231,15 @@ def test_engine_counts_every_exchange_and_hits_on_stable_weeks():
 def test_codec_round_trips_cache_stats_trailer():
     entries = [(7, 0, None, 1.25)]
     buf = encode_shard_results(entries, cache_stats=(11, 4, 2))
-    decoded, stats = decode_shard_payload(buf)
+    decoded, stats, obs = decode_shard_payload_obs(buf)
     assert decoded == entries
     assert stats == (11, 4, 2)
+    assert obs == b""  # uninstrumented: empty observability blob
     # Default trailer is all-zero (and decode_shard_results still works).
     from repro.store.codec import decode_shard_results
 
     assert decode_shard_results(encode_shard_results(entries)) == entries
-    assert decode_shard_payload(encode_shard_results(entries))[1] == (0, 0, 0)
+    assert decode_shard_payload_obs(encode_shard_results(entries))[1] == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------

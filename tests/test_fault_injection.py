@@ -1,12 +1,13 @@
 """Supervised pool execution under injected faults.
 
-Every fault the harness can inject — worker crash, stalled ticket,
-corrupted result buffer — must be absorbed by supervision (retry, then
-inline fallback) with results *identical* to the serial per-site
-oracle: per-site RNG substreams make retried tickets byte-deterministic,
-so recovery is invisible in the output and visible only in the
-supervision counters.  Fault rules address tickets by index (the
-``shard`` coordinate); two workers cover the sites with tickets 0 and 1.
+Every fault the harness can inject (worker crash, stalled ticket,
+corrupted result buffer) must be absorbed by supervision (retry, then
+inline fallback) with results *identical* to the canonical campaign's
+serial oracle (``tests/differential.py``): per-site RNG substreams make
+retried tickets byte-deterministic, so recovery is invisible in the
+output and visible only in the supervision counters.  Fault rules
+address tickets by index (the ``shard`` coordinate) and week; two
+workers cover each week's sites with tickets 0 and 1.
 """
 
 from __future__ import annotations
@@ -17,29 +18,32 @@ import repro
 from repro.faults import FaultPlan, InjectedFault
 from repro.pipeline.engine import ScanPhaseStats, ShardResultMissing
 from repro.pipeline.sharding import ShmPoolScanEngine
+from repro.util import shm
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
-from tests.test_pipeline_sharding import _assert_runs_equal
+from tests.conftest import requires_fork, shm_entries
+from tests.differential import (
+    CAMPAIGN_WEEKS,
+    assert_campaign_matches,
+    assert_runs_equal,
+    campaign_world,
+    run_canonical_weeks,
+)
 
-SCALE = 6_000
+#: Coarse world for the replay-entry unit tests.
+SCALE = 40_000
+WEEK = CAMPAIGN_WEEKS[0]
 
 
 def _build():
     return repro.build_world(WorldConfig(scale=SCALE))
 
 
-@pytest.fixture(scope="module")
-def serial_per_site():
-    """The serial engine in per-site RNG mode — the golden reference."""
-    world = _build()
-    week = world.config.reference_week
-    run = world.scan_engine().run_week(week, include_tcp=True)
-    return world, run
-
-
-def _run_faulted(plan, *, max_shard_retries=2, shard_timeout=3.0):
-    world = _build()
+def _run_faulted(campaign_legs, leg, plan, *, max_shard_retries=2, shard_timeout=3.0):
+    """The canonical campaign, week by week (one-week tickets), on a
+    faulted 2-worker pool, checked against the oracle; returns its
+    phase stats and engine."""
+    world = campaign_world()
     stats = ScanPhaseStats()
     engine = ShmPoolScanEngine(
         world,
@@ -49,64 +53,51 @@ def _run_faulted(plan, *, max_shard_retries=2, shard_timeout=3.0):
         max_shard_retries=max_shard_retries,
     )
     with engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, phase_stats=stats
-        )
-    return world, run, stats, engine
+        campaign = run_canonical_weeks(engine, phase_stats=stats)
+    assert_campaign_matches(campaign_legs.oracle, world, campaign, leg=leg)
+    return stats, engine
 
 
 @requires_fork
-def test_worker_crash_is_retried_and_results_match(serial_per_site):
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    plan = FaultPlan(seed=1).crash_worker(shard=1, week=week)
-    world, run, stats, engine = _run_faulted(plan)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
+def test_worker_crash_is_retried_and_results_match(campaign_legs):
+    before = shm_entries()
+    plan = FaultPlan(seed=1).crash_worker(shard=1, week=WEEK)
+    stats, engine = _run_faulted(campaign_legs, "crashed worker", plan, shard_timeout=1.0)
     # The lost task surfaces as a timeout; exactly one retry recovers it.
     assert stats.shard_timeouts == 1
     assert stats.shard_retries == 1
     assert engine.supervision.fallbacks == 0
+    # The dead worker left no segment behind.
+    assert shm.live_segments() == []
+    assert shm_entries() <= before
 
 
 @requires_fork
 @pytest.mark.parametrize("mode", ["bitflip", "truncate"])
-def test_corrupt_result_buffer_is_retried_and_results_match(serial_per_site, mode):
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    plan = FaultPlan(seed=2).corrupt_shard_buffer(shard=0, week=week, mode=mode)
-    world, run, stats, engine = _run_faulted(plan)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
+def test_corrupt_result_buffer_is_retried_and_results_match(campaign_legs, mode):
+    plan = FaultPlan(seed=2).corrupt_shard_buffer(shard=0, week=WEEK, mode=mode)
+    stats, _ = _run_faulted(campaign_legs, f"{mode} result buffer", plan)
     # The damage is caught by the frame checksum, never decoded.
     assert stats.shard_failures == 1
     assert stats.shard_retries == 1
 
 
 @requires_fork
-def test_stalled_shard_times_out_and_results_match(serial_per_site):
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
-    plan = FaultPlan(seed=3).delay_shard(6.0, shard=1, week=week)
-    world, run, stats, _ = _run_faulted(plan, shard_timeout=1.5)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
+def test_stalled_shard_times_out_and_results_match(campaign_legs):
+    plan = FaultPlan(seed=3).delay_shard(6.0, shard=1, week=WEEK)
+    stats, _ = _run_faulted(campaign_legs, "stalled ticket", plan, shard_timeout=1.0)
     assert stats.shard_timeouts >= 1
     assert stats.shard_retries >= 1
 
 
 @requires_fork
-def test_persistent_crash_falls_back_inline(serial_per_site):
+def test_persistent_crash_falls_back_inline(campaign_legs):
     """A ticket that fails every pool attempt re-executes in the parent."""
-    world_ref, reference = serial_per_site
-    week = world_ref.config.reference_week
     # attempt=None: every dispatch of ticket 1 crashes its worker.
-    plan = FaultPlan(seed=4).crash_worker(shard=1, week=week, attempt=None)
-    world, run, stats, engine = _run_faulted(
-        plan, max_shard_retries=1, shard_timeout=1.5
+    plan = FaultPlan(seed=4).crash_worker(shard=1, week=WEEK, attempt=None)
+    stats, engine = _run_faulted(
+        campaign_legs, "persistent crash", plan, max_shard_retries=1, shard_timeout=1.0
     )
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
     assert engine.supervision.fallbacks == 1
     assert stats.shard_timeouts == 2  # initial attempt + one re-dispatch
     assert stats.shard_retries == 2  # the re-dispatch + the inline fallback
@@ -148,7 +139,7 @@ def test_partial_replay_names_only_absent_entries():
     world3 = _build()
     with ShmPoolScanEngine(world3, workers=4) as engine3:  # partition: irrelevant
         replayed = engine3.run_week(week, include_tcp=True, replay_entries=run_entries)
-    _assert_runs_equal(full, replayed)
+    assert_runs_equal(full, replayed, leg="full replay")
     assert world.clock.now == world3.clock.now
 
 

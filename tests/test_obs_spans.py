@@ -4,7 +4,8 @@ The acceptance bar for the telemetry layer: every worker ticket
 span lands under its dispatching week's site-phase span — including
 retried and inline-fallback executions — the Chrome trace export is
 structurally valid, and instrumentation never changes results (the
-golden test pins instrumented == uninstrumented report text).
+instrumented leg of ``tests/differential.py`` equals the serial oracle,
+report text included; the retry and fallback legs here do too).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from collections import Counter
 import pytest
 
 import repro
-from repro.analysis.report import longitudinal_report
 from repro.faults import FaultPlan
 from repro.obs import (
     Telemetry,
@@ -26,15 +26,17 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.spans import OBS_BLOB_VERSION
-from repro.pipeline import ShmPoolScanEngine, run_campaign
+from repro.pipeline import run_campaign
 from repro.web.spec import WorldConfig
 
 from tests.conftest import SMALL_SCALE, requires_fork
-
-
-def _weeks(world):
-    config = world.config
-    return [config.start_week, config.start_week + 8, config.reference_week]
+from tests.differential import (
+    CAMPAIGN_WEEKS,
+    assert_campaign_matches,
+    assert_legs_equal,
+    campaign_world,
+    run_canonical_campaign,
+)
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +177,15 @@ def test_trace_events_empty_tracer():
 # ----------------------------------------------------------------------
 # End-to-end re-parenting of pool worker spans
 # ----------------------------------------------------------------------
-def _campaign_spans(world, telemetry, **kwargs):
-    run_campaign(world, weeks=_weeks(world), telemetry=telemetry, **kwargs)
+def _canonical_spans(campaign_legs, leg, telemetry, **kwargs):
+    """Spans of a canonical campaign, checked against the oracle."""
+    world = campaign_world()
+    campaign = run_canonical_campaign(world, telemetry=telemetry, **kwargs)
+    assert_campaign_matches(campaign_legs.oracle, world, campaign, leg=leg)
+    return _finished_spans(telemetry)
+
+
+def _finished_spans(telemetry):
     spans = telemetry.tracer.finished_spans()
     assert spans and all(span.duration is not None for span in spans)
     return spans
@@ -199,55 +208,32 @@ def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
 
 
 @requires_fork
-def test_forkpool_worker_spans_reparent_under_week():
-    """A caller-built pool: every forked worker records one span per
-    ticket-week, filed under the week it computed, one per site range."""
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    telemetry = Telemetry()
-    with ShmPoolScanEngine(world, workers=2) as engine:
-        spans = _campaign_spans(world, telemetry, engine=engine)
-    workers = _assert_worker_spans_under_their_week(spans)
+def test_shm_pool_worker_spans_reparent_under_week(campaign_legs):
+    """The instrumented 2-worker pool leg: every worker records one span
+    per ticket-week, filed under the week it computed, one per site
+    range."""
+    telemetry = campaign_legs["instrumented"].telemetry
+    workers = _assert_worker_spans_under_their_week(_finished_spans(telemetry))
     # Worker spans recorded in worker processes: not the parent's pid.
     assert telemetry.tracer.pid not in {span.pid for span in workers}
     assert all(span.name == "ticket" for span in workers)
     assert all(span.attrs["attempt"] == 0 for span in workers)
+    # Multi-week tickets are harvested inside one week's site phase but
+    # must still split per week: every campaign week has its own
+    # ticket spans.
     assert Counter(span.attrs["week"] for span in workers) == {
-        str(week): 2 for week in _weeks(world)
+        str(week): 2 for week in CAMPAIGN_WEEKS
     }
     # Worker-side cache counters shipped through the blob trailer.
     assert telemetry.registry.value("worker.exchange_cache.misses") > 0
 
 
 @requires_fork
-def test_shm_pool_worker_spans_reparent_under_week():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
+def test_retried_shard_spans_tag_attempt(campaign_legs):
+    plan = FaultPlan(seed=5).crash_worker(shard=1, week=CAMPAIGN_WEEKS[0])
     telemetry = Telemetry()
-    spans = _campaign_spans(world, telemetry, workers=2)
-    workers = _assert_worker_spans_under_their_week(spans)
-    assert all(span.name == "ticket" for span in workers)
-    # Worker spans recorded in worker processes: different pid.
-    assert {span.pid for span in workers} != {telemetry.tracer.pid}
-    # Worker-side cache counters shipped through the blob trailer.
-    assert telemetry.registry.value("worker.exchange_cache.misses") > 0
-    # Multi-week tickets are harvested inside one week's site phase but
-    # must still split per week: every campaign week has its own
-    # ticket spans.
-    weeks_covered = {span.attrs["week"] for span in workers}
-    assert len(weeks_covered) == len(_weeks(world))
-
-
-@requires_fork
-def test_retried_shard_spans_tag_attempt():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
-    plan = FaultPlan(seed=5).crash_worker(shard=1, week=weeks[0])
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        workers=2,
-        fault_plan=plan,
-        shard_timeout=1.5,
+    spans = _canonical_spans(
+        campaign_legs, "retried", telemetry, workers=2, fault_plan=plan, shard_timeout=0.5
     )
     workers = _assert_worker_spans_under_their_week(spans)
     retried = [span for span in workers if span.attrs["attempt"] > 0]
@@ -257,21 +243,15 @@ def test_retried_shard_spans_tag_attempt():
 
 
 @requires_fork
-def test_fallback_shard_spans_tag_fallback():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
+def test_fallback_shard_spans_tag_fallback(campaign_legs):
     # attempt=None: every pool dispatch of ticket 1 returns a corrupt
     # buffer, so supervision re-executes it inline in the parent.
     plan = FaultPlan(seed=6).corrupt_shard_buffer(
-        shard=1, week=weeks[0], attempt=None
+        shard=1, week=CAMPAIGN_WEEKS[0], attempt=None
     )
     telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        workers=2,
-        fault_plan=plan,
-        max_shard_retries=1,
+    spans = _canonical_spans(
+        campaign_legs, "fallback", telemetry, workers=2, fault_plan=plan, max_shard_retries=1
     )
     workers = _assert_worker_spans_under_their_week(spans)
     fallbacks = [span for span in workers if span.attrs.get("fallback")]
@@ -284,35 +264,14 @@ def test_fallback_shard_spans_tag_fallback():
     assert telemetry.registry.value("campaign.supervision.fallbacks") == 1
 
 
-@requires_fork
-def test_shm_pool_fallback_ticket_spans_tag_fallback():
-    world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    weeks = _weeks(world)
-    plan = FaultPlan(seed=8).crash_worker(shard=0, week=weeks[0], attempt=None)
-    telemetry = Telemetry()
-    spans = _campaign_spans(
-        world,
-        telemetry,
-        workers=2,
-        fault_plan=plan,
-        shard_timeout=1.0,
-        max_shard_retries=1,
-    )
-    workers = _assert_worker_spans_under_their_week(spans)
-    fallbacks = [span for span in workers if span.attrs.get("fallback")]
-    assert fallbacks, "expected inline-fallback ticket spans"
-    assert all(span.attrs["week"] in {str(w) for w in weeks} for span in fallbacks)
-    # Inline fallback runs in the parent process.
-    parent_pid = telemetry.tracer.pid
-    assert all(span.pid == parent_pid for span in fallbacks)
-    assert telemetry.registry.value("campaign.supervision.fallbacks") >= 1
-
-
 def test_inline_campaign_trace_is_exportable(tmp_path):
     """The serial engine's span tree exports as a valid Chrome trace."""
     world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
     telemetry = Telemetry()
-    _campaign_spans(world, telemetry)
+    config = world.config
+    weeks = [config.start_week, config.start_week + 8, config.reference_week]
+    run_campaign(world, weeks=weeks, telemetry=telemetry)
+    _finished_spans(telemetry)
     path = tmp_path / "trace.json"
     write_trace(path, telemetry.tracer)
     events = _assert_valid_trace_document(json.loads(path.read_text()))
@@ -327,16 +286,7 @@ def test_inline_campaign_trace_is_exportable(tmp_path):
 # Golden: instrumentation never changes results
 # ----------------------------------------------------------------------
 @requires_fork
-def test_instrumented_campaign_is_byte_identical():
-    """Same world config, with and without telemetry: identical report."""
-    plain_world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    plain = run_campaign(plain_world, weeks=_weeks(plain_world), workers=2)
-    obs_world = repro.build_world(WorldConfig(scale=SMALL_SCALE))
-    instrumented = run_campaign(
-        obs_world,
-        weeks=_weeks(obs_world),
-        workers=2,
-        telemetry=Telemetry(),
-    )
-    assert longitudinal_report(plain) == longitudinal_report(instrumented)
-    assert plain_world.clock.now == obs_world.clock.now
+def test_instrumented_campaign_is_byte_identical(campaign_legs):
+    """The instrumented 2-worker pool leg equals the uninstrumented
+    serial oracle: every run, the world clock and the report."""
+    assert_legs_equal(campaign_legs.oracle, campaign_legs["instrumented"])

@@ -1,15 +1,17 @@
-"""Measurement-plugin framework: registry contracts, golden equivalence.
+"""Measurement-plugin framework: registry contracts and selection.
 
 Two lines are held here.  First, the registry's validation contract:
 names, fields and variants are checked at registration, variant kinds
 are stable global properties, and a bad selection fails loudly (CLI
 included — unknown plugin is a usage error, exit 2).  Second, the
-engine contract: selecting the default ``ecn`` plugin explicitly is
-**byte-identical** to the pre-plugin engine across vantages, address
-families, the TCP leg, the serial engine and shm-pool worker counts;
-and multi-plugin selections produce identical rows under both
-executors, flow through the exchange cache, checkpoint/resume, the
-columnar store and the report unchanged.
+selection contract: an explicit ``ecn`` selection resolves to the
+default names and scans exactly like the default.  Multi-plugin rows
+equal the serial oracle's under every executor, through the exchange
+cache and the store: the canonical campaign of ``tests/differential.py``
+runs ``ecn,grease,ebpf`` on every leg, and ``tests/test_checkpoint.py``
+resumes it from checkpoints.  The reference loop's ``run_tracebox``
+traces what the ``trace`` plugin does (the week matrix's ``objects``
+leg).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import repro
 from repro.analysis.report import plugin_summary
 from repro.cli import main
 from repro.pipeline import ShmPoolScanEngine, run_campaign
-from repro.pipeline.runs import run_weekly_scan_reference
 from repro.plugins.base import (
     PLUGIN_KIND_BASE,
     FieldSpec,
@@ -41,9 +42,9 @@ from repro.store import codec
 from repro.web.spec import WorldConfig
 
 from tests.conftest import requires_fork
-from tests.test_pipeline_sharding import _assert_runs_equal
+from tests.differential import CAMPAIGN_POOL_LEGS, assert_runs_equal
 
-SCALE = 6_000
+SCALE = 20_000
 
 
 def _build():
@@ -150,132 +151,81 @@ def test_resolve_dedups_and_preserves_order():
     assert resolve_plugins(None).names == DEFAULT_PLUGINS
 
 
-# ----------------------------------------------------------------------
-# Golden matrix: explicit ecn plugin == default engine, byte-identical
-# ----------------------------------------------------------------------
-def test_ecn_plugin_byte_identical_serial_matrix():
-    """Vantages x v4/v6 x TCP leg: plugins=("ecn",) is the default scan."""
+def test_explicit_ecn_selection_resolves_to_the_default():
+    explicit = resolve_plugins(("ecn",))
+    assert explicit.names == resolve_plugins(None).names == DEFAULT_PLUGINS
+    assert explicit.bindings == resolve_plugins(None).bindings == ()
+
+
+def test_explicit_ecn_selection_is_the_default_scan():
+    """``plugins=("ecn",)`` scans exactly like the default selection
+    (both resolve to the same names; every executor then runs the
+    default scan, ``tests/differential.py``)."""
     world_ref, world = _build(), _build()
     week = world_ref.config.reference_week
-    for vantage in world_ref.vantage_list:
-        for ip_version in (4, 6):
-            for include_tcp in (False, True):
-                kwargs = dict(
-                    ip_version=ip_version,
-                    populations=("cno",),
-                    include_tcp=include_tcp,
-                )
-                reference = world_ref.scan_engine().run_week(
-                    week, vantage.vantage_id, **kwargs
-                )
-                run = world.scan_engine().run_week(
-                    week, vantage.vantage_id, plugins=("ecn",), **kwargs
-                )
-                _assert_runs_equal(reference, run)
-                assert run.plugin_rows == {}
-    assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_ecn_plugin_byte_identical_sharded(shards):
-    world_ref, world = _build(), _build()
-    week = world_ref.config.reference_week
-    reference = world_ref.scan_engine().run_week(
-        week, include_tcp=True
-    )
-    with ShmPoolScanEngine(world, workers=shards) as engine:
-        run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-@pytest.mark.parametrize(
-    "engine_factory",
-    [
-        lambda world: ShmPoolScanEngine(world, workers=2),
-        lambda world: ShmPoolScanEngine(world, workers=2, ticket_sites=16),
-    ],
-    ids=["fork-pool", "shm-pool"],
-)
-def test_ecn_plugin_byte_identical_fork_executors(engine_factory):
-    """The prefetched-ticket path (what campaigns use) is byte-identical
-    too, with one site range per forked worker or many small tickets."""
-    world_ref, world = _build(), _build()
-    week = world_ref.config.reference_week
-    reference = world_ref.scan_engine().run_week(
-        week, include_tcp=True
-    )
-    with engine_factory(world) as engine:
-        assert engine.prefetch_weeks([week], plugins=("ecn",), include_tcp=True)
-        run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
-    _assert_runs_equal(reference, run)
+    reference = world_ref.scan_engine().run_week(week, include_tcp=True)
+    run = world.scan_engine().run_week(week, include_tcp=True, plugins=("ecn",))
+    assert_runs_equal(reference, run, leg='plugins=("ecn",)')
+    assert run.plugin_rows == {}
     assert world_ref.clock.now == world.clock.now
 
 
 # ----------------------------------------------------------------------
-# Multi-plugin runs: identical rows under both executors
+# Multi-plugin runs: identical rows under every executor
 # ----------------------------------------------------------------------
-PLUGINS = ("ecn", "grease", "ebpf")
-
-
-def _assert_plugin_rows_equal(expected, actual):
-    assert expected.plugin_rows.keys() == actual.plugin_rows.keys()
-    for name, rows in expected.plugin_rows.items():
-        assert rows == actual.plugin_rows[name], f"plugin {name!r} diverged"
-
-
-@pytest.fixture(scope="module")
-def multi_plugin_reference():
-    """Serial per-site run with grease + ebpf — the golden reference."""
-    world = _build()
-    run = world.scan_engine().run_week(
-        world.config.reference_week,
-        include_tcp=True,
-        plugins=PLUGINS,
-    )
-    assert set(run.plugin_rows) == {"grease", "ebpf"}
-    assert run.plugin_rows["grease"]
-    assert run.plugin_rows["ebpf"]
-    return world, run
-
-
-def test_multi_plugin_rows_have_declared_width(multi_plugin_reference):
-    _, reference = multi_plugin_reference
-    for name, rows in reference.plugin_rows.items():
-        width = len(get_plugin(name).fields)
-        assert all(len(row) == width for row in rows.values())
+def test_multi_plugin_rows_have_declared_width(campaign_legs):
+    """The canonical campaign runs ``ecn,grease,ebpf``: every week has
+    rows for both plugins, each as wide as declared."""
+    for run in campaign_legs.oracle.runs:
+        assert set(run.plugin_rows) == {"grease", "ebpf"}
+        for name, rows in run.plugin_rows.items():
+            assert rows, f"{run.label}: no {name} rows"
+            width = len(get_plugin(name).fields)
+            assert all(len(row) == width for row in rows.values())
 
 
 @requires_fork
-@pytest.mark.parametrize("shards", [2, 4])
-def test_multi_plugin_sharded_matches_serial(multi_plugin_reference, shards):
-    world_ref, reference = multi_plugin_reference
-    world = _build()
-    with ShmPoolScanEngine(world, workers=shards) as engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, plugins=PLUGINS
-        )
-    _assert_runs_equal(reference, run)
-    _assert_plugin_rows_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
+def test_multi_plugin_shm_pool_matches_serial(campaign_legs):
+    """Plugin rows merge across workers and ticket boundaries, and
+    through the inline fallback, to the serial rows (the rest of each
+    run is held equal in ``tests/test_shm_pool.py``)."""
+    expected = [run.plugin_rows for run in campaign_legs.oracle.runs]
+    for leg in CAMPAIGN_POOL_LEGS:
+        assert [run.plugin_rows for run in campaign_legs[leg].runs] == expected, leg
 
 
 @requires_fork
-def test_multi_plugin_shm_pool_matches_serial(multi_plugin_reference):
-    """Many small tickets: plugin rows merge across ticket boundaries."""
-    world_ref, reference = multi_plugin_reference
-    world = _build()
+def test_multi_plugin_rows_with_tcp_match_serial_on_small_tickets():
+    """Core TCP events and the plugins' variant events of one site share
+    tickets; the campaign has no TCP leg, so this one week does."""
+    plugins = ("ecn", "grease", "ebpf")
+    world_ref, world = _build(), _build()
+    week = world_ref.config.reference_week
+    reference = world_ref.scan_engine().run_week(week, include_tcp=True, plugins=plugins)
     with ShmPoolScanEngine(world, workers=3, ticket_sites=5) as engine:
-        run = engine.run_week(
-            world.config.reference_week, include_tcp=True, plugins=PLUGINS
-        )
-    _assert_runs_equal(reference, run)
-    _assert_plugin_rows_equal(reference, run)
+        run = engine.run_week(week, include_tcp=True, plugins=plugins)
+    assert reference.plugin_rows["grease"] and reference.plugin_rows["ebpf"]
+    assert_runs_equal(reference, run, leg="pool, small tickets, TCP")
     assert world_ref.clock.now == world.clock.now
 
 
+def test_run_tracebox_alias_selects_trace_plugin(week_matrix):
+    """The reference loop's ``run_tracebox`` traces what the ``trace``
+    plugin does: the week matrix's traced family, objects vs engine."""
+    objects = week_matrix["objects"]
+    traced = [
+        (run, reference)
+        for run, reference in zip(week_matrix.oracle.runs, objects.runs, strict=True)
+        if run.label.endswith(" v4")
+    ]
+    assert traced and all(run.traces for run, _ in traced)
+    for run, reference in traced:
+        assert run.traces == reference.traces, run.label
+
+
+# ----------------------------------------------------------------------
+# Reports
+# ----------------------------------------------------------------------
 def test_plugin_summary_in_report():
     world = _build()
     run = repro.run_weekly_scan(
@@ -297,37 +247,11 @@ def test_default_run_has_no_plugin_section():
 
 
 # ----------------------------------------------------------------------
-# Campaigns: cache, checkpoint/resume, trace incompatibility
+# Campaigns: checkpoint keys, trace incompatibility
 # ----------------------------------------------------------------------
 def _weeks(world):
     start = world.config.start_week
     return [start, start + 6, world.config.reference_week]
-
-
-def test_campaign_plugins_checkpoint_resume(tmp_path):
-    world_ref = _build()
-    reference = run_campaign(
-        world_ref,
-        weeks=_weeks(world_ref),
-        plugins=("ecn", "grease"),
-        workers=1,
-        checkpoint_dir=tmp_path,
-    )
-    for run in reference.runs:
-        assert run.plugin_rows["grease"]
-    world = _build()
-    resumed = run_campaign(
-        world,
-        weeks=_weeks(world),
-        plugins=("ecn", "grease"),
-        workers=2,
-        checkpoint_dir=tmp_path,
-        resume=True,
-    )
-    assert reference.weeks() == resumed.weeks()
-    for ref_run, run in zip(reference.runs, resumed.runs, strict=True):
-        _assert_plugin_rows_equal(ref_run, run)
-    assert world_ref.clock.now == world.clock.now
 
 
 def test_campaign_checkpoint_key_depends_on_plugins(tmp_path):
@@ -361,17 +285,6 @@ def test_campaign_rejects_trace_plugin_with_checkpoints(tmp_path):
             workers=1,
             checkpoint_dir=tmp_path,
         )
-
-
-def test_run_tracebox_alias_selects_trace_plugin():
-    """The reference loop's ``run_tracebox`` traces what the plugin does."""
-    world_ref, world = _build(), _build()
-    week = world_ref.config.reference_week
-    reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
-    run = world.scan_engine().run_week(week, plugins=("ecn", "trace"))
-    assert run.traces
-    assert run.traces == reference.traces
-    assert world_ref.clock.now == world.clock.now
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,24 @@
-"""Shared-memory world + persistent worker pool: golden equivalence.
+"""Shared-memory world + persistent worker pool.
 
-The contract: a campaign executed by the :class:`ShmPoolScanEngine` —
-world published once to a shared segment, persistent fork-pool workers
-decoding it zero-copy and consuming (site range x week range) tickets —
-is *byte-identical* to the serial per-site engine, through the campaign
-results and through the analysis layer, for every vantage, address
-family, TCP leg, worker count and ticket size; including resuming from
-a checkpoint after a worker was killed mid-campaign, and from
-checkpoints the removed fork-pool executor wrote.  And the pool
-never leaks: the shared segment is unlinked after clean runs, worker
-crashes and campaign aborts alike (the session fixture in conftest.py
-additionally holds this line for the whole suite).
+The pool's results equal the serial oracle's for every worker count and
+ticket size: the campaign legs of ``tests/differential.py`` hold that
+line (pool with 1 worker, 4 workers on small tickets, an instrumented
+2-worker pool and the inline fallback), and the week matrix drives one
+warm 2-worker pool through every vantage and family.  This module holds
+what is particular to the pool: a warm engine serving back-to-back
+campaigns, re-dispatch after a merge gap, workers that never plan,
+resuming after a worker was killed mid-campaign and from checkpoints the
+removed fork-pool executor wrote, ticket tiling, zero-copy world decode,
+and a pool that never leaks: the shared segment is unlinked after clean
+runs and aborts alike (the session fixture in conftest.py additionally
+holds this line for the whole suite).
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,26 +27,33 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.report import longitudinal_report
 from repro.cli import main
-from repro.core.codepoints import ECN
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import Telemetry
-from repro.pipeline import Campaign, ShmPoolScanEngine, plan_tickets, run_campaign
+from repro.pipeline import ShmPoolScanEngine, plan_tickets, run_campaign
 from repro.pipeline.engine import ScanEngine, ScanPhaseStats, SiteEvent
 from repro.pipeline.sharding import slice_schedule
-from repro.scanner.quic_scan import QuicScanConfig
 from repro.util import shm
 from repro.util.weeks import Week
 from repro.web.snapshot import SnapshotCorruption, decode_world, encode_world
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork
-from tests.test_checkpoint import LEGACY_CHECKPOINTS, _assert_campaigns_equal
-from tests.test_pipeline_sharding import _assert_runs_equal
+from tests.conftest import requires_fork, shm_entries
+from tests.differential import (
+    CAMPAIGN_WEEKS,
+    assert_campaign_matches,
+    assert_legs_equal,
+    assert_runs_equal,
+    campaign_world,
+    record_campaign,
+    run_canonical_campaign,
+)
 
-#: Coarse world: the all-vantages weekly matrix and lifecycle tests.
+#: Coarse world: lifecycle and planning tests.
 MATRIX_SCALE = 40_000
-#: Deeper world: campaign golden runs and kill-and-resume.
-CAMPAIGN_SCALE = 12_000
+#: ECNCKPT1 week files a fork-pool campaign wrote before that executor
+#: was removed: ``repro campaign --scale 20000`` (default seed, cadence
+#: 12, ``--shards 2 --shard-executor process --checkpoint-dir``).
+LEGACY_CHECKPOINTS = Path(__file__).parent / "fixtures" / "checkpoints"
 
 
 def _build(scale):
@@ -56,104 +65,62 @@ def _weeks(world):
     return [config.start_week, config.start_week + 8, config.reference_week]
 
 
-def _shm_entries():
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {n for n in os.listdir("/dev/shm") if n.startswith(shm.SEGMENT_PREFIX)}
-
-
-@pytest.fixture(scope="module")
-def campaign_reference():
-    """The golden reference: the serial per-site oracle + its report."""
-    world = _build(CAMPAIGN_SCALE)
-    engine = world.scan_engine()
-    campaign = Campaign()
-    for week in _weeks(world):
-        campaign.add_run(engine.run_week(week, populations=("cno",)))
-    return world, campaign, longitudinal_report(campaign)
-
-
 # ----------------------------------------------------------------------
-# Golden matrix: pool == serial per-site, campaign + analysis
+# Golden: the harness's pool legs == the serial oracle
 # ----------------------------------------------------------------------
 @requires_fork
 @pytest.mark.parametrize(
-    "workers,ticket_sites",
-    [(1, None), (2, None), (4, None), (2, 7), (4, 64)],
+    "leg", ["pool-1", "pool-4-small-tickets", "pool-uncached", "pool-inline"]
 )
-def test_pool_campaign_matches_inline(campaign_reference, workers, ticket_sites):
-    ref_world, reference, ref_report = campaign_reference
-    world = _build(CAMPAIGN_SCALE)
-    stats = ScanPhaseStats()
-    campaign = run_campaign(
-        world,
-        weeks=_weeks(world),
-        workers=workers,
-        ticket_sites=ticket_sites,
-        phase_stats=stats,
-    )
-    _assert_campaigns_equal(ref_world, reference, world, campaign)
-    # Analysis is a pure function of the results, so figure-for-figure
-    # the reports must render identically.
-    assert longitudinal_report(campaign) == ref_report
-    # A clean run needed no supervision.
-    assert stats.shard_retries == 0
-    assert stats.shard_timeouts == 0
-    assert stats.shard_failures == 0
+def test_pool_campaign_matches_inline(campaign_legs, leg):
+    """The canonical campaign on 1 worker, on 4 workers with small
+    tickets harvested in any worker order, on cache-free workers that
+    run every exchange fresh, and with every ticket re-executed inline
+    in the parent equals the serial oracle, report included."""
+    pooled = campaign_legs[leg]
+    assert_legs_equal(campaign_legs.oracle, pooled)
+    stats = pooled.stats
+    if leg == "pool-inline":
+        # Every worker buffer was corrupt: each ticket failed once and
+        # re-executed in the parent.
+        assert stats.shard_failures > 0
+        assert stats.shard_retries == stats.shard_failures
+        assert stats.shard_timeouts == 0
+    else:
+        # A clean run needed no supervision, and the workers' cache
+        # counters travelled back through the codec trailer.
+        assert (stats.shard_retries, stats.shard_timeouts, stats.shard_failures) == (0, 0, 0)
+        cached = leg != "pool-uncached"
+        assert (stats.exchange_cache_hits > 0) == cached
+        assert (stats.exchange_cache_misses > 0) == cached
     assert shm.live_segments() == []
 
 
 @requires_fork
-def test_pool_week_matrix_all_vantages_families_tcp():
-    """One warm pool, every vantage, v4/v6, plus the CE-probing TCP leg."""
-    fresh = _build(MATRIX_SCALE)
-    pooled = _build(MATRIX_SCALE)
-    week = fresh.config.reference_week
-    with ShmPoolScanEngine(pooled, workers=2) as engine:
-        for vantage in fresh.vantage_list:
-            kwargs = dict(ip_version=4, populations=("cno",))
-            _assert_runs_equal(
-                fresh.scan_engine().run_week(
-                    week, vantage.vantage_id, **kwargs
-                ),
-                engine.run_week(week, vantage.vantage_id, **kwargs),
-            )
-        v6 = dict(ip_version=6, populations=("cno",))
-        _assert_runs_equal(
-            fresh.scan_engine().run_week(
-                fresh.config.ipv6_week, **v6
-            ),
-            engine.run_week(pooled.config.ipv6_week, **v6),
-        )
-        tcp = dict(
-            populations=("cno",),
-            include_tcp=True,
-            quic_config=QuicScanConfig(probe_codepoint=ECN.CE),
-        )
-        _assert_runs_equal(
-            fresh.scan_engine().run_week(
-                fresh.config.tcp_week, **tcp
-            ),
-            engine.run_week(pooled.config.tcp_week, **tcp),
-        )
-        assert engine.supervision.snapshot() == (0, 0, 0, 0)
-    assert fresh.clock.now == pooled.clock.now
+def test_pool_week_matrix_all_vantages_families_tcp(week_matrix):
+    """One warm 2-worker pool, every vantage x v4+TCP/v4/v6."""
+    pooled = week_matrix["pool-2"]
+    assert_legs_equal(week_matrix.oracle, pooled)
+    assert pooled.supervision == (0, 0, 0, 0)
     assert shm.live_segments() == []
 
 
+# ----------------------------------------------------------------------
+# Warm engines, merge gaps, planning
+# ----------------------------------------------------------------------
 @requires_fork
-def test_warm_engine_reruns_identically(campaign_reference):
+def test_warm_engine_reruns_identically(campaign_legs):
     """A persistent engine serves back-to-back campaigns; the parent's
     replay memo serves the second, which is still golden."""
-    ref_world, reference, ref_report = campaign_reference
-    world = _build(CAMPAIGN_SCALE)
+    oracle = campaign_legs.oracle
+    world = campaign_world()
     with ShmPoolScanEngine(world, workers=2) as engine:
-        first = run_campaign(world, weeks=_weeks(world), engine=engine)
-        _assert_campaigns_equal(ref_world, reference, world, first)
-        second = run_campaign(world, weeks=_weeks(world), engine=engine)
-        for ref_run, run in zip(reference.runs, second.runs, strict=True):
-            _assert_runs_equal(ref_run, run)
-        assert longitudinal_report(second) == ref_report
+        first = run_canonical_campaign(world, engine=engine)
+        assert_campaign_matches(oracle, world, first, leg="warm pool, first campaign")
+        second = run_canonical_campaign(world, engine=engine)
+        for expected, run in zip(oracle.runs, second.runs, strict=True):
+            assert_runs_equal(expected, run, leg="warm pool, second campaign")
+        assert longitudinal_report(second) == oracle.report
         assert engine.supervision.snapshot() == (0, 0, 0, 0)
     assert shm.live_segments() == []
 
@@ -185,7 +152,7 @@ def test_week_with_missing_entries_is_redispatched_not_replayed(monkeypatch):
         with pytest.raises(ShardResultMissing):
             engine.run_week(week, **kwargs)
         run = engine.run_week(week, **kwargs)
-    _assert_runs_equal(fresh.scan_engine().run_week(week, **kwargs), run)
+    assert_runs_equal(fresh.scan_engine().run_week(week, **kwargs), run, leg="re-dispatched")
     assert fresh.clock.now == pooled.clock.now
     assert len(decoded) > 2  # the second run decoded fresh buffers
     assert shm.live_segments() == []
@@ -214,30 +181,25 @@ def test_workers_never_build_a_plan(tmp_path, monkeypatch):
 # Kill-and-resume under worker crash
 # ----------------------------------------------------------------------
 @requires_fork
-@pytest.mark.parametrize("resume_workers", [1, 3])
-def test_worker_kill_and_resume_matches_uninterrupted(
-    tmp_path, campaign_reference, resume_workers
-):
+@pytest.mark.parametrize("resume_workers", [3])
+def test_worker_kill_and_resume_matches_uninterrupted(tmp_path, campaign_legs, resume_workers):
     """Crash a pool worker mid-campaign, abort the campaign one week
     later, then resume from the checkpoints under a *different* worker
-    count — still the uninterrupted result."""
-    ref_world, reference, _ = campaign_reference
-    world = _build(CAMPAIGN_SCALE)
-    weeks = _weeks(world)
+    count: still the uninterrupted result."""
+    world = campaign_world()
     plan = (
         FaultPlan(seed=11)
-        .crash_worker(shard=0, week=weeks[0])
-        .abort_campaign_after(weeks[1])
+        .crash_worker(shard=0, week=CAMPAIGN_WEEKS[0])
+        .abort_campaign_after(CAMPAIGN_WEEKS[1])
     )
     stats = ScanPhaseStats()
     with pytest.raises(InjectedFault):
-        run_campaign(
+        run_canonical_campaign(
             world,
-            weeks=weeks,
             workers=2,
             checkpoint_dir=tmp_path,
             fault_plan=plan,
-            shard_timeout=1.0,
+            shard_timeout=0.5,
             phase_stats=stats,
         )
     # The killed worker surfaced as a lost-ticket timeout and a retry
@@ -245,15 +207,13 @@ def test_worker_kill_and_resume_matches_uninterrupted(
     assert stats.shard_timeouts >= 1
     assert stats.shard_retries >= 1
     assert shm.live_segments() == []
-    resumed_world = _build(CAMPAIGN_SCALE)
-    resumed = run_campaign(
-        resumed_world,
-        weeks=weeks,
-        workers=resume_workers,
-        checkpoint_dir=tmp_path,
-        resume=True,
+    resumed_world = campaign_world()
+    resumed = run_canonical_campaign(
+        resumed_world, workers=resume_workers, checkpoint_dir=tmp_path, resume=True
     )
-    _assert_campaigns_equal(ref_world, reference, resumed_world, resumed)
+    assert_campaign_matches(
+        campaign_legs.oracle, resumed_world, resumed, leg="resumed after a worker kill"
+    )
     assert shm.live_segments() == []
 
 
@@ -279,7 +239,10 @@ def test_resume_crosses_pool_and_sharded_engines(tmp_path):
     registry = telemetry.registry
     assert registry.counter("campaign.checkpoint.weeks_resumed").value == 5
     assert registry.counter("campaign.checkpoint.weeks_stored").value == 0
-    _assert_campaigns_equal(fresh_world, fresh, world, resumed)
+    assert_legs_equal(
+        record_campaign("fresh pool", fresh_world, fresh),
+        record_campaign("resumed from legacy checkpoints", world, resumed),
+    )
     assert shm.live_segments() == []
 
 
@@ -458,50 +421,33 @@ def test_shared_segment_context_manager():
 
 @requires_fork
 def test_clean_campaign_leaves_no_segment():
-    before = _shm_entries()
+    before = shm_entries()
     world = _build(MATRIX_SCALE)
     run_campaign(world, weeks=_weeks(world)[:2], workers=2)
     assert shm.live_segments() == []
-    assert _shm_entries() <= before
-
-
-@requires_fork
-def test_worker_crash_leaves_no_segment():
-    before = _shm_entries()
-    world = _build(MATRIX_SCALE)
-    weeks = _weeks(world)[:2]
-    plan = FaultPlan(seed=7).crash_worker(shard=0, week=weeks[0])
-    stats = ScanPhaseStats()
-    run_campaign(
-        world,
-        weeks=weeks,
-        workers=2,
-        fault_plan=plan,
-        shard_timeout=1.0,
-        phase_stats=stats,
-    )
-    assert stats.shard_retries >= 1
-    assert shm.live_segments() == []
-    assert _shm_entries() <= before
+    assert shm_entries() <= before
 
 
 @requires_fork
 def test_aborted_campaign_leaves_no_segment():
-    before = _shm_entries()
+    before = shm_entries()
     world = _build(MATRIX_SCALE)
     weeks = _weeks(world)[:2]
     plan = FaultPlan().abort_campaign_after(weeks[0])
     with pytest.raises(InjectedFault):
         run_campaign(world, weeks=weeks, workers=2, fault_plan=plan)
     assert shm.live_segments() == []
-    assert _shm_entries() <= before
+    assert shm_entries() <= before
 
 
 @requires_fork
 def test_engine_close_is_idempotent():
     world = _build(MATRIX_SCALE)
     engine = ShmPoolScanEngine(world, workers=1)
-    engine.run_week(world.config.reference_week, populations=("cno",))
+    week = world.config.reference_week
+    # One site range per worker: the week is one prefetched ticket.
+    assert engine.prefetch_weeks([week], populations=("cno",)) == 1
+    engine.run_week(week, populations=("cno",))
     engine.close()
     engine.close()
     assert shm.live_segments() == []
@@ -529,6 +475,17 @@ def test_engine_constructor_validations():
         ShmPoolScanEngine(world, ticket_sites=0)
     with pytest.raises(ValueError, match="workers"):
         ShmPoolScanEngine(world, workers=0)
+    with pytest.raises(ValueError, match="shard_timeout"):
+        ShmPoolScanEngine(world, shard_timeout=0)
+    with pytest.raises(ValueError, match="max_shard_retries"):
+        ShmPoolScanEngine(world, max_shard_retries=-1)
+
+
+def test_pool_engine_shares_plan_cache_with_serial_engine():
+    world = _build(MATRIX_SCALE)
+    plan = world.scan_engine().plan_for(4, ("cno", "toplist"))
+    with ShmPoolScanEngine(world, workers=2) as engine:
+        assert engine.plan_for(4, ("cno", "toplist")) is plan
 
 
 @requires_fork

@@ -2,17 +2,21 @@
 
 The store's contract is that the results layer is invisible: an engine
 run serves exactly the fields the eager per-domain observation objects
-of the reference loop (:func:`run_weekly_scan_reference`) carry — for
-every vantage, both IP families, TCP+QUIC runs, the serial engine and
-the shm pool at any worker count — and every analysis output built on
-top is identical.  Worlds are always built in identically-seeded pairs
-and driven in lockstep, so both paths see the same shared-RNG
-trajectory.
+of the reference loop (:func:`run_weekly_scan_reference`) carry, and
+every analysis output built on top is identical.  The week matrix of
+``tests/differential.py`` holds the field-level line for every vantage,
+both IP families and TCP+QUIC (its ``objects`` leg, Tables 1-7 in its
+report); every executor leg there serves the same store-backed runs.
+This module holds what is particular to the store: the views' sequence
+protocol, figures and tables (first-seen dict order included) over
+campaigns and runs from different plans, populations and resolver
+overrides, and site-grained aggregation order.  Worlds are built in
+identically-seeded pairs and driven in lockstep, so both paths see the
+same shared-RNG trajectory.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from array import array
 
 import pytest
@@ -26,9 +30,7 @@ from repro.core.codepoints import ECN
 from repro.core.validation import ValidationOutcome
 from repro.pipeline.campaign import Campaign, campaign_weeks
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan_reference
-from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.quic.connection import QuicConnectionResult
-from repro.scanner.results import DomainObservation
 from repro.store.columns import NO_ROW, ObservationStore, plan_columns
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 from repro.tracebox.classify import ChangePoint, PathImpairment, TraceSummary
@@ -36,80 +38,41 @@ from repro.util.weeks import Week
 from repro.web.paths import AS_ARELION
 from repro.web.spec import WorldConfig
 
-from tests.conftest import point_first_domain_at_last_site, requires_fork
+from tests.conftest import point_first_domain_at_last_site
+from tests.differential import assert_legs_equal, assert_runs_equal
 
-#: Small world for the wide (vantage x family x tcp) matrix...
+#: Small world for the sequence-protocol checks...
 MATRIX_SCALE = 40_000
 #: ...and a representative world for the deep end-to-end comparisons.
 DEEP_SCALE = 12_000
-
-OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
 
 
 def _build(scale):
     return repro.build_world(WorldConfig(scale=scale))
 
 
-def _assert_runs_equal(expected, actual):
-    assert len(expected.observations) == len(actual.observations)
-    for exp, act in zip(expected.observations, actual.observations, strict=True):
-        for name in OBSERVATION_FIELDS:
-            assert getattr(exp, name) == getattr(act, name), (
-                f"{exp.domain}: field {name!r} diverged"
-            )
-    assert expected.site_records.keys() == actual.site_records.keys()
-    for index, exp_record in expected.site_records.items():
-        act_record = actual.site_records[index]
-        assert exp_record.ip == act_record.ip
-        assert exp_record.quic == act_record.quic
-        assert exp_record.tcp == act_record.tcp
-    assert expected.traces == actual.traces
-
-
 # ----------------------------------------------------------------------
-# Field-level equivalence across the full run matrix
+# Field-level equivalence across the week matrix
 # ----------------------------------------------------------------------
-def test_store_matches_objects_for_every_vantage_family_and_tcp():
-    """All vantages x v4/v6 x TCP on/off, driven in lockstep pairs."""
-    world_objects = _build(MATRIX_SCALE)
-    world_store = _build(MATRIX_SCALE)
-    week = world_objects.config.reference_week
-    cases = [
-        (vantage_id, ip_version, include_tcp)
-        for vantage_id in sorted(world_objects.vantages)
-        for ip_version, include_tcp in ((4, True), (4, False), (6, False))
-    ]
-    for vantage_id, ip_version, include_tcp in cases:
-        reference = run_weekly_scan_reference(
-            world_objects,
-            week,
-            vantage_id,
-            ip_version=ip_version,
-            populations=("cno",),
-            include_tcp=include_tcp,
-        )
-        run = world_store.scan_engine().run_week(
-            week,
-            vantage_id,
-            ip_version=ip_version,
-            populations=("cno",),
-            include_tcp=include_tcp,
-        )
-        assert isinstance(run, StoreWeeklyRun)
-        _assert_runs_equal(reference, run)
-    assert world_objects.clock.now == world_store.clock.now
+def test_store_matches_objects_for_every_vantage_family_and_tcp(week_matrix):
+    """Every vantage x v4+TCP/v4 with tracebox/v6: the reference loop's
+    eager objects equal the store's views, and Tables 1-7 rendered from
+    each vantage's runs are identical."""
+    assert_legs_equal(week_matrix.oracle, week_matrix["objects"])
 
 
 def test_store_run_with_tracebox_matches_objects():
-    world_objects = _build(DEEP_SCALE)
-    world_store = _build(DEEP_SCALE)
+    """One store run against its objects, through the views' sequence
+    protocol and per-run helpers."""
+    world_objects = _build(MATRIX_SCALE)
+    world_store = _build(MATRIX_SCALE)
     week = world_objects.config.reference_week
     reference = run_weekly_scan_reference(
         world_objects, week, include_tcp=True, run_tracebox=True
     )
     run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
-    _assert_runs_equal(reference, run)
-    assert world_objects.clock.now == world_store.clock.now
+    assert isinstance(run, StoreWeeklyRun)
+    assert_runs_equal(reference, run, leg="store")
     # Observation sequence protocol: indexing, slicing, negative index.
     assert isinstance(run.observations[0], ObservationView)
     assert run.observations[-1].domain == reference.observations[-1].domain
@@ -125,59 +88,6 @@ def test_store_run_with_tracebox_matches_objects():
         assert [o.domain for o in run.observations_for(population)] == [
             o.domain for o in reference.observations_for(population)
         ]
-
-
-# ----------------------------------------------------------------------
-# Pool execution: workers 1/2/4, ticket tiling, cache-free workers
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def per_site_run():
-    """Serial per-site-RNG run — the pool's golden reference."""
-    world = _build(DEEP_SCALE)
-    run = world.scan_engine().run_week(
-        world.config.reference_week,
-        include_tcp=True,
-        plugins=("ecn", "trace"),
-    )
-    return world, run
-
-
-def _pool_run(world, **engine_kwargs):
-    with ShmPoolScanEngine(world, **engine_kwargs) as engine:
-        return engine.run_week(
-            world.config.reference_week, include_tcp=True, plugins=("ecn", "trace")
-        )
-
-
-@requires_fork
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_store_matches_serial_objects(per_site_run, shards):
-    world_ref, reference = per_site_run
-    world = _build(DEEP_SCALE)
-    run = _pool_run(world, workers=shards)
-    assert isinstance(run, StoreWeeklyRun)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-def test_sharded_store_invariant_under_worker_permutation(per_site_run):
-    """Many small tickets, harvested in any worker order, merge the same."""
-    world_ref, reference = per_site_run
-    world = _build(DEEP_SCALE)
-    run = _pool_run(world, workers=4, ticket_sites=9)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
-
-
-@requires_fork
-def test_sharded_store_fork_pool_matches(per_site_run):
-    """Cache-free workers run every exchange fresh; results still golden."""
-    world_ref, reference = per_site_run
-    world = _build(DEEP_SCALE)
-    run = _pool_run(world, workers=3, exchange_cache=False)
-    _assert_runs_equal(reference, run)
-    assert world_ref.clock.now == world.clock.now
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +108,7 @@ def test_campaign_defaults_to_store_backend(campaign_pair):
     assert all(isinstance(run, StoreWeeklyRun) for run in store.runs)
     assert not any(isinstance(run, StoreWeeklyRun) for run in objects.runs)
     for reference, run in zip(objects.runs, store.runs, strict=True):
-        _assert_runs_equal(reference, run)
+        assert_runs_equal(reference, run, leg="store campaign")
 
 
 def _assert_figures_equal(objects, store):
@@ -344,7 +254,7 @@ def test_cross_site_override_analysis_outputs_identical():
         world_objects, week, include_tcp=True, run_tracebox=True
     )
     run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
-    _assert_runs_equal(reference, run)
+    assert_runs_equal(reference, run, leg="store, cross-site override")
     _assert_tables_equal(reference, run)
 
 

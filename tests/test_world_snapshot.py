@@ -3,26 +3,26 @@
 The snapshot's contract is that rehydration is invisible: a world
 decoded from a snapshot serves exactly the observations, site records,
 traces, reports and shared-clock trajectory a freshly built world
-produces — for every vantage, both IP families, TCP+QUIC, the serial
-engine and shm-pool worker counts 1/2/4, with pool tickets run in
-worker processes or inline in the parent (the bar the store and
-exchange-cache golden tests set).  Both sides run in lockstep so stateful machinery
-(clock, replay cache, plans) advances identically.
+produces.  The ``rehydrated`` legs of ``tests/differential.py`` hold
+that line for every vantage, both IP families and TCP+QUIC (the week
+matrix) and for the canonical campaign; every shm-pool leg runs its
+tickets on worlds its workers decoded from the shared snapshot.  This
+module holds the codec's structural round trip, the full reports
+including the distributed run, the lazy sections and the build cache.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis.report import global_report, longitudinal_report, reference_report
+from repro.analysis.report import global_report, reference_report
 from repro.pipeline.vantage import run_distributed
-from repro.scanner.results import DomainObservation
-from repro.util.weeks import Week
 from repro.web import snapshot
 from repro.web.providers import (
     default_providers,
@@ -31,14 +31,14 @@ from repro.web.providers import (
 )
 from repro.web.spec import WorldConfig
 
-from tests.conftest import pool_path_kwargs, requires_fork
+from tests.differential import assert_legs_equal
+from tests.differential import rehydrated as _rehydrate
 
-#: Coarse world for the wide (vantage x family x workers) matrix.
+#: Coarse world for the structural and cache tests.
 MATRIX_SCALE = 40_000
 #: Representative world for the deep campaign/analysis comparisons.
 DEEP_SCALE = 12_000
 
-OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
 SITE_FIELDS = ("index", "ip", "ipv6", "route_key", "position_in_group",
                "group_site_count", "domain_count", "toplist_domain_count",
                "asn", "org")
@@ -50,23 +50,7 @@ def _build(scale):
 
 def _rehydrated(scale):
     """A world that went world -> buffer -> world."""
-    return snapshot.decode_world(snapshot.encode_world(_build(scale)))
-
-
-def _assert_runs_equal(expected, actual):
-    assert len(expected.observations) == len(actual.observations)
-    for exp, act in zip(expected.observations, actual.observations, strict=True):
-        for name in OBSERVATION_FIELDS:
-            assert getattr(exp, name) == getattr(act, name), (
-                f"{exp.domain}: field {name!r} diverged"
-            )
-    assert expected.site_records.keys() == actual.site_records.keys()
-    for index, exp_record in expected.site_records.items():
-        act_record = actual.site_records[index]
-        assert exp_record.ip == act_record.ip
-        assert exp_record.quic == act_record.quic
-        assert exp_record.tcp == act_record.tcp
-    assert expected.traces == actual.traces
+    return _rehydrate(_build(scale))
 
 
 # ----------------------------------------------------------------------
@@ -159,48 +143,16 @@ def test_snapshot_rejects_garbage_and_mismatched_specs():
 # ----------------------------------------------------------------------
 # Golden equivalence through the pipeline
 # ----------------------------------------------------------------------
-def test_rehydrated_matches_fresh_for_every_vantage_and_family():
-    """All vantages x v4/v6 x TCP on/off, in lockstep."""
-    fresh = _build(MATRIX_SCALE)
-    rehydrated = _rehydrated(MATRIX_SCALE)
-    week = fresh.config.reference_week
-    cases = [
-        (vantage_id, ip_version, include_tcp)
-        for vantage_id in sorted(fresh.vantages)
-        for ip_version, include_tcp in ((4, True), (6, False))
-    ]
-    for vantage_id, ip_version, include_tcp in cases:
-        kwargs = dict(
-            ip_version=ip_version, populations=("cno",), include_tcp=include_tcp
-        )
-        _assert_runs_equal(
-            fresh.scan_engine().run_week(week, vantage_id, **kwargs),
-            rehydrated.scan_engine().run_week(week, vantage_id, **kwargs),
-        )
-    assert fresh.clock.now == rehydrated.clock.now
+def test_rehydrated_matches_fresh_for_every_vantage_and_family(week_matrix):
+    """All vantages x v4+TCP/v4 with tracebox/v6, on one rehydrated world."""
+    assert_legs_equal(week_matrix.oracle, week_matrix["rehydrated"])
 
 
-@requires_fork
-@pytest.mark.parametrize("workers,path", [
-    (1, "inline"), (2, "inline"), (4, "inline"), (2, "process"), (4, "process"),
-])
-def test_rehydrated_campaign_and_analysis_identical(workers, path):
-    """Pool campaigns + longitudinal analysis, workers 1/2/4, with the
-    tickets computed in worker processes or inline in the parent (which
-    then scans the rehydrated world itself)."""
-    fresh = _build(MATRIX_SCALE)
-    rehydrated = _rehydrated(MATRIX_SCALE)
-    weeks = [Week(2022, 22), Week(2023, 5), Week(2023, 15)]
-    campaigns = [
-        repro.run_campaign(
-            world, weeks=weeks, workers=workers, **pool_path_kwargs(path)
-        )
-        for world in (fresh, rehydrated)
-    ]
-    for exp_run, act_run in zip(campaigns[0].runs, campaigns[1].runs, strict=True):
-        _assert_runs_equal(exp_run, act_run)
-    assert longitudinal_report(campaigns[0]) == longitudinal_report(campaigns[1])
-    assert fresh.clock.now == rehydrated.clock.now
+def test_rehydrated_campaign_and_analysis_identical(campaign_legs):
+    """The canonical campaign and its report on a rehydrated world.
+    Every pool leg additionally runs its tickets on worlds the workers
+    decoded from the shared snapshot (``tests/test_shm_pool.py``)."""
+    assert_legs_equal(campaign_legs.oracle, campaign_legs["rehydrated"])
 
 
 def test_rehydrated_full_reports_identical():
@@ -369,11 +321,13 @@ def test_acquire_world_keys_on_config(tmp_path):
 # ----------------------------------------------------------------------
 # WorldConfig.quota edge cases
 # ----------------------------------------------------------------------
-def test_quota_rejects_non_positive_scale():
-    with pytest.raises(ValueError):
-        WorldConfig(scale=0)
-    with pytest.raises(ValueError):
-        WorldConfig(scale=-4)
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.5, 0, -1])
+def test_config_rejects_scale_that_is_not_finite_and_at_least_one(scale):
+    """NaN used to pass and fail later in ``quota``, inf built a world of
+    min-one quotas, and a scale below 1 builds more domains than the
+    paper counts (1e-9 never finished)."""
+    with pytest.raises(ValueError, match=re.escape(f"finite number >= 1, got {scale!r}")):
+        WorldConfig(scale=scale)
 
 
 def test_quota_scale_one_is_identity_rounding():
