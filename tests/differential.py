@@ -13,12 +13,14 @@ fixtures in ``tests/conftest.py``):
 
 * **The canonical campaign**: three weeks of ``cno`` at
   :data:`CAMPAIGN_SCALE` from ``main-aachen`` with the ``grease`` and
-  ``ebpf`` plugins, so plugin rows travel every path.  Legs: the
+  ``ebpf`` plugins, so plugin rows travel every path.  Named legs: the
   serial engine with its replay cache (the oracle), the serial engine
-  with ``exchange_cache=False``, a rehydrated world, an instrumented
-  caller-built 2-worker pool, the pool with 1 worker, the pool with 4
-  workers on small tickets, a 2-worker pool without exchange caches,
-  and the pool's inline-fallback path (:func:`pool_path_kwargs`).
+  with ``exchange_cache=False``, a rehydrated world and an instrumented
+  caller-built 2-worker pool.  Pool legs (:meth:`CampaignLegs.pool`)
+  are keyed by their shape: worker count, ticket size, cache-free
+  workers, the pool's inline-fallback path (:func:`pool_path_kwargs`)
+  and a rehydrated parent world; modules that ask for the same shape
+  share one leg.
 * **The week matrix**: every vantage x {v4+TCP with CE probing at the
   TCP week, v4 with tracebox and the toplists at the reference week,
   v6 at the IPv6 week} at :data:`MATRIX_SCALE`, driven case by case in
@@ -68,6 +70,7 @@ from repro.pipeline.engine import ScanEngine, ScanPhaseStats
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
+from repro.store.views import StoreWeeklyRun
 from repro.util import shm
 from repro.web import snapshot
 from repro.web.spec import WorldConfig
@@ -102,14 +105,10 @@ requires_fork = pytest.mark.skipif(
     reason="shm-pool executors need the fork start method (POSIX)",
 )
 
-#: The canonical campaign's shm-pool legs (their tests need fork).
-CAMPAIGN_POOL_LEGS = (
-    "instrumented",
-    "pool-1",
-    "pool-4-small-tickets",
-    "pool-uncached",
-    "pool-inline",
-)
+#: (workers, ticket_sites) of the canonical campaign's clean pool legs:
+#: one site range per worker at 1, 2 and 4 workers, and many small
+#: tickets harvested in any worker order.
+POOL_SHAPES = ((1, None), (2, None), (4, None), (2, 7), (4, 64))
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +145,8 @@ class Leg:
     cache_stats: tuple[int, int, int] | None = None
     #: Supervision snapshot of the matrix pool after its last run.
     supervision: tuple[int, int, int, int] | None = None
+    #: Every run was served by the columnar store (not eager objects).
+    store_backed: bool = False
 
 
 def _run_label(run) -> str:
@@ -166,6 +167,10 @@ def record_run(run, label: str | None = None) -> RunRecord:
     )
 
 
+def _store_backed(runs) -> bool:
+    return all(isinstance(run, StoreWeeklyRun) for run in runs)
+
+
 def record_campaign(name: str, world, result, **extra) -> Leg:
     """Record a finished campaign ``result`` that ran on ``world``."""
     return Leg(
@@ -173,6 +178,7 @@ def record_campaign(name: str, world, result, **extra) -> Leg:
         runs=[record_run(run) for run in result.runs],
         clock=world.clock.now,
         report=longitudinal_report(result),
+        store_backed=_store_backed(result.runs),
         **extra,
     )
 
@@ -293,8 +299,11 @@ class Differential:
         self._legs: dict[str, Leg] = {}
 
     def __getitem__(self, name: str) -> Leg:
+        return self._leg(name, self._builders[name])
+
+    def _leg(self, name: str, build: Callable[[], Leg]) -> Leg:
         if name not in self._legs:
-            self._legs[name] = self._builders[name]()
+            self._legs[name] = build()
         return self._legs[name]
 
     @property
@@ -380,23 +389,66 @@ def _instrumented_leg() -> Leg:
         return _campaign_leg("instrumented", world, engine=engine, telemetry=Telemetry())
 
 
-def campaign_legs() -> Differential:
-    return Differential(
+class CampaignLegs(Differential):
+    """The canonical campaign's named legs plus its pool legs."""
+
+    def pool(
+        self,
+        workers: int,
+        ticket_sites: int | None = None,
+        *,
+        path: str = "process",
+        exchange_cache: bool = True,
+        rehydrate: bool = False,
+    ) -> Leg:
+        """The canonical campaign on a pool that ``run_campaign`` builds:
+        ``workers`` workers, ``ticket_sites`` sites per ticket, workers
+        with or without exchange caches, every ticket computed down
+        ``path``, on a fresh or a rehydrated parent world."""
+        name = "-".join(
+            part
+            for part in (
+                f"pool-{workers}",
+                ticket_sites and f"tickets-{ticket_sites}",
+                not exchange_cache and "uncached",
+                path != "process" and path,
+                rehydrate and "rehydrated",
+            )
+            if part
+        )
+
+        def build() -> Leg:
+            world = rehydrated(campaign_world()) if rehydrate else campaign_world()
+            return _campaign_leg(
+                name,
+                world,
+                workers=workers,
+                ticket_sites=ticket_sites,
+                exchange_cache=exchange_cache,
+                **pool_path_kwargs(path),
+            )
+
+        return self._leg(name, build)
+
+    def pool_legs(self) -> list[Leg]:
+        """The instrumented pool and every shape the harness defines
+        for a fresh world: :data:`POOL_SHAPES`, cache-free workers and
+        the inline fallback."""
+        return [
+            self["instrumented"],
+            *(self.pool(workers, ticket_sites) for workers, ticket_sites in POOL_SHAPES),
+            self.pool(2, exchange_cache=False),
+            self.pool(2, path="inline"),
+        ]
+
+
+def campaign_legs() -> CampaignLegs:
+    return CampaignLegs(
         {
             "oracle": lambda: _campaign_leg("oracle"),
             "uncached": lambda: _campaign_leg("uncached", exchange_cache=False),
             "rehydrated": lambda: _campaign_leg("rehydrated", rehydrated(campaign_world())),
             "instrumented": _instrumented_leg,
-            "pool-1": lambda: _campaign_leg("pool-1", workers=1),
-            "pool-4-small-tickets": lambda: _campaign_leg(
-                "pool-4-small-tickets", workers=4, ticket_sites=9
-            ),
-            "pool-uncached": lambda: _campaign_leg(
-                "pool-uncached", workers=2, exchange_cache=False
-            ),
-            "pool-inline": lambda: _campaign_leg(
-                "pool-inline", workers=2, **pool_path_kwargs("inline")
-            ),
         }
     )
 
@@ -450,15 +502,16 @@ def _reference_scan(world):
 def _matrix_leg(name, world, scan) -> Leg:
     """Every vantage x family on ``world``; the report renders Tables
     1-7 per vantage from its v4 (tracebox) and v6 runs."""
-    records, reports = [], []
+    records, reports, store_backed = [], [], True
     for vantage_id in sorted(world.vantages):
         runs = {}
         for family, week_of, kwargs in MATRIX_FAMILIES:
             run = scan(week_of(world.config), vantage_id, **kwargs)
             records.append(record_run(run, f"{vantage_id} {family}"))
             runs[family] = run
+        store_backed = store_backed and _store_backed(runs.values())
         reports.append(f"[{vantage_id}]\n{reference_report(runs['v4'], runs['v6'])}")
-    return Leg(name, records, world.clock.now, "\n".join(reports))
+    return Leg(name, records, world.clock.now, "\n".join(reports), store_backed=store_backed)
 
 
 def _matrix_serial(name, world, engine=None) -> Leg:

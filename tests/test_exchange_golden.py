@@ -8,12 +8,16 @@ harness (``tests/differential.py``) are those cache-disabled runs: the
 week matrix's (every vantage x v4+TCP/v4 with tracebox/v6) and the
 canonical campaign's.  Both oracles really replay: the matrix oracle
 shares one cache across cases and weeks, the campaign oracle across
-three weeks.  Pool workers' caches are held to the same line by the
-pool legs (``tests/test_shm_pool.py``).
+three weeks.  Pool workers' caches are held to the same line: the
+campaign's pool legs, cached on every worker, equal its ``uncached``
+serial leg.
 """
 
 from __future__ import annotations
 
+import pytest
+
+from tests.conftest import requires_fork
 from tests.differential import assert_legs_equal
 
 
@@ -59,3 +63,38 @@ def test_campaign_cached_matches_uncached_and_analysis_identical(campaign_legs):
     assert oracle.stats.exchange_cache_hits > 0
     assert oracle.stats.exchange_cache_uncacheable == 0
     assert (uncached.stats.exchange_cache_hits, uncached.stats.exchange_cache_misses) == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Pool workers' caches: cached pool legs == the fresh serial leg
+# ----------------------------------------------------------------------
+@requires_fork
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_sharded_cached_matches_fresh_serial(campaign_legs, shards):
+    """One site range per worker ("shard"): each worker's cache replays
+    its sites' later weeks, and the merge equals a cache-free run."""
+    pooled = campaign_legs.pool(shards)
+    assert_legs_equal(campaign_legs["uncached"], pooled)
+    assert pooled.stats.exchange_cache_hits > 0
+
+
+@requires_fork
+def test_sharded_cached_invariant_under_worker_permutation(campaign_legs):
+    """Many small tickets, harvested in any worker order, merge the same."""
+    pooled = campaign_legs.pool(2, 7)
+    assert_legs_equal(campaign_legs["uncached"], pooled)
+    assert pooled.stats.exchange_cache_hits > 0
+
+
+@requires_fork
+def test_fork_pool_cached_matches_fresh_serial(campaign_legs):
+    """A caller-built warm pool (the role the removed fork-pool executor
+    played): workers replay from their caches, still golden, and their
+    counters travel back through the codec trailer."""
+    instrumented = campaign_legs["instrumented"]
+    assert_legs_equal(campaign_legs["uncached"], instrumented)
+    assert instrumented.stats.exchange_cache_hits > 0
+    assert instrumented.stats.exchange_cache_misses > 0
+    registry = instrumented.telemetry.registry
+    assert registry.value("worker.exchange_cache.hits") > 0
+    assert registry.value("worker.exchange_cache.misses") > 0

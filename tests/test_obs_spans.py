@@ -208,24 +208,37 @@ def _assert_worker_spans_under_their_week(spans, *, expect_workers=True):
 
 
 @requires_fork
-def test_shm_pool_worker_spans_reparent_under_week(campaign_legs):
-    """The instrumented 2-worker pool leg: every worker records one span
-    per ticket-week, filed under the week it computed, one per site
-    range."""
+def test_forkpool_worker_spans_reparent_under_week(campaign_legs):
+    """A caller-built pool (the instrumented leg): every forked worker
+    records one span per ticket-week, filed under the week it computed,
+    one per site range."""
     telemetry = campaign_legs["instrumented"].telemetry
     workers = _assert_worker_spans_under_their_week(_finished_spans(telemetry))
     # Worker spans recorded in worker processes: not the parent's pid.
     assert telemetry.tracer.pid not in {span.pid for span in workers}
     assert all(span.name == "ticket" for span in workers)
     assert all(span.attrs["attempt"] == 0 for span in workers)
-    # Multi-week tickets are harvested inside one week's site phase but
-    # must still split per week: every campaign week has its own
-    # ticket spans.
     assert Counter(span.attrs["week"] for span in workers) == {
         str(week): 2 for week in CAMPAIGN_WEEKS
     }
     # Worker-side cache counters shipped through the blob trailer.
     assert telemetry.registry.value("worker.exchange_cache.misses") > 0
+
+
+@requires_fork
+def test_shm_pool_worker_spans_reparent_under_week(campaign_legs):
+    """A pool that ``run_campaign`` builds itself, telemetry passed in."""
+    telemetry = Telemetry()
+    spans = _canonical_spans(campaign_legs, "instrumented campaign pool", telemetry, workers=2)
+    workers = _assert_worker_spans_under_their_week(spans)
+    assert all(span.name == "ticket" for span in workers)
+    # Worker spans recorded in worker processes: different pid.
+    assert {span.pid for span in workers} != {telemetry.tracer.pid}
+    assert telemetry.registry.value("worker.exchange_cache.misses") > 0
+    # Multi-week tickets are harvested inside one week's site phase but
+    # must still split per week: every campaign week has its own
+    # ticket spans.
+    assert {span.attrs["week"] for span in workers} == {str(week) for week in CAMPAIGN_WEEKS}
 
 
 @requires_fork
@@ -262,6 +275,31 @@ def test_fallback_shard_spans_tag_fallback(campaign_legs):
     assert all(span.pid == parent_pid for span in fallbacks)
     assert telemetry.registry.value("campaign.supervision.failures") == 2
     assert telemetry.registry.value("campaign.supervision.fallbacks") == 1
+
+
+@requires_fork
+def test_shm_pool_fallback_ticket_spans_tag_fallback(campaign_legs):
+    """A ticket whose worker crashes on every dispatch falls back inline
+    after its timeouts; the fallback spans still land under their week."""
+    plan = FaultPlan(seed=8).crash_worker(shard=0, week=CAMPAIGN_WEEKS[0], attempt=None)
+    telemetry = Telemetry()
+    spans = _canonical_spans(
+        campaign_legs,
+        "crash fallback",
+        telemetry,
+        workers=2,
+        fault_plan=plan,
+        shard_timeout=0.5,
+        max_shard_retries=1,
+    )
+    workers = _assert_worker_spans_under_their_week(spans)
+    fallbacks = [span for span in workers if span.attrs.get("fallback")]
+    assert fallbacks, "expected inline-fallback ticket spans"
+    assert {span.attrs["week"] for span in fallbacks} <= {str(w) for w in CAMPAIGN_WEEKS}
+    # Inline fallback runs in the parent process.
+    parent_pid = telemetry.tracer.pid
+    assert all(span.pid == parent_pid for span in fallbacks)
+    assert telemetry.registry.value("campaign.supervision.fallbacks") >= 1
 
 
 def test_inline_campaign_trace_is_exportable(tmp_path):

@@ -5,11 +5,12 @@ names, fields and variants are checked at registration, variant kinds
 are stable global properties, and a bad selection fails loudly (CLI
 included — unknown plugin is a usage error, exit 2).  Second, the
 selection contract: an explicit ``ecn`` selection resolves to the
-default names and scans exactly like the default.  Multi-plugin rows
-equal the serial oracle's under every executor, through the exchange
-cache and the store: the canonical campaign of ``tests/differential.py``
-runs ``ecn,grease,ebpf`` on every leg, and ``tests/test_checkpoint.py``
-resumes it from checkpoints.  The reference loop's ``run_tracebox``
+default names and scans exactly like the default, serially and on the
+shm pool at any worker count, on demand or from prefetched tickets.
+Multi-plugin rows equal the serial oracle's under every executor,
+through the exchange cache and the store: the canonical campaign of
+``tests/differential.py`` runs ``ecn,grease,ebpf`` on every leg, and
+checkpoints resume it, under another worker count too.  The reference loop's ``run_tracebox``
 traces what the ``trace`` plugin does (the week matrix's ``objects``
 leg).
 """
@@ -21,6 +22,7 @@ import pytest
 import repro
 from repro.analysis.report import plugin_summary
 from repro.cli import main
+from repro.obs import Telemetry
 from repro.pipeline import ShmPoolScanEngine, run_campaign
 from repro.plugins.base import (
     PLUGIN_KIND_BASE,
@@ -42,7 +44,13 @@ from repro.store import codec
 from repro.web.spec import WorldConfig
 
 from tests.conftest import requires_fork
-from tests.differential import CAMPAIGN_POOL_LEGS, assert_runs_equal
+from tests.differential import (
+    CAMPAIGN_WEEKS,
+    assert_campaign_matches,
+    assert_runs_equal,
+    campaign_world,
+    run_canonical_campaign,
+)
 
 SCALE = 20_000
 
@@ -157,17 +165,52 @@ def test_explicit_ecn_selection_resolves_to_the_default():
     assert explicit.bindings == resolve_plugins(None).bindings == ()
 
 
-def test_explicit_ecn_selection_is_the_default_scan():
-    """``plugins=("ecn",)`` scans exactly like the default selection
-    (both resolve to the same names; every executor then runs the
-    default scan, ``tests/differential.py``)."""
-    world_ref, world = _build(), _build()
-    week = world_ref.config.reference_week
-    reference = world_ref.scan_engine().run_week(week, include_tcp=True)
-    run = world.scan_engine().run_week(week, include_tcp=True, plugins=("ecn",))
-    assert_runs_equal(reference, run, leg='plugins=("ecn",)')
+@pytest.fixture(scope="module")
+def default_tcp_run():
+    """The default selection's TCP+QUIC reference-week run: the golden
+    reference for explicit ``ecn`` selections."""
+    world = _build()
+    return world, world.scan_engine().run_week(world.config.reference_week, include_tcp=True)
+
+
+def _assert_is_default_scan(default_tcp_run, world, run, leg):
+    world_ref, reference = default_tcp_run
+    assert_runs_equal(reference, run, leg=leg)
     assert run.plugin_rows == {}
     assert world_ref.clock.now == world.clock.now
+
+
+def test_explicit_ecn_selection_is_the_default_scan(default_tcp_run):
+    """``plugins=("ecn",)`` scans exactly like the default selection."""
+    world = _build()
+    run = world.scan_engine().run_week(
+        world.config.reference_week, include_tcp=True, plugins=("ecn",)
+    )
+    _assert_is_default_scan(default_tcp_run, world, run, 'plugins=("ecn",)')
+
+
+@requires_fork
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_ecn_plugin_byte_identical_sharded(default_tcp_run, shards):
+    """On demand, one site range per worker ("shard")."""
+    world = _build()
+    with ShmPoolScanEngine(world, workers=shards) as engine:
+        run = engine.run_week(world.config.reference_week, plugins=("ecn",), include_tcp=True)
+    _assert_is_default_scan(default_tcp_run, world, run, f"pool-{shards}")
+
+
+@requires_fork
+@pytest.mark.parametrize("ticket_sites", [None, 16], ids=["fork-pool", "shm-pool"])
+def test_ecn_plugin_byte_identical_fork_executors(default_tcp_run, ticket_sites):
+    """The prefetched-ticket path (what campaigns use) is byte-identical
+    too, with one site range per forked worker (what the removed
+    fork-pool executor dispatched) or many small tickets."""
+    world = _build()
+    week = world.config.reference_week
+    with ShmPoolScanEngine(world, workers=2, ticket_sites=ticket_sites) as engine:
+        assert engine.prefetch_weeks([week], plugins=("ecn",), include_tcp=True)
+        run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
+    _assert_is_default_scan(default_tcp_run, world, run, f"prefetched, tickets {ticket_sites}")
 
 
 # ----------------------------------------------------------------------
@@ -190,23 +233,48 @@ def test_multi_plugin_shm_pool_matches_serial(campaign_legs):
     through the inline fallback, to the serial rows (the rest of each
     run is held equal in ``tests/test_shm_pool.py``)."""
     expected = [run.plugin_rows for run in campaign_legs.oracle.runs]
-    for leg in CAMPAIGN_POOL_LEGS:
-        assert [run.plugin_rows for run in campaign_legs[leg].runs] == expected, leg
+    for leg in campaign_legs.pool_legs():
+        assert [run.plugin_rows for run in leg.runs] == expected, leg.name
+
+
+PLUGINS = ("ecn", "grease", "ebpf")
+
+
+@pytest.fixture(scope="module")
+def multi_plugin_tcp_run():
+    """Serial TCP+QUIC week with grease + ebpf: the campaign has no TCP
+    leg, so core TCP events and the plugins' variant events of one site
+    share tickets only here."""
+    world = _build()
+    run = world.scan_engine().run_week(
+        world.config.reference_week, include_tcp=True, plugins=PLUGINS
+    )
+    assert run.plugin_rows["grease"] and run.plugin_rows["ebpf"]
+    return world, run
+
+
+def _assert_multi_plugin_pool_matches(multi_plugin_tcp_run, leg, **engine_kwargs):
+    world_ref, reference = multi_plugin_tcp_run
+    world = _build()
+    with ShmPoolScanEngine(world, **engine_kwargs) as engine:
+        run = engine.run_week(world.config.reference_week, include_tcp=True, plugins=PLUGINS)
+    assert_runs_equal(reference, run, leg=leg)
+    assert world_ref.clock.now == world.clock.now
 
 
 @requires_fork
-def test_multi_plugin_rows_with_tcp_match_serial_on_small_tickets():
-    """Core TCP events and the plugins' variant events of one site share
-    tickets; the campaign has no TCP leg, so this one week does."""
-    plugins = ("ecn", "grease", "ebpf")
-    world_ref, world = _build(), _build()
-    week = world_ref.config.reference_week
-    reference = world_ref.scan_engine().run_week(week, include_tcp=True, plugins=plugins)
-    with ShmPoolScanEngine(world, workers=3, ticket_sites=5) as engine:
-        run = engine.run_week(week, include_tcp=True, plugins=plugins)
-    assert reference.plugin_rows["grease"] and reference.plugin_rows["ebpf"]
-    assert_runs_equal(reference, run, leg="pool, small tickets, TCP")
-    assert world_ref.clock.now == world.clock.now
+@pytest.mark.parametrize("shards", [2, 4])
+def test_multi_plugin_sharded_matches_serial(multi_plugin_tcp_run, shards):
+    _assert_multi_plugin_pool_matches(
+        multi_plugin_tcp_run, f"pool-{shards}, TCP", workers=shards
+    )
+
+
+@requires_fork
+def test_multi_plugin_rows_with_tcp_match_serial_on_small_tickets(multi_plugin_tcp_run):
+    _assert_multi_plugin_pool_matches(
+        multi_plugin_tcp_run, "pool, small tickets, TCP", workers=3, ticket_sites=5
+    )
 
 
 def test_run_tracebox_alias_selects_trace_plugin(week_matrix):
@@ -252,6 +320,25 @@ def test_default_run_has_no_plugin_section():
 def _weeks(world):
     start = world.config.start_week
     return [start, start + 6, world.config.reference_week]
+
+
+@requires_fork
+def test_campaign_plugins_checkpoint_resume(tmp_path, campaign_legs):
+    """Plugin rows checkpointed by a 1-worker pool resume under 2
+    workers: every week rehydrates with its rows."""
+    world = campaign_world()
+    run_canonical_campaign(world, workers=1, checkpoint_dir=tmp_path)
+    resumed_world = campaign_world()
+    telemetry = Telemetry()
+    resumed = run_canonical_campaign(
+        resumed_world, workers=2, checkpoint_dir=tmp_path, resume=True, telemetry=telemetry
+    )
+    resumed_weeks = telemetry.registry.counter("campaign.checkpoint.weeks_resumed").value
+    assert resumed_weeks == len(CAMPAIGN_WEEKS)
+    assert all(run.plugin_rows["grease"] for run in resumed.runs)
+    assert_campaign_matches(
+        campaign_legs.oracle, resumed_world, resumed, leg="resumed plugin campaign"
+    )
 
 
 def test_campaign_checkpoint_key_depends_on_plugins(tmp_path):

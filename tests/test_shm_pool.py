@@ -1,16 +1,16 @@
 """Shared-memory world + persistent worker pool.
 
 The pool's results equal the serial oracle's for every worker count and
-ticket size: the campaign legs of ``tests/differential.py`` hold that
-line (pool with 1 worker, 4 workers on small tickets, an instrumented
-2-worker pool and the inline fallback), and the week matrix drives one
-warm 2-worker pool through every vantage and family.  This module holds
-what is particular to the pool: a warm engine serving back-to-back
+ticket size: the campaign's pool legs of ``tests/differential.py`` hold
+that line (workers 1/2/4, small tickets on 2 and 4 workers, and the
+inline fallback), and the week matrix drives one warm 2-worker pool
+through every vantage and family.  This module also holds what is
+particular to the pool: a warm engine serving back-to-back
 campaigns, re-dispatch after a merge gap, workers that never plan,
 resuming after a worker was killed mid-campaign and from checkpoints the
 removed fork-pool executor wrote, ticket tiling, zero-copy world decode,
 and a pool that never leaks: the shared segment is unlinked after clean
-runs and aborts alike (the session fixture in conftest.py additionally
+runs, worker crashes and aborts alike (the session fixture in conftest.py additionally
 holds this line for the whole suite).
 """
 
@@ -40,6 +40,7 @@ from repro.web.spec import WorldConfig
 from tests.conftest import requires_fork, shm_entries
 from tests.differential import (
     CAMPAIGN_WEEKS,
+    POOL_SHAPES,
     assert_campaign_matches,
     assert_legs_equal,
     assert_runs_equal,
@@ -69,30 +70,33 @@ def _weeks(world):
 # Golden: the harness's pool legs == the serial oracle
 # ----------------------------------------------------------------------
 @requires_fork
-@pytest.mark.parametrize(
-    "leg", ["pool-1", "pool-4-small-tickets", "pool-uncached", "pool-inline"]
-)
-def test_pool_campaign_matches_inline(campaign_legs, leg):
-    """The canonical campaign on 1 worker, on 4 workers with small
-    tickets harvested in any worker order, on cache-free workers that
-    run every exchange fresh, and with every ticket re-executed inline
-    in the parent equals the serial oracle, report included."""
-    pooled = campaign_legs[leg]
+@pytest.mark.parametrize("workers,ticket_sites", POOL_SHAPES)
+def test_pool_campaign_matches_inline(campaign_legs, workers, ticket_sites):
+    """The canonical campaign on 1, 2 and 4 workers, one site range per
+    worker or many small tickets harvested in any worker order, equals
+    the serial oracle, report included."""
+    pooled = campaign_legs.pool(workers, ticket_sites)
     assert_legs_equal(campaign_legs.oracle, pooled)
     stats = pooled.stats
-    if leg == "pool-inline":
-        # Every worker buffer was corrupt: each ticket failed once and
-        # re-executed in the parent.
-        assert stats.shard_failures > 0
-        assert stats.shard_retries == stats.shard_failures
-        assert stats.shard_timeouts == 0
-    else:
-        # A clean run needed no supervision, and the workers' cache
-        # counters travelled back through the codec trailer.
-        assert (stats.shard_retries, stats.shard_timeouts, stats.shard_failures) == (0, 0, 0)
-        cached = leg != "pool-uncached"
-        assert (stats.exchange_cache_hits > 0) == cached
-        assert (stats.exchange_cache_misses > 0) == cached
+    # A clean run needed no supervision, and the workers' cache
+    # counters travelled back through the codec trailer.
+    assert (stats.shard_retries, stats.shard_timeouts, stats.shard_failures) == (0, 0, 0)
+    assert stats.exchange_cache_hits > 0
+    assert stats.exchange_cache_misses > 0
+    assert shm.live_segments() == []
+
+
+@requires_fork
+def test_pool_inline_fallback_matches_inline(campaign_legs):
+    """Every ticket re-executed inline in the parent (every worker
+    buffer corrupt, no re-dispatch) equals the serial oracle."""
+    pooled = campaign_legs.pool(2, path="inline")
+    assert_legs_equal(campaign_legs.oracle, pooled)
+    stats = pooled.stats
+    # Each ticket failed once and re-executed in the parent.
+    assert stats.shard_failures > 0
+    assert stats.shard_retries == stats.shard_failures
+    assert stats.shard_timeouts == 0
     assert shm.live_segments() == []
 
 
@@ -429,6 +433,24 @@ def test_clean_campaign_leaves_no_segment():
 
 
 @requires_fork
+def test_worker_crash_leaves_no_segment(campaign_legs):
+    """A worker killed mid-campaign on a pool ``run_campaign`` builds:
+    the retried campaign still equals the oracle, and neither the dead
+    worker nor the parent leaves a segment behind."""
+    before = shm_entries()
+    world = campaign_world()
+    plan = FaultPlan(seed=7).crash_worker(shard=0, week=CAMPAIGN_WEEKS[0])
+    stats = ScanPhaseStats()
+    campaign = run_canonical_campaign(
+        world, workers=2, fault_plan=plan, shard_timeout=0.5, phase_stats=stats
+    )
+    assert_campaign_matches(campaign_legs.oracle, world, campaign, leg="crashed worker")
+    assert stats.shard_retries >= 1
+    assert shm.live_segments() == []
+    assert shm_entries() <= before
+
+
+@requires_fork
 def test_aborted_campaign_leaves_no_segment():
     before = shm_entries()
     world = _build(MATRIX_SCALE)
@@ -475,10 +497,6 @@ def test_engine_constructor_validations():
         ShmPoolScanEngine(world, ticket_sites=0)
     with pytest.raises(ValueError, match="workers"):
         ShmPoolScanEngine(world, workers=0)
-    with pytest.raises(ValueError, match="shard_timeout"):
-        ShmPoolScanEngine(world, shard_timeout=0)
-    with pytest.raises(ValueError, match="max_shard_retries"):
-        ShmPoolScanEngine(world, max_shard_retries=-1)
 
 
 def test_pool_engine_shares_plan_cache_with_serial_engine():

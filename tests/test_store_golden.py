@@ -6,8 +6,9 @@ of the reference loop (:func:`run_weekly_scan_reference`) carry, and
 every analysis output built on top is identical.  The week matrix of
 ``tests/differential.py`` holds the field-level line for every vantage,
 both IP families and TCP+QUIC (its ``objects`` leg, Tables 1-7 in its
-report); every executor leg there serves the same store-backed runs.
-This module holds what is particular to the store: the views' sequence
+report); every executor leg there serves the same store-backed runs,
+and the campaign's pool legs hold the line for workers 1/2/4, small
+tickets and cache-free workers.  This module also holds what is particular to the store: the views' sequence
 protocol, figures and tables (first-seen dict order included) over
 campaigns and runs from different plans, populations and resolver
 overrides, and site-grained aggregation order.  Worlds are built in
@@ -38,7 +39,7 @@ from repro.util.weeks import Week
 from repro.web.paths import AS_ARELION
 from repro.web.spec import WorldConfig
 
-from tests.conftest import point_first_domain_at_last_site
+from tests.conftest import point_first_domain_at_last_site, requires_fork
 from tests.differential import assert_legs_equal, assert_runs_equal
 
 #: Small world for the sequence-protocol checks...
@@ -59,6 +60,8 @@ def test_store_matches_objects_for_every_vantage_family_and_tcp(week_matrix):
     eager objects equal the store's views, and Tables 1-7 rendered from
     each vantage's runs are identical."""
     assert_legs_equal(week_matrix.oracle, week_matrix["objects"])
+    assert week_matrix.oracle.store_backed
+    assert not week_matrix["objects"].store_backed
 
 
 def test_store_run_with_tracebox_matches_objects():
@@ -88,6 +91,36 @@ def test_store_run_with_tracebox_matches_objects():
         assert [o.domain for o in run.observations_for(population)] == [
             o.domain for o in reference.observations_for(population)
         ]
+
+
+# ----------------------------------------------------------------------
+# Pool execution: workers 1/2/4, ticket tiling, cache-free workers
+# ----------------------------------------------------------------------
+@requires_fork
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_sharded_store_matches_serial_objects(campaign_legs, shards):
+    """Each worker ("shard") records its site range into store columns
+    the parent merges: store runs equal to the serial oracle."""
+    pooled = campaign_legs.pool(shards)
+    assert pooled.store_backed
+    assert_legs_equal(campaign_legs.oracle, pooled)
+
+
+@requires_fork
+def test_sharded_store_invariant_under_worker_permutation(campaign_legs):
+    """Many tickets on 4 workers, harvested in any order, merge the same."""
+    pooled = campaign_legs.pool(4, 64)
+    assert pooled.store_backed
+    assert_legs_equal(campaign_legs.oracle, pooled)
+
+
+@requires_fork
+def test_sharded_store_fork_pool_matches(campaign_legs):
+    """Cache-free workers run every exchange fresh; results still golden."""
+    pooled = campaign_legs.pool(2, exchange_cache=False)
+    assert pooled.store_backed
+    assert_legs_equal(campaign_legs.oracle, pooled)
+    assert (pooled.stats.exchange_cache_hits, pooled.stats.exchange_cache_misses) == (0, 0)
 
 
 # ----------------------------------------------------------------------

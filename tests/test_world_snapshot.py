@@ -31,6 +31,7 @@ from repro.web.providers import (
 )
 from repro.web.spec import WorldConfig
 
+from tests.conftest import requires_fork
 from tests.differential import assert_legs_equal
 from tests.differential import rehydrated as _rehydrate
 
@@ -148,11 +149,25 @@ def test_rehydrated_matches_fresh_for_every_vantage_and_family(week_matrix):
     assert_legs_equal(week_matrix.oracle, week_matrix["rehydrated"])
 
 
-def test_rehydrated_campaign_and_analysis_identical(campaign_legs):
+def test_rehydrated_serial_campaign_and_analysis_identical(campaign_legs):
     """The canonical campaign and its report on a rehydrated world.
     Every pool leg additionally runs its tickets on worlds the workers
     decoded from the shared snapshot (``tests/test_shm_pool.py``)."""
     assert_legs_equal(campaign_legs.oracle, campaign_legs["rehydrated"])
+
+
+@requires_fork
+@pytest.mark.parametrize(
+    "workers,path",
+    [(1, "inline"), (2, "inline"), (4, "inline"), (2, "process"), (4, "process")],
+)
+def test_rehydrated_campaign_and_analysis_identical(campaign_legs, workers, path):
+    """Pool campaigns + longitudinal analysis from a rehydrated parent
+    world, workers 1/2/4, with the tickets computed in worker processes
+    or inline in the parent (which then scans the rehydrated world
+    itself)."""
+    pooled = campaign_legs.pool(workers, path=path, rehydrate=True)
+    assert_legs_equal(campaign_legs.oracle, pooled)
 
 
 def test_rehydrated_full_reports_identical():
