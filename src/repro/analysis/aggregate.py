@@ -1,22 +1,20 @@
 """Provider (AS organization) aggregation and ranking helpers.
 
-Every aggregation here accepts plain observation lists or a
-store-backed :class:`~repro.store.views.StoreObservations` slice.
-:func:`org_ecn_counts` aggregates a store slice per site — one result
-and one attempted count per site, weighted by that count — and is
-pinned equal to the per-observation loop by the table and synthetic
-site-order tests of ``tests/test_store_golden.py``, first-seen org
-order included.
+:func:`org_ecn_counts` counts the QUIC units of a run
+(:mod:`repro.analysis.units`), each weighted by its domains, and keys
+orgs in first-seen order, so a store run's per-site counting equals a
+reference-loop run's per-domain counting, org order included (pinned by
+the table and synthetic site-order tests of
+``tests/test_store_golden.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
-from repro.scanner.results import DomainObservation
-from repro.store.views import store_slice
+from repro.analysis.units import quic_units
+from repro.pipeline.runs import WeeklyRun
 
 
 @dataclass(frozen=True)
@@ -29,53 +27,26 @@ class OrgCounts:
     use: int
 
 
-def count_by_org(
-    observations: Iterable[DomainObservation],
-    *,
-    predicate: Callable[[DomainObservation], bool] | None = None,
-) -> Counter:
-    """Count observations per org, optionally filtered."""
-    counter: Counter = Counter()
-    for obs in observations:
-        if predicate is None or predicate(obs):
-            counter[obs.org] += 1
-    return counter
-
-
-def org_ecn_counts(observations: Iterable[DomainObservation]) -> list[OrgCounts]:
-    """Total/mirroring/use counts per org over QUIC-capable observations."""
+def org_ecn_counts(run: WeeklyRun, population: str | None) -> list[OrgCounts]:
+    """Total/mirroring/use counts per org over ``population``'s connected
+    QUIC domains (``None``: every domain of the run)."""
     totals: Counter = Counter()
     mirroring: Counter = Counter()
     use: Counter = Counter()
-    sliced = store_slice(observations)
-    if sliced is not None:
-        store, population = sliced
-        orgs = store.columns.orgs
-        first: dict[str, int] = {}
-        for segment, result, count in store.quic_sites(population):
-            if not result.connected:
-                continue
-            org = orgs[segment.positions[0]]
-            totals[org] += count
-            if result.mirroring:
-                mirroring[org] += count
-            if result.server_set_ect:
-                use[org] += count
-            position = min(segment.rank_positions[:count])
-            first[org] = min(first.get(org, position), position)
-        totals = first_seen_order(totals, first)
-    else:
-        for obs in observations:
-            if not obs.quic_available:
-                continue
-            totals[obs.org] += 1
-            if obs.mirroring:
-                mirroring[obs.org] += 1
-            if obs.uses_ecn:
-                use[obs.org] += 1
+    first: dict[str, int] = {}
+    for result, _site_index, _ip, org, domains, ranked in quic_units(run, population):
+        if not result.connected:
+            continue
+        totals[org] += domains
+        if result.mirroring:
+            mirroring[org] += domains
+        if result.server_set_ect:
+            use[org] += domains
+        position = min(ranked[:domains])
+        first[org] = min(first.get(org, position), position)
     return [
         OrgCounts(org=org, total=totals[org], mirroring=mirroring[org], use=use[org])
-        for org in totals
+        for org in first_seen_order(totals, first)
     ]
 
 
@@ -96,18 +67,3 @@ def rank_map(values: dict[str, int]) -> dict[str, int]:
     for position, (org, _count) in enumerate(ordered, start=1):
         ranks[org] = position
     return ranks
-
-
-def distinct_ips(
-    observations: Iterable[DomainObservation],
-    *,
-    predicate: Callable[[DomainObservation], bool] | None = None,
-) -> set[str]:
-    """The set of server IPs behind the (filtered) observations."""
-    ips: set[str] = set()
-    for obs in observations:
-        if obs.ip is None:
-            continue
-        if predicate is None or predicate(obs):
-            ips.add(obs.ip)
-    return ips

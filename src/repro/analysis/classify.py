@@ -35,9 +35,9 @@ _OUTCOME_TO_CLASS = {
 def validation_class_of(quic) -> ValidationClass:
     """Validation class of one :class:`QuicConnectionResult` (or None).
 
-    The result-level entry point: store-backed analysis classifies
-    each site's result once and counts it for the site's attempted
-    domains, instead of re-deriving it per domain.
+    The result-level entry point: analysis classifies each counting
+    unit's result once and counts it for the unit's domains
+    (:mod:`repro.analysis.units`), instead of re-deriving it per domain.
     """
     if quic is None or not quic.connected:
         return ValidationClass.UNAVAILABLE

@@ -1,18 +1,24 @@
-"""Builders for Figures 3–8 of the paper's evaluation."""
+"""Builders for Figures 3–8 of the paper's evaluation.
+
+Figure 3 counts the QUIC units of :mod:`repro.analysis.units` and
+Figures 4/8 its per-run state groups.  Figures 5/6 keep one
+per-observation body over either run shape: no benchmarked command
+renders them, so a site-grained rewrite would add code that nothing
+measures.
+"""
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from itertools import pairwise
 
 from repro.analysis.aggregate import first_seen_order
 from repro.analysis.classify import quic_group, support_group, tcp_group
+from repro.analysis.units import quic_units, state_groups
 from repro.pipeline.campaign import Campaign
 from repro.pipeline.runs import WeeklyRun
 from repro.pipeline.vantage import VantageRun
 from repro.scanner.results import server_label_of
-from repro.store.views import store_slice
 from repro.util.weeks import Week
 from repro.web.world import World
 
@@ -37,33 +43,21 @@ def figure3(campaign: Campaign) -> list[Figure3Point]:
     for run in campaign.runs:
         by_server: Counter = Counter()
         total = 0
-        observations = run.observations_for("cno")
-        sliced = store_slice(observations)
-        if sliced is not None:
-            store, population = sliced
-            first: dict[str, int] = {}
-            for segment, result, count in store.quic_sites(population):
-                if not result.connected:
-                    continue
-                total += count
-                if result.mirroring:
-                    label = server_label_of(result)
-                    by_server[label] += count
-                    position = min(segment.rank_positions[:count])
-                    first[label] = min(first.get(label, position), position)
-            by_server = first_seen_order(by_server, first)
-        else:
-            for obs in observations:
-                if not obs.quic_available:
-                    continue
-                total += 1
-                if obs.mirroring:
-                    by_server[obs.server_label] += 1
+        first: dict[str, int] = {}
+        for result, _site_index, _ip, _org, domains, ranked in quic_units(run, "cno"):
+            if not result.connected:
+                continue
+            total += domains
+            if result.mirroring:
+                label = server_label_of(result)
+                by_server[label] += domains
+                position = min(ranked[:domains])
+                first[label] = min(first.get(label, position), position)
         points.append(
             Figure3Point(
                 week=run.week,
                 total_quic_domains=total,
-                mirroring_by_server=dict(by_server),
+                mirroring_by_server=first_seen_order(by_server, first),
             )
         )
     return points
@@ -82,17 +76,12 @@ class TransitionData:
 
 
 def _domain_state_of(result) -> str:
-    """Figure 4/8 state label of one QUIC result (shared by both the
-    per-observation path and the store's per-site groups)."""
+    """Figure 4/8 state label of one QUIC result (``None``: not attempted)."""
     if result is None or not result.connected:
         return "Unavailable"
     label = "Mirroring" if result.mirroring else "No Mirroring"
     version_label = result.version.label if result.version is not None else None
     return f"{label} ({version_label})"
-
-
-def _domain_state(obs) -> str:
-    return _domain_state_of(obs.quic)
 
 
 def figure4(
@@ -112,19 +101,7 @@ def figure4(
         weeks = campaign.weeks()
         snapshots = (weeks[0], weeks[len(weeks) // 2], weeks[-1])
     runs = [campaign.closest_run(week) for week in snapshots]
-    slices = [store_slice(run.observations_for("cno")) for run in runs]
-    stores = [sliced[0] for sliced in slices if sliced is not None]
-    if len(stores) == len(runs) and len({id(store.columns) for store in stores}) == 1:
-        groups = _state_groups(stores, "cno")
-    else:
-        # Runs of different plans share no segments: one group per domain.
-        states_by_domain: dict[str, list[str]] = defaultdict(
-            lambda: ["Unavailable"] * len(runs)
-        )
-        for index, run in enumerate(runs):
-            for obs in run.observations_for("cno"):
-                states_by_domain[obs.domain][index] = _domain_state(obs)
-        groups = [(1, tuple(states)) for states in states_by_domain.values()]
+    groups = state_groups(runs, "cno", _domain_state_of)
     if require_ecn_touch:
         groups = [
             (size, states)
@@ -147,36 +124,6 @@ def figure4(
         state_counts=tuple(dict(c) for c in state_counts),
         flows=filtered_flows,
     )
-
-
-def _state_groups(stores, population: str) -> list[tuple[int, tuple[str, ...]]]:
-    """``(domain count, state per run)`` groups of one plan's domains.
-
-    Each site's rank-ordered members split at the runs' attempted
-    counts into at most ``len(stores) + 1`` groups of equal states; the
-    positions without a site form one all-``Unavailable`` group.
-    Groups come in order of their earliest position, so every Counter
-    built from them inserts keys in the per-domain loop's order.
-    """
-    columns = stores[0].columns
-    keyed = []
-    unattributed = len(columns.population_positions(population))
-    for index, segment in columns.population_segments(population):
-        counts = [store.attempted(index, segment) for store in stores]
-        states = [_domain_state_of(store.quic_results[index]) for store in stores]
-        for lo, hi in pairwise(sorted({0, len(segment.positions), *counts})):
-            group_states = tuple(
-                state if hi <= count else "Unavailable"
-                for state, count in zip(states, counts, strict=True)
-            )
-            keyed.append((min(segment.rank_positions[lo:hi]), hi - lo, group_states))
-        unattributed -= len(segment.positions)
-    if unattributed:
-        segment_of = columns.segment_of
-        first = next(p for p in columns.population_positions(population) if segment_of[p] < 0)
-        keyed.append((first, unattributed, ("Unavailable",) * len(stores)))
-    keyed.sort()
-    return [(size, states) for _first, size, states in keyed]
 
 
 def figure8(campaign: Campaign, snapshots: tuple[Week, ...] | None = None) -> TransitionData:

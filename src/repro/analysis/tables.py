@@ -1,14 +1,18 @@
-"""Builders for Tables 1–7 of the paper's evaluation."""
+"""Builders for Tables 1–7 of the paper's evaluation.
+
+Each builder has one body over the QUIC units of
+:mod:`repro.analysis.units`, weighted by the domains each stands for.
+"""
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.aggregate import distinct_ips, first_seen_order, org_ecn_counts, rank_map
-from repro.analysis.classify import ValidationClass, validation_class, validation_class_of
+from repro.analysis.aggregate import first_seen_order, org_ecn_counts, rank_map
+from repro.analysis.classify import ValidationClass, validation_class_of
+from repro.analysis.units import parked_flags, quic_units, resolution
 from repro.pipeline.runs import WeeklyRun
-from repro.store.views import store_slice
 from repro.tracebox.classify import PathImpairment
 from repro.core.codepoints import ECN
 from repro.web.paths import AS_ARELION
@@ -36,68 +40,34 @@ class Table1Row:
         return 100.0 * self.use / self.quic if self.quic else 0.0
 
 
-def _table1_rows_columnar(scope: str, store, population) -> list[Table1Row]:
-    """Both Table 1 rows of one population: resolution from the plan's
-    (week-invariant) columns, QUIC counts per site."""
-    columns = store.columns
-    positions = columns.population_positions(population)
-    resolved = sum(columns.resolved[position] for position in positions)
-    resolved_ips = {columns.ips[position] for position in positions} - {None}
-    quic = mirroring = use = 0
-    quic_ips: set[str] = set()
-    mirroring_ips: set[str] = set()
-    use_ips: set[str] = set()
-    for segment, result, count in store.quic_sites(population):
-        ip = columns.ips[segment.positions[0]]
-        if result.connected:
-            quic += count
-            quic_ips.add(ip)
-        if result.mirroring:
-            mirroring += count
-            mirroring_ips.add(ip)
-        if result.server_set_ect:
-            use += count
-            use_ips.add(ip)
-    return [
-        Table1Row(
-            scope=scope,
-            unit="Domains",
-            total=len(positions),
-            resolved=resolved,
-            quic=quic,
-            mirroring=mirroring,
-            use=use,
-        ),
-        Table1Row(
-            scope=scope,
-            unit="IPs",
-            total=0,  # the paper leaves this cell empty
-            resolved=len(resolved_ips),
-            quic=len(quic_ips),
-            mirroring=len(mirroring_ips),
-            use=len(use_ips),
-        ),
-    ]
-
-
 def table1(run: WeeklyRun) -> list[Table1Row]:
     """Visible ECN mirroring/use for toplist and com/net/org domains."""
     rows: list[Table1Row] = []
     for population, scope in (("toplist", "Toplists"), ("cno", "c/n/o")):
-        obs = run.observations_for(population)
-        sliced = store_slice(obs)
-        if sliced is not None:
-            rows.extend(_table1_rows_columnar(scope, *sliced))
-            continue
+        total, resolved, resolved_ips = resolution(run, population)
+        quic = mirroring = use = 0
+        quic_ips: set[str] = set()
+        mirroring_ips: set[str] = set()
+        use_ips: set[str] = set()
+        for result, _site_index, ip, _org, domains, _ranked in quic_units(run, population):
+            if result.connected:
+                quic += domains
+                quic_ips.add(ip)
+            if result.mirroring:
+                mirroring += domains
+                mirroring_ips.add(ip)
+            if result.server_set_ect:
+                use += domains
+                use_ips.add(ip)
         rows.append(
             Table1Row(
                 scope=scope,
                 unit="Domains",
-                total=len(obs),
-                resolved=sum(1 for o in obs if o.resolved),
-                quic=sum(1 for o in obs if o.quic_available),
-                mirroring=sum(1 for o in obs if o.mirroring),
-                use=sum(1 for o in obs if o.uses_ecn),
+                total=total,
+                resolved=resolved,
+                quic=quic,
+                mirroring=mirroring,
+                use=use,
             )
         )
         rows.append(
@@ -105,10 +75,10 @@ def table1(run: WeeklyRun) -> list[Table1Row]:
                 scope=scope,
                 unit="IPs",
                 total=0,  # the paper leaves this cell empty
-                resolved=len(distinct_ips(obs)),
-                quic=len(distinct_ips(obs, predicate=lambda o: o.quic_available)),
-                mirroring=len(distinct_ips(obs, predicate=lambda o: o.mirroring)),
-                use=len(distinct_ips(obs, predicate=lambda o: o.uses_ecn)),
+                resolved=len(resolved_ips),
+                quic=len(quic_ips),
+                mirroring=len(mirroring_ips),
+                use=len(use_ips),
             )
         )
     return rows
@@ -129,7 +99,7 @@ class ProviderRow:
 
 
 def _provider_table(run: WeeklyRun, population: str) -> list[ProviderRow]:
-    counts = org_ecn_counts(run.observations_for(population))
+    counts = org_ecn_counts(run, population)
     totals = {c.org: c.total for c in counts}
     mirror = {c.org: c.mirroring for c in counts}
     use = {c.org: c.use for c in counts}
@@ -160,42 +130,6 @@ def table2(run: WeeklyRun) -> list[ProviderRow]:
 def table3(run: WeeklyRun) -> list[ProviderRow]:
     """Top providers of toplist QUIC domains (IPv4)."""
     return _provider_table(run, "toplist")
-
-
-# ----------------------------------------------------------------------
-# Tables 4/7 — per-site units of the attempted QUIC domains
-# ----------------------------------------------------------------------
-def _quic_units(run: WeeklyRun, population: str):
-    """``(result, site_index, ip, org, domains, first)`` per counted unit.
-
-    A store run yields one unit per site with a QUIC result for
-    ``population`` (:meth:`ObservationStore.quic_sites`): its
-    ``domains`` attempted members share the site's result, index, ip
-    and org, and ``first`` is the earliest of their positions.  Any
-    other run yields one unit per observation with a QUIC result
-    (``domains`` 1, ``first`` its index).  Tables 4 and 7 key only on
-    per-site facts, so counting units weighted by ``domains`` equals the
-    per-observation loop.
-    """
-    observations = run.observations_for(population)
-    sliced = store_slice(observations)
-    if sliced is not None:
-        store, population = sliced
-        columns = store.columns
-        for segment, result, count in store.quic_sites(population):
-            member = segment.positions[0]
-            yield (
-                result,
-                segment.site_index,
-                columns.ips[member],
-                columns.orgs[member],
-                count,
-                min(segment.rank_positions[:count]),
-            )
-    else:
-        for index, obs in enumerate(observations):
-            if obs.quic is not None:
-                yield obs.quic, obs.site_index, obs.ip, obs.org, 1, index
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +166,7 @@ def table4(run: WeeklyRun) -> ClearingTable:
     not_cleared_ips: set[str] = set()
     arelion_domains = 0
     total_cleared_domains = 0
-    for result, site_index, ip, org, domains, _first in _quic_units(run, "cno"):
+    for result, site_index, ip, org, domains, _ranked in quic_units(run, "cno"):
         if not result.connected or result.mirroring or ip is None:
             continue
         summary = run.trace_for(site_index)
@@ -296,24 +230,12 @@ class ValidationCell:
 def _validation_counts(run: WeeklyRun) -> dict[ValidationClass, ValidationCell]:
     domains: Counter = Counter()
     ips: dict[ValidationClass, set[str]] = defaultdict(set)
-    observations = run.observations_for("cno")
-    sliced = store_slice(observations)
-    if sliced is not None:
-        store, population = sliced
-        for segment, result, count in store.quic_sites(population):
-            if not result.connected:
-                continue
-            cls = validation_class_of(result)
-            domains[cls] += count
-            ips[cls].add(store.columns.ips[segment.positions[0]])
-    else:
-        for obs in observations:
-            if not obs.quic_available:
-                continue
-            cls = validation_class(obs)
-            domains[cls] += 1
-            if obs.ip is not None:
-                ips[cls].add(obs.ip)
+    for result, _site_index, ip, _org, count, _ranked in quic_units(run, "cno"):
+        if not result.connected:
+            continue
+        cls = validation_class_of(result)
+        domains[cls] += count
+        ips[cls].add(ip)
     return {
         cls: ValidationCell(ips=len(ips[cls]), domains=domains[cls])
         for cls in domains
@@ -354,21 +276,10 @@ def table6(
 ) -> dict[ValidationClass, list[tuple[str, int]]]:
     """Per-class provider rankings (descending domain counts)."""
     per_class: dict[ValidationClass, Counter] = {cls: Counter() for cls in classes}
-    observations = run.observations_for("cno")
-    sliced = store_slice(observations)
-    if sliced is not None:
-        store, population = sliced
-        for segment, result, count in store.quic_sites(population):
-            cls = validation_class_of(result)
-            if result.connected and cls in per_class:
-                per_class[cls][store.columns.orgs[segment.positions[0]]] += count
-    else:
-        for obs in observations:
-            if not obs.quic_available:
-                continue
-            cls = validation_class(obs)
-            if cls in per_class:
-                per_class[cls][obs.org] += 1
+    for result, _site_index, _ip, org, domains, _ranked in quic_units(run, "cno"):
+        cls = validation_class_of(result)
+        if result.connected and cls in per_class:
+            per_class[cls][org] += domains
     return {
         cls: sorted(counter.items(), key=lambda item: (-item[1], item[0]))
         for cls, counter in per_class.items()
@@ -399,7 +310,7 @@ def table7(run: WeeklyRun) -> list[RootCauseRow]:
     cells: dict[tuple[ValidationClass, str], set[str]] = defaultdict(set)
     domain_counts: Counter = Counter()
     first: dict[tuple[ValidationClass, str], int] = {}
-    for result, site_index, ip, _org, domains, position in _quic_units(run, "cno"):
+    for result, site_index, ip, _org, domains, ranked in quic_units(run, "cno"):
         if not result.connected or ip is None:
             continue
         cls = validation_class_of(result)
@@ -411,6 +322,7 @@ def table7(run: WeeklyRun) -> list[RootCauseRow]:
         key = (cls, _FINAL_LABELS[summary.final_ecn])
         cells[key].add(ip)
         domain_counts[key] += domains
+        position = min(ranked[:domains])
         first[key] = min(first.get(key, position), position)
     # Equal-domain rows keep the per-domain loop's first-seen order.
     cells = first_seen_order(cells, first)
@@ -446,21 +358,10 @@ def parking_summary(run: WeeklyRun) -> ParkingSummary:
     """Share of QUIC com/net/org domains related to domain parking."""
     quic = 0
     parked = 0
-    observations = run.observations_for("cno")
-    sliced = store_slice(observations)
-    if sliced is not None:
-        store, population = sliced
-        parked_column = store.columns.parked
-        for segment, result, count in store.quic_sites(population):
-            if result.connected:
-                quic += count
-                # Parking is per domain but week-invariant: a plan column.
-                parked += sum(parked_column[p] for p in segment.rank_positions[:count])
-    else:
-        for obs in observations:
-            if not obs.quic_available:
-                continue
-            quic += 1
-            if obs.parked:
-                parked += 1
+    # Parking is per domain but week-invariant: a plan column.
+    flags = parked_flags(run, "cno")
+    for result, _site_index, _ip, _org, domains, ranked in quic_units(run, "cno"):
+        if result.connected:
+            quic += domains
+            parked += sum(map(flags.__getitem__, ranked[:domains]))
     return ParkingSummary(quic_domains=quic, parked_quic_domains=parked)

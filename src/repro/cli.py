@@ -18,8 +18,8 @@ one parent parser.
 Reports print to stdout; diagnostics (cache/supervision stats, the
 ``--progress`` heartbeat, obs-output notes) go to stderr, silenced by
 ``--quiet``.  Numeric options are validated argparse-side: a zero or
-negative count, cadence or timeout, and a scale that is not a finite
-number >= 1, is a usage error (exit 2), and
+negative count, cadence or timeout, a timeout that is not finite, and
+a scale that is not a finite number >= 1, is a usage error (exit 2), and
 so is an output path that cannot be written (``--world-cache`` or
 ``--checkpoint-dir`` naming a file, ``--metrics-out``/``--trace-out``
 in a missing directory).
@@ -72,7 +72,11 @@ def _number_type(convert, name: str, *, minimum, inclusive: bool, finite: bool =
 
 _positive_int = _number_type(int, "positive int", minimum=1, inclusive=True)
 _non_negative_int = _number_type(int, "non-negative int", minimum=0, inclusive=True)
-_positive_float = _number_type(float, "positive float", minimum=0.0, inclusive=False)
+#: ``--shard-timeout``: an infinite deadline would overflow the pool's
+#: wait and turn every ticket into an inline re-execution.
+_positive_float = _number_type(
+    float, "positive float", minimum=0.0, inclusive=False, finite=True
+)
 #: ``--scale``: the bound :class:`WorldConfig` enforces, checked before
 #: any world is built.
 _scale = _number_type(float, "scale", minimum=1, inclusive=True, finite=True)

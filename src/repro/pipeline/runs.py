@@ -8,7 +8,10 @@ once per week and attributes the outcome to every domain it serves.
 :func:`run_weekly_scan` executes through the site-first
 :class:`~repro.pipeline.engine.ScanEngine`; the original per-domain loop
 is kept as :func:`run_weekly_scan_reference` — it defines the scan
-semantics and anchors the golden equivalence test.
+semantics and anchors the golden equivalence test.  Analysis counts
+either run through :mod:`repro.analysis.units`: a reference run's
+observations become weight-1 units, so the same builder bodies that
+count a store run per site are checked against per-domain truth.
 
 The per-site records below (:func:`ensure_site_record` filling
 ``WeeklyRun.site_records``) are also the unit of crash recovery: a

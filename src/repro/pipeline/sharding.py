@@ -37,6 +37,7 @@ instead of a bare ``KeyError``.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -290,8 +291,8 @@ class ShmPoolScanEngine(ScanEngine):
             raise ValueError("workers must be >= 1")
         if ticket_sites is not None and ticket_sites < 1:
             raise ValueError("ticket_sites must be >= 1")
-        if shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive")
+        if not 0 < shard_timeout < math.inf:  # NaN fails too
+            raise ValueError("shard_timeout must be positive and finite")
         if max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
         super().__init__(world, exchange_cache=exchange_cache)

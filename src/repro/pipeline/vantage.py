@@ -51,7 +51,12 @@ class VantageRun:
 
 
 def forwarded_targets(main_run: WeeklyRun) -> list[ForwardedTarget]:
-    """Per-IP dedup: the first viable domain per IP (factor-40 load cut)."""
+    """Per-IP dedup: the first viable domain per IP (factor-40 load cut).
+
+    One per-observation body over either run shape: the ``distributed``
+    command is not benchmarked, so a site-grained rewrite would add code
+    that nothing measures.
+    """
     targets: dict[int, ForwardedTarget] = {}
     for obs in main_run.observations:
         if not obs.quic_available or obs.ip is None or obs.site_index < 0:

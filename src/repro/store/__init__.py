@@ -29,12 +29,7 @@ to the reference loop's eager objects (pinned by the ``objects`` leg of
 
 from repro.store.codec import decode_shard_results, encode_shard_results
 from repro.store.columns import DomainColumns, ObservationStore, SiteSegment, plan_columns
-from repro.store.views import (
-    ObservationView,
-    StoreObservations,
-    StoreWeeklyRun,
-    store_slice,
-)
+from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 
 __all__ = [
     "DomainColumns",
@@ -44,7 +39,6 @@ __all__ = [
     "ObservationView",
     "StoreObservations",
     "StoreWeeklyRun",
-    "store_slice",
     "encode_shard_results",
     "decode_shard_results",
 ]

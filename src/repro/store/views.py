@@ -3,9 +3,9 @@
 :class:`ObservationView` is a two-slot flyweight exposing the full
 :class:`~repro.scanner.results.DomainObservation` surface (fields and
 derived properties) by reading the store's columns — nothing is copied,
-nothing is materialised until a field is actually read.  Analysis code
-that iterates observations works unchanged; analysis hot paths detect
-store backing via :func:`store_slice` and aggregate per site instead.
+nothing is materialised until a field is actually read.  Code that
+iterates observations works unchanged on either run shape; analysis
+counts a store run per site instead (:mod:`repro.analysis.units`).
 """
 
 from __future__ import annotations
@@ -116,11 +116,10 @@ class StoreObservations(Sequence):
     order — the object path's order.
     """
 
-    __slots__ = ("store", "population", "positions")
+    __slots__ = ("store", "positions")
 
     def __init__(self, store: ObservationStore, population: str | None = None):
         self.store = store
-        self.population = population
         columns = store.columns
         self.positions: Sequence[int] = (
             range(columns.count)
@@ -148,28 +147,15 @@ class StoreObservations(Sequence):
             yield ObservationView(store, position)
 
 
-def store_slice(observations) -> tuple[ObservationStore, str | None] | None:
-    """``(store, population)`` when ``observations`` is store-backed.
-
-    The hook analysis fast paths use to aggregate per site
-    (``population`` is ``None`` for a slice over every position);
-    returns ``None`` for plain observation lists (the compatibility
-    path).
-    """
-    if isinstance(observations, StoreObservations):
-        return observations.store, observations.population
-    return None
-
-
 @dataclass
 class StoreWeeklyRun(WeeklyRun):
     """A :class:`WeeklyRun` whose observations live in the store.
 
     ``observations`` is a :class:`StoreObservations` sequence (lazy
-    views), and ``observations_for`` returns a population slice of it
-    that analysis can recognise (:func:`store_slice`).  Everything
-    else — site records, traces, the trace sampler — is identical to
-    the object path.
+    views), and ``observations_for`` returns a population slice of it.
+    Analysis counts ``store`` per site (:mod:`repro.analysis.units`).
+    Everything else — site records, traces, the trace sampler — is
+    identical to the object path.
     """
 
     store: ObservationStore | None = None

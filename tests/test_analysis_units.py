@@ -1,14 +1,13 @@
 """Unit-level tests for aggregation and classification helpers,
 driven by hand-built observations (no world needed)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.aggregate import (
-    count_by_org,
-    distinct_ips,
-    org_ecn_counts,
-    rank_map,
-)
+import repro.analysis
+from repro.analysis.aggregate import org_ecn_counts, rank_map
 from repro.analysis.classify import (
     ValidationClass,
     quic_group,
@@ -17,9 +16,11 @@ from repro.analysis.classify import (
     validation_class,
 )
 from repro.core.validation import ValidationOutcome
+from repro.pipeline.runs import WeeklyRun
 from repro.quic.connection import QuicConnectionResult
 from repro.scanner.results import DomainObservation
 from repro.tcp.client import TcpScanOutcome
+from repro.util.weeks import Week
 
 
 def obs(
@@ -113,19 +114,16 @@ def test_server_label_classification():
 # ----------------------------------------------------------------------
 # aggregate
 # ----------------------------------------------------------------------
-def test_count_by_org_with_predicate():
-    observations = [obs(org="A"), obs(org="A", mirroring=True), obs(org="B")]
-    counts = count_by_org(observations, predicate=lambda o: o.mirroring)
-    assert counts == {"A": 1}
-
-
 def test_org_ecn_counts_skips_unconnected():
     observations = [
         obs(org="A", mirroring=True, use=True),
         obs(org="A", connected=False),
         obs(org="B"),
     ]
-    rows = {c.org: c for c in org_ecn_counts(observations)}
+    run = WeeklyRun(
+        week=Week(2023, 1), vantage_id="v", ip_version=4, observations=observations
+    )
+    rows = {c.org: c for c in org_ecn_counts(run, "cno")}
     assert rows["A"].total == 1
     assert rows["A"].mirroring == 1
     assert rows["A"].use == 1
@@ -139,15 +137,29 @@ def test_rank_map_dense_with_stable_ties():
     assert ranks["z"] == 3
 
 
-def test_distinct_ips_dedup():
-    observations = [obs(ip="10.0.0.1"), obs(ip="10.0.0.1"), obs(ip="10.0.0.2")]
-    assert distinct_ips(observations) == {"10.0.0.1", "10.0.0.2"}
+#: Names that tell a store-backed run from a reference-loop run.
+_RUN_SHAPE_NAMES = {"StoreWeeklyRun", "ObservationStore", "StoreObservations", "store_slice"}
 
 
-def test_distinct_ips_ignores_unresolved():
-    record = obs()
-    record.ip = None
-    assert distinct_ips([record]) == set()
+def test_only_the_unit_adapter_tells_run_shapes_apart():
+    """Every analysis module but ``units`` has one body per builder: it
+    neither imports nor names the store's run types."""
+    offenders = []
+    for path in sorted(Path(repro.analysis.__file__).parent.glob("*.py")):
+        if path.name == "units.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in _RUN_SHAPE_NAMES:
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert not offenders, offenders
 
 
 # ----------------------------------------------------------------------

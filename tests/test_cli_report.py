@@ -118,6 +118,7 @@ def test_cli_rejects_out_of_range_week(capsys):
         ["campaign", "--workers", "0"],
         ["campaign", "--workers", "2", "--ticket-sites", "0"],
         ["campaign", "--workers", "2", "--shard-timeout", "0"],
+        ["campaign", "--workers", "2", "--shard-timeout", "inf"],
         ["campaign", "--workers", "2", "--shard-retries", "-1"],
         ["scan", "--scale", "0"],
         ["scan", "--scale", "-3"],

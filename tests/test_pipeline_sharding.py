@@ -13,6 +13,8 @@ demand, which the campaign never does.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro
@@ -102,7 +104,8 @@ def test_sharded_engine_rejects_bad_executors():
     world = _build()
     with pytest.raises(ValueError, match="workers"):
         ShmPoolScanEngine(world, workers=-1)
-    with pytest.raises(ValueError, match="shard_timeout"):
-        ShmPoolScanEngine(world, shard_timeout=0)
+    for timeout in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="shard_timeout"):
+            ShmPoolScanEngine(world, shard_timeout=timeout)
     with pytest.raises(ValueError, match="max_shard_retries"):
         ShmPoolScanEngine(world, max_shard_retries=-1)

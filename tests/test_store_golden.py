@@ -19,13 +19,14 @@ same shared-RNG trajectory.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 
 import pytest
 
 import repro
 from repro.analysis import figures as fig
 from repro.analysis import tables as tab
-from repro.analysis.aggregate import count_by_org, distinct_ips, org_ecn_counts
+from repro.analysis.aggregate import org_ecn_counts
 from repro.analysis.report import longitudinal_report, reference_report
 from repro.core.codepoints import ECN
 from repro.core.validation import ValidationOutcome
@@ -241,12 +242,10 @@ def _assert_tables_equal(reference, run):
     # Per-org counts in first-seen org order, per population and over
     # every position (the unrestricted segments).
     for population in ("cno", "toplist"):
-        assert list(org_ecn_counts(reference.observations_for(population))) == list(
-            org_ecn_counts(run.observations_for(population))
+        assert list(org_ecn_counts(reference, population)) == list(
+            org_ecn_counts(run, population)
         )
-    assert list(org_ecn_counts(reference.observations)) == list(
-        org_ecn_counts(run.observations)
-    )
+    assert list(org_ecn_counts(reference, None)) == list(org_ecn_counts(run, None))
 
 
 def test_reference_analysis_outputs_identical():
@@ -258,20 +257,19 @@ def test_reference_analysis_outputs_identical():
     )
     run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
     _assert_tables_equal(reference, run)
-    # Aggregate helpers over the views agree with the object loops,
-    # including identical (insertion-order-sensitive) Counter ordering.
+    # Iterating the views agrees with the object loops, including
+    # identical (insertion-order-sensitive) Counter ordering.
     obs_ref = reference.observations_for("cno")
     obs_store = run.observations_for("cno")
     assert isinstance(obs_store, StoreObservations)
-    ref_counts = count_by_org(obs_ref)
-    store_counts = count_by_org(obs_store)
+    ref_counts = Counter(obs.org for obs in obs_ref)
+    store_counts = Counter(obs.org for obs in obs_store)
     assert ref_counts == store_counts
     assert list(ref_counts) == list(store_counts)
-    assert distinct_ips(obs_ref) == distinct_ips(obs_store)
-    # Predicate'd calls fall back to the view path and still agree.
-    assert distinct_ips(obs_ref, predicate=lambda o: o.mirroring) == distinct_ips(
-        obs_store, predicate=lambda o: o.mirroring
-    )
+    assert {obs.ip for obs in obs_ref} - {None} == {obs.ip for obs in obs_store} - {None}
+    assert {obs.ip for obs in obs_ref if obs.mirroring} == {
+        obs.ip for obs in obs_store if obs.mirroring
+    }
 
 
 
@@ -354,12 +352,9 @@ def test_site_grained_analysis_keeps_first_seen_order(shares):
     objects, store = _synthetic_campaigns(shares)
     _assert_figures_equal(objects, store)
     for reference, run in zip(objects.runs, store.runs, strict=True):
-        for observations in (
-            (reference.observations_for("cno"), run.observations_for("cno")),
-            (reference.observations, run.observations),
-        ):
-            assert list(org_ecn_counts(observations[0])) == list(
-                org_ecn_counts(observations[1])
+        for population in ("cno", None):
+            assert list(org_ecn_counts(reference, population)) == list(
+                org_ecn_counts(run, population)
             )
         assert tab.table1(reference) == tab.table1(run)
         assert tab.table2(reference) == tab.table2(run)
