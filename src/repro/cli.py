@@ -274,7 +274,10 @@ def _parse_week(text: str) -> Week:
         raise argparse.ArgumentTypeError(
             f"invalid week {text!r}: week number must be in 1..53"
         )
-    return Week(year, week)
+    try:
+        return Week(year, week)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid week {text!r}: {exc}") from None
 
 
 def _cmd_scan(args) -> int:
@@ -317,7 +320,6 @@ def _cmd_scan(args) -> int:
 def _cmd_campaign(args) -> int:
     if args.workers is None:
         pool_only = (
-            ("--ticket-sites", args.ticket_sites),
             ("--shard-timeout", args.shard_timeout),
             ("--shard-retries", args.shard_retries),
         )
@@ -349,7 +351,6 @@ def _cmd_campaign(args) -> int:
         cadence_weeks=args.cadence,
         plugins=plugins,
         workers=args.workers,
-        ticket_sites=args.ticket_sites,
         exchange_cache=not args.no_exchange_cache,
         phase_stats=stats,
         checkpoint_dir=args.checkpoint_dir,
@@ -446,21 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run the site phase on a persistent pool of N forked workers "
-             "sharing one shared-memory world snapshot; weeks are "
-             "prefetched as (site-range, week-range) tickets, so the "
-             "whole campaign costs one dispatch round trip per worker; "
-             "output is identical to the serial run (see "
+             "sharing one shared-memory world snapshot; the campaign's "
+             "weeks are prefetched as one (site-range, week-range) "
+             "ticket per worker, cut to near-equal scheduled work, so "
+             "the whole campaign costs one dispatch round trip per "
+             "worker; output is identical to the serial run (see "
              "docs/architecture.md#worker-pool--shared-world)",
-    )
-    campaign.add_argument(
-        "--ticket-sites",
-        type=_positive_int,
-        default=None,
-        metavar="M",
-        help="sites per work ticket for --workers (default: site count / "
-             "workers, i.e. one ticket per worker); smaller tickets "
-             "rebalance faster after a worker crash at the cost of more "
-             "dispatches",
     )
     campaign.add_argument(
         "--no-exchange-cache",

@@ -72,7 +72,6 @@ def run_campaign(
     populations: tuple[str, ...] = ("cno",),
     plugins: tuple[str, ...] | None = None,
     workers: int | None = None,
-    ticket_sites: int | None = None,
     phase_stats: "ScanPhaseStats | None" = None,
     exchange_cache: bool = True,
     checkpoint_dir: "str | os.PathLike | None" = None,
@@ -112,11 +111,11 @@ def run_campaign(
     :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: the encoded
     world is published to one shared-memory segment, a persistent pool
     of that many forked workers decodes it zero-copy at startup, and
-    the campaign's weeks are prefetched as (site-range, week-range)
-    tickets so the whole series costs one dispatch round trip per
-    worker (``ticket_sites`` overrides the site-range size).  Every
-    executor runs each site exchange on a deterministic per-site RNG
-    substream, so pool campaigns equal serial ones exactly
+    the campaign's weeks are prefetched as one (site-range, week-range)
+    ticket per worker, cut to near-equal scheduled work, so the whole
+    series costs one dispatch round trip per worker.  Every executor
+    runs each site exchange on a deterministic per-site RNG substream,
+    so pool campaigns equal serial ones exactly
     (docs/architecture.md#worker-pool--shared-world).
 
     ``checkpoint_dir`` makes the campaign crash-safe: every completed
@@ -160,11 +159,6 @@ def run_campaign(
     ).names
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
-    if ticket_sites is not None and workers is None:
-        raise ValueError(
-            "ticket_sites has no effect without workers; pass workers=N to "
-            "run the shared-memory pool"
-        )
     supervised = shard_timeout is not None or max_shard_retries is not None
     if engine is not None:
         if workers is not None:
@@ -201,7 +195,6 @@ def run_campaign(
         engine = ShmPoolScanEngine(
             world,
             workers=workers,
-            ticket_sites=ticket_sites,
             exchange_cache=exchange_cache,
             fault_plan=fault_plan,
             **supervision,

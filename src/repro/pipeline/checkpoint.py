@@ -15,7 +15,7 @@ oracle of ``tests/differential.py``).
 Files are keyed by :func:`campaign_checkpoint_key` — a digest over the
 world fingerprint and every campaign parameter the entries depend on
 (vantage, populations, family, TCP inclusion) plus the codec format
-versions.  Worker count, ticket tiling and executor are deliberately
+versions.  Worker count, ticket layout and executor are deliberately
 *excluded*: per-site RNG substreams make results partition-independent,
 so a campaign may resume under a different worker count than it started
 with — including files the removed fork-pool executor wrote.

@@ -42,7 +42,7 @@ kind) — built only when the exchange runs fresh on a path that can draw
 — and runs against its own virtual clock.  Exchanges are therefore
 order-independent: any partition of the site phase — serial,
 :class:`~repro.pipeline.sharding.ShmPoolScanEngine` with any worker
-count or ticket tiling, checkpoint replay — produces identical results.
+count or ticket layout, checkpoint replay — produces identical results.
 
 Attribution records into the columnar
 :class:`~repro.store.columns.ObservationStore` (O(sites) per week);
@@ -215,7 +215,10 @@ class ScanPhaseStats:
     replayed a cached outcome, ``misses`` ran fresh and populated the
     cache, ``uncacheable`` ran fresh because the path may draw
     randomness.  Pool runs merge worker-side counters in before the
-    site phase ends, so the split is executor-independent.
+    site phase ends, so every exchange is counted once.  Worker caches
+    are private, so a replay key shared by sites of two tickets misses
+    once per ticket: a pool's split can show a few more misses than the
+    serial engine's.
 
     The ``shard_*`` counters account supervised pool execution
     (:class:`~repro.pipeline.sharding.ShmPoolScanEngine`):

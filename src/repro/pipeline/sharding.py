@@ -17,7 +17,7 @@ substream seeded by (world seed, week, vantage, family, site, kind) —
 :meth:`ScanEngine.event_stream` — and runs against a private virtual
 clock, so no exchange can observe another's draws or timing.  As a
 consequence the merged output is *identical* for any worker count and
-any ticket tiling, and equals the serial
+any ticket layout, and equals the serial
 :class:`~repro.pipeline.engine.ScanEngine` (golden-tested by the pool
 legs of the differential harness, ``tests/differential.py``).
 
@@ -41,7 +41,8 @@ import math
 import multiprocessing
 import os
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -148,33 +149,38 @@ class Ticket:
 
 
 def plan_tickets(
-    site_count: int,
+    weights: Sequence[int],
     weeks: Sequence[Week],
     *,
-    ticket_sites: int,
+    tickets: int,
 ) -> list[Ticket]:
-    """Tile ``[0, site_count) x weeks`` into tickets.
+    """Cut ``[0, len(weights)) x weeks`` into at most ``tickets``
+    contiguous site ranges of near-equal ``weights`` (each site's
+    scheduled event count).
 
-    Pure and total: every (site, week) cell lands in exactly one ticket
-    (property-tested in ``tests/test_shm_pool.py``), tickets are emitted
-    in site-range order, and the tiling depends only on the arguments —
-    merge order cannot matter because ranges never overlap.  All weeks
-    share one ticket per site range, so each worker owns its sites for
-    the whole campaign and its exchange cache stays warm: per-week
-    tickets would land on whichever worker is free, missing the cache
-    once per worker that sees a site and breaking the
-    executor-independent cache split :class:`ScanPhaseStats` documents.
+    Range ``k`` ends at the first site where the running weight reaches
+    ``k / tickets`` of the total, so no ticket outweighs its share by
+    more than one site; with no weight at all the ranges are equal in
+    site count.  Pure and total: every (site, week) cell, events or not,
+    lands in exactly one ticket, in site-range order (property-tested
+    in ``tests/test_shm_pool.py``).  All weeks share one ticket per site
+    range, so each worker owns its sites for the whole campaign and its
+    exchange cache stays warm: per-week tickets would land on whichever
+    worker is free and miss the cache once per worker that sees a site.
     """
-    if site_count < 0:
-        raise ValueError("site_count must be >= 0")
-    if ticket_sites < 1:
-        raise ValueError("ticket_sites must be >= 1")
-    weeks = tuple(weeks)
-    if not weeks:
+    if tickets < 1:
+        raise ValueError("tickets must be >= 1")
+    if not weights:
         return []
+    running = list(accumulate(weights if any(weights) else [1] * len(weights)))
+    cuts = (
+        bisect_left(running, -(-k * running[-1] // tickets)) + 1
+        for k in range(1, tickets)
+    )
+    bounds = sorted({0, len(running), *cuts})
     return [
-        Ticket(index, site_lo, min(site_lo + ticket_sites, site_count), weeks)
-        for index, site_lo in enumerate(range(0, site_count, ticket_sites))
+        Ticket(index, site_lo, site_hi, tuple(weeks))
+        for index, (site_lo, site_hi) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
@@ -184,7 +190,7 @@ def slice_schedule(
     """Give every ticket its site range's events for each week it covers.
 
     ``schedule[i]`` is the ordered event list of the tickets' ``i``-th
-    week (one tiling's tickets share their weeks).  Pure: every event
+    week (one layout's tickets share their weeks).  Pure: every event
     lands in exactly one ticket-week whose range contains its site, in
     schedule order (property-tested in ``tests/test_shm_pool.py``), so
     a worker's cache sees its sites in the serial engine's order.
@@ -272,7 +278,6 @@ class ShmPoolScanEngine(ScanEngine):
         world,
         *,
         workers: int | None = None,
-        ticket_sites: int | None = None,
         exchange_cache: bool = True,
         shard_timeout: float = 60.0,
         max_shard_retries: int = 2,
@@ -289,8 +294,6 @@ class ShmPoolScanEngine(ScanEngine):
         workers = workers if workers is not None else default_workers()
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if ticket_sites is not None and ticket_sites < 1:
-            raise ValueError("ticket_sites must be >= 1")
         if not 0 < shard_timeout < math.inf:  # NaN fails too
             raise ValueError("shard_timeout must be positive and finite")
         if max_shard_retries < 0:
@@ -298,10 +301,8 @@ class ShmPoolScanEngine(ScanEngine):
         super().__init__(world, exchange_cache=exchange_cache)
         self._pool = None
         self._segment = None
-        #: Pool size; also the default tiling denominator (one site
-        #: range per worker when ``ticket_sites`` is not given).
+        #: Pool size; also the ticket count of every dispatch.
         self.workers = workers
-        self.ticket_sites = ticket_sites
         #: Per-week result deadline of one ticket attempt (seconds).
         self.shard_timeout = shard_timeout
         #: Pool re-dispatches per ticket before the inline fallback.
@@ -326,12 +327,11 @@ class ShmPoolScanEngine(ScanEngine):
         #: only reads, so sharing the merged dict across runs is safe).
         #: Bounded FIFO.
         self._replayed: dict[tuple, tuple[dict, tuple[int, int, int]]] = {}
+        #: First site of each ticket of the week merged last, for
+        #: :meth:`_shard_of` (one range before any dispatch).
+        self._ticket_los = [0]
 
     # ------------------------------------------------------------------
-    def _site_span(self) -> int:
-        if self.ticket_sites is not None:
-            return self.ticket_sites
-        return max(1, -(-len(self.world.sites) // self.workers))
 
     def prefetch_weeks(
         self,
@@ -371,9 +371,11 @@ class ShmPoolScanEngine(ScanEngine):
         if not todo:
             return 0
         # Fork first: the workers decode the world while the parent
-        # plans and schedules.  The schedule is not kept — run_week
-        # reschedules each week for its merge, which is cheaper than
-        # holding every week's events for the whole campaign.
+        # plans and schedules, and inherit none of the plan's pages
+        # (forking after planning raised the campaign-pool benchmark's
+        # peak RSS from 148.4-148.6 MB to 167.4-171.8 MB).  The schedule
+        # is not kept — run_week reschedules each week for its merge,
+        # which is cheaper than holding every week's events.
         self._ensure_pool()
         schedule = [
             self.site_events(
@@ -387,9 +389,11 @@ class ShmPoolScanEngine(ScanEngine):
     def _dispatch_tickets(
         self, weeks: tuple[Week, ...], spec: tuple, schedule: Sequence[list[SiteEvent]]
     ) -> int:
+        weights = [0] * len(self.world.sites)
+        for event in chain.from_iterable(schedule):
+            weights[event.site_index] += 1
         tickets = slice_schedule(
-            plan_tickets(len(self.world.sites), weeks, ticket_sites=self._site_span()),
-            schedule,
+            plan_tickets(weights, weeks, tickets=self.workers), schedule
         )
         pool = self._ensure_pool()
         states = [
@@ -428,7 +432,10 @@ class ShmPoolScanEngine(ScanEngine):
             # run_week outside a prefetch (standalone weekly runs, or a
             # recompute after ShardResultMissing): single-week tickets.
             self._dispatch_tickets((week,), spec, [events])
-        for state in self._pending.pop(key, []):
+        states = self._pending.pop(key, [])
+        if states:
+            self._ticket_los = [state.ticket.site_lo for state in states]
+        for state in states:
             self._harvest(state)
         harvest = self._harvests.pop(key, None) or _WeekHarvest()
         if all((event.site_index, event.kind) in harvest.entries for event in events):
@@ -442,7 +449,7 @@ class ShmPoolScanEngine(ScanEngine):
         return harvest.entries, source
 
     def _shard_of(self, site_index: int) -> int:
-        return site_index // self._site_span()
+        return bisect_right(self._ticket_los, site_index) - 1
 
     def _harvest(self, state: _TicketState) -> None:
         """Collect one ticket under supervision (timeout/retry/fallback).

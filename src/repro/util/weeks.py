@@ -25,6 +25,11 @@ class Week:
     def __post_init__(self) -> None:
         if not 1 <= self.week <= 53:
             raise ValueError(f"week out of range: {self.week}")
+        if not _dt.MINYEAR <= self.year <= _dt.MAXYEAR:
+            raise ValueError(f"year out of range: {self.year}")
+        # Dec 28 always falls in its ISO year's last week.
+        if self.week == 53 and _dt.date(self.year, 12, 28).isocalendar()[1] != 53:
+            raise ValueError(f"ISO year {self.year} has no week 53")
 
     @classmethod
     def from_date(cls, date: _dt.date) -> "Week":

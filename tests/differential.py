@@ -4,8 +4,8 @@ The paper scans each IP once and gives that result to every domain on
 the IP (§4.4), and every execution path here rests on that: the serial
 engine with and without the exchange replay cache, a world rehydrated
 from its snapshot, an instrumented run, the shm pool at any worker
-count and ticket size, the pool's inline fallback and the per-domain
-reference loop.  Each must produce exactly what the serial engine does.
+count, the pool's inline fallback and the per-domain reference loop.
+Each must produce exactly what the serial engine does.
 
 This module computes each path (a *leg*) of two configurations at most
 once per test session (the ``campaign_legs`` and ``week_matrix``
@@ -17,9 +17,9 @@ fixtures in ``tests/conftest.py``):
   serial engine with its replay cache (the oracle), the serial engine
   with ``exchange_cache=False``, a rehydrated world and an instrumented
   caller-built 2-worker pool.  Pool legs (:meth:`CampaignLegs.pool`)
-  are keyed by their shape: worker count, ticket size, cache-free
-  workers, the pool's inline-fallback path (:func:`pool_path_kwargs`)
-  and a rehydrated parent world; modules that ask for the same shape
+  are keyed by their shape: worker count, cache-free workers, the
+  pool's inline-fallback path (:func:`pool_path_kwargs`) and a
+  rehydrated parent world; modules that ask for the same shape
   share one leg.
 * **The week matrix**: every vantage x {v4+TCP with CE probing at the
   TCP week, v4 with tracebox and the toplists at the reference week,
@@ -105,10 +105,9 @@ requires_fork = pytest.mark.skipif(
     reason="shm-pool executors need the fork start method (POSIX)",
 )
 
-#: (workers, ticket_sites) of the canonical campaign's clean pool legs:
-#: one site range per worker at 1, 2 and 4 workers, and many small
-#: tickets harvested in any worker order.
-POOL_SHAPES = ((1, None), (2, None), (4, None), (2, 7), (4, 64))
+#: Worker counts of the canonical campaign's clean pool legs, one
+#: ticket per worker; 3 keeps an odd split, harvested in any order.
+POOL_SHAPES = (1, 2, 4, 3)
 
 
 # ----------------------------------------------------------------------
@@ -395,21 +394,19 @@ class CampaignLegs(Differential):
     def pool(
         self,
         workers: int,
-        ticket_sites: int | None = None,
         *,
         path: str = "process",
         exchange_cache: bool = True,
         rehydrate: bool = False,
     ) -> Leg:
         """The canonical campaign on a pool that ``run_campaign`` builds:
-        ``workers`` workers, ``ticket_sites`` sites per ticket, workers
-        with or without exchange caches, every ticket computed down
-        ``path``, on a fresh or a rehydrated parent world."""
+        ``workers`` workers with or without exchange caches, every
+        ticket computed down ``path``, on a fresh or a rehydrated parent
+        world."""
         name = "-".join(
             part
             for part in (
                 f"pool-{workers}",
-                ticket_sites and f"tickets-{ticket_sites}",
                 not exchange_cache and "uncached",
                 path != "process" and path,
                 rehydrate and "rehydrated",
@@ -423,7 +420,6 @@ class CampaignLegs(Differential):
                 name,
                 world,
                 workers=workers,
-                ticket_sites=ticket_sites,
                 exchange_cache=exchange_cache,
                 **pool_path_kwargs(path),
             )
@@ -436,7 +432,7 @@ class CampaignLegs(Differential):
         the inline fallback."""
         return [
             self["instrumented"],
-            *(self.pool(workers, ticket_sites) for workers, ticket_sites in POOL_SHAPES),
+            *(self.pool(workers) for workers in POOL_SHAPES),
             self.pool(2, exchange_cache=False),
             self.pool(2, path="inline"),
         ]

@@ -120,17 +120,17 @@ def test_resume_crosses_serial_and_pool_executors(tmp_path, campaign_legs, write
 @requires_fork
 def test_resume_survives_shard_and_executor_changes(tmp_path, campaign_legs):
     """Checkpoints key on results, not partition: write with 2 workers,
-    resume with 4 workers on small tickets, still golden."""
+    resume with 4 workers, still golden."""
     world = campaign_world()
     plan = FaultPlan().abort_campaign_after(CAMPAIGN_WEEKS[0])
     with pytest.raises(InjectedFault):
         _campaign(world, checkpoint_dir=tmp_path, fault_plan=plan)
     resumed_world = campaign_world()
     resumed = _campaign(
-        resumed_world, workers=4, ticket_sites=7, checkpoint_dir=tmp_path, resume=True
+        resumed_world, workers=4, checkpoint_dir=tmp_path, resume=True
     )
     assert_campaign_matches(
-        campaign_legs.oracle, resumed_world, resumed, leg="resumed on 4 workers, small tickets"
+        campaign_legs.oracle, resumed_world, resumed, leg="resumed on 4 workers"
     )
 
 

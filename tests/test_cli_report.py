@@ -98,11 +98,18 @@ def test_cli_rejects_malformed_week_with_usage_error(capsys, bad_week):
     assert "2023-W15" in err  # the error teaches the expected form
 
 
-def test_cli_rejects_out_of_range_week(capsys):
+def test_cli_rejects_out_of_range_week(capsys, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["scan", "--week", "2023-W54"])
     assert excinfo.value.code == 2
     assert "1..53" in capsys.readouterr().err
+    # 2022 has 52 ISO weeks: its week 53 is a usage error too, caught
+    # before any world is built (it used to raise from Week.monday).
+    monkeypatch.setattr(repro, "build_world", None)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scan", "--week", "2022-W53"])
+    assert excinfo.value.code == 2
+    assert "2022 has no week 53" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +123,6 @@ def test_cli_rejects_out_of_range_week(capsys):
         ["campaign", "--cadence", "0"],
         ["campaign", "--cadence", "-4"],
         ["campaign", "--workers", "0"],
-        ["campaign", "--workers", "2", "--ticket-sites", "0"],
         ["campaign", "--workers", "2", "--shard-timeout", "0"],
         ["campaign", "--workers", "2", "--shard-timeout", "inf"],
         ["campaign", "--workers", "2", "--shard-retries", "-1"],
@@ -200,6 +206,8 @@ def test_cli_accepts_valid_week_forms():
     assert args.week == repro.Week(2023, 15)
     args = parser.parse_args(["scan", "--week", "2022-w9"])
     assert args.week == repro.Week(2022, 9)
+    args = parser.parse_args(["scan", "--week", "2020-W53"])  # a 53-week year
+    assert args.week == repro.Week(2020, 53)
 
 
 # ----------------------------------------------------------------------

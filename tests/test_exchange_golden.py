@@ -80,8 +80,8 @@ def test_sharded_cached_matches_fresh_serial(campaign_legs, shards):
 
 @requires_fork
 def test_sharded_cached_invariant_under_worker_permutation(campaign_legs):
-    """Many small tickets, harvested in any worker order, merge the same."""
-    pooled = campaign_legs.pool(2, 7)
+    """Three tickets on three workers, harvested in any order, merge the same."""
+    pooled = campaign_legs.pool(3)
     assert_legs_equal(campaign_legs["uncached"], pooled)
     assert pooled.stats.exchange_cache_hits > 0
 

@@ -200,17 +200,17 @@ def test_ecn_plugin_byte_identical_sharded(default_tcp_run, shards):
 
 
 @requires_fork
-@pytest.mark.parametrize("ticket_sites", [None, 16], ids=["fork-pool", "shm-pool"])
-def test_ecn_plugin_byte_identical_fork_executors(default_tcp_run, ticket_sites):
+@pytest.mark.parametrize("workers", [2, 3], ids=["fork-pool", "shm-pool"])
+def test_ecn_plugin_byte_identical_fork_executors(default_tcp_run, workers):
     """The prefetched-ticket path (what campaigns use) is byte-identical
-    too, with one site range per forked worker (what the removed
-    fork-pool executor dispatched) or many small tickets."""
+    too, on two workers (what the removed fork-pool executor ran) or an
+    odd three."""
     world = _build()
     week = world.config.reference_week
-    with ShmPoolScanEngine(world, workers=2, ticket_sites=ticket_sites) as engine:
+    with ShmPoolScanEngine(world, workers=workers) as engine:
         assert engine.prefetch_weeks([week], plugins=("ecn",), include_tcp=True)
         run = engine.run_week(week, plugins=("ecn",), include_tcp=True)
-    _assert_is_default_scan(default_tcp_run, world, run, f"prefetched, tickets {ticket_sites}")
+    _assert_is_default_scan(default_tcp_run, world, run, f"prefetched, {workers} workers")
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_multi_plugin_sharded_matches_serial(multi_plugin_tcp_run, shards):
 @requires_fork
 def test_multi_plugin_rows_with_tcp_match_serial_on_small_tickets(multi_plugin_tcp_run):
     _assert_multi_plugin_pool_matches(
-        multi_plugin_tcp_run, "pool, small tickets, TCP", workers=3, ticket_sites=5
+        multi_plugin_tcp_run, "pool-3, TCP", workers=3
     )
 
 

@@ -1,17 +1,17 @@
 """Shared-memory world + persistent worker pool.
 
 The pool's results equal the serial oracle's for every worker count and
-ticket size: the campaign's pool legs of ``tests/differential.py`` hold
-that line (workers 1/2/4, small tickets on 2 and 4 workers, and the
-inline fallback), and the week matrix drives one warm 2-worker pool
-through every vantage and family.  This module also holds what is
-particular to the pool: a warm engine serving back-to-back
-campaigns, re-dispatch after a merge gap, workers that never plan,
-resuming after a worker was killed mid-campaign and from checkpoints the
-removed fork-pool executor wrote, ticket tiling, zero-copy world decode,
-and a pool that never leaks: the shared segment is unlinked after clean
-runs, worker crashes and aborts alike (the session fixture in conftest.py additionally
-holds this line for the whole suite).
+ticket layout: the campaign's pool legs of ``tests/differential.py``
+hold that line (workers 1/2/3/4 and the inline fallback), and the week
+matrix drives one warm 2-worker pool through every vantage and family.
+This module also holds what is particular to the pool: a warm engine
+serving back-to-back campaigns, re-dispatch after a merge gap, workers
+that never plan, resuming after a worker was killed mid-campaign and
+from checkpoints the removed fork-pool executor wrote, tickets cut by
+scheduled work, zero-copy world decode, and a pool that never leaks:
+the shared segment is unlinked after clean runs, worker crashes and
+aborts alike (the session fixture in conftest.py additionally holds
+this line for the whole suite).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.cli import main
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import Telemetry
 from repro.pipeline import ShmPoolScanEngine, plan_tickets, run_campaign
-from repro.pipeline.engine import ScanEngine, ScanPhaseStats, SiteEvent
+from repro.pipeline.engine import QUIC_EVENT, ScanEngine, ScanPhaseStats, SiteEvent
 from repro.pipeline.sharding import slice_schedule
 from repro.util import shm
 from repro.util.weeks import Week
@@ -70,12 +70,12 @@ def _weeks(world):
 # Golden: the harness's pool legs == the serial oracle
 # ----------------------------------------------------------------------
 @requires_fork
-@pytest.mark.parametrize("workers,ticket_sites", POOL_SHAPES)
-def test_pool_campaign_matches_inline(campaign_legs, workers, ticket_sites):
-    """The canonical campaign on 1, 2 and 4 workers, one site range per
-    worker or many small tickets harvested in any worker order, equals
-    the serial oracle, report included."""
-    pooled = campaign_legs.pool(workers, ticket_sites)
+@pytest.mark.parametrize("workers", POOL_SHAPES)
+def test_pool_campaign_matches_inline(campaign_legs, workers):
+    """The canonical campaign on 1, 2, 3 and 4 workers, one ticket per
+    worker harvested in any worker order, equals the serial oracle,
+    report included."""
+    pooled = campaign_legs.pool(workers)
     assert_legs_equal(campaign_legs.oracle, pooled)
     stats = pooled.stats
     # A clean run needed no supervision, and the workers' cache
@@ -256,40 +256,67 @@ def test_resume_crosses_pool_and_sharded_engines(tmp_path):
 _week_st = st.builds(Week, st.integers(2020, 2026), st.integers(1, 52))
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    site_count=st.integers(0, 120),
-    weeks=st.lists(_week_st, max_size=6, unique=True),
-    ticket_sites=st.integers(1, 130),
+_weights_st = st.one_of(
+    st.lists(st.integers(0, 40), max_size=120),
+    st.lists(st.just(0), max_size=120),  # no scheduled work at all
+    # Work clustered on the first sites, as the world lays them out.
+    st.integers(0, 120).flatmap(
+        lambda n: st.lists(st.integers(1, 40), max_size=n).map(
+            lambda head: head + [0] * (n - len(head))
+        )
+    ),
 )
-def test_tickets_tile_every_cell_exactly_once(site_count, weeks, ticket_sites):
-    tickets = plan_tickets(site_count, weeks, ticket_sites=ticket_sites)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    weights=_weights_st,
+    weeks=st.lists(_week_st, max_size=6, unique=True),
+    workers=st.integers(1, 9),
+)
+def test_tickets_tile_every_cell_exactly_once(weights, weeks, workers):
+    """Tickets are contiguous site ranges in order, at most one per
+    worker, cover every (site, week) cell once — sites without events
+    included — and none weighs more than its share plus one site."""
+    tickets = plan_tickets(weights, weeks, tickets=workers)
     assert [t.index for t in tickets] == list(range(len(tickets)))
+    assert len(tickets) <= workers
+    assert [t.site_lo for t in tickets[1:]] == [t.site_hi for t in tickets[:-1]]
+    if weights:
+        assert (tickets[0].site_lo, tickets[-1].site_hi) == (0, len(weights))
     covered = {}
     for ticket in tickets:
-        assert 0 <= ticket.site_lo < ticket.site_hi <= site_count
-        assert ticket.site_hi - ticket.site_lo <= ticket_sites
-        assert ticket.weeks
+        assert 0 <= ticket.site_lo < ticket.site_hi <= len(weights)
+        assert ticket.weeks == tuple(weeks)
         for site in range(ticket.site_lo, ticket.site_hi):
             for week in ticket.weeks:
                 cell = (site, week)
                 assert cell not in covered, f"cell {cell} covered twice"
                 covered[cell] = ticket.index
-    assert len(covered) == site_count * len(weeks)
+    assert len(covered) == len(weights) * len(weeks)
+    total = sum(weights)
+    if total:
+        bound = -(-total // workers) + max(weights)
+        assert max(sum(weights[t.site_lo:t.site_hi]) for t in tickets) <= bound
+    elif weights:
+        # No scheduled work: equal site counts, one ticket per worker.
+        sizes = [t.site_hi - t.site_lo for t in tickets]
+        assert len(tickets) == min(workers, len(weights))
+        assert max(sizes) - min(sizes) <= 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    site_count=st.integers(1, 60),
+    weights=_weights_st.filter(bool),
     weeks=st.lists(_week_st, min_size=1, max_size=4, unique=True),
-    ticket_sites=st.integers(1, 70),
+    workers=st.integers(1, 9),
     data=st.data(),
 )
-def test_ticket_merge_is_order_independent(site_count, weeks, ticket_sites, data):
+def test_ticket_merge_is_order_independent(weights, weeks, workers, data):
     """Workers compute a pure function of the cell, and tickets never
     overlap — so harvesting them in any completion order merges to the
     same result."""
-    tickets = plan_tickets(site_count, weeks, ticket_sites=ticket_sites)
+    tickets = plan_tickets(weights, weeks, tickets=workers)
 
     def result_of(ticket):
         return {
@@ -312,12 +339,10 @@ def test_ticket_merge_is_order_independent(site_count, weeks, ticket_sites, data
 @given(
     site_count=st.integers(1, 80),
     weeks=st.lists(_week_st, min_size=1, max_size=4, unique=True),
-    ticket_sites=st.integers(1, 90),
+    workers=st.integers(1, 9),
     data=st.data(),
 )
-def test_slicing_puts_every_event_in_one_ticket_week(
-    site_count, weeks, ticket_sites, data
-):
+def test_slicing_puts_every_event_in_one_ticket_week(site_count, weeks, workers, data):
     """Every scheduled event lands in exactly one ticket-week whose site
     range contains it, and each ticket keeps the schedule's order."""
     cells = st.tuples(st.integers(0, site_count - 1), st.integers(0, 3))
@@ -330,9 +355,11 @@ def test_slicing_puts_every_event_in_one_ticket_week(
         ]
         for _ in weeks
     ]
-    tickets = slice_schedule(
-        plan_tickets(site_count, weeks, ticket_sites=ticket_sites), schedule
-    )
+    weights = [0] * site_count
+    for events in schedule:
+        for event in events:
+            weights[event.site_index] += 1
+    tickets = slice_schedule(plan_tickets(weights, weeks, tickets=workers), schedule)
     for week_index, events in enumerate(schedule):
         placed = []
         for ticket in tickets:
@@ -347,12 +374,75 @@ def test_slicing_puts_every_event_in_one_ticket_week(
 
 def test_plan_tickets_validates_arguments():
     week = Week(2023, 15)
-    with pytest.raises(ValueError, match="site_count"):
-        plan_tickets(-1, [week], ticket_sites=4)
-    with pytest.raises(ValueError, match="ticket_sites"):
-        plan_tickets(10, [week], ticket_sites=0)
-    assert plan_tickets(0, [week], ticket_sites=4) == []
-    assert plan_tickets(5, [], ticket_sites=4) == []
+    with pytest.raises(ValueError, match="tickets"):
+        plan_tickets([1, 2], [week], tickets=0)
+    assert plan_tickets([], [week], tickets=4) == []
+    # Weeks only ride along: the site layout depends on the weights.
+    assert [
+        (t.site_lo, t.site_hi, t.weeks) for t in plan_tickets([0, 0, 0], [], tickets=2)
+    ] == [(0, 2, ()), (2, 3, ())]
+    # Work on the last site alone: one ticket holds every site.
+    assert [
+        (t.site_lo, t.site_hi) for t in plan_tickets([0, 0, 5], [week], tickets=2)
+    ] == [(0, 3)]
+
+
+def _recording_submit(monkeypatch):
+    """Record every ticket the pool engine submits to its workers."""
+    submitted = []
+    submit = ShmPoolScanEngine._submit
+
+    def recording_submit(self, pool, ticket, spec, attempt):
+        submitted.append(ticket)
+        return submit(self, pool, ticket, spec, attempt)
+
+    monkeypatch.setattr(ShmPoolScanEngine, "_submit", recording_submit)
+    return submitted
+
+
+@requires_fork
+def test_two_worker_campaign_gives_both_tickets_quic_work(monkeypatch):
+    """The world lays out sites provider by provider, so every
+    QUIC-serving site has a low index; tickets cut by scheduled work
+    still give both workers QUIC exchanges, in near-equal shares."""
+    submitted = _recording_submit(monkeypatch)
+    world = _build(MATRIX_SCALE)
+    run_campaign(world, weeks=_weeks(world), workers=2)
+    assert [ticket.index for ticket in submitted] == [0, 1]
+    quic = [
+        sum(event[1] == QUIC_EVENT for events in ticket.events for event in events)
+        for ticket in submitted
+    ]
+    assert all(quic), f"QUIC events per ticket: {quic}"
+    work = [sum(map(len, ticket.events)) for ticket in submitted]
+    assert max(work) - min(work) <= max(work) // 4, f"events per ticket: {work}"
+    assert shm.live_segments() == []
+
+
+@requires_fork
+def test_missing_entries_name_the_ticket_that_owned_them(monkeypatch):
+    """ShardResultMissing names, per absent entry, the dispatched ticket
+    whose site range held it."""
+    from repro.pipeline import sharding
+    from repro.pipeline.engine import ShardResultMissing
+
+    submitted = _recording_submit(monkeypatch)
+    decode = sharding.decode_shard_payload_obs
+
+    def drop_first_entry(buffer):
+        entries, cache_stats, obs = decode(buffer)
+        return entries[1:], cache_stats, obs
+
+    monkeypatch.setattr(sharding, "decode_shard_payload_obs", drop_first_entry)
+    world = _build(MATRIX_SCALE)
+    with ShmPoolScanEngine(world, workers=2) as engine:
+        with pytest.raises(ShardResultMissing) as excinfo:
+            engine.run_week(world.config.reference_week, populations=("cno",))
+    assert len(submitted) == 2
+    message = str(excinfo.value)
+    for ticket in submitted:
+        site_index = ticket.events[0][0][2]
+        assert f"(site {site_index}, quic, shard {ticket.index})" in message
 
 
 # ----------------------------------------------------------------------
@@ -480,8 +570,6 @@ def test_engine_close_is_idempotent():
 # ----------------------------------------------------------------------
 def test_campaign_pool_validation_errors():
     world = _build(400_000)
-    with pytest.raises(ValueError, match="ticket_sites"):
-        run_campaign(world, ticket_sites=8)
     with pytest.raises(ValueError, match="engine="):
         run_campaign(world, workers=2, engine=object())
     with pytest.raises(ValueError, match="engine="):
@@ -493,8 +581,6 @@ def test_campaign_pool_validation_errors():
 @requires_fork
 def test_engine_constructor_validations():
     world = _build(400_000)
-    with pytest.raises(ValueError, match="ticket_sites"):
-        ShmPoolScanEngine(world, ticket_sites=0)
     with pytest.raises(ValueError, match="workers"):
         ShmPoolScanEngine(world, workers=0)
 
@@ -509,7 +595,7 @@ def test_pool_engine_shares_plan_cache_with_serial_engine():
 @requires_fork
 def test_cli_campaign_workers_runs(capsys):
     code = main(
-        ["campaign", "--scale", "400000", "--workers", "2", "--ticket-sites", "64"]
+        ["campaign", "--scale", "400000", "--workers", "3"]
     )
     out = capsys.readouterr().out
     assert code == 0
@@ -518,12 +604,10 @@ def test_cli_campaign_workers_runs(capsys):
 
 
 def test_cli_campaign_flag_conflicts(capsys, tmp_path):
-    assert main(["campaign", "--ticket-sites", "9"]) == 2
-    assert "--ticket-sites requires --workers" in capsys.readouterr().err
     assert main(["campaign", "--shard-retries", "3"]) == 2
     assert "--shard-retries requires --workers" in capsys.readouterr().err
-    # The removed fork-pool flags are unknown options, not aliases.
-    for flag in ("--shards", "--shard-executor"):
+    # The removed fork-pool and tile-size flags are unknown options.
+    for flag in ("--shards", "--shard-executor", "--ticket-sites"):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", flag, "2"])
         assert excinfo.value.code == 2

@@ -79,6 +79,11 @@ def test_week_range_inclusive():
 def test_week_rejects_bad_index():
     with pytest.raises(ValueError):
         Week(2022, 0)
+    with pytest.raises(ValueError, match="no week 53"):
+        Week(2022, 53)  # 2022 has 52 ISO weeks
+    with pytest.raises(ValueError, match="year out of range"):
+        Week(0, 15)  # no calendar date to anchor it
+    assert Week(2020, 53).monday().isoformat() == "2020-12-28"
 
 
 @given(st.integers(min_value=2020, max_value=2024), st.integers(min_value=1, max_value=52))
