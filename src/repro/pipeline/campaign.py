@@ -120,8 +120,8 @@ def run_campaign(
 
     ``checkpoint_dir`` makes the campaign crash-safe: every completed
     week's site-phase entries persist atomically under that directory
-    (:mod:`repro.pipeline.checkpoint`), keyed by the world fingerprint
-    and campaign parameters.  With ``resume=True`` weeks whose
+    (:mod:`repro.pipeline.checkpoint`), keyed by the world's config and
+    specs and the campaign parameters.  With ``resume=True`` weeks whose
     checkpoint verifies are rehydrated instead of recomputed; replayed
     weeks are byte-identical to executed ones (records fill in the same
     order, the clock sums the same floats), so an interrupted campaign

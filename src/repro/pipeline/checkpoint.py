@@ -13,12 +13,13 @@ a resumed campaign is byte-identical to an uninterrupted one
 oracle of ``tests/differential.py``).
 
 Files are keyed by :func:`campaign_checkpoint_key` — a digest over the
-world fingerprint and every campaign parameter the entries depend on
-(vantage, populations, family, TCP inclusion) plus the codec format
-versions.  Worker count, ticket layout and executor are deliberately
-*excluded*: per-site RNG substreams make results partition-independent,
-so a campaign may resume under a different worker count than it started
-with — including files the removed fork-pool executor wrote.
+world's config and specs and every campaign parameter the entries
+depend on (vantage, populations, family, TCP inclusion) plus the
+checkpoint and shard codec format versions.  Worker count, ticket
+layout and executor are deliberately *excluded*: per-site RNG
+substreams make results partition-independent, so a campaign may
+resume under a different worker count than it started with —
+including files the removed fork-pool executor wrote.
 Any mismatch — different world, drifted specs, bumped codec — simply
 misses, and the week recomputes.  Corrupt files (torn writes, bit rot)
 fail the frame checksum and are likewise treated as absent, never
@@ -41,7 +42,6 @@ from repro.util.atomic import atomic_write_bytes
 from repro.util.framing import CodecCorruption, frame_payload, unframe_payload
 from repro.util.magics import CHECKPOINT_MAGIC
 from repro.util.weeks import Week
-from repro.web.snapshot import world_fingerprint
 
 #: One checkpointed week's entries, as the site phase produced them.
 Entries = Sequence[tuple[int, int, object, float]]
@@ -59,18 +59,20 @@ def campaign_checkpoint_key(
     """Digest of everything a checkpointed week's entries depend on.
 
     Salted with the checkpoint and shard-codec format versions, so a
-    format bump invalidates stale files automatically (the same trick
-    the world snapshot cache uses).  The plugin selection joins the
-    canon only when it differs from the default core scan, so keys
-    minted before the plugin framework stay valid.
+    format bump invalidates stale files automatically.  The world joins
+    as its config and specs, not as its snapshot fingerprint: the
+    entries do not depend on how a snapshot lays the world out, so a
+    snapshot format bump leaves checkpoints valid.  The plugin
+    selection joins the canon only when it differs from the default
+    core scan, so keys minted before the plugin framework stay valid.
     """
-    fingerprint = world_fingerprint(
-        world.config, world.provider_list, world.vantage_list, world.override_list
-    )
     parts = (
         CHECKPOINT_MAGIC,
         codec.MAGIC,
-        fingerprint,
+        world.config,
+        tuple(world.provider_list),
+        tuple(world.vantage_list),
+        tuple(world.override_list),
         vantage_id,
         tuple(populations),
         ip_version,

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from time import perf_counter
 from typing import TYPE_CHECKING, Final, Sequence
 
@@ -92,6 +93,7 @@ from repro.store.columns import (
 from repro.util.gcpause import gc_paused
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
+from repro.web.world import AAAA_FLAG, MASK_LISTS, PARKED_FLAG, POPULATIONS, TOPLIST_FLAG
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.store.views import StoreWeeklyRun  # views -> runs -> pipeline
@@ -356,7 +358,12 @@ class ScanEngine:
         # into its columns, so materialise it before the passes.
         world.ensure_site_attribution()
         sites = world.sites
-        planned = [domain for domain in world.domains if domain.population in populations]
+        table = world.domains
+        # Rows are selected by the population bit of their flag byte.
+        keep = table.flags.translate(
+            bytes(POPULATIONS[flag & TOPLIST_FLAG] in populations for flag in range(256))
+        )
+        flags = bytes(compress(table.flags, keep))
         # The zone rule of dns_record_for: a domain's address is its
         # site's ``ip``, or under v6 its site's ``ipv6`` when it has AAAA.
         v4 = ip_version == 4
@@ -364,12 +371,12 @@ class ScanEngine:
         site_indexes = array(
             "q",
             [
-                domain.site_index
-                if domain.site_index >= 0
-                and (v4 or domain.has_aaaa)
-                and site_addresses[domain.site_index] is not None
+                index
+                if index >= 0
+                and (v4 or flag & AAAA_FLAG)
+                and site_addresses[index] is not None
                 else NO_ROW
-                for domain in planned
+                for index, flag in zip(compress(table.site_indexes, keep), flags, strict=True)
             ],
         )
         lookup = world.prefixes.lookup
@@ -377,7 +384,7 @@ class ScanEngine:
         site_orgs = [
             site.org if site.asn is not None else org_for(lookup(site.ip)) for site in sites
         ]
-        domains = [domain.name for domain in planned]
+        domains = list(compress(table.names, keep))
         ips = [site_addresses[index] if index >= 0 else None for index in site_indexes]
         orgs = [site_orgs[index] if index >= 0 else UNKNOWN_ORG for index in site_indexes]
         records = world.resolver.records
@@ -393,6 +400,7 @@ class ScanEngine:
                 ips[position] = address
                 site_indexes[position] = NO_ROW if site is None else site.index
                 orgs[position] = UNKNOWN_ORG if site is None else site_orgs[site.index]
+        ranks = list(compress(table.ranks, keep))
         groups: dict[int, tuple[list[int], list[float]]] = {}
         for position, index in enumerate(site_indexes):
             if index >= 0:
@@ -400,13 +408,13 @@ class ScanEngine:
                 if group is None:
                     group = groups[index] = ([], [])
                 group[0].append(position)
-                group[1].append(planned[position].adoption_rank)
+                group[1].append(ranks[position])
         columns = plan_columns(
             groups,
             domains=domains,
-            populations=[domain.population for domain in planned],
-            lists=[domain.lists for domain in planned],
-            parked=bytearray([domain.parked for domain in planned]),
+            populations=[POPULATIONS[flag & TOPLIST_FLAG] for flag in flags],
+            lists=list(map(MASK_LISTS.__getitem__, compress(table.masks, keep))),
+            parked=bytearray([flag & PARKED_FLAG != 0 for flag in flags]),
             resolved=bytearray([address is not None for address in ips]),
             ips=ips,
             orgs=orgs,

@@ -27,7 +27,7 @@ __all__ = [
 SHARD_RESULT_MAGIC: Final = b"ECNSTOR4"
 
 #: World snapshots, on disk and in shared memory (:mod:`repro.web.snapshot`).
-WORLD_SNAPSHOT_MAGIC: Final = b"ECNWRLD2"
+WORLD_SNAPSHOT_MAGIC: Final = b"ECNWRLD3"
 
 #: Per-week campaign checkpoints (:mod:`repro.pipeline.checkpoint`).
 CHECKPOINT_MAGIC: Final = b"ECNCKPT1"

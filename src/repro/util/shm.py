@@ -1,6 +1,6 @@
 """Shared-memory world segments (the fork-pool's zero-copy transport).
 
-One encoded ECNWRLD2 snapshot buffer (:mod:`repro.web.snapshot`) is
+One encoded ECNWRLD3 snapshot buffer (:mod:`repro.web.snapshot`) is
 published to a named ``multiprocessing.shared_memory`` segment exactly
 once per campaign; persistent pool workers attach at startup and decode
 their world straight from the mapped view — :func:`decode_world`

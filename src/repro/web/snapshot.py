@@ -12,12 +12,14 @@ compact buffer** and rehydrate it without re-running the generators.
 The format extends the :mod:`repro.store.codec` marshalling style —
 magic/version prefix, varints, a deduplicating string table for the
 small repeated-string sections — and adds **typed columns** for the
-bulk tables (domain names as one newline-joined blob, site indices as
-int32, adoption ranks as raw doubles), so decoding is a handful of
-C-speed column splits plus one ``starmap`` per table instead of a
-per-field varint walk.  Buffers are little-endian regardless of host
-(columns are byte-swapped on big-endian machines); like the shard
-codec this is an internal cache format, not an archive format.
+bulk tables.  The domain section is the world's
+:class:`~repro.web.world.DomainTable` dumped as it is (names as one
+newline-joined blob, site indices as int32, flag and list-mask bytes,
+adoption ranks as raw doubles), so decoding domains is a handful of
+C-speed column copies and no per-domain object.  Buffers are
+little-endian regardless of host (columns are byte-swapped on
+big-endian machines); like the shard codec this is an internal cache
+format, not an archive format.
 
 What the snapshot captures is the world's *constructed tables*: config,
 sites, domains, the prefix trie and AS/org entries.  Routes, DNS
@@ -47,7 +49,6 @@ import os
 import sys
 from array import array
 from ast import literal_eval
-from itertools import starmap
 from pathlib import Path
 from time import perf_counter
 
@@ -65,8 +66,7 @@ from repro.web.spec import (
     WorldConfig,
 )
 from repro.web.world import (
-    TOPLIST_NAMES,
-    Domain,
+    DomainTable,
     Site,
     World,
     build_world,
@@ -76,37 +76,9 @@ from repro.web.world import (
 #: :mod:`repro.util.magics`).  Version 2 wraps the buffer in the
 #: shared checksummed frame (:mod:`repro.util.framing`), so a
 #: truncated or bit-flipped snapshot raises :class:`SnapshotCorruption`
-#: instead of decoding garbage tables.
+#: instead of decoding garbage tables; version 3 drops the per-site
+#: domain counts (the domain table gives them).
 MAGIC = WORLD_SNAPSHOT_MAGIC
-
-# Domain flag bits (flags column).
-_D_TOPLIST = 1 << 0
-_D_PARKED = 1 << 1
-_D_AAAA = 1 << 2
-
-#: List-membership mask bits: TOPLIST_NAMES by index, then "cno".
-_LIST_CNO = 1 << len(TOPLIST_NAMES)
-
-_LIST_MASKS: dict[tuple[str, ...], int] = {}
-_MASK_LISTS_TABLE: list[tuple[str, ...] | None] = [None] * (_LIST_CNO * 2)
-for _mask in range(1, _LIST_CNO * 2):
-    if _mask & _LIST_CNO and _mask != _LIST_CNO:
-        continue  # mixed cno/toplist membership never occurs
-    _lists = (
-        ("cno",)
-        if _mask == _LIST_CNO
-        else tuple(
-            name for bit, name in enumerate(TOPLIST_NAMES) if _mask & (1 << bit)
-        )
-    )
-    _LIST_MASKS[_lists] = _mask
-    _MASK_LISTS_TABLE[_mask] = _lists
-
-# Flag-byte decode tables (population / parked / has_aaaa as objects,
-# so the decode loop is pure table lookups).
-_FLAG_POP = [("cno", "toplist")[flag & _D_TOPLIST] for flag in range(8)]
-_FLAG_PARKED = [bool(flag & _D_PARKED) for flag in range(8)]
-_FLAG_AAAA = [bool(flag & _D_AAAA) for flag in range(8)]
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -260,35 +232,15 @@ def encode_world(world: World) -> bytes:
     )
     body += _column(array("i", [s.position_in_group for s in sites]))
     body += _column(array("i", [s.group_site_count for s in sites]))
-    body += _column(array("i", [s.domain_count for s in sites]))
-    body += _column(array("i", [s.toplist_domain_count for s in sites]))
 
-    # Domains: columnar (names blob, int32 site indices, flag/list
-    # bytes, raw-double adoption ranks).
+    # Domains: the world's DomainTable columns as they are.
     domains = world.domains
     body += encode_varint(len(domains))
-    body += _encode_str("\n".join(domain.name for domain in domains))
-    body += _column(array("i", [domain.site_index for domain in domains]))
-    flags = bytearray()
-    masks = bytearray()
-    for domain in domains:
-        flag = 0
-        if domain.population == "toplist":
-            flag |= _D_TOPLIST
-        elif domain.population != "cno":
-            raise SnapshotError(f"unknown population {domain.population!r}")
-        if domain.parked:
-            flag |= _D_PARKED
-        if domain.has_aaaa:
-            flag |= _D_AAAA
-        flags.append(flag)
-        mask = _LIST_MASKS.get(domain.lists)
-        if mask is None:
-            raise SnapshotError(f"unsupported list membership {domain.lists!r}")
-        masks.append(mask)
-    body += bytes(flags)
-    body += bytes(masks)
-    body += _column(array("d", [domain.adoption_rank for domain in domains]))
+    body += _encode_str("\n".join(domains.names))
+    body += _column(domains.site_indexes)
+    body += domains.flags
+    body += domains.masks
+    body += _column(domains.ranks)
 
     out += encode_string_table(table)
     out += body
@@ -330,9 +282,8 @@ def decode_world(
     never silently rehydrate against drifted specs.
 
     Collection is paused for the duration: the decode allocates one
-    container per site/domain and frees essentially nothing, so cyclic
-    GC passes over the growing heap are pure overhead (~3x on big
-    worlds).
+    container per site and frees essentially nothing, so cyclic GC
+    passes over the growing heap are pure overhead.
     """
     with gc_paused():
         return _decode_world(buf, providers, vantages, overrides)
@@ -433,8 +384,6 @@ def _decode_world(
     gidx_col, offset = _decode_column("i", buf, offset, site_count)
     position_col, offset = _decode_column("i", buf, offset, site_count)
     group_sites_col, offset = _decode_column("i", buf, offset, site_count)
-    domain_count_col, offset = _decode_column("i", buf, offset, site_count)
-    toplist_count_col, offset = _decode_column("i", buf, offset, site_count)
     route_keys = [
         f"{p.name}/{g.key}" for p in providers for g in p.groups
     ]
@@ -459,44 +408,25 @@ def _decode_world(
             route_key=route_keys[flat],
             position_in_group=position_col[index],
             group_site_count=group_sites_col[index],
-            domain_count=domain_count_col[index],
-            toplist_domain_count=toplist_count_col[index],
         )
         sites.append(site)
         by_ip[site.ip] = site
         if ipv6:
             by_ip[ipv6] = site
 
-    # Domains (columnar).
+    # Domains: the DomainTable columns, copied out of the buffer.
     domain_count, offset = decode_varint(buf, offset)
     names_blob, offset = _decode_str(buf, offset)
     names = names_blob.split("\n") if domain_count else []
-    site_indices, offset = _decode_column("i", buf, offset, domain_count)
-    flag_bytes = buf[offset : offset + domain_count]
-    offset += domain_count
-    mask_bytes = buf[offset : offset + domain_count]
-    offset += domain_count
-    ranks, offset = _decode_column("d", buf, offset, domain_count)
     if len(names) != domain_count:
         raise SnapshotError("domain name column out of step")
-    # One starmap over lazily-mapped columns: every per-domain field is
-    # a C-level table lookup, the only Python-level work per domain is
-    # the Domain construction itself.
-    world.domains = list(
-        starmap(
-            Domain,
-            zip(
-                names,
-                site_indices,
-                map(_FLAG_POP.__getitem__, flag_bytes),
-                map(_MASK_LISTS_TABLE.__getitem__, mask_bytes),
-                map(_FLAG_PARKED.__getitem__, flag_bytes),
-                map(_FLAG_AAAA.__getitem__, flag_bytes),
-                ranks,
-                strict=True,
-            ),
-        )
-    )
+    site_indexes, offset = _decode_column("i", buf, offset, domain_count)
+    flags = bytearray(buf[offset : offset + domain_count])
+    offset += domain_count
+    masks = bytearray(buf[offset : offset + domain_count])
+    offset += domain_count
+    ranks, offset = _decode_column("d", buf, offset, domain_count)
+    world.domains = DomainTable(names, site_indexes, flags, masks, ranks)
     # Routes, DNS and attribution stay lazy — the
     # rehydrated world is in exactly the state build_world leaves.
     world._attribution_stale = True

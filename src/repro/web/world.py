@@ -11,7 +11,8 @@ measurement period (ramp from ~81 % of the final fleet in June 2022 to
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 from repro.asdb.as2org import AsOrgMap
 from repro.asdb.prefixtree import PrefixTree
@@ -72,8 +73,6 @@ class Site:
     route_key: str
     position_in_group: int
     group_site_count: int
-    domain_count: int = 0
-    toplist_domain_count: int = 0
     #: Week-invariant attribution, materialised once at world build so the
     #: scan hot loop never walks the prefix trie (see docs/architecture.md).
     asn: int | None = None
@@ -85,9 +84,9 @@ class Site:
         return self.position_in_group / max(1, self.group_site_count)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Domain:
-    """One scanned domain."""
+    """One scanned domain: a row of the world's :class:`DomainTable`."""
 
     name: str
     site_index: int  # -1 = unresolvable
@@ -96,6 +95,94 @@ class Domain:
     parked: bool = False
     has_aaaa: bool = False
     adoption_rank: float = 0.0  # QUIC availability threshold
+
+
+# Domain flag bits (DomainTable.flags).
+TOPLIST_FLAG = 1 << 0
+PARKED_FLAG = 1 << 1
+AAAA_FLAG = 1 << 2
+
+#: Population by its flag bit.
+POPULATIONS = ("cno", "toplist")
+
+#: List-membership mask bits: TOPLIST_NAMES by index, then "cno".
+_CNO_MASK = 1 << len(TOPLIST_NAMES)
+#: Every supported membership by its mask (None: never encoded); mixed
+#: cno/toplist membership never occurs.
+MASK_LISTS: list[tuple[str, ...] | None] = [None] * (_CNO_MASK * 2)
+MASK_LISTS[_CNO_MASK] = ("cno",)
+for _mask in range(1, _CNO_MASK):
+    MASK_LISTS[_mask] = tuple(
+        name for bit, name in enumerate(TOPLIST_NAMES) if _mask & (1 << bit)
+    )
+_LIST_MASKS = {lists: mask for mask, lists in enumerate(MASK_LISTS) if lists}
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class DomainTable:
+    """The world's domains as typed columns, one entry per domain.
+
+    These are exactly the columns the world snapshot stores: ``names``,
+    ``site_indexes`` (int32, -1 = unresolvable), ``flags`` (toplist,
+    parked and AAAA bits), ``masks`` (list membership bits, see
+    :data:`MASK_LISTS`) and ``ranks`` (adoption ranks as doubles).  The
+    scan plan reads the columns in place; indexing and iteration return
+    frozen :class:`Domain` rows for object readers.
+    """
+
+    names: list[str] = field(default_factory=list)
+    site_indexes: array = field(default_factory=lambda: array("i"))
+    flags: bytearray = field(default_factory=bytearray)
+    masks: bytearray = field(default_factory=bytearray)
+    ranks: array = field(default_factory=lambda: array("d"))
+
+    def append(
+        self,
+        name: str,
+        site_index: int,
+        population: str,
+        lists: tuple[str, ...],
+        *,
+        parked: bool = False,
+        has_aaaa: bool = False,
+        adoption_rank: float = 0.0,
+    ) -> None:
+        """Encode one domain as a row (the only place rows are encoded)."""
+        if population not in POPULATIONS:
+            raise ValueError(f"unknown population {population!r}")
+        mask = _LIST_MASKS.get(lists)
+        if mask is None:
+            raise ValueError(f"unsupported list membership {lists!r}")
+        flag = POPULATIONS.index(population)
+        flag |= (PARKED_FLAG if parked else 0) | (AAAA_FLAG if has_aaaa else 0)
+        self.names.append(name)
+        self.site_indexes.append(site_index)
+        self.flags.append(flag)
+        self.masks.append(mask)
+        self.ranks.append(adoption_rank)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        return self._row(index)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def _row(self, index: int) -> Domain:
+        flag = self.flags[index]
+        return Domain(
+            self.names[index],
+            self.site_indexes[index],
+            POPULATIONS[flag & TOPLIST_FLAG],
+            MASK_LISTS[self.masks[index]],
+            bool(flag & PARKED_FLAG),
+            bool(flag & AAAA_FLAG),
+            self.ranks[index],
+        )
 
 
 @dataclass(frozen=True)
@@ -150,7 +237,7 @@ class World:
         self.asorg = AsOrgMap()
         self.prefixes = PrefixTree()
         self.sites: list[Site] = []
-        self.domains: list[Domain] = []
+        self.domains = DomainTable()
         self._sites_by_ip: dict[str, Site] = {}
         self._overrides: dict[tuple[str, str, str], list[VantageOverrideSpec]] = {}
         self._policy_cache: dict[tuple[int, str], SitePolicy] = {}
@@ -169,7 +256,6 @@ class World:
         self._route_ranks: dict[tuple[str, str], float] | None = None
         self._attribution_stale = False
         self._domain_name_index: dict[str, int] | None = None
-        self._dns_indexed_count = -1
         self.network.set_section_loader(self.ensure_routes)
         self.resolver.set_fallback(self._derive_dns_record)
 
@@ -288,20 +374,17 @@ class World:
         (:func:`dns_record_for`), so none is stored, at build time or
         after.  Only direct lookups and the reference loop come here;
         the scan plan applies the same rule to the tables itself.  The
-        name index rebuilds when the domain table grows (tests attach
-        domains post-build).
+        table is complete once the world is built, so the name index is
+        built once, on the first lookup.
         """
+        table = self.domains
         index = self._domain_name_index
-        if index is None or self._dns_indexed_count != len(self.domains):
-            index = {domain.name: i for i, domain in enumerate(self.domains)}
-            self._domain_name_index = index
-            self._dns_indexed_count = len(self.domains)
+        if index is None:
+            index = self._domain_name_index = dict(zip(table.names, range(len(table))))
         domain_index = index.get(name)
-        if domain_index is None:
+        if domain_index is None or table.site_indexes[domain_index] < 0:
             return None
-        domain = self.domains[domain_index]
-        if domain.site_index < 0:
-            return None
+        domain = table[domain_index]
         return dns_record_for(domain, self.sites[domain.site_index])
 
     def section_state(self) -> dict[str, object]:
@@ -489,22 +572,19 @@ def _add_domains(
     tlds = _tld_cycle()
     n_parked = config.quota(group.parked_domains, min_one=False)
     n_aaaa = config.quota(group.ipv6_domains, min_one=False)
+    domains = world.domains
     for j in range(n_cno):
         site = group_sites[j % len(group_sites)]
         name = f"{slug}-{group.key}-{j:05d}.{next(tlds)}"
-        parked = j < n_parked
-        has_aaaa = site.ipv6 is not None and j < n_aaaa
-        domain = Domain(
-            name=name,
-            site_index=site.index,
-            population="cno",
-            lists=("cno",),
-            parked=parked,
-            has_aaaa=has_aaaa,
+        domains.append(
+            name,
+            site.index,
+            "cno",
+            ("cno",),
+            parked=j < n_parked,
+            has_aaaa=site.ipv6 is not None and j < n_aaaa,
             adoption_rank=stable_hash("adopt", name) % 10_000 / 10_000.0,
         )
-        _attach_domain(world, domain, site)
-        site.domain_count += 1
     n_top = config.quota(group.toplist_domains, min_one=False)
     for j in range(n_top):
         site = group_sites[j % len(group_sites)]
@@ -514,24 +594,13 @@ def _add_domains(
             for list_name in TOPLIST_NAMES
             if stable_hash("toplist", list_name, name) % 100 < 70
         ) or ("tranco",)
-        domain = Domain(
-            name=name,
-            site_index=site.index,
-            population="toplist",
-            lists=membership,
+        domains.append(
+            name,
+            site.index,
+            "toplist",
+            membership,
             adoption_rank=stable_hash("adopt", name) % 10_000 / 10_000.0,
         )
-        _attach_domain(world, domain, site)
-        site.toplist_domain_count += 1
-
-
-def _attach_domain(world: World, domain: Domain, site: Site) -> None:
-    """The one place a domain joins a site.  No zone record is stored
-    here: lookups derive it from exactly these tables
-    (:func:`dns_record_for`), and scan plans apply the same address
-    rule to the tables directly, so neither can drift from
-    ``domains``."""
-    world.domains.append(domain)
 
 
 def dns_record_for(domain: Domain, site: Site) -> DnsRecord:
@@ -554,23 +623,9 @@ def _populate_unresolved(world: World) -> None:
     config = world.config
     for j in range(config.quota(UNRESOLVED_CNO)):
         tld = ("com", "net", "org")[j % 3]
-        world.domains.append(
-            Domain(
-                name=f"unresolved-{j:06d}.{tld}",
-                site_index=-1,
-                population="cno",
-                lists=("cno",),
-            )
-        )
+        world.domains.append(f"unresolved-{j:06d}.{tld}", -1, "cno", ("cno",))
     for j in range(config.quota(UNRESOLVED_TOPLIST)):
-        world.domains.append(
-            Domain(
-                name=f"top-unresolved-{j:05d}.com",
-                site_index=-1,
-                population="toplist",
-                lists=("tranco",),
-            )
-        )
+        world.domains.append(f"top-unresolved-{j:05d}.com", -1, "toplist", ("tranco",))
 
 
 def _remark_group_ranks(providers: list[ProviderSpec]) -> dict[tuple[str, str], float]:

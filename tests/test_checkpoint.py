@@ -196,6 +196,19 @@ def test_checkpointer_rejects_key_and_week_mismatches(tmp_path):
     assert store.load(week) is None
 
 
+def test_checkpoint_key_ignores_the_world_snapshot_format(monkeypatch):
+    """The entries depend on the world's specs, not on how a snapshot
+    lays the world out: a snapshot format bump keeps checkpoints valid."""
+    from repro.web import snapshot
+
+    world = campaign_world()
+    key = campaign_checkpoint_key(world, vantage_id="main-aachen", populations=("cno",))
+    monkeypatch.setattr(snapshot, "MAGIC", snapshot.MAGIC[:-1] + b"9")
+    assert campaign_checkpoint_key(
+        world, vantage_id="main-aachen", populations=("cno",)
+    ) == key
+
+
 @requires_fork
 def test_rerun_without_resume_recomputes_and_overwrites(tmp_path, campaign_legs):
     _campaign(campaign_world(), checkpoint_dir=tmp_path)

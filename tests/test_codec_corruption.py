@@ -4,8 +4,8 @@ The robustness contract (docs/robustness.md): a damaged buffer — torn
 write, crashed worker, bit rot — raises the typed
 :class:`~repro.util.framing.CodecCorruption` before a single body byte
 is interpreted, for all three framed formats: shard result buffers
-(``ECNSTOR3``), campaign checkpoints (``ECNCKPT1``) and world snapshots
-(``ECNWRLD2``).  CRC32 detects all single-bit damage and the explicit
+(``ECNSTOR4``), campaign checkpoints (``ECNCKPT1``) and world snapshots
+(``ECNWRLD3``).  CRC32 detects all single-bit damage and the explicit
 length field all truncations, so these are exhaustive guarantees, not
 probabilistic ones; hypothesis picks the damage positions.
 """

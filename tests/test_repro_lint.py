@@ -286,6 +286,28 @@ def test_magic_registry_is_consistent():
     assert all(len(m) == 8 for m in values), "frame magics are 8 bytes"
 
 
+def test_docs_and_sources_name_only_registered_magics():
+    """Every frame magic the docs or the sources name is a current one,
+    so a format bump cannot leave a stale version behind."""
+    import re
+
+    from repro.util.magics import FRAME_MAGICS
+
+    current = {magic.decode("ascii") for magic in FRAME_MAGICS.values()}
+    paths = [
+        *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / "src" / "repro").rglob("*.py")),
+    ]
+    stale = [
+        f"{path.relative_to(REPO)}:{lineno}: {token}"
+        for path in paths
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for token in re.findall(r"ECN[A-Z]{4}\d", line)
+        if token not in current
+    ]
+    assert stale == [], "\n".join(stale)
+
+
 def test_tree_lints_clean_under_repo_config():
     """The repository's own invariants hold: src/ and benchmarks/ are clean."""
     config = load_config(REPO / "repro-lint.toml")

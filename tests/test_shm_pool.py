@@ -53,7 +53,10 @@ from tests.differential import (
 MATRIX_SCALE = 40_000
 #: ECNCKPT1 week files a fork-pool campaign wrote before that executor
 #: was removed: ``repro campaign --scale 20000`` (default seed, cadence
-#: 12, ``--shards 2 --shard-executor process --checkpoint-dir``).
+#: 12, ``--shards 2 --shard-executor process --checkpoint-dir``).  When
+#: the key stopped digesting the world snapshot fingerprint, the files
+#: were re-keyed: the embedded key and the frame checksum changed, the
+#: entry bytes that engine wrote did not.
 LEGACY_CHECKPOINTS = Path(__file__).parent / "fixtures" / "checkpoints"
 
 
@@ -231,7 +234,7 @@ def test_resume_crosses_pool_and_sharded_engines(tmp_path):
     shutil.copytree(LEGACY_CHECKPOINTS, checkpoints)
     assert len(list(checkpoints.rglob("*.ecnc"))) == 5
     # The fixtures come from the CLI, which parses --scale as a float;
-    # the float is part of the world fingerprint the checkpoint key digests.
+    # the float is part of the world config the checkpoint key digests.
     fresh_world = _build(20_000.0)
     fresh = run_campaign(fresh_world, cadence_weeks=12, workers=2)
     world = _build(20_000.0)

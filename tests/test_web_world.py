@@ -1,11 +1,13 @@
 """World builder invariants."""
 
+import dataclasses
+
 import pytest
 
 import repro
 from repro.web.providers import default_providers, default_vantages
 from repro.web.spec import WorldConfig
-from repro.web.world import ADOPTION_FULL_WEEK, ADOPTION_START_SHARE
+from repro.web.world import ADOPTION_FULL_WEEK, ADOPTION_START_SHARE, Domain, DomainTable
 
 
 def test_every_domain_with_site_is_resolvable(small_world):
@@ -34,9 +36,51 @@ def test_sibling_orgs_merge(small_world):
     assert small_world.asorg.org_for(396982) == "Google"
 
 
+@pytest.mark.parametrize(
+    "population,lists,message",
+    [
+        ("alexa", ("alexa",), "unknown population 'alexa'"),
+        ("cno", ("cno", "tranco"), "unsupported list membership"),
+        ("toplist", ("dmoz",), "unsupported list membership"),
+        ("toplist", (), "unsupported list membership"),
+    ],
+)
+def test_domain_table_rejects_rows_it_cannot_encode(population, lists, message):
+    table = DomainTable()
+    table.append("ok.com", 0, "cno", ("cno",))
+    with pytest.raises(ValueError, match=message):
+        table.append("bad.com", 0, population, lists)
+    assert table.names == ["ok.com"] and len(table.flags) == len(table.ranks) == 1
+
+
+def test_domain_table_rows_round_trip_and_are_frozen():
+    table = DomainTable()
+    rows = [
+        Domain("a.com", 3, "cno", ("cno",), parked=True, has_aaaa=True, adoption_rank=0.25),
+        Domain("b.com", -1, "toplist", ("alexa", "tranco"), adoption_rank=0.5),
+        Domain("c.com", 0, "toplist", ("umbrella", "majestic")),
+    ]
+    for row in rows:
+        table.append(
+            row.name,
+            row.site_index,
+            row.population,
+            row.lists,
+            parked=row.parked,
+            has_aaaa=row.has_aaaa,
+            adoption_rank=row.adoption_rank,
+        )
+    assert len(table) == 3
+    assert list(table) == rows
+    assert table[-1] == rows[-1] and table[1:] == rows[1:]
+    with pytest.raises(IndexError):
+        table[3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table[0].parked = False
+
+
 def test_domains_never_exceed_sites_quota(small_world):
     for site in small_world.sites:
-        assert site.domain_count >= 0
         assert site.group_site_count >= 1
 
 

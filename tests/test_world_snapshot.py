@@ -13,6 +13,7 @@ including the distributed run, the lazy sections and the build cache.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.report import global_report, reference_report
 from repro.pipeline.vantage import run_distributed
+from repro.util.magics import WORLD_SNAPSHOT_MAGIC
 from repro.web import snapshot
 from repro.web.providers import (
     default_providers,
@@ -30,6 +32,7 @@ from repro.web.providers import (
     default_vantages,
 )
 from repro.web.spec import WorldConfig
+from repro.web.world import DomainTable
 
 from tests.conftest import requires_fork
 from tests.differential import assert_legs_equal
@@ -41,8 +44,11 @@ MATRIX_SCALE = 40_000
 DEEP_SCALE = 12_000
 
 SITE_FIELDS = ("index", "ip", "ipv6", "route_key", "position_in_group",
-               "group_site_count", "domain_count", "toplist_domain_count",
-               "asn", "org")
+               "group_site_count", "asn", "org")
+
+#: sha256 of ``encode_world`` at MATRIX_SCALE: a layout change must
+#: re-pin it and bump the snapshot magic in ``repro.util.magics``.
+MATRIX_SNAPSHOT_SHA256 = "96db920e55a2f13debf9bb4f602195a5cfcfb4250c285403f53763effbc21f6a"
 
 
 def _build(scale):
@@ -62,7 +68,14 @@ def test_snapshot_round_trip_tables_identical():
     buf = snapshot.encode_world(fresh)
     rehydrated = snapshot.decode_world(buf)
     assert rehydrated.config == fresh.config
-    assert rehydrated.domains == fresh.domains
+    # Every column keeps its type, and every row agrees field by field.
+    for column in DomainTable.__slots__:
+        exp, act = getattr(fresh.domains, column), getattr(rehydrated.domains, column)
+        assert act == exp, column
+        assert (type(act), getattr(act, "typecode", None)) == (
+            type(exp), getattr(exp, "typecode", None)
+        ), column
+    assert list(rehydrated.domains) == list(fresh.domains)
     assert len(rehydrated.sites) == len(fresh.sites)
     for exp, act in zip(fresh.sites, rehydrated.sites, strict=True):
         for name in SITE_FIELDS:
@@ -77,6 +90,12 @@ def test_snapshot_round_trip_tables_identical():
         assert rehydrated.resolver.resolve(domain.name) == fresh.resolver.resolve(
             domain.name
         )
+
+
+def test_snapshot_bytes_are_pinned():
+    buf = snapshot.encode_world(_build(MATRIX_SCALE))
+    assert buf.startswith(WORLD_SNAPSHOT_MAGIC)
+    assert hashlib.sha256(buf).hexdigest() == MATRIX_SNAPSHOT_SHA256
 
 
 def test_snapshot_reencode_is_byte_stable():
@@ -121,7 +140,7 @@ def test_snapshot_round_trips_single_site_world_without_ipv6():
     rehydrated = snapshot.decode_world(
         buf, providers=providers, vantages=vantages, overrides=[]
     )
-    assert rehydrated.domains == fresh.domains
+    assert list(rehydrated.domains) == list(fresh.domains)
     assert rehydrated.sites[0].ipv6 is None
     assert snapshot.encode_world(rehydrated) == buf
 
@@ -292,11 +311,11 @@ def test_acquire_world_memory_and_disk_layers(tmp_path):
     second, source = snapshot.acquire_world(config, cache_dir=tmp_path)
     assert source == "memory"
     assert second is not first  # independent instances
-    assert second.domains == first.domains
+    assert list(second.domains) == list(first.domains)
     snapshot.clear_memory_cache()
     third, source = snapshot.acquire_world(config, cache_dir=tmp_path)
     assert source == "disk"
-    assert third.domains == first.domains
+    assert list(third.domains) == list(first.domains)
     snapshot.clear_memory_cache()
 
 
@@ -386,6 +405,6 @@ def test_snapshot_round_trip_stable_under_generated_configs(scale, seed):
     buf = snapshot.encode_world(fresh)
     rehydrated = snapshot.decode_world(buf)
     assert rehydrated.config == config
-    assert rehydrated.domains == fresh.domains
+    assert list(rehydrated.domains) == list(fresh.domains)
     assert len(rehydrated.sites) == len(fresh.sites)
     assert snapshot.encode_world(rehydrated) == buf
