@@ -359,9 +359,9 @@ def parking_summary(run: WeeklyRun) -> ParkingSummary:
     quic = 0
     parked = 0
     # Parking is per domain but week-invariant: a plan column.
-    flags = parked_flags(run, "cno")
+    parked_at = parked_flags(run, "cno")
     for result, _site_index, _ip, _org, domains, ranked in quic_units(run, "cno"):
         if result.connected:
             quic += domains
-            parked += sum(map(flags.__getitem__, ranked[:domains]))
+            parked += sum(map(parked_at, ranked[:domains]))
     return ParkingSummary(quic_domains=quic, parked_quic_domains=parked)

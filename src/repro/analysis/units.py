@@ -27,11 +27,12 @@ parking) read the prefix, which keeps the other builders O(sites).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from itertools import pairwise
 from typing import Callable, Iterator, Sequence
 
 from repro.pipeline.runs import WeeklyRun
+from repro.store.columns import NO_ROW
 from repro.store.views import StoreWeeklyRun
 
 
@@ -44,14 +45,13 @@ def quic_units(run: WeeklyRun, population: str | None) -> Iterator[tuple]:
     of ``population`` (``None``: every domain of the run)."""
     if isinstance(run, StoreWeeklyRun):
         store = run.store
-        ips, orgs = store.columns.ips, store.columns.orgs
+        ip, site_orgs = store.columns.ip, store.columns.site_orgs
         for segment, result, count in store.quic_sites(population):
-            member = segment.positions[0]
             yield (
                 result,
                 segment.site_index,
-                ips[member],
-                orgs[member],
+                ip(segment.first),
+                site_orgs[segment.site_index],
                 count,
                 segment.rank_positions,
             )
@@ -61,26 +61,38 @@ def quic_units(run: WeeklyRun, population: str | None) -> Iterator[tuple]:
                 yield obs.quic, obs.site_index, obs.ip, obs.org, 1, (index,)
 
 
-def parked_flags(run: WeeklyRun, population: str | None) -> Sequence[int]:
-    """The parked flag of every position a unit's ``ranked`` can name."""
+def parked_flags(run: WeeklyRun, population: str | None) -> Callable[[int], bool]:
+    """A position's parked flag, for every position a unit's ``ranked``
+    can name."""
     if isinstance(run, StoreWeeklyRun):
-        return run.store.columns.parked
-    return [obs.parked for obs in _observations(run, population)]
+        columns = run.store.columns
+        parked, rows = columns.table.parked, columns.rows
+        return lambda position: parked(rows[position])
+    return [obs.parked for obs in _observations(run, population)].__getitem__
 
 
 def resolution(run: WeeklyRun, population: str) -> tuple[int, int, set[str]]:
     """``(domains, resolved domains, resolved IPs)`` of ``population``.
 
-    Week-invariant.  The plan derives a position's ``resolved`` flag
-    from its address, so a store run counts both in one C-level pass
-    over the address column instead of a generator per position.
+    Week-invariant.  A store run counts in O(sites): every member of a
+    segment resolved, to its site's address unless an explicit resolver
+    record names another one, and a site-less position resolved only
+    through such a record.
     """
     if isinstance(run, StoreWeeklyRun):
         columns = run.store.columns
-        positions = columns.population_positions(population)
-        addresses = Counter(map(columns.ips.__getitem__, positions))
-        resolved = len(positions) - addresses.pop(None, 0)
-        return len(positions), resolved, set(addresses)
+        population_of, rows, addresses = columns.table.population, columns.rows, columns.addresses
+        overridden = [p for p in addresses if population_of(rows[p]) == population]
+        segments = [segment for _index, segment in columns.population_segments(population)]
+        resolved = sum(len(segment.rank_positions) for segment in segments)
+        resolved += sum(columns.segment_of[p] == NO_ROW for p in overridden)
+        ips = {addresses[p] for p in overridden}
+        ips.update(
+            columns.site_ips[segment.site_index]
+            for segment in segments
+            if any(p not in addresses for p in segment.rank_positions)
+        )
+        return len(columns.population_positions(population)), resolved, ips
     observations = run.observations_for(population)
     resolved = sum(obs.resolved for obs in observations)
     return len(observations), resolved, {obs.ip for obs in observations} - {None}
@@ -123,13 +135,13 @@ def _site_state_groups(stores, population: str, state_of: Callable):
     for index, segment in columns.population_segments(population):
         counts = [store.attempted(index, segment) for store in stores]
         states = [state_of(store.quic_results[index]) for store in stores]
-        for lo, hi in pairwise(sorted({0, len(segment.positions), *counts})):
+        for lo, hi in pairwise(sorted({0, len(segment.rank_positions), *counts})):
             group_states = tuple(
                 state if hi <= count else absent
                 for state, count in zip(states, counts, strict=True)
             )
             keyed.append((min(segment.rank_positions[lo:hi]), hi - lo, group_states))
-        unattributed -= len(segment.positions)
+        unattributed -= len(segment.rank_positions)
     if unattributed:
         segment_of = columns.segment_of
         first = next(p for p in columns.population_positions(population) if segment_of[p] < 0)

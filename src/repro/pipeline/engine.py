@@ -19,12 +19,12 @@ The engine splits a weekly run into two phases (docs/architecture.md):
    results are byte-for-byte equal to the reference semantics
    (:func:`repro.pipeline.runs.run_weekly_scan_reference`).
 2. **Attribution phase** — per-site results fan out to domains through
-   a :class:`ScanPlan`: column passes over the world's domain and site
-   tables fill the store's week-invariant per-position columns and
-   per-site segments (address, org and site attachment are
-   week-invariant for a given IP family).  Recording a week is one
-   store write per site; no per-domain work, no string parsing, no
-   trie walks, no policy evaluation.
+   a :class:`ScanPlan`: a selection of the world's domain table rows
+   plus each position's site, per-site addresses and orgs, and per-site
+   segments (address, org and site attachment are week-invariant for a
+   given IP family).  Recording a week is one store write per site; no
+   per-domain work, no string parsing, no trie walks, no policy
+   evaluation.
 
 The site phase is emitted pre-ordered (no per-week sort): a
 week-invariant QUIC trigger index — prefix-minimum records over the
@@ -53,8 +53,8 @@ objects.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
 from time import perf_counter
 from typing import TYPE_CHECKING, Final, Sequence
 
@@ -83,17 +83,10 @@ from repro.plugins.registry import (
 )
 from repro.scanner.quic_scan import QuicScanConfig, quic_client_config, scan_site_quic
 from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp, tcp_client_config
-from repro.store.columns import (
-    NO_ROW,
-    UNKNOWN_ORG,
-    DomainColumns,
-    ObservationStore,
-    plan_columns,
-)
+from repro.store.columns import NO_ROW, DomainColumns, ObservationStore, plan_columns
 from repro.util.gcpause import gc_paused
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
-from repro.web.world import AAAA_FLAG, MASK_LISTS, PARKED_FLAG, POPULATIONS, TOPLIST_FLAG
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.store.views import StoreWeeklyRun  # views -> runs -> pipeline
@@ -290,9 +283,9 @@ class ScanPhaseStats:
 class ScanEngine:
     """Runs weekly scans site-first against one :class:`World`.
 
-    Plans cache each domain's address, site and org attribution and the
-    per-site domain segments per (family, populations), built from the
-    world's domain and site tables; create the engine via
+    Plans cache a selection of the world's domain table rows, their
+    site attribution and the per-site domain segments per (family,
+    populations); create the engine via
     :meth:`World.scan_engine` so campaigns share one instance.  Call
     :meth:`invalidate` after mutating the world's resolver, prefix table
     or domain set post-build.
@@ -337,88 +330,52 @@ class ScanEngine:
         return plan
 
     def _build_plan(self, ip_version: int, populations: tuple[str, ...]) -> ScanPlan:
-        """The plan's columns, one pass each over the domain and site tables.
+        """The plan: a selection of the world's domain table rows.
 
         A planned domain's address follows the world's zone rule
         (:func:`~repro.web.world.dns_record_for`): v4 is its site's
         ``ip``, v6 its site's ``ipv6`` only when it ``has_aaaa``; its
-        site is its own when it has an address.  Org attribution is
-        computed once per site.  Explicit resolver records
-        (:meth:`~repro.dns.resolver.Resolver.add`) then override their
-        names' positions, each attached to the site that owns its
+        site is its own when it has an address.  Explicit resolver
+        records (:meth:`~repro.dns.resolver.Resolver.add`) then override
+        their names' positions, each attached to the site that owns its
         address — not the site it was built under, so a resolver
-        mutated post-build needs no special case.  The ``(positions,
-        ranks)`` groups come from the final site-index column:
-        ascending positions within a site, groups ordered by first
-        position, which is what scheduling and the store's segments
-        require.
+        mutated post-build needs no special case.
         """
         world = self.world
-        # Attribution is a lazy world section; the plan bakes Site.org
-        # into its columns, so materialise it before the passes.
+        # Attribution is a lazy world section; the plan reads Site.org,
+        # so materialise it first.
         world.ensure_site_attribution()
         sites = world.sites
         table = world.domains
-        # Rows are selected by the population bit of their flag byte.
-        keep = table.flags.translate(
-            bytes(POPULATIONS[flag & TOPLIST_FLAG] in populations for flag in range(256))
-        )
-        flags = bytes(compress(table.flags, keep))
-        # The zone rule of dns_record_for: a domain's address is its
-        # site's ``ip``, or under v6 its site's ``ipv6`` when it has AAAA.
+        rows = table.rows_of(populations)
         v4 = ip_version == 4
-        site_addresses = [site.ip if v4 else site.ipv6 for site in sites]
-        site_indexes = array(
-            "q",
-            [
-                index
-                if index >= 0
-                and (v4 or flag & AAAA_FLAG)
-                and site_addresses[index] is not None
-                else NO_ROW
-                for index, flag in zip(compress(table.site_indexes, keep), flags, strict=True)
-            ],
-        )
-        lookup = world.prefixes.lookup
-        org_for = world.asorg.org_for
-        site_orgs = [
-            site.org if site.asn is not None else org_for(lookup(site.ip)) for site in sites
-        ]
-        domains = list(compress(table.names, keep))
-        ips = [site_addresses[index] if index >= 0 else None for index in site_indexes]
-        orgs = [site_orgs[index] if index >= 0 else UNKNOWN_ORG for index in site_indexes]
-        records = world.resolver.records
-        if records:
-            site_by_ip = world.site_by_ip
-            for position, name in enumerate(domains):
-                record = records.get(name)
-                if record is None:
-                    continue
-                address = record.a if v4 else record.aaaa
-                # An address without a registered host stays site-less.
-                site = site_by_ip(address) if address is not None else None
-                ips[position] = address
-                site_indexes[position] = NO_ROW if site is None else site.index
-                orgs[position] = UNKNOWN_ORG if site is None else site_orgs[site.index]
-        ranks = list(compress(table.ranks, keep))
-        groups: dict[int, tuple[list[int], list[float]]] = {}
-        for position, index in enumerate(site_indexes):
-            if index >= 0:
-                group = groups.get(index)
-                if group is None:
-                    group = groups[index] = ([], [])
-                group[0].append(position)
-                group[1].append(ranks[position])
+        site_ips = [site.ip if v4 else site.ipv6 for site in sites]
+        site_indexes = array("i", map(table.site_indexes.__getitem__, rows))
+        if not v4:
+            has_aaaa = table.has_aaaa
+            for position, row in enumerate(rows):
+                index = site_indexes[position]
+                if index >= 0 and (site_ips[index] is None or not has_aaaa(row)):
+                    site_indexes[position] = NO_ROW
+        addresses: dict[int, str] = {}
+        for name, record in world.resolver.records.items():
+            row = world.domain_row(name)
+            position = bisect_left(rows, row) if row is not None else len(rows)
+            if position == len(rows) or rows[position] != row:
+                continue  # not a domain of this plan's populations
+            address = record.a if v4 else record.aaaa
+            # An address without a registered host stays site-less.
+            site = world.site_by_ip(address) if address is not None else None
+            site_indexes[position] = NO_ROW if site is None else site.index
+            if address is not None and (site is None or site_ips[site.index] != address):
+                addresses[position] = address
         columns = plan_columns(
-            groups,
-            domains=domains,
-            populations=[POPULATIONS[flag & TOPLIST_FLAG] for flag in flags],
-            lists=list(map(MASK_LISTS.__getitem__, compress(table.masks, keep))),
-            parked=bytearray([flag & PARKED_FLAG != 0 for flag in flags]),
-            resolved=bytearray([address is not None for address in ips]),
-            ips=ips,
-            orgs=orgs,
+            table,
+            rows,
             site_indexes=site_indexes,
+            site_ips=site_ips,
+            site_orgs=[site.org for site in sites],
+            addresses=addresses,
         )
         return ScanPlan(
             ip_version=ip_version,
@@ -472,9 +429,9 @@ class ScanEngine:
         # A trigger fires when the weekly share strictly exceeds its
         # activation rank but not its deactivation rank (where an earlier
         # position of the same site takes over) at a QUIC-capable site.
-        ips, domains = columns.ips, columns.domains
+        ip, names, rows = columns.ip, columns.table.names, columns.rows
         fired = [
-            SiteEvent(position, QUIC_EVENT, site_index, ips[position], domains[position])
+            SiteEvent(position, QUIC_EVENT, site_index, ip(position), names[rows[position]])
             for position, site_index, rank_on, rank_off in plan.quic_triggers
             if rank_on < share <= rank_off and quic_capable[site_index]
         ]
@@ -482,14 +439,14 @@ class ScanEngine:
             events: list[SiteEvent] = []
             cursor = 0
             for segment in segments:
-                first = segment.positions[0]
+                first = segment.first
                 # QUIC sorts before TCP at equal positions (same site).
                 while cursor < len(fired) and fired[cursor].position <= first:
                     events.append(fired[cursor])
                     cursor += 1
                 events.append(
                     SiteEvent(
-                        first, TCP_EVENT, segment.site_index, ips[first], domains[first]
+                        first, TCP_EVENT, segment.site_index, ip(first), names[rows[first]]
                     )
                 )
             events.extend(fired[cursor:])

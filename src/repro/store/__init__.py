@@ -10,9 +10,9 @@ typed parallel arrays over observation positions, with the domain
 dimension represented by per-site segments computed at plan build: a
 week is one result and one attempted count per site.
 
-* :mod:`repro.store.columns` — :class:`DomainColumns` (week-invariant
-  per-position columns + per-site attribution segments, built once per
-  scan plan) and :class:`ObservationStore` (the per-run record of the
+* :mod:`repro.store.columns` — :class:`DomainColumns` (a scan plan's
+  selection of the world's domain table rows + per-site attribution
+  segments, built once per plan) and :class:`ObservationStore` (the per-run record of the
   site phase: one result row and one attempted count per site).
 * :mod:`repro.store.views` — :class:`ObservationView`, a lazy,
   field-compatible stand-in for :class:`DomainObservation`;

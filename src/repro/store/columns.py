@@ -2,15 +2,15 @@
 
 Two layers, split by what varies:
 
-* :class:`DomainColumns` — everything the object path copied into every
-  :class:`DomainObservation` that is in fact *week-invariant* for one
-  ``(ip family, populations)`` scan plan: domain names, populations,
-  list memberships, parked/resolved flags, resolved addresses, org
-  attribution, site indices.  Filled **once per plan** (and therefore
-  once per campaign) by the plan's column passes over the world's
-  domain and site tables; :func:`plan_columns` adds the per-site
-  :class:`SiteSegment` arrays that encode the attribution fan-out in
-  rank order.
+* :class:`DomainColumns` — one ``(ip family, populations)`` scan plan:
+  a selection of the world's :class:`~repro.web.world.DomainTable`
+  rows, one position per row, read in place for names, populations,
+  lists, parking and ranks.  What the plan adds is week-invariant
+  family attribution: each position's site, the per-site address and
+  org, and the few explicit resolver records that point elsewhere.
+  Filled **once per plan** (and therefore once per campaign);
+  :func:`plan_columns` adds the per-site :class:`SiteSegment` arrays
+  that encode the attribution fan-out in rank order.
 * :class:`ObservationStore` — the per-run layer: one result row per
   planned site plus the week's attempted-count per segment.  Recording
   a run is O(sites), and so is reading it: a week's attempted domains
@@ -28,11 +28,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quic.connection import QuicConnectionResult
     from repro.tcp.client import TcpScanOutcome
+    from repro.web.world import DomainTable
 
 #: Org attributed to unresolved / site-less domains (matches the
 #: ``DomainObservation.org`` default).
@@ -46,26 +50,23 @@ NO_ROW = -1
 class SiteSegment:
     """Week-invariant attribution arrays of one planned site.
 
-    ``positions`` keeps the plan's scan order (the TCP fan-out order);
-    ``rank_positions``/``sorted_ranks`` re-sort the same positions by
-    QUIC adoption rank, so the set of positions attempting QUIC at a
-    weekly share is the prefix ``rank_positions[:k]`` with ``k``
-    found by bisection — no per-domain comparison at run time.
-
-    A site owns one address per family, so every member of a segment
-    shares the site's ``ip`` and ``org`` columns.
+    ``first`` is the site's first position in scan order (where its TCP
+    exchange fires); ``rank_positions``/``sorted_ranks`` sort its
+    positions by QUIC adoption rank, so the set of positions attempting
+    QUIC at a weekly share is the prefix ``rank_positions[:k]`` with
+    ``k`` found by bisection — no per-domain comparison at run time.
     """
 
-    __slots__ = ("site_index", "positions", "rank_positions", "sorted_ranks")
+    __slots__ = ("site_index", "first", "rank_positions", "sorted_ranks")
 
     def __init__(
         self, site_index: int, positions: Sequence[int], ranks: Sequence[float]
     ):
         self.site_index = site_index
-        self.positions = array("q", positions)
+        self.first = min(positions)
         by_rank = sorted(zip(ranks, positions, strict=True))
-        self.sorted_ranks = array("d", (pair[0] for pair in by_rank))
-        self.rank_positions = array("q", (pair[1] for pair in by_rank))
+        self.sorted_ranks = array("d", map(itemgetter(0), by_rank))
+        self.rank_positions = array("i", map(itemgetter(1), by_rank))
 
     def attempted_count(self, share: float) -> int:
         """How many of this site's domains want QUIC at ``share``.
@@ -97,78 +98,61 @@ class SiteSegment:
         return candidates
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class DomainColumns:
-    """Week-invariant per-position columns of one scan plan.
+    """One scan plan: a row selection of the world's domain table.
 
-    One entry per planned position (world order): ``domains``,
-    ``populations``, ``lists``, ``parked``/``resolved`` flags, ``ips``
-    (``None`` when unresolved), ``orgs`` (:data:`UNKNOWN_ORG` when the
-    position has no site) and ``site_indexes`` (:data:`NO_ROW` when it
-    has none).  ``segments`` holds one :class:`SiteSegment` per attributed
-    site, ordered by first position; ``segment_of`` maps a position to
-    its segment index (:data:`NO_ROW` without a site) and ``rank_of``
-    to its index in that segment's rank order.
+    Position ``p`` is ``table`` row ``rows[p]`` (ascending, so positions
+    keep world order).  ``site_indexes`` holds each position's site in
+    the plan's family (:data:`NO_ROW` when it has none); ``site_ips``
+    and ``site_orgs`` hold every world site's family address and org;
+    ``addresses`` maps the positions whose explicit resolver record
+    names an address other than their site's (a site-less one
+    included) to that address — empty unless the resolver was mutated
+    post-build.  ``segments`` holds one :class:`SiteSegment` per
+    attributed site, ordered by first position; ``segment_of`` maps a
+    position to its segment index (:data:`NO_ROW` without a site) and
+    ``rank_of`` to its index in that segment's rank order.
     """
 
-    __slots__ = (
-        "count",
-        "domains",
-        "populations",
-        "lists",
-        "parked",
-        "resolved",
-        "ips",
-        "orgs",
-        "site_indexes",
-        "segments",
-        "segment_of",
-        "rank_of",
-        "_population_positions",
-        "_population_segments",
+    table: DomainTable
+    rows: array
+    site_indexes: array
+    site_ips: list[str | None]
+    site_orgs: list[str]
+    addresses: dict[int, str]
+    segments: list[SiteSegment]
+    segment_of: array
+    rank_of: array
+    _population_positions: dict[str, array] = field(default_factory=dict, init=False)
+    _population_segments: dict[str | None, list[tuple[int, SiteSegment]]] = field(
+        default_factory=dict, init=False
     )
 
-    def __init__(
-        self,
-        *,
-        domains: list[str],
-        populations: list[str],
-        lists: list[tuple[str, ...]],
-        parked: bytearray,
-        resolved: bytearray,
-        ips: list[str | None],
-        orgs: list[str],
-        site_indexes: array,
-        segments: list[SiteSegment],
-        segment_of: array,
-        rank_of: array,
-    ):
-        self.count = len(domains)
-        self.domains = domains
-        self.populations = populations
-        self.lists = lists
-        self.parked = parked
-        self.resolved = resolved
-        self.ips = ips
-        self.orgs = orgs
-        self.site_indexes = site_indexes
-        self.segments = segments
-        self.segment_of = segment_of
-        self.rank_of = rank_of
-        self._population_positions: dict[str, array] = {}
-        self._population_segments: dict[str | None, list[tuple[int, SiteSegment]]] = {}
+    @property
+    def count(self) -> int:
+        return len(self.rows)
+
+    def ip(self, position: int) -> str | None:
+        """The address ``position`` resolved to (``None``: unresolved)."""
+        address = self.addresses.get(position)
+        if address is None:
+            site = self.site_indexes[position]
+            address = self.site_ips[site] if site >= 0 else None
+        return address
+
+    def org(self, position: int) -> str:
+        site = self.site_indexes[position]
+        return self.site_orgs[site] if site >= 0 else UNKNOWN_ORG
 
     def population_positions(self, population: str) -> array:
         """Ascending positions of one population (cached) — the order
         the object path visits its domains in."""
         positions = self._population_positions.get(population)
         if positions is None:
+            population_of = self.table.population
             positions = array(
-                "q",
-                (
-                    position
-                    for position, pop in enumerate(self.populations)
-                    if pop == population
-                ),
+                "i", [p for p, row in enumerate(self.rows) if population_of(row) == population]
             )
             self._population_positions[population] = positions
         return positions
@@ -196,38 +180,51 @@ class DomainColumns:
         return pairs
 
     def _restrict(self, segment: SiteSegment, population: str) -> SiteSegment | None:
-        members = [p for p in segment.positions if self.populations[p] == population]
+        population_of, rows = self.table.population, self.rows
+        members = [p for p in segment.rank_positions if population_of(rows[p]) == population]
         if not members:
             return None
-        if len(members) == len(segment.positions):
+        if len(members) == len(segment.rank_positions):
             return segment
         ranks = [segment.sorted_ranks[self.rank_of[p]] for p in members]
         return SiteSegment(segment.site_index, members, ranks)
 
 
-def plan_columns(groups: dict[int, tuple[list[int], list[float]]], **columns) -> DomainColumns:
-    """Assemble a scan plan's :class:`DomainColumns` from its passes.
+def plan_columns(
+    table: DomainTable,
+    rows: array,
+    site_indexes: array,
+    site_ips: list[str | None],
+    site_orgs: list[str],
+    addresses: dict[int, str],
+) -> DomainColumns:
+    """Assemble a scan plan's :class:`DomainColumns` from its selection.
 
-    ``columns`` are the per-position lists the plan build filled (the
-    :class:`DomainColumns` keyword fields except the segment ones);
-    ``groups`` maps each attributed site index to its ``(positions,
-    ranks)`` — ascending positions, sites ordered by first
-    position — and becomes the site's rank-sorted :class:`SiteSegment`.
-    The position → ``(segment, rank index)`` columns are filled here,
+    ``rows`` are the plan's ascending table rows and the other arguments
+    its family attribution (the :class:`DomainColumns` fields).  Each
+    attributed site's positions, with their table ranks, become its
+    rank-sorted :class:`SiteSegment`, sites ordered by first position;
+    the position → ``(segment, rank index)`` columns are filled here,
     once per plan.
     """
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    for position, index in enumerate(site_indexes):
+        if index >= 0:
+            groups[index].append(position)
+    rank_at = table.ranks.__getitem__
     segments = [
-        SiteSegment(site_index, positions, ranks)
-        for site_index, (positions, ranks) in groups.items()
+        SiteSegment(site_index, positions, list(map(rank_at, map(rows.__getitem__, positions))))
+        for site_index, positions in groups.items()
     ]
-    count = len(columns["domains"])
-    segment_of = array("i", (NO_ROW,)) * count
-    rank_of = array("i", bytes(4 * count))
+    segment_of = array("i", (NO_ROW,)) * len(rows)
+    rank_of = array("i", bytes(4 * len(rows)))
     for index, segment in enumerate(segments):
         for rank, position in enumerate(segment.rank_positions):
             segment_of[position] = index
             rank_of[position] = rank
-    return DomainColumns(segments=segments, segment_of=segment_of, rank_of=rank_of, **columns)
+    return DomainColumns(
+        table, rows, site_indexes, site_ips, site_orgs, addresses, segments, segment_of, rank_of
+    )
 
 
 class ObservationStore:

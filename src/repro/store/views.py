@@ -40,31 +40,35 @@ class ObservationView(ObservationDerived):
     # -- plan columns (week-invariant) ---------------------------------
     @property
     def domain(self) -> str:
-        return self.store.columns.domains[self.position]
+        columns = self.store.columns
+        return columns.table.names[columns.rows[self.position]]
 
     @property
     def population(self) -> str:
-        return self.store.columns.populations[self.position]
+        columns = self.store.columns
+        return columns.table.population(columns.rows[self.position])
 
     @property
     def lists(self) -> tuple[str, ...]:
-        return self.store.columns.lists[self.position]
+        columns = self.store.columns
+        return columns.table.lists(columns.rows[self.position])
 
     @property
     def parked(self) -> bool:
-        return bool(self.store.columns.parked[self.position])
+        columns = self.store.columns
+        return columns.table.parked(columns.rows[self.position])
 
     @property
     def resolved(self) -> bool:
-        return bool(self.store.columns.resolved[self.position])
+        return self.ip is not None
 
     @property
     def ip(self) -> str | None:
-        return self.store.columns.ips[self.position]
+        return self.store.columns.ip(self.position)
 
     @property
     def org(self) -> str:
-        return self.store.columns.orgs[self.position]
+        return self.store.columns.org(self.position)
 
     @property
     def site_index(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.asdb.as2org import AsOrgMap
 from repro.asdb.prefixtree import PrefixTree
@@ -125,9 +126,12 @@ class DomainTable:
     These are exactly the columns the world snapshot stores: ``names``,
     ``site_indexes`` (int32, -1 = unresolvable), ``flags`` (toplist,
     parked and AAAA bits), ``masks`` (list membership bits, see
-    :data:`MASK_LISTS`) and ``ranks`` (adoption ranks as doubles).  The
-    scan plan reads the columns in place; indexing and iteration return
-    frozen :class:`Domain` rows for object readers.
+    :data:`MASK_LISTS`) and ``ranks`` (adoption ranks as doubles).  A
+    scan plan is a selection of rows (:meth:`rows_of`) read in place
+    through the row decoders (:meth:`population`, :meth:`lists`,
+    :meth:`parked`, :meth:`has_aaaa`), the only readers of the flag and
+    mask encoding; indexing and iteration return frozen :class:`Domain`
+    rows for object readers.
     """
 
     names: list[str] = field(default_factory=list)
@@ -173,16 +177,34 @@ class DomainTable:
         return map(self._row, range(len(self)))
 
     def _row(self, index: int) -> Domain:
-        flag = self.flags[index]
         return Domain(
             self.names[index],
             self.site_indexes[index],
-            POPULATIONS[flag & TOPLIST_FLAG],
-            MASK_LISTS[self.masks[index]],
-            bool(flag & PARKED_FLAG),
-            bool(flag & AAAA_FLAG),
+            self.population(index),
+            self.lists(index),
+            self.parked(index),
+            self.has_aaaa(index),
             self.ranks[index],
         )
+
+    def population(self, row: int) -> str:
+        return POPULATIONS[self.flags[row] & TOPLIST_FLAG]
+
+    def lists(self, row: int) -> tuple[str, ...]:
+        return MASK_LISTS[self.masks[row]]
+
+    def parked(self, row: int) -> bool:
+        return bool(self.flags[row] & PARKED_FLAG)
+
+    def has_aaaa(self, row: int) -> bool:
+        return bool(self.flags[row] & AAAA_FLAG)
+
+    def rows_of(self, populations: Sequence[str]) -> array:
+        """Ascending rows of ``populations``: one C-level pass over ``flags``."""
+        keep = self.flags.translate(
+            bytes(POPULATIONS[flag & TOPLIST_FLAG] in populations for flag in range(256))
+        )
+        return array("i", itertools.compress(range(len(self.names)), keep))
 
 
 @dataclass(frozen=True)
@@ -375,17 +397,21 @@ class World:
         after.  Only direct lookups and the reference loop come here;
         the scan plan applies the same rule to the tables itself.  The
         table is complete once the world is built, so the name index is
-        built once, on the first lookup.
+        built once, on the first lookup (:meth:`domain_row`).
         """
-        table = self.domains
+        row = self.domain_row(name)
+        if row is None or self.domains.site_indexes[row] < 0:
+            return None
+        domain = self.domains[row]
+        return dns_record_for(domain, self.sites[domain.site_index])
+
+    def domain_row(self, name: str) -> int | None:
+        """The domain table row of ``name`` (``None``: no such domain)."""
         index = self._domain_name_index
         if index is None:
+            table = self.domains
             index = self._domain_name_index = dict(zip(table.names, range(len(table))))
-        domain_index = index.get(name)
-        if domain_index is None or table.site_indexes[domain_index] < 0:
-            return None
-        domain = table[domain_index]
-        return dns_record_for(domain, self.sites[domain.site_index])
+        return index.get(name)
 
     def section_state(self) -> dict[str, object]:
         """Which lazy sections are still pending (introspection/tests)."""

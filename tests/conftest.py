@@ -74,6 +74,13 @@ def _leaked_by_this_suite(name):
     return creator is None or creator == os.getpid() or not _process_alive(creator)
 
 
+def shm_leaked_since(before):
+    """The /dev/shm segments that appeared after ``before`` was taken
+    (:func:`shm_entries`) and that :func:`_leaked_by_this_suite`
+    attributes to this run, sorted."""
+    return sorted(name for name in shm_entries() - before if _leaked_by_this_suite(name))
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _no_leaked_segments_or_workers():
     """Fail the suite if any test leaks a shared segment or a worker.
@@ -90,7 +97,7 @@ def _no_leaked_segments_or_workers():
     yield
     leaked = shm.live_segments()
     assert not leaked, f"test suite leaked shared segments: {leaked}"
-    leaked = sorted(name for name in shm_entries() - before if _leaked_by_this_suite(name))
+    leaked = shm_leaked_since(before)
     assert not leaked, f"/dev/shm segments leaked: {leaked}"
     # Terminated pools reap their workers asynchronously; give stragglers
     # a beat before declaring them leaked.

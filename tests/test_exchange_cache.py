@@ -251,21 +251,23 @@ def _reference_schedule(engine, plan, week, vantage_id, include_tcp):
     share = world.adoption_share(week)
     rank_of = {domain.name: domain.adoption_rank for domain in world.domains}
     columns = plan.columns
+    names = world.domains.names
     events = []
     for segment in columns.segments:
         index = segment.site_index
         policy = world.site_policy(world.sites[index], vantage_id)
         capable = policy.reachable and policy.quic_profile is not None
+        positions = sorted(segment.rank_positions)
         if capable:
-            for pos in segment.positions:
-                name = columns.domains[pos]
+            for pos in positions:
+                name = names[columns.rows[pos]]
                 if rank_of[name] < share:
-                    events.append(SiteEvent(pos, QUIC_EVENT, index, columns.ips[pos], name))
+                    events.append(SiteEvent(pos, QUIC_EVENT, index, columns.ip(pos), name))
                     break
         if include_tcp:
-            first = segment.positions[0]
+            first = positions[0]
             events.append(
-                SiteEvent(first, TCP_EVENT, index, columns.ips[first], columns.domains[first])
+                SiteEvent(first, TCP_EVENT, index, columns.ip(first), names[columns.rows[first]])
             )
     events.sort(key=lambda event: (event.position, event.kind))
     return events

@@ -21,7 +21,7 @@ from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.util import shm
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork, shm_entries
+from tests.conftest import requires_fork, shm_entries, shm_leaked_since
 from tests.differential import (
     CAMPAIGN_WEEKS,
     assert_campaign_matches,
@@ -69,7 +69,7 @@ def test_worker_crash_is_retried_and_results_match(campaign_legs):
     assert engine.supervision.fallbacks == 0
     # The dead worker left no segment behind.
     assert shm.live_segments() == []
-    assert shm_entries() <= before
+    assert not shm_leaked_since(before)
 
 
 @requires_fork

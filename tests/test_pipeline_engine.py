@@ -22,7 +22,8 @@ from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanEngine, ScanPhaseSt
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
-from repro.store.columns import NO_ROW
+from repro.store.columns import NO_ROW, ObservationStore
+from repro.store.views import StoreObservations
 from repro.web.spec import WorldConfig
 
 from tests.conftest import point_first_domain_at_last_site
@@ -272,10 +273,10 @@ def test_plan_segments_partition_attributed_positions(resolver):
     columns = world.scan_engine().plan_for(4, ("cno", "toplist")).columns
     site_indexes = columns.site_indexes
     attributed = []
-    for position in range(columns.count):
-        address = columns.ips[position]
+    for position, view in enumerate(_plan_views(world, columns)):
+        address = view.ip
         site = world.site_by_ip(address) if address is not None else None
-        assert bool(columns.resolved[position]) == (address is not None)
+        assert view.resolved == (address is not None)
         if site is None:  # unresolved or site-less
             assert site_indexes[position] == NO_ROW
         else:
@@ -284,10 +285,10 @@ def test_plan_segments_partition_attributed_positions(resolver):
     segmented = []
     firsts = []
     for segment in columns.segments:
-        positions = list(segment.positions)
-        assert positions == sorted(positions)
+        positions = sorted(segment.rank_positions)
+        assert segment.first == positions[0]
         assert all(site_indexes[p] == segment.site_index for p in positions)
-        firsts.append(positions[0])
+        firsts.append(segment.first)
         segmented.extend(positions)
     assert firsts == sorted(firsts)
     assert sorted(segmented) == attributed  # a partition: no gap, no overlap
@@ -299,8 +300,20 @@ def test_plan_segments_partition_attributed_positions(resolver):
     assert sum(1 for s in columns.segment_of if s == NO_ROW) == columns.count - len(attributed)
     assert len({segment.site_index for segment in columns.segments}) == len(firsts)
     if moved is not None:
-        position = columns.domains.index(moved)
+        position = columns.rows.index(world.domain_row(moved))
         assert site_indexes[position] == world.sites[-1].index
+
+
+def _plan_views(world, columns):
+    """The plan's positions as the lazy views a run serves."""
+    store = ObservationStore(
+        columns,
+        week=world.config.reference_week,
+        vantage_id="main-aachen",
+        ip_version=4,
+        share=0.0,
+    )
+    return StoreObservations(store)
 
 
 def _assert_plan_agrees_with_resolver(world):
@@ -315,10 +328,11 @@ def _assert_plan_agrees_with_resolver(world):
             assert columns.count == sum(
                 1 for domain in world.domains if domain.population in populations
             )
-            for position, name in enumerate(columns.domains):
+            for position, view in enumerate(_plan_views(world, columns)):
+                name = view.domain
                 address = resolve(name, family=ip_version)
-                assert columns.ips[position] == address, (name, ip_version)
-                assert bool(columns.resolved[position]) == (address is not None)
+                assert view.ip == address, (name, ip_version)
+                assert view.resolved == (address is not None)
                 site = world.site_by_ip(address) if address is not None else None
                 expected = NO_ROW if site is None else site.index
                 assert columns.site_indexes[position] == expected, (name, ip_version)
@@ -342,7 +356,7 @@ def test_plan_agrees_with_the_resolver():
     world.resolver.add(dual.name, DnsRecord(a=world.sites[dual.site_index].ip))
     _assert_plan_agrees_with_resolver(world)
     v6 = world.scan_engine().plan_for(6, ("cno", "toplist")).columns
-    assert v6.ips[v6.domains.index(dual.name)] is None
+    assert v6.ip(v6.rows.index(world.domain_row(dual.name))) is None
 
     # A record pointing at addresses no site owns: resolved, site-less.
     stray = next(
@@ -351,6 +365,7 @@ def test_plan_agrees_with_the_resolver():
     world.resolver.add(stray.name, DnsRecord(a="198.51.100.7", aaaa="2001:db8:ffff::7"))
     _assert_plan_agrees_with_resolver(world)
     v4 = world.scan_engine().plan_for(4, ("cno",)).columns
-    position = v4.domains.index(stray.name)
-    assert v4.resolved[position] and v4.site_indexes[position] == NO_ROW
+    position = v4.rows.index(world.domain_row(stray.name))
+    assert _plan_views(world, v4)[position].resolved
+    assert v4.site_indexes[position] == NO_ROW
     assert v4.segment_of[position] == NO_ROW

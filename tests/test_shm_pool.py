@@ -37,7 +37,7 @@ from repro.util.weeks import Week
 from repro.web.snapshot import SnapshotCorruption, decode_world, encode_world
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork, shm_entries
+from tests.conftest import requires_fork, shm_entries, shm_leaked_since
 from tests.differential import (
     CAMPAIGN_WEEKS,
     POOL_SHAPES,
@@ -522,7 +522,7 @@ def test_clean_campaign_leaves_no_segment():
     world = _build(MATRIX_SCALE)
     run_campaign(world, weeks=_weeks(world)[:2], workers=2)
     assert shm.live_segments() == []
-    assert shm_entries() <= before
+    assert not shm_leaked_since(before)
 
 
 @requires_fork
@@ -540,7 +540,7 @@ def test_worker_crash_leaves_no_segment(campaign_legs):
     assert_campaign_matches(campaign_legs.oracle, world, campaign, leg="crashed worker")
     assert stats.shard_retries >= 1
     assert shm.live_segments() == []
-    assert shm_entries() <= before
+    assert not shm_leaked_since(before)
 
 
 @requires_fork
@@ -552,7 +552,7 @@ def test_aborted_campaign_leaves_no_segment():
     with pytest.raises(InjectedFault):
         run_campaign(world, weeks=weeks, workers=2, fault_plan=plan)
     assert shm.live_segments() == []
-    assert shm_entries() <= before
+    assert not shm_leaked_since(before)
 
 
 @requires_fork

@@ -38,6 +38,7 @@ from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 from repro.tracebox.classify import ChangePoint, PathImpairment, TraceSummary
 from repro.util.weeks import Week
 from repro.web.paths import AS_ARELION
+from repro.web.world import DomainTable
 from repro.web.spec import WorldConfig
 
 from tests.conftest import point_first_domain_at_last_site, requires_fork
@@ -293,7 +294,8 @@ def test_cross_site_override_analysis_outputs_identical():
 # Site order vs first-seen order
 # ----------------------------------------------------------------------
 def _synthetic_campaigns(shares, results=None, traces=None):
-    """Store and object campaigns over a hand-built six-domain plan.
+    """Store and object campaigns over a plan of every row of a
+    hand-built six-domain table.
 
     Plan (position: site, population, adoption rank):
     0: site 0 cno 0.9 · 1: site 1 cno 0.4 · 2: site 0 cno 0.2 ·
@@ -306,16 +308,29 @@ def _synthetic_campaigns(shares, results=None, traces=None):
     ``results``/``traces`` replace the per-site QUIC results and attach
     per-site trace summaries to every run.
     """
+    site_indexes = [0, 1, 0, NO_ROW, 2, 1]
+    table = DomainTable()
+    for position, (site_index, population, parked, rank) in enumerate(
+        zip(
+            site_indexes,
+            ["cno"] * 5 + ["toplist"],
+            [False, True, False, False, True, False],
+            [0.9, 0.4, 0.2, 0.0, 0.3, 0.05],
+            strict=True,
+        )
+    ):
+        lists = ("cno",) if population == "cno" else ("tranco",)
+        table.append(
+            f"d{position}.com", site_index, population, lists,
+            parked=parked, adoption_rank=rank,
+        )
     columns = plan_columns(
-        {0: ([0, 2], [0.9, 0.2]), 1: ([1, 5], [0.4, 0.05]), 2: ([4], [0.3])},
-        domains=[f"d{position}.com" for position in range(6)],
-        populations=["cno"] * 5 + ["toplist"],
-        lists=[()] * 6,
-        parked=bytearray([0, 1, 0, 0, 1, 0]),
-        resolved=bytearray([1, 1, 1, 0, 1, 1]),
-        ips=["10.0.0.1", "10.0.0.2", "10.0.0.1", None, "10.0.0.3", "10.0.0.2"],
-        orgs=["Org A", "Org B", "Org A", "<unknown>", "Org C", "Org B"],
-        site_indexes=array("q", [0, 1, 0, NO_ROW, 2, 1]),
+        table,
+        array("i", range(6)),
+        site_indexes=array("i", site_indexes),
+        site_ips=["10.0.0.1", "10.0.0.2", "10.0.0.3"],
+        site_orgs=["Org A", "Org B", "Org C"],
+        addresses={},
     )
     if results is None:
         results = [

@@ -1,6 +1,8 @@
 """World builder invariants."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +190,30 @@ def test_provider_spec_group_lookup():
 def test_vantage_markers():
     markers = {v.marker for v in default_vantages()}
     assert markers == {"M", "A", "V"}
+
+
+#: The domain table's flag and mask encoding.
+_ENCODING_NAMES = {"TOPLIST_FLAG", "PARKED_FLAG", "AAAA_FLAG", "MASK_LISTS", "POPULATIONS"}
+
+
+def test_only_the_world_knows_the_domain_encoding():
+    """Every reader of the domain table goes through its row decoders:
+    no module of the package but ``web/world.py`` names the flag or mask
+    encoding."""
+    package = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "web" / "world.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in _ENCODING_NAMES:
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}: {name}")
+    assert not offenders, offenders
