@@ -21,7 +21,7 @@ Runs under the bench harness (pytest-benchmark) or standalone::
     PYTHONPATH=src python benchmarks/bench_pipeline_scan.py --smoke --check  # CI gate
 
 ``--smoke`` records ``smoke_*`` fields (scan, a serial default campaign
-**and** a shared-memory pool campaign, plus the cold/warm world-cache
+**and** a 2-worker pool campaign, plus the cold/warm world-cache
 split); ``--check`` compares
 fresh smoke numbers against
 the committed baselines and exits non-zero on a >2x regression — or on
@@ -53,7 +53,6 @@ import repro
 from repro.analysis.report import longitudinal_report
 from repro.pipeline import ShmPoolScanEngine
 from repro.pipeline.engine import ScanPhaseStats
-from repro.util import shm
 from repro.web.spec import WorldConfig
 
 SCALE = 8_000
@@ -116,6 +115,9 @@ RETIRED_FIELDS = (
     "smoke_forkpool_retries",
     "smoke_forkpool_seconds",
     "smoke_forkpool_shards",
+    # Pool workers inherit the world by fork; there is no shared
+    # segment left to leak.
+    "smoke_shm_pool_leaked_segments",
 )
 
 
@@ -385,10 +387,10 @@ def bench_campaign(benchmark):
 
 
 def bench_campaign_shm_pool(benchmark):
-    """The shared-memory persistent pool (2 workers, ticket dispatch).
+    """The persistent worker pool (2 workers, ticket dispatch).
 
     The engine outlives the rounds, as it outlives the weeks of a real
-    campaign: round one pays pool spin-up + world publication, later
+    campaign: round one pays pool spin-up, later
     rounds replay the weeks the parent already merged — best-of-N
     reports the warm steady state, same as every other case here
     benefits from the warm exchange cache of the shared world.
@@ -411,7 +413,6 @@ def bench_campaign_shm_pool(benchmark):
         result = benchmark.pedantic(campaign, rounds=3, iterations=1)
     assert result.runs
     assert supervision.shard_retries == 0
-    assert shm.live_segments() == []
     total_obs = sum(len(run.observations) for run in result.runs)
     best = min(durations)
     _record(
@@ -467,7 +468,6 @@ def run_full() -> None:
             )
         )
     assert pool_supervision.shard_retries == 0
-    assert shm.live_segments() == []
     shm_pool_obs = sum(len(r.observations) for r in shm_pool.runs)
     _record(
         campaign_shm_pool_seconds=shm_pool_best,
@@ -487,11 +487,11 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     All cases are best-of-3 — the 2x CI gate compares single machines
     across runs, and a one-shot number would trip it on scheduler noise.
     The shm-pool case drives the whole worker/codec path end to end —
-    shared-segment publication, zero-copy world decode, ticket dispatch,
-    codec buffers with their cache-counter trailer (a persistent engine,
-    best-of-3 so the warm steady state is what is gated) — and
-    additionally reports leaked segments.  The world-cache split drives the snapshot
-    encode/persist/decode path the same way.
+    forked workers over the parent's world, ticket dispatch, codec
+    buffers with their cache-counter trailer (a persistent engine,
+    best-of-3 so the warm steady state is what is gated).  The
+    world-cache split drives the snapshot encode/persist/decode path
+    the same way.
     """
     world_split = _world_cache_split(SMOKE_SCALE)
     world = world_split["world"]
@@ -511,7 +511,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
             )
         )
     shm_pool_obs = sum(len(r.observations) for r in shm_pool.runs)
-    leaked_segments = len(shm.live_segments())
     # Plugin-framework legs: the same shm-pool campaign through the
     # explicit single-plugin selection (must cost ~nothing relative to
     # the default selection — the framework's overhead gate, measured
@@ -575,8 +574,7 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
           f"{cache_totals.exchange_cache_hit_rate:.3f})")
     print(f"smoke shm-pool campaign (scale {SMOKE_SCALE}): {shm_pool_best:.3f}s "
           f"({round(shm_pool_obs / shm_pool_best)} domains/s, "
-          f"{pool_supervision.shard_retries} retries, "
-          f"{leaked_segments} leaked segments)")
+          f"{pool_supervision.shard_retries} retries)")
     print(f"smoke plugin campaigns (scale {SMOKE_SCALE}, shm pool): ecn "
           f"{plugin_ecn_best:.3f}s ({plugin_overhead_pct:.2f}% over default), "
           f"ecn+grease {plugin_multi_best:.3f}s "
@@ -608,7 +606,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
         "smoke_shm_pool_workers": 2,
         "smoke_shm_pool_domains_per_second": round(shm_pool_obs / shm_pool_best),
         "smoke_shm_pool_retries": pool_supervision.shard_retries,
-        "smoke_shm_pool_leaked_segments": leaked_segments,
         "plugin_ecn_shm_pool_seconds": plugin_ecn_best,
         "plugin_ecn_shm_pool_domains_per_second": round(
             plugin_ecn_obs / plugin_ecn_best
@@ -640,10 +637,9 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
     input the supervised dispatch path must behave exactly like a
     blocking map, so any retry means workers are dying or the ticket
     timeout is misconfigured.  The shm-pool leg additionally requires
-    **zero leaked segments** and
     that the committed full-bench shm-pool throughput is at least the
     committed inline campaign throughput (the whole point of the
-    shared-memory pool: the fork path wins, it does not merely match).
+    pool: the fork path wins, it does not merely match).
     The plugin legs require the explicit ``ecn``-plugin shm-pool
     campaign to cost at most :data:`PLUGIN_OVERHEAD_MAX_PCT` extra
     wall time over the default selection (interleaved paired delta,
@@ -689,18 +685,11 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
               f"committed floor {CACHE_HIT_RATE_FLOOR:.2f}", file=sys.stderr)
         status = 1
     pool_retries = metrics["smoke_shm_pool_retries"]
-    leaked = metrics["smoke_shm_pool_leaked_segments"]
-    print(f"smoke shm-pool ticket retries: required 0, measured {pool_retries}; "
-          f"leaked segments: required 0, measured {leaked}")
+    print(f"smoke shm-pool ticket retries: required 0, measured {pool_retries}")
     if pool_retries != 0:
         print(f"FAIL: clean shm-pool campaign needed {pool_retries} ticket "
               "retries — pool workers are dying or timing out on healthy "
               "input", file=sys.stderr)
-        status = 1
-    if leaked != 0:
-        print(f"FAIL: shm-pool campaign leaked {leaked} shared segment(s) — "
-              "engine close() no longer unlinks the world buffer",
-              file=sys.stderr)
         status = 1
     pool_rate = committed.get("campaign_shm_pool_domains_per_second")
     inline_rate = committed.get("campaign_domains_per_second")
@@ -714,7 +703,7 @@ def run_smoke(check: bool, trace_out=None, metrics_out=None) -> int:
     if pool_rate < inline_rate:
         print(f"FAIL: committed shm-pool campaign throughput ({pool_rate} "
               f"domains/s) below the inline campaign ({inline_rate} "
-              "domains/s) — the shared-memory pool win regressed", file=sys.stderr)
+              "domains/s) — the pool win regressed", file=sys.stderr)
         status = 1
     plugin_overhead = metrics["plugin_overhead_pct"]
     print(f"plugin-framework overhead: max {PLUGIN_OVERHEAD_MAX_PCT:.1f}%, "

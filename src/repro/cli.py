@@ -446,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="run the site phase on a persistent pool of N forked workers "
-             "sharing one shared-memory world snapshot; the campaign's "
+        help="run the site phase on a persistent pool of N workers forked "
+             "from the built world; the campaign's "
              "weeks are prefetched as one (site-range, week-range) "
              "ticket per worker, cut to near-equal scheduled work, so "
              "the whole campaign costs one dispatch round trip per "

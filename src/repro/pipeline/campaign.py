@@ -108,14 +108,14 @@ def run_campaign(
     golden tests compare the two).
 
     ``workers`` switches the site phase to a
-    :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: the encoded
-    world is published to one shared-memory segment, a persistent pool
-    of that many forked workers decodes it zero-copy at startup, and
-    the campaign's weeks are prefetched as one (site-range, week-range)
-    ticket per worker, cut to near-equal scheduled work, so the whole
-    series costs one dispatch round trip per worker.  Every executor
-    runs each site exchange on a deterministic per-site RNG substream,
-    so pool campaigns equal serial ones exactly
+    :class:`~repro.pipeline.sharding.ShmPoolScanEngine`: a persistent
+    pool of that many workers forks from the parent and scans the world
+    it inherits, and the campaign's weeks are prefetched as one
+    (site-range, week-range) ticket per worker, cut to near-equal
+    scheduled work, so the whole series costs one dispatch round trip
+    per worker.  Every executor runs each site exchange on a
+    deterministic per-site RNG substream, so pool campaigns equal
+    serial ones exactly, on any world
     (docs/architecture.md#worker-pool--shared-world).
 
     ``checkpoint_dir`` makes the campaign crash-safe: every completed
@@ -226,7 +226,8 @@ def run_campaign(
     # any timed phase runs: the site-phase/attribution split in
     # ``phase_stats`` then measures scanning, not one-off section
     # construction (route building for this vantage, the per-site
-    # ASN/org walk).
+    # ASN/org walk).  Pool workers fork after this, so they inherit
+    # both sections built.
     world.ensure_site_attribution()
     world.ensure_routes(vantage_id)
     # Resolve which weeks replay from checkpoints *before* execution
@@ -362,7 +363,7 @@ def run_campaign(
         # Caller-supplied engines outlive the campaign (warm pools are
         # the point of passing one in); self-built pool engines tear
         # down here — on success, injected aborts and crashed
-        # workers alike, which is what keeps shared segments from
+        # workers alike, which is what keeps worker processes from
         # leaking.
         if owns_engine and isinstance(engine, ShmPoolScanEngine):
             engine.close()

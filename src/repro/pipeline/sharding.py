@@ -1,9 +1,9 @@
-"""Parallel site phase: a persistent worker pool over a shared-memory world.
+"""Parallel site phase: a persistent worker pool over the parent's world.
 
 :class:`ShmPoolScanEngine` runs the ordered site phase of weekly runs on
-a pool of forked worker processes.  The encoded world snapshot is
-published **once** to a shared-memory segment (:mod:`repro.util.shm`),
-every worker decodes it zero-copy at startup, and work travels as
+a pool of forked worker processes.  Each worker inherits the campaign
+world by fork — the very object the parent built, nothing encoded or
+pickled — and builds its engine over it at startup; work travels as
 (site-range, week-range) :class:`Ticket` descriptors that carry the
 range's scheduled events — the long-lived worker/queue architecture
 PATHspider uses for its path-transparency scans, applied to the weekly
@@ -18,8 +18,10 @@ substream seeded by (world seed, week, vantage, family, site, kind) —
 clock, so no exchange can observe another's draws or timing.  As a
 consequence the merged output is *identical* for any worker count and
 any ticket layout, and equals the serial
-:class:`~repro.pipeline.engine.ScanEngine` (golden-tested by the pool
-legs of the differential harness, ``tests/differential.py``).
+:class:`~repro.pipeline.engine.ScanEngine` on the same world, post-build
+mutations included (golden-tested by the pool legs of the differential
+harness, ``tests/differential.py``, and a mutated-world campaign in
+``tests/test_shm_pool.py``).
 
 Tickets are **supervised** (docs/robustness.md): each ticket attempt
 has a per-week deadline (``shard_timeout``).  A ticket whose result does
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
@@ -57,12 +58,6 @@ from repro.store.codec import (
     encode_shard_results,
 )
 from repro.util.weeks import Week
-
-
-def default_workers() -> int:
-    """Worker count used when none is given: the machine's CPU count,
-    capped — site phases at common scales do not amortise more workers."""
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 @dataclass
@@ -236,7 +231,10 @@ class _WeekHarvest:
 
 
 class ShmPoolScanEngine(ScanEngine):
-    """Persistent fork-pool engine over a shared-memory world.
+    """Persistent fork-pool engine over the parent's world.
+
+    The name outlives the shared-memory transport; benchmarks look the
+    class and its methods up by name.
 
     Drop-in for ``ScanEngine``: ``run_week`` / ``site_events`` keep their
     signatures, and scan plans are shared with the world's serial engine
@@ -245,14 +243,14 @@ class ShmPoolScanEngine(ScanEngine):
     (:meth:`_week_entries`); scheduling, the merge and attribution are
     the serial engine's.
 
-    The campaign world is encoded **once** into a
-    :class:`repro.util.shm.SharedSegment`, a pool of ``workers``
-    processes attaches at startup (each decodes its world zero-copy
-    from the mapped buffer and hydrates lazy sections on demand), and
-    work travels as :class:`Ticket` descriptors — a site range, a week
-    range and the range's events, which the parent schedules from its
-    own plan.  Workers never plan or schedule; they stay warm across
-    weeks only through their exchange caches.
+    A pool of ``workers`` processes forks from the parent on first use
+    and builds each worker engine over the inherited world, so workers
+    see the world exactly as the parent holds it — the lazy sections it
+    already built and any post-build mutation alike.  Work travels as
+    :class:`Ticket` descriptors — a site range, a week range and the
+    range's events, which the parent schedules from its own plan.
+    Workers never plan or schedule; they stay warm across weeks only
+    through their exchange caches.
 
     Supervision works at ticket granularity: each ticket attempt has
     ``shard_timeout`` seconds *per week it covers* to deliver buffers
@@ -263,9 +261,11 @@ class ShmPoolScanEngine(ScanEngine):
     Merging goes through the validated
     :meth:`ScanEngine._apply_replay` path, like the serial engine.
     ``close()`` — reached by the campaign loop's ``finally`` on success,
-    crash and abort alike — tears down the pool and unlinks the shared
-    segment; the leak regression tests scan ``/dev/shm`` to hold that
-    line.
+    crash and abort alike — terminates and joins the workers; the
+    lifecycle tests assert no worker process outlives it.  A world
+    mutated after the pool started must be followed by
+    :meth:`invalidate`, which closes the pool so the next dispatch forks
+    workers that see the mutation.
     """
 
     #: Parent replay-cache bound: large enough for every (week, spec) a
@@ -277,21 +277,18 @@ class ShmPoolScanEngine(ScanEngine):
         self,
         world,
         *,
-        workers: int | None = None,
+        workers: int,
         exchange_cache: bool = True,
         shard_timeout: float = 60.0,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
         fault_plan=None,
     ):
-        from repro.util.shm import fork_available
-
-        if not fork_available():  # pragma: no cover - POSIX-only repo CI
+        if "fork" not in multiprocessing.get_all_start_methods():  # pragma: no cover
             raise RuntimeError(
                 "ShmPoolScanEngine needs the fork start method (POSIX); "
                 "use the serial ScanEngine on this platform"
             )
-        workers = workers if workers is not None else default_workers()
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0 < shard_timeout < math.inf:  # NaN fails too
@@ -300,7 +297,6 @@ class ShmPoolScanEngine(ScanEngine):
             raise ValueError("max_shard_retries must be >= 0")
         super().__init__(world, exchange_cache=exchange_cache)
         self._pool = None
-        self._segment = None
         #: Pool size; also the ticket count of every dispatch.
         self.workers = workers
         #: Per-week result deadline of one ticket attempt (seconds).
@@ -370,8 +366,8 @@ class ShmPoolScanEngine(ScanEngine):
         ]
         if not todo:
             return 0
-        # Fork first: the workers decode the world while the parent
-        # plans and schedules, and inherit none of the plan's pages
+        # Fork first: the workers start while the parent plans and
+        # schedules, and inherit none of the plan's pages
         # (forking after planning raised the campaign-pool benchmark's
         # peak RSS from 148.4-148.6 MB to 167.4-171.8 MB).  The schedule
         # is not kept — run_week reschedules each week for its merge,
@@ -552,51 +548,33 @@ class ShmPoolScanEngine(ScanEngine):
         return week_entries
 
     # ------------------------------------------------------------------
-    # Pool + shared-segment lifecycle
+    # Pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            from repro.util.shm import SharedSegment
-            from repro.web.snapshot import encode_world
-
-            # The world crosses to workers exactly once, as the encoded
-            # snapshot in a shared segment; initargs travel by fork
-            # inheritance (nothing here is pickled), and mp.Pool re-runs
-            # the initializer in replacement workers after a crash, so
-            # late forks self-hydrate the same way the originals did.
-            self._segment = SharedSegment.create(encode_world(self.world))
+            # Workers inherit the world by fork: initargs are never
+            # pickled under the fork start method, and mp.Pool re-runs
+            # the initializer in replacement workers after a crash.
             ctx = multiprocessing.get_context("fork")
             self._pool = ctx.Pool(
                 processes=self.workers,
                 initializer=_shm_worker_init,
-                initargs=(
-                    self._segment,
-                    self.world.provider_list,
-                    self.world.vantage_list,
-                    self.world.override_list,
-                    self.exchange_cache is not None,
-                    self.fault_plan,
-                ),
+                initargs=(self.world, self.exchange_cache is not None, self.fault_plan),
             )
         return self._pool
 
     def close(self) -> None:
-        """Tear down the pool and unlink the shared segment (idempotent)."""
+        """Terminate and join the workers (idempotent)."""
         self._pending.clear()
         self._harvests.clear()
         self._replayed.clear()
-        try:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
-        finally:
-            if self._segment is not None:
-                self._segment.unlink()
-                self._segment = None
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
 
     def invalidate(self) -> None:
-        """Drop cached plans *and* the pool (its world snapshot predates
+        """Drop cached plans *and* the pool (its workers forked before
         whatever mutation triggered the invalidation)."""
         super().invalidate()
         self.close()
@@ -640,25 +618,15 @@ def _run_ticket_week(
 _SHM_WORKER: tuple[ScanEngine, object] | None = None
 
 
-def _shm_worker_init(segment, providers, vantages, overrides, exchange_cache, fault_plan):
-    """Pool initializer: decode the shared world, build the worker engine.
+def _shm_worker_init(world, exchange_cache, fault_plan):
+    """Pool initializer: build this worker's engine over the inherited world.
 
     Runs once per worker process — including replacement workers forked
-    after a crash, so a late fork self-hydrates exactly like the
-    originals.  The decode reads zero-copy out of the shared segment;
-    lazy sections (routes, DNS, attribution) hydrate on first miss
-    inside the worker.
+    after a crash, which inherit the parent's world as it is then.
+    Lazy sections the parent had not built yet (routes of another
+    vantage, say) hydrate on first miss inside the worker.
     """
-    from repro.web.snapshot import decode_world
-
     global _SHM_WORKER
-    view = segment.view()
-    try:
-        world = decode_world(
-            view, providers=providers, vantages=vantages, overrides=overrides
-        )
-    finally:
-        view.release()
     _SHM_WORKER = (ScanEngine(world, exchange_cache=exchange_cache), fault_plan)
 
 
@@ -670,7 +638,7 @@ def _pool_run_ticket(ticket: Ticket, attempt: int, spec: tuple) -> list:
     corrupts exactly the buffers its rules name.
     """
     if _SHM_WORKER is None:  # pragma: no cover - misuse guard
-        raise RuntimeError("worker was not initialised with a shared world")
+        raise RuntimeError("worker was not initialised with a world")
     engine, fault_plan = _SHM_WORKER
     cache = engine.exchange_cache
     out = []

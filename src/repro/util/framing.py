@@ -56,8 +56,9 @@ def unframe_payload(
 
     With ``copy=False`` the body comes back as a read-only
     ``memoryview`` into ``buf`` instead of a fresh ``bytes`` — the
-    zero-copy path the world-snapshot decoder uses to read directly out
-    of a shared-memory segment.  The CRC is verified either way.
+    zero-copy path the world-snapshot decoder uses, so a ``--world-cache``
+    read does not copy the multi-megabyte body a second time.  The CRC
+    is verified either way.
     """
     header_end = len(magic) + _FRAME_HEADER.size
     if bytes(buf[: len(magic)]) != magic:

@@ -26,7 +26,7 @@ __all__ = [
 #: Shard/ticket result buffers (:mod:`repro.store.codec`).
 SHARD_RESULT_MAGIC: Final = b"ECNSTOR4"
 
-#: World snapshots, on disk and in shared memory (:mod:`repro.web.snapshot`).
+#: World snapshots, on disk and in the process cache (:mod:`repro.web.snapshot`).
 WORLD_SNAPSHOT_MAGIC: Final = b"ECNWRLD3"
 
 #: Per-week campaign checkpoints (:mod:`repro.pipeline.checkpoint`).

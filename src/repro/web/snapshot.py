@@ -29,8 +29,9 @@ touch — so a rehydrated world lands in exactly the state a fresh
 :func:`~repro.web.world.build_world` produces, which is what the
 differential harness's ``rehydrated`` legs (``tests/differential.py``)
 pin: byte-identical campaign + analysis output across vantages and
-families, and every shm-pool leg runs on worlds its workers decoded
-from the shared snapshot.  Post-build mutations (extra resolver
+families, serial and on pool workers forked from a rehydrated world.
+Pool workers inherit the parent's world by fork and never decode one.
+Post-build mutations (extra resolver
 records, manual route registrations, registry swaps) are *not*
 captured; snapshot the world before mutating it.
 
@@ -268,13 +269,11 @@ def decode_world(
 ) -> World:
     """Rehydrate a world from :func:`encode_world` output.
 
-    ``buf`` may be any bytes-like object — in particular a read-only
-    ``memoryview`` over a shared-memory segment
-    (:class:`repro.util.shm.SharedSegment`), which is how persistent
-    pool workers decode the campaign world without ever copying the
-    buffer: the frame is unwrapped zero-copy and every column decode
-    reads straight out of the mapped pages.  The buffer is never
-    written to (property-tested in ``tests/test_shm_pool.py``).
+    ``buf`` may be any bytes-like object, a ``memoryview`` included.
+    The frame is unwrapped zero-copy and every column decode reads
+    straight out of ``buf``, so a ``--world-cache`` read holds the
+    buffer once; the buffer is never written to (property-tested in
+    ``tests/test_world_snapshot.py``).
 
     The spec lists must be the ones the snapshot was taken for (they
     default to the calibrated defaults, like :func:`build_world`); the

@@ -367,8 +367,8 @@ class World:
 
         Installed as the network's section loader, so any route lookup
         miss triggers it; call it directly to pre-materialise (campaigns
-        do, before a pool publishes the world to its workers).  Returns True if
-        the section was pending and is now built.
+        do, before a pool forks its workers).  Returns True if the section
+        was pending and is now built.
         """
         index = self._pending_route_sections.pop(vantage_id, None)
         if index is None:

@@ -11,7 +11,6 @@ the same oracle.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 
 import pytest
@@ -19,11 +18,10 @@ import pytest
 import repro
 from repro.core.codepoints import ECN
 from repro.scanner.quic_scan import QuicScanConfig
-from repro.util import shm
 from repro.web.spec import WorldConfig
 
 from tests import differential
-# The shm-pool platform gate, re-exported for the test modules.
+# The pool platform gate, re-exported for the test modules.
 from tests.differential import requires_fork  # noqa: F401
 
 #: Coarse world: fast structural tests.
@@ -41,64 +39,15 @@ def point_first_domain_at_last_site(world):
     return domain.name
 
 
-def shm_entries():
-    """This machine's shm-pool segments under /dev/shm (empty elsewhere)."""
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {n for n in os.listdir("/dev/shm") if n.startswith(shm.SEGMENT_PREFIX)}
-
-
-def _segment_creator(name):
-    """Creator pid of an ``ecnw-<pid>-<n>`` segment name (None if not one)."""
-    parts = name.split("-")
-    if len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
-        return int(parts[1])
-    return None
-
-
-def _process_alive(pid):
-    try:
-        os.kill(pid, 0)  # signal 0: existence check only
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # alive, owned by another user
-        return True
-    return True
-
-
-def _leaked_by_this_suite(name):
-    """A new /dev/shm segment is this suite's leak when this process
-    created it or its creator is gone (a dead worker's segment); a live
-    foreign process's segment is not ours to judge."""
-    creator = _segment_creator(name)
-    return creator is None or creator == os.getpid() or not _process_alive(creator)
-
-
-def shm_leaked_since(before):
-    """The /dev/shm segments that appeared after ``before`` was taken
-    (:func:`shm_entries`) and that :func:`_leaked_by_this_suite`
-    attributes to this run, sorted."""
-    return sorted(name for name in shm_entries() - before if _leaked_by_this_suite(name))
-
-
 @pytest.fixture(scope="session", autouse=True)
-def _no_leaked_segments_or_workers():
-    """Fail the suite if any test leaks a shared segment or a worker.
+def _no_leaked_workers():
+    """Fail the suite if any test leaks a worker.
 
-    Checks the process-level segment registry (covers the mmap fallback
-    too), the OS view under /dev/shm, and live multiprocessing children
-    (pool workers that were never terminated).  Runs after the whole
-    session so a leak anywhere in the suite is caught even if the
-    leaking test itself passed.  /dev/shm is shared by every process on
-    the machine, so a new segment there counts only when
-    :func:`_leaked_by_this_suite` attributes it to this run.
+    Checks live multiprocessing children (pool workers that were never
+    terminated) after the whole session, so a leak anywhere in the
+    suite is caught even if the leaking test itself passed.
     """
-    before = shm_entries()
     yield
-    leaked = shm.live_segments()
-    assert not leaked, f"test suite leaked shared segments: {leaked}"
-    leaked = shm_leaked_since(before)
-    assert not leaked, f"/dev/shm segments leaked: {leaked}"
     # Terminated pools reap their workers asynchronously; give stragglers
     # a beat before declaring them leaked.
     deadline = time.monotonic() + 5.0

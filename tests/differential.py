@@ -54,6 +54,7 @@ canonical one through :func:`run_canonical_campaign` or
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -71,7 +72,6 @@ from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
 from repro.store.views import StoreWeeklyRun
-from repro.util import shm
 from repro.web import snapshot
 from repro.web.spec import WorldConfig
 
@@ -95,11 +95,9 @@ _observation_values = operator.attrgetter(*OBSERVATION_FIELDS)
 _DOMAIN = OBSERVATION_FIELDS.index("domain")
 _SITE_INDEX = OBSERVATION_FIELDS.index("site_index")
 
-#: Platform gate for the shm pool.  Tests that fork its worker
-#: processes skip with a reason instead of erroring on platforms without fork;
-#: /dev/shm-specific assertions additionally branch on the segment
-#: backend (the mmap fallback never appears there).
-FORK_AVAILABLE = shm.fork_available()
+#: Platform gate for the pool.  Tests that fork its worker processes
+#: skip with a reason instead of erroring on platforms without fork.
+FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 requires_fork = pytest.mark.skipif(
     not FORK_AVAILABLE,
     reason="shm-pool executors need the fork start method (POSIX)",

@@ -104,6 +104,6 @@ def test_sharded_engine_rejects_bad_executors():
         ShmPoolScanEngine(world, workers=-1)
     for timeout in (0, math.inf, math.nan):
         with pytest.raises(ValueError, match="shard_timeout"):
-            ShmPoolScanEngine(world, shard_timeout=timeout)
+            ShmPoolScanEngine(world, workers=1, shard_timeout=timeout)
     with pytest.raises(ValueError, match="max_shard_retries"):
-        ShmPoolScanEngine(world, max_shard_retries=-1)
+        ShmPoolScanEngine(world, workers=1, max_shard_retries=-1)

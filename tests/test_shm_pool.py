@@ -1,21 +1,23 @@
-"""Shared-memory world + persistent worker pool.
+"""Persistent worker pool over the parent's forked world.
 
 The pool's results equal the serial oracle's for every worker count and
 ticket layout: the campaign's pool legs of ``tests/differential.py``
 hold that line (workers 1/2/3/4 and the inline fallback), and the week
 matrix drives one warm 2-worker pool through every vantage and family.
-This module also holds what is particular to the pool: a warm engine
-serving back-to-back campaigns, re-dispatch after a merge gap, workers
-that never plan, resuming after a worker was killed mid-campaign and
-from checkpoints the removed fork-pool executor wrote, tickets cut by
-scheduled work, zero-copy world decode, and a pool that never leaks:
-the shared segment is unlinked after clean runs, worker crashes and
-aborts alike (the session fixture in conftest.py additionally holds
-this line for the whole suite).
+This module also holds what is particular to the pool: workers that see
+a route re-registered after build, a warm engine serving back-to-back
+campaigns, re-dispatch after a merge gap, workers that never plan,
+resuming after a worker was killed mid-campaign and from checkpoints
+the removed fork-pool executor wrote, tickets cut by scheduled work,
+and a pool that never leaves a worker behind after clean runs, worker
+crashes and aborts alike (the session fixture in conftest.py
+additionally holds this line for the whole suite).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import shutil
 from pathlib import Path
@@ -28,16 +30,17 @@ import repro
 from repro.analysis.report import longitudinal_report
 from repro.cli import main
 from repro.faults import FaultPlan, InjectedFault
+from repro.netsim.hops import EcnAction
+from repro.netsim.network import PathTemplate
+from repro.netsim.path import NetworkPath
 from repro.obs import Telemetry
 from repro.pipeline import ShmPoolScanEngine, plan_tickets, run_campaign
 from repro.pipeline.engine import QUIC_EVENT, ScanEngine, ScanPhaseStats, SiteEvent
 from repro.pipeline.sharding import slice_schedule
-from repro.util import shm
 from repro.util.weeks import Week
-from repro.web.snapshot import SnapshotCorruption, decode_world, encode_world
 from repro.web.spec import WorldConfig
 
-from tests.conftest import requires_fork, shm_entries, shm_leaked_since
+from tests.conftest import requires_fork
 from tests.differential import (
     CAMPAIGN_WEEKS,
     POOL_SHAPES,
@@ -86,7 +89,6 @@ def test_pool_campaign_matches_inline(campaign_legs, workers):
     assert (stats.shard_retries, stats.shard_timeouts, stats.shard_failures) == (0, 0, 0)
     assert stats.exchange_cache_hits > 0
     assert stats.exchange_cache_misses > 0
-    assert shm.live_segments() == []
 
 
 @requires_fork
@@ -100,7 +102,6 @@ def test_pool_inline_fallback_matches_inline(campaign_legs):
     assert stats.shard_failures > 0
     assert stats.shard_retries == stats.shard_failures
     assert stats.shard_timeouts == 0
-    assert shm.live_segments() == []
 
 
 @requires_fork
@@ -109,7 +110,55 @@ def test_pool_week_matrix_all_vantages_families_tcp(week_matrix):
     pooled = week_matrix["pool-2"]
     assert_legs_equal(week_matrix.oracle, pooled)
     assert pooled.supervision == (0, 0, 0, 0)
-    assert shm.live_segments() == []
+
+
+def _clear_ecn_on_route_of(world, site_index):
+    """Re-register, after build, the site's main-aachen route so that its
+    first hop clears the ECN bits, in every canonical campaign week."""
+    route_key = world.sites[site_index].route_key
+    for week in CAMPAIGN_WEEKS:
+        template = world.network.template_for("main-aachen", route_key, week)
+        variants = [
+            NetworkPath(
+                hops=[
+                    dataclasses.replace(path.hops[0], ecn_action=EcnAction.CLEAR_ECN),
+                    *path.hops[1:],
+                ],
+                base_loss=path.base_loss,
+            )
+            for path in template.variants
+        ]
+        world.network.register(
+            "main-aachen",
+            route_key,
+            PathTemplate(template.name, variants, template.weights),
+            start=week,
+        )
+
+
+@requires_fork
+def test_pool_sees_a_route_registered_after_build(campaign_legs):
+    """Workers run on the parent's world, mutations included: with a
+    mirroring QUIC site's route re-registered to clear ECN after build,
+    the 2-worker campaign equals the serial one on the same mutated
+    world."""
+    site_index = next(
+        index
+        for index, (_, quic, _) in sorted(campaign_legs.oracle.runs[0].site_records.items())
+        if quic is not None and quic.mirroring
+    )
+    serial_world = campaign_world()
+    _clear_ecn_on_route_of(serial_world, site_index)
+    serial = run_canonical_campaign(serial_world)
+    # The cleared route shows in the output, so the comparison below is
+    # not two unmutated campaigns agreeing.
+    assert not serial.runs[0].site_records[site_index].quic.mirroring
+    pooled_world = campaign_world()
+    _clear_ecn_on_route_of(pooled_world, site_index)
+    pooled = run_canonical_campaign(pooled_world, workers=2)
+    for expected, run in zip(serial.runs, pooled.runs, strict=True):
+        assert_runs_equal(expected, run, leg="mutated world, 2 workers")
+    assert serial_world.clock.now == pooled_world.clock.now
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +178,6 @@ def test_warm_engine_reruns_identically(campaign_legs):
             assert_runs_equal(expected, run, leg="warm pool, second campaign")
         assert longitudinal_report(second) == oracle.report
         assert engine.supervision.snapshot() == (0, 0, 0, 0)
-    assert shm.live_segments() == []
 
 
 @requires_fork
@@ -162,7 +210,6 @@ def test_week_with_missing_entries_is_redispatched_not_replayed(monkeypatch):
     assert_runs_equal(fresh.scan_engine().run_week(week, **kwargs), run, leg="re-dispatched")
     assert fresh.clock.now == pooled.clock.now
     assert len(decoded) > 2  # the second run decoded fresh buffers
-    assert shm.live_segments() == []
 
 
 @requires_fork
@@ -181,7 +228,6 @@ def test_workers_never_build_a_plan(tmp_path, monkeypatch):
     world = _build(MATRIX_SCALE)
     run_campaign(world, weeks=_weeks(world), workers=2)
     assert log.read_text().split() == [str(os.getpid())]
-    assert shm.live_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +259,6 @@ def test_worker_kill_and_resume_matches_uninterrupted(tmp_path, campaign_legs, r
     # recovered it before the abort fired.
     assert stats.shard_timeouts >= 1
     assert stats.shard_retries >= 1
-    assert shm.live_segments() == []
     resumed_world = campaign_world()
     resumed = run_canonical_campaign(
         resumed_world, workers=resume_workers, checkpoint_dir=tmp_path, resume=True
@@ -221,7 +266,6 @@ def test_worker_kill_and_resume_matches_uninterrupted(tmp_path, campaign_legs, r
     assert_campaign_matches(
         campaign_legs.oracle, resumed_world, resumed, leg="resumed after a worker kill"
     )
-    assert shm.live_segments() == []
 
 
 @requires_fork
@@ -250,7 +294,6 @@ def test_resume_crosses_pool_and_sharded_engines(tmp_path):
         record_campaign("fresh pool", fresh_world, fresh),
         record_campaign("resumed from legacy checkpoints", world, resumed),
     )
-    assert shm.live_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +462,6 @@ def test_two_worker_campaign_gives_both_tickets_quic_work(monkeypatch):
     assert all(quic), f"QUIC events per ticket: {quic}"
     work = [sum(map(len, ticket.events)) for ticket in submitted]
     assert max(work) - min(work) <= max(work) // 4, f"events per ticket: {work}"
-    assert shm.live_segments() == []
 
 
 @requires_fork
@@ -449,88 +491,20 @@ def test_missing_entries_name_the_ticket_that_owned_them(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Zero-copy world decode
+# Pool lifecycle: no worker outlives close()
 # ----------------------------------------------------------------------
-@settings(max_examples=6, deadline=None)
-@given(scale=st.integers(30_000, 400_000), seed=st.integers(0, 2**31 - 1))
-def test_zero_copy_decode_matches_bytes_decode(scale, seed):
-    """decode_world over a borrowed buffer == decode_world over bytes,
-    and the borrowed buffer is never written."""
-    world = repro.build_world(WorldConfig(scale=scale, seed=seed))
-    encoded = encode_world(world)
-    mutable = bytearray(encoded)
-    via_view = decode_world(memoryview(mutable))
-    via_bytes = decode_world(bytes(encoded))
-    assert encode_world(via_view) == encode_world(via_bytes) == encoded
-    assert mutable == encoded
-
-
-def test_zero_copy_decode_still_validates_crc():
-    encoded = bytearray(encode_world(_build(400_000)))
-    encoded[len(encoded) // 2] ^= 0x04
-    with pytest.raises(SnapshotCorruption):
-        decode_world(memoryview(encoded))
-
-
-# ----------------------------------------------------------------------
-# Segment lifecycle: nothing leaks, ever
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "backend",
-    [
-        pytest.param(
-            "shm",
-            marks=pytest.mark.skipif(
-                not shm.shared_memory_available(),
-                reason="POSIX shared memory unavailable",
-            ),
-        ),
-        "mmap",
-    ],
-)
-def test_shared_segment_roundtrip_and_unlink(backend):
-    payload = bytes(range(256)) * 33
-    segment = shm.SharedSegment.create(payload, backend=backend)
-    try:
-        assert segment.name.startswith(shm.SEGMENT_PREFIX)
-        assert segment.name in shm.live_segments()
-        view = segment.view()
-        assert view.readonly
-        assert bytes(view) == payload
-        view.release()
-        if backend == "shm" and os.path.isdir("/dev/shm"):
-            assert segment.name in os.listdir("/dev/shm")
-    finally:
-        segment.unlink()
-    assert segment.name not in shm.live_segments()
-    if os.path.isdir("/dev/shm"):
-        assert segment.name not in os.listdir("/dev/shm")
-    segment.unlink()  # idempotent
-
-
-def test_shared_segment_context_manager():
-    with shm.SharedSegment.create(b"ecn-world") as segment:
-        view = segment.view()
-        assert bytes(view) == b"ecn-world"
-        view.release()
-    assert segment.name not in shm.live_segments()
-
-
 @requires_fork
-def test_clean_campaign_leaves_no_segment():
-    before = shm_entries()
+def test_clean_campaign_leaves_no_worker():
     world = _build(MATRIX_SCALE)
     run_campaign(world, weeks=_weeks(world)[:2], workers=2)
-    assert shm.live_segments() == []
-    assert not shm_leaked_since(before)
+    assert multiprocessing.active_children() == []
 
 
 @requires_fork
-def test_worker_crash_leaves_no_segment(campaign_legs):
+def test_worker_crash_leaves_no_worker(campaign_legs):
     """A worker killed mid-campaign on a pool ``run_campaign`` builds:
     the retried campaign still equals the oracle, and neither the dead
-    worker nor the parent leaves a segment behind."""
-    before = shm_entries()
+    worker nor its replacement outlives the campaign."""
     world = campaign_world()
     plan = FaultPlan(seed=7).crash_worker(shard=0, week=CAMPAIGN_WEEKS[0])
     stats = ScanPhaseStats()
@@ -539,20 +513,17 @@ def test_worker_crash_leaves_no_segment(campaign_legs):
     )
     assert_campaign_matches(campaign_legs.oracle, world, campaign, leg="crashed worker")
     assert stats.shard_retries >= 1
-    assert shm.live_segments() == []
-    assert not shm_leaked_since(before)
+    assert multiprocessing.active_children() == []
 
 
 @requires_fork
-def test_aborted_campaign_leaves_no_segment():
-    before = shm_entries()
+def test_aborted_campaign_leaves_no_worker():
     world = _build(MATRIX_SCALE)
     weeks = _weeks(world)[:2]
     plan = FaultPlan().abort_campaign_after(weeks[0])
     with pytest.raises(InjectedFault):
         run_campaign(world, weeks=weeks, workers=2, fault_plan=plan)
-    assert shm.live_segments() == []
-    assert not shm_leaked_since(before)
+    assert multiprocessing.active_children() == []
 
 
 @requires_fork
@@ -565,7 +536,7 @@ def test_engine_close_is_idempotent():
     engine.run_week(week, populations=("cno",))
     engine.close()
     engine.close()
-    assert shm.live_segments() == []
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +574,6 @@ def test_cli_campaign_workers_runs(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Figure 3" in out
-    assert shm.live_segments() == []
 
 
 def test_cli_campaign_flag_conflicts(capsys, tmp_path):

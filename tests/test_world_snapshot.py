@@ -5,10 +5,11 @@ decoded from a snapshot serves exactly the observations, site records,
 traces, reports and shared-clock trajectory a freshly built world
 produces.  The ``rehydrated`` legs of ``tests/differential.py`` hold
 that line for every vantage, both IP families and TCP+QUIC (the week
-matrix) and for the canonical campaign; every shm-pool leg runs its
-tickets on worlds its workers decoded from the shared snapshot.  This
-module holds the codec's structural round trip, the full reports
-including the distributed run, the lazy sections and the build cache.
+matrix) and for the canonical campaign, serial and on pool workers
+forked from a rehydrated parent.  This module holds the codec's
+structural round trip, the zero-copy decode the ``--world-cache`` read
+goes through, the full reports including the distributed run, the lazy
+sections and the build cache.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.web.providers import (
     default_vantage_overrides,
     default_vantages,
 )
+from repro.web.snapshot import SnapshotCorruption, decode_world, encode_world
 from repro.web.spec import WorldConfig
 from repro.web.world import DomainTable
 
@@ -161,6 +163,30 @@ def test_snapshot_rejects_garbage_and_mismatched_specs():
 
 
 # ----------------------------------------------------------------------
+# Zero-copy world decode
+# ----------------------------------------------------------------------
+@settings(max_examples=6, deadline=None)
+@given(scale=st.integers(30_000, 400_000), seed=st.integers(0, 2**31 - 1))
+def test_zero_copy_decode_matches_bytes_decode(scale, seed):
+    """decode_world over a borrowed buffer == decode_world over bytes,
+    and the borrowed buffer is never written."""
+    world = repro.build_world(WorldConfig(scale=scale, seed=seed))
+    encoded = encode_world(world)
+    mutable = bytearray(encoded)
+    via_view = decode_world(memoryview(mutable))
+    via_bytes = decode_world(bytes(encoded))
+    assert encode_world(via_view) == encode_world(via_bytes) == encoded
+    assert mutable == encoded
+
+
+def test_zero_copy_decode_still_validates_crc():
+    encoded = bytearray(encode_world(_build(400_000)))
+    encoded[len(encoded) // 2] ^= 0x04
+    with pytest.raises(SnapshotCorruption):
+        decode_world(memoryview(encoded))
+
+
+# ----------------------------------------------------------------------
 # Golden equivalence through the pipeline
 # ----------------------------------------------------------------------
 def test_rehydrated_matches_fresh_for_every_vantage_and_family(week_matrix):
@@ -169,9 +195,7 @@ def test_rehydrated_matches_fresh_for_every_vantage_and_family(week_matrix):
 
 
 def test_rehydrated_serial_campaign_and_analysis_identical(campaign_legs):
-    """The canonical campaign and its report on a rehydrated world.
-    Every pool leg additionally runs its tickets on worlds the workers
-    decoded from the shared snapshot (``tests/test_shm_pool.py``)."""
+    """The canonical campaign and its report on a rehydrated world."""
     assert_legs_equal(campaign_legs.oracle, campaign_legs["rehydrated"])
 
 
