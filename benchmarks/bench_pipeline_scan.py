@@ -161,10 +161,8 @@ def _world_cache_split(scale: int) -> dict:
     """Cold vs warm world acquisition through the snapshot disk cache.
 
     Cold is one full miss — build, snapshot, persist; warm is a
-    best-of-3 disk rehydrate (the process-level memory layer is cleared
-    each round so the number covers the read+decode path a fresh
-    process pays with ``--world-cache``).  Also reports the snapshot
-    size on disk.
+    best-of-3 disk rehydrate (the read+decode path a fresh process pays
+    with ``--world-cache``).  Also reports the snapshot size on disk.
     """
     import tempfile
 
@@ -172,20 +170,17 @@ def _world_cache_split(scale: int) -> dict:
 
     config = WorldConfig(scale=scale)
     with tempfile.TemporaryDirectory() as cache_dir:
-        snapshot.clear_memory_cache()
         (cold_world, source), cold = _timed(
             lambda: snapshot.acquire_world(config, cache_dir=cache_dir)
         )
         assert source == "cold"
         warms = []
         for _ in range(3):
-            snapshot.clear_memory_cache()
             (_, source), elapsed = _timed(
                 lambda: snapshot.acquire_world(config, cache_dir=cache_dir)
             )
             assert source == "disk"
             warms.append(elapsed)
-        snapshot.clear_memory_cache()
         size = sum(p.stat().st_size for p in Path(cache_dir).glob("world-*.ecnw"))
     # The cold-path world is a perfectly good build — callers reuse it
     # instead of building the same world again.

@@ -512,7 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a short report is still in the buffer
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``repro scan | head``).  Point stdout
+        # at devnull so the interpreter's final flush cannot raise again,
+        # and exit as a shell reports a SIGPIPE death.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ Design constraints, in order:
   legacy dataclass properties delegate to it (tests pin this).
 
 Names are dot-separated paths (``campaign.supervision.retries``,
-``world.cache.memory_hits``).  ``to_tree()`` emits the flat
+``world.cache.disk_hits``).  ``to_tree()`` emits the flat
 name → entry mapping that :func:`repro.obs.export.write_metrics`
 wraps in the schema-versioned run report.
 """

@@ -22,14 +22,16 @@ The engine splits a weekly run into two phases (docs/architecture.md):
    a :class:`ScanPlan`: a selection of the world's domain table rows
    plus each position's site, per-site addresses and orgs, and per-site
    segments (address, org and site attachment are week-invariant for a
-   given IP family).  Recording a week is one store write per site; no
-   per-domain work, no string parsing, no trie walks, no policy
-   evaluation.
+   given IP family).  Recording a week is one store write per core
+   event; no per-domain work, no string parsing, no trie walks, no
+   policy evaluation.
 
-The site phase is emitted pre-ordered (no per-week sort): a
-week-invariant QUIC trigger index — prefix-minimum records over the
-store's rank-sorted :class:`~repro.store.columns.SiteSegment` arrays —
-merges with the sites' first attributed positions in one linear pass.
+The site phase is emitted pre-ordered (no per-week sort): a per-vantage
+QUIC trigger index — prefix-minimum records over the store's
+rank-sorted :class:`~repro.store.columns.SiteSegment` arrays of the
+sites that can speak QUIC from that vantage, decided once per plan and
+vantage — merges with the sites' first attributed positions in one
+linear pass.
 Exchanges route through the outcome replay cache (:mod:`repro.exchange`):
 when a site-week's derived inputs repeat (same behaviour epoch, client
 config, route epoch, response) the recorded result and clock trajectory
@@ -45,7 +47,7 @@ order-independent: any partition of the site phase — serial,
 count or ticket layout, checkpoint replay — produces identical results.
 
 Attribution records into the columnar
-:class:`~repro.store.columns.ObservationStore` (O(sites) per week);
+:class:`~repro.store.columns.ObservationStore` (O(events) per week);
 runs serve observations as lazy :class:`~repro.store.views.ObservationView`
 objects.
 """
@@ -54,9 +56,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Final, Sequence
+from typing import TYPE_CHECKING, Final, Iterable, Sequence
 
 from repro.exchange import (
     ExchangeCache,
@@ -83,7 +85,13 @@ from repro.plugins.registry import (
 )
 from repro.scanner.quic_scan import QuicScanConfig, quic_client_config, scan_site_quic
 from repro.scanner.tcp_scan import TcpScanConfig, scan_site_tcp, tcp_client_config
-from repro.store.columns import NO_ROW, DomainColumns, ObservationStore, plan_columns
+from repro.store.columns import (
+    NO_ROW,
+    DomainColumns,
+    ObservationStore,
+    SiteSegment,
+    plan_columns,
+)
 from repro.util.gcpause import gc_paused
 from repro.util.rng import RngStream
 from repro.util.weeks import Week
@@ -164,29 +172,28 @@ class ScanPlan:
     #: campaign; its segments are the planned sites, ordered by first
     #: attributed position.
     columns: DomainColumns
-    #: Week-invariant QUIC trigger index: position-sorted candidate
-    #: tuples ``(position, site_index, rank_on, rank_off)`` derived
-    #: from the columns' rank-sorted
-    #: :class:`~repro.store.columns.SiteSegment` arrays.  At a weekly
-    #: share exactly one candidate per site satisfies
-    #: ``rank_on < share <= rank_off`` — its position is where the
-    #: site's QUIC exchange fires — so the site phase emits events
-    #: pre-ordered with no per-week sort.
-    quic_triggers: list[tuple]
+    #: Per-vantage QUIC trigger index of the sites that can speak QUIC
+    #: from that vantage (:func:`_quic_triggers`), filled on the
+    #: vantage's first schedule: capability depends on the site and
+    #: vantage only, never on the week.
+    triggers: dict[str, list[tuple]] = field(default_factory=dict)
 
 
-def _quic_triggers(columns: DomainColumns) -> list[tuple]:
-    """The position-sorted QUIC trigger index of one column set.
+def _quic_triggers(segments: Iterable[SiteSegment]) -> list[tuple]:
+    """The position-sorted QUIC trigger index of some plan segments.
 
-    Candidates come from the rank-sorted
-    :class:`~repro.store.columns.SiteSegment` arrays: each is a
-    prefix-minimum record — the position that becomes the site's
-    earliest QUIC-wanting domain once the weekly share exceeds
-    ``rank_on``, superseded when it exceeds ``rank_off`` (the next,
-    earlier-position candidate of the same site).
+    Candidate tuples ``(position, site_index, rank_on, rank_off)`` come
+    from the rank-sorted :class:`~repro.store.columns.SiteSegment`
+    arrays: each is a prefix-minimum record — the position that becomes
+    the site's earliest QUIC-wanting domain once the weekly share
+    exceeds ``rank_on``, superseded when it exceeds ``rank_off`` (the
+    next, earlier-position candidate of the same site).  At a weekly
+    share exactly one candidate per site satisfies ``rank_on < share <=
+    rank_off`` — its position is where the site's QUIC exchange fires —
+    so the site phase emits events pre-ordered with no per-week sort.
     """
     triggers = []
-    for segment in columns.segments:
+    for segment in segments:
         candidates = segment.quic_trigger_candidates()
         rank_offs = [rank for rank, _ in candidates[1:]] + [float("inf")]
         for (rank_on, position), rank_off in zip(candidates, rank_offs, strict=True):
@@ -200,7 +207,7 @@ class ScanPhaseStats:
     """Accumulated wall-time split of weekly runs (pass to ``run_week``).
 
     ``site_phase_seconds`` covers the per-site exchanges,
-    ``attribution_seconds`` the O(sites) store recording plus plugin
+    ``attribution_seconds`` the O(events) store recording plus plugin
     row merging.  ``analysis_seconds`` is filled by callers that time
     an analysis pass over the finished runs — the engine never runs
     analysis.
@@ -377,12 +384,7 @@ class ScanEngine:
             site_orgs=[site.org for site in sites],
             addresses=addresses,
         )
-        return ScanPlan(
-            ip_version=ip_version,
-            populations=populations,
-            columns=columns,
-            quic_triggers=_quic_triggers(columns),
-        )
+        return ScanPlan(ip_version=ip_version, populations=populations, columns=columns)
 
     # ------------------------------------------------------------------
     # Site phase scheduling
@@ -394,17 +396,18 @@ class ScanEngine:
         vantage_id: str,
         include_tcp: bool,
         selection: PluginSelection | None = None,
-    ) -> tuple[list[SiteEvent], dict[int, bool]]:
-        """The site phase as ordered events + per-site QUIC capability.
+    ) -> list[SiteEvent]:
+        """The site phase as ordered events.
 
         Event order reproduces the reference loop: each site's QUIC
         exchange fires at its first domain that wants QUIC this week,
         its TCP exchange at its first attributed domain, globally
         ordered by domain position (QUIC before TCP at the same
         position).  Events are *emitted* in that order by merging two
-        position-sorted streams — the week-invariant QUIC trigger index
-        and the sites' first attributed positions — so scheduling a
-        week is a single linear pass with no sort.
+        position-sorted streams — the vantage's QUIC trigger index
+        (:attr:`ScanPlan.triggers`) and the sites' first attributed
+        positions — so scheduling a week is a single linear pass with
+        no sort.
 
         ``selection`` appends one event per (plugin variant, fired QUIC
         event) after the core stream, grouped by variant in selection
@@ -415,25 +418,29 @@ class ScanEngine:
         to the pre-plugin engine.
         """
         world = self.world
-        sites = world.sites
-        site_policy = world.site_policy
         share = world.adoption_share(week)
         columns = plan.columns
         segments = columns.segments
-        quic_capable: dict[int, bool] = {}
-        for segment in segments:
-            index = segment.site_index
-            policy = site_policy(sites[index], vantage_id)
-            quic_capable[index] = policy.reachable and policy.quic_profile is not None
+        triggers = plan.triggers.get(vantage_id)
+        if triggers is None:
+            # One policy lookup per planned site, on the vantage's first
+            # schedule; only sites that can speak QUIC get triggers.
+            sites, site_policy = world.sites, world.site_policy
+            triggers = plan.triggers[vantage_id] = _quic_triggers(
+                segment
+                for segment in segments
+                if (policy := site_policy(sites[segment.site_index], vantage_id)).reachable
+                and policy.quic_profile is not None
+            )
 
         # A trigger fires when the weekly share strictly exceeds its
         # activation rank but not its deactivation rank (where an earlier
-        # position of the same site takes over) at a QUIC-capable site.
+        # position of the same site takes over).
         ip, names, rows = columns.ip, columns.table.names, columns.rows
         fired = [
             SiteEvent(position, QUIC_EVENT, site_index, ip(position), names[rows[position]])
-            for position, site_index, rank_on, rank_off in plan.quic_triggers
-            if rank_on < share <= rank_off and quic_capable[site_index]
+            for position, site_index, rank_on, rank_off in triggers
+            if rank_on < share <= rank_off
         ]
         if include_tcp:
             events: list[SiteEvent] = []
@@ -465,7 +472,7 @@ class ScanEngine:
                             event.authority_domain,
                         )
                     )
-        return events, quic_capable
+        return events
 
     def site_events(
         self,
@@ -480,10 +487,9 @@ class ScanEngine:
         """Public view of the site phase: one week's ordered events (what
         the pool engine slices into tickets)."""
         plan = self.plan_for(ip_version, populations)
-        events, _ = self._schedule(
+        return self._schedule(
             plan, week, vantage_id, include_tcp, resolve_plugins(plugins)
         )
-        return events
 
     # ------------------------------------------------------------------
     # Execution
@@ -724,7 +730,7 @@ class ScanEngine:
 
         The run records into a columnar
         :class:`~repro.store.columns.ObservationStore` — attribution is
-        O(sites) recording plus lazy index arrays, and observations are
+        O(events) recording plus lazy index arrays, and observations are
         served as lazy views field-identical to the reference loop's
         objects (golden-tested by the ``objects`` leg of
         ``tests/differential.py``).
@@ -739,9 +745,7 @@ class ScanEngine:
         run = StoreWeeklyRun(week=week, vantage_id=vantage_id, ip_version=ip_version)
 
         # Phase 1: per-site exchanges, merged in reference trigger order.
-        events, quic_capable = self._schedule(
-            plan, week, vantage_id, include_tcp, selection
-        )
+        events = self._schedule(plan, week, vantage_id, include_tcp, selection)
         records = run.site_records
         plugin_rows: dict[tuple[int, int], tuple] = {}
         cache = self.exchange_cache
@@ -806,7 +810,7 @@ class ScanEngine:
             if tracer is not None
             else None
         )
-        self._attribute_store(run, plan, records, quic_capable, include_tcp, share)
+        self._attribute_store(run, plan, events, records, share)
         if tracer is not None:
             tracer.end(attr_span)
         self._attribute_plugins(run, selection, plugin_rows, telemetry)
@@ -821,12 +825,17 @@ class ScanEngine:
         self,
         run: "StoreWeeklyRun",
         plan: ScanPlan,
+        events: list[SiteEvent],
         records: dict,
-        quic_capable: dict[int, bool],
-        include_tcp: bool,
         share: float,
     ) -> None:
-        """O(sites) recording into the run's store, no per-domain work."""
+        """Record the week's core events into the run's store.
+
+        One store write per QUIC or TCP event, no per-domain work; a
+        site without an event keeps the store's empty row (a QUIC-capable
+        site that fired no trigger has no domain under this week's share,
+        so its attempted count is 0 either way).
+        """
         store = ObservationStore(
             plan.columns,
             week=run.week,
@@ -834,15 +843,16 @@ class ScanEngine:
             ip_version=run.ip_version,
             share=share,
         )
-        for segment_index, segment in enumerate(plan.columns.segments):
-            record = records.get(segment.site_index)
-            capable = quic_capable[segment.site_index]
-            store.record_site(
-                segment_index,
-                quic_capable=capable,
-                quic=(record.quic if record is not None else None) if capable else None,
-                tcp=record.tcp if (include_tcp and record is not None) else None,
-            )
+        segment_of = plan.columns.segment_of
+        for event in events:
+            if event.kind == QUIC_EVENT:
+                store.record_site(
+                    segment_of[event.position], quic=records[event.site_index].quic
+                )
+            elif event.kind == TCP_EVENT:
+                store.record_site(
+                    segment_of[event.position], tcp=records[event.site_index].tcp
+                )
         run.attach(store)
 
     def _attribute_plugins(

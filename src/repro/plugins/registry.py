@@ -48,7 +48,7 @@ def _reserved_field_names() -> frozenset:
     else:
         names = tuple(getattr(DomainObservation, "__slots__", ()))
     return frozenset(names) | {
-        "week", "vantage_id", "ip_version", "share", "quic_capable",
+        "week", "vantage_id", "ip_version", "share",
     }
 
 

@@ -13,10 +13,11 @@ Two layers, split by what varies:
   that encode the attribution fan-out in rank order.
 * :class:`ObservationStore` — the per-run layer: one result row per
   planned site plus the week's attempted-count per segment.  Recording
-  a run is O(sites), and so is reading it: a week's attempted domains
-  of segment ``i`` are ``rank_positions[:quic_counts[i]]``.  Analysis
-  aggregates per site; a per-domain read goes through the plan's
-  ``segment_of``/``rank_of`` columns to the same two facts.
+  a run is one write per site event and reading it O(sites): a week's
+  attempted domains of segment ``i`` are
+  ``rank_positions[:quic_counts[i]]``.  Analysis aggregates per site; a
+  per-domain read goes through the plan's ``segment_of``/``rank_of``
+  columns to the same two facts.
 
 The store never copies scan results: rows reference the same
 :class:`QuicConnectionResult` / :class:`TcpScanOutcome` objects the
@@ -230,14 +231,14 @@ def plan_columns(
 class ObservationStore:
     """Columnar record of one weekly run.
 
-    The site phase is recorded once per planned site
-    (:meth:`record_site`, O(sites) per run) and nothing per position.
-    Segment ``i``'s attempted domains are its rank prefix of length
-    ``quic_counts[i]`` (zero unless the site is QUIC-capable) — exactly
-    the object path's ``quic_attempted`` semantics: attempted iff the
-    site is QUIC-capable and the domain's rank is under this week's
-    adoption share.  :meth:`quic_sites` serves analysis per site; the
-    per-position accessors serve the lazy views.
+    The site phase is recorded once per QUIC or TCP event
+    (:meth:`record_site`) and nothing per position; a site without an
+    event keeps an empty row.  Segment ``i``'s attempted domains are its
+    rank prefix of length ``quic_counts[i]`` (zero unless the site's
+    QUIC exchange fired) — exactly the object path's ``quic_attempted``
+    semantics: attempted iff the site is QUIC-capable and the domain's
+    rank is under this week's adoption share.  :meth:`quic_sites` serves
+    analysis per site; the per-position accessors serve the lazy views.
     """
 
     __slots__ = (
@@ -280,12 +281,11 @@ class ObservationStore:
         self,
         segment_index: int,
         *,
-        quic_capable: bool,
-        quic: "QuicConnectionResult | None",
-        tcp: "TcpScanOutcome | None",
+        quic: "QuicConnectionResult | None" = None,
+        tcp: "TcpScanOutcome | None" = None,
     ) -> None:
-        """Record one site's week: a couple of stores and one bisect."""
-        if quic_capable:
+        """Record one site event's result: a store and, for QUIC, one bisect."""
+        if quic is not None:
             self.quic_counts[segment_index] = self.columns.segments[
                 segment_index
             ].attempted_count(self.share)

@@ -1,10 +1,9 @@
 """Atomic file publication (tmp + ``os.replace``).
 
-Extracted from the world snapshot cache's ``_persist`` so every on-disk
-artifact that must survive a crash — world snapshots, campaign
-checkpoints — publishes through one code path.  The contract: a reader
-either sees the complete previous file or the complete new file, never
-a partial write, even if the writer is killed mid-write.
+Every on-disk artifact that must survive a crash — world snapshots,
+campaign checkpoints — publishes through one code path.  The contract:
+a reader either sees the complete previous file or the complete new
+file, never a partial write, even if the writer is killed mid-write.
 """
 
 from __future__ import annotations

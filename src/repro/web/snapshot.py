@@ -36,11 +36,11 @@ records, manual route registrations, registry swaps) are *not*
 captured; snapshot the world before mutating it.
 
 :func:`acquire_world` is the build cache: worlds are keyed by a
-fingerprint over (config, provider/vantage/override specs), held as
-encoded buffers in a process-level cache and optionally persisted under
-a cache directory (the CLI's ``--world-cache``).  A warm acquisition
-decodes a *fresh* world from the buffer — independent instances, so one
-caller's mutations never leak into the next.
+fingerprint over (config, provider/vantage/override specs) and persisted
+as encoded snapshots under a cache directory (the CLI's
+``--world-cache``).  A warm acquisition decodes a *fresh* world from the
+file — independent instances, so one caller's mutations never leak into
+the next.
 """
 
 from __future__ import annotations
@@ -433,19 +433,11 @@ def _decode_world(
 
 
 # ----------------------------------------------------------------------
-# Build cache (process memory + optional disk layer)
+# Build cache (disk layer)
 # ----------------------------------------------------------------------
-_MEMORY_CACHE: dict[str, bytes] = {}
-
-
 def cache_path(cache_dir: str | os.PathLike, fingerprint: str) -> Path:
     """Where a snapshot with this fingerprint lives under ``cache_dir``."""
     return Path(cache_dir) / f"world-{fingerprint}.ecnw"
-
-
-def clear_memory_cache() -> None:
-    """Drop all process-level cached snapshots (tests / memory pressure)."""
-    _MEMORY_CACHE.clear()
 
 
 def acquire_world(
@@ -454,16 +446,15 @@ def acquire_world(
     providers: list[ProviderSpec] | None = None,
     vantages: list[VantageSpec] | None = None,
     overrides: list[VantageOverrideSpec] | None = None,
-    cache_dir: str | os.PathLike | None = None,
+    cache_dir: str | os.PathLike,
 ) -> tuple[World, str]:
-    """Get a built world through the snapshot cache.
+    """Get a built world through the snapshot cache under ``cache_dir``.
 
     Returns ``(world, source)`` with ``source`` one of ``"cold"`` (built
-    fresh, snapshot recorded), ``"memory"`` (decoded from the
-    process-level cache) or ``"disk"`` (decoded from ``cache_dir``,
-    then promoted to the memory layer).  Every warm acquisition decodes
-    an independent world; mutating it cannot poison the cache.
-    Unreadable or mismatched cache files are rebuilt in place.
+    fresh, snapshot persisted) or ``"disk"`` (decoded from
+    ``cache_dir``).  Every warm acquisition decodes an independent
+    world; mutating it cannot poison the cache.  Unreadable or
+    mismatched cache files are rebuilt in place.
     """
     config = config or WorldConfig()
     from repro.web.providers import (
@@ -482,27 +473,12 @@ def acquire_world(
     # (--metrics-out merges these under world.* — docs/observability.md).
     registry = global_registry()
 
-    path = cache_path(cache_dir, fingerprint) if cache_dir is not None else None
-    buf = _MEMORY_CACHE.get(fingerprint)
-    if buf is not None:
-        if path is not None and not path.exists():
-            # The caller asked for a persistent layer and we already
-            # hold the buffer — populate the disk cache for free.
-            _persist(path, buf)
-        started = perf_counter()
-        world = decode_world(
-            buf, providers=providers, vantages=vantages, overrides=overrides
-        )
-        registry.observe("world.snapshot.decode_seconds", perf_counter() - started)
-        registry.add_counter("world.cache.memory_hits", 1)
-        return world, "memory"
-
-    if path is not None and path.exists():
+    path = cache_path(cache_dir, fingerprint)
+    if path.exists():
         try:
             started = perf_counter()
-            buf = path.read_bytes()
             world = decode_world(
-                buf, providers=providers, vantages=vantages, overrides=overrides
+                path.read_bytes(), providers=providers, vantages=vantages, overrides=overrides
             )
         except (ValueError, KeyError, IndexError, UnicodeDecodeError, OSError):
             # SnapshotError subclasses ValueError; truncated varints and
@@ -511,7 +487,6 @@ def acquire_world(
         else:
             registry.observe("world.snapshot.decode_seconds", perf_counter() - started)
             registry.add_counter("world.cache.disk_hits", 1)
-            _MEMORY_CACHE[fingerprint] = buf
             return world, "disk"
 
     started = perf_counter()
@@ -524,15 +499,8 @@ def acquire_world(
     registry.observe("world.snapshot.encode_seconds", perf_counter() - started)
     registry.gauge("world.snapshot.bytes").set(len(buf))
     registry.add_counter("world.cache.cold_builds", 1)
-    _MEMORY_CACHE[fingerprint] = buf
-    if path is not None:
-        _persist(path, buf)
-    return world, "cold"
-
-
-def _persist(path: Path, buf: bytes) -> None:
-    """Atomically publish a snapshot buffer under the cache directory."""
     atomic_write_bytes(path, buf)
+    return world, "cold"
 
 
 __all__ = [
@@ -542,7 +510,6 @@ __all__ = [
     "SnapshotMismatch",
     "acquire_world",
     "cache_path",
-    "clear_memory_cache",
     "decode_world",
     "encode_world",
     "snapshot_fingerprint",

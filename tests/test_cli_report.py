@@ -1,5 +1,10 @@
 """CLI commands and the full-text report builders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -379,16 +384,33 @@ def test_cli_serial_campaign_checkpoints_and_resumes(tmp_path, capsys):
 # --world-cache
 # ----------------------------------------------------------------------
 def test_cli_world_cache_persists_and_rehydrates(tmp_path, capsys):
-    from repro.web import snapshot
-
-    snapshot.clear_memory_cache()
     args = ["scan", "--scale", "40000", "--no-plugins",
             "--world-cache", str(tmp_path)]
     assert main(args) == 0
     cold_out = capsys.readouterr().out
     cached = list(tmp_path.glob("world-*.ecnw"))
     assert len(cached) == 1
-    snapshot.clear_memory_cache()
     assert main(args) == 0  # rehydrates from disk
     assert capsys.readouterr().out == cold_out
-    snapshot.clear_memory_cache()
+
+
+# ----------------------------------------------------------------------
+# Closed stdout
+# ----------------------------------------------------------------------
+def test_cli_exits_quietly_when_the_reader_closes_stdout():
+    """``repro scan | head`` must not end in a BrokenPipeError traceback:
+    the CLI exits 141, as a shell reports a process killed by SIGPIPE."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "scan", "--scale", "40000", "--no-plugins"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()  # the reader goes away before the report is printed
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 141, stderr
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr

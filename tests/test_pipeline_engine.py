@@ -20,6 +20,7 @@ from repro.netsim.network import PathTemplate
 from repro.netsim.path import NetworkPath
 from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanEngine, ScanPhaseStats
 from repro.pipeline.runs import run_weekly_scan_reference
+from repro.plugins.base import PLUGIN_KIND_BASE
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
 from repro.store.columns import NO_ROW, ObservationStore
@@ -219,6 +220,57 @@ def test_hot_loop_never_parses_ips_and_resolves_policy_once(monkeypatch):
     compute_calls.clear()
     engine.run_week(world.config.reference_week)
     assert not compute_calls
+
+
+def test_campaign_week_work_is_its_events(monkeypatch):
+    """QUIC capability is decided once per planned site and vantage, and
+    a week's store writes are its core events — no week walks every
+    planned site."""
+    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
+    scheduling: list[bool] = []
+    schedule_policies: list[tuple[int, str]] = []
+    core_events: list[int] = []
+    store_writes: list[int] = []
+    original_policy = world.site_policy
+    original_schedule = ScanEngine._schedule
+    original_apply = ScanEngine._apply_replay
+    original_record = ObservationStore.record_site
+
+    def counting_policy(site, vantage_id):
+        if scheduling:
+            schedule_policies.append((site.index, vantage_id))
+        return original_policy(site, vantage_id)
+
+    def tracked_schedule(self, *args, **kwargs):
+        scheduling.append(True)
+        try:
+            return original_schedule(self, *args, **kwargs)
+        finally:
+            scheduling.pop()
+
+    def counting_apply(self, events, *args, **kwargs):
+        core_events.append(sum(event.kind < PLUGIN_KIND_BASE for event in events))
+        return original_apply(self, events, *args, **kwargs)
+
+    def counting_record(self, segment_index, **results):
+        store_writes.append(segment_index)
+        return original_record(self, segment_index, **results)
+
+    monkeypatch.setattr(world, "site_policy", counting_policy)
+    monkeypatch.setattr(ScanEngine, "_schedule", tracked_schedule)
+    monkeypatch.setattr(ScanEngine, "_apply_replay", counting_apply)
+    monkeypatch.setattr(ObservationStore, "record_site", counting_record)
+
+    campaign = repro.run_campaign(world, cadence_weeks=1)
+    weeks = len(campaign.runs)
+    assert weeks > 40
+    segments = world.scan_engine().plan_for(4, ("cno",)).columns.segments
+    planned = {(segment.site_index, "main-aachen") for segment in segments}
+    assert len(schedule_policies) == len(set(schedule_policies))
+    assert set(schedule_policies) == planned
+    assert len(core_events) == weeks
+    assert len(store_writes) == sum(core_events)
+    assert len(store_writes) < len(segments) * weeks
 
 
 def test_site_events_ordered_and_deduplicated():

@@ -345,7 +345,7 @@ def _synthetic_campaigns(shares, results=None, traces=None):
             columns, week=week, vantage_id="v", ip_version=4, share=share
         )
         for index, result in enumerate(results):
-            recorded.record_site(index, quic_capable=True, quic=result, tcp=None)
+            recorded.record_site(index, quic=result)
         run = StoreWeeklyRun(week=week, vantage_id="v", ip_version=4)
         run.attach(recorded)
         run.traces = dict(traces or {})

@@ -328,23 +328,20 @@ def test_explicit_resolver_records_win_over_lazy_derivation():
 # Build cache
 # ----------------------------------------------------------------------
 def test_acquire_world_memory_and_disk_layers(tmp_path):
-    snapshot.clear_memory_cache()
     config = WorldConfig(scale=MATRIX_SCALE)
     first, source = snapshot.acquire_world(config, cache_dir=tmp_path)
     assert source == "cold"
     second, source = snapshot.acquire_world(config, cache_dir=tmp_path)
-    assert source == "memory"
+    assert source == "disk"
     assert second is not first  # independent instances
     assert list(second.domains) == list(first.domains)
-    snapshot.clear_memory_cache()
     third, source = snapshot.acquire_world(config, cache_dir=tmp_path)
     assert source == "disk"
+    assert third is not second
     assert list(third.domains) == list(first.domains)
-    snapshot.clear_memory_cache()
 
 
 def test_acquire_world_rebuilds_on_corrupt_cache_file(tmp_path):
-    snapshot.clear_memory_cache()
     config = WorldConfig(scale=MATRIX_SCALE)
     snapshot.acquire_world(config, cache_dir=tmp_path)
     path = snapshot.cache_path(
@@ -358,22 +355,23 @@ def test_acquire_world_rebuilds_on_corrupt_cache_file(tmp_path):
     )
     assert path.exists()
     path.write_bytes(b"ECNWRLD1 corrupted beyond recognition")
-    snapshot.clear_memory_cache()
     world, source = snapshot.acquire_world(config, cache_dir=tmp_path)
     assert source == "cold"  # rebuilt, not crashed
     assert world.sites
     assert snapshot.snapshot_fingerprint(path.read_bytes())  # rewritten
-    snapshot.clear_memory_cache()
 
 
 def test_acquire_world_keys_on_config(tmp_path):
-    snapshot.clear_memory_cache()
-    _, source_a = snapshot.acquire_world(WorldConfig(scale=MATRIX_SCALE))
-    _, source_b = snapshot.acquire_world(WorldConfig(scale=MATRIX_SCALE, seed=7))
+    _, source_a = snapshot.acquire_world(WorldConfig(scale=MATRIX_SCALE), cache_dir=tmp_path)
+    _, source_b = snapshot.acquire_world(
+        WorldConfig(scale=MATRIX_SCALE, seed=7), cache_dir=tmp_path
+    )
     assert source_a == source_b == "cold"  # different fingerprints
-    _, source_c = snapshot.acquire_world(WorldConfig(scale=MATRIX_SCALE, seed=7))
-    assert source_c == "memory"
-    snapshot.clear_memory_cache()
+    _, source_c = snapshot.acquire_world(
+        WorldConfig(scale=MATRIX_SCALE, seed=7), cache_dir=tmp_path
+    )
+    assert source_c == "disk"
+    assert len(list(tmp_path.glob("world-*.ecnw"))) == 2
 
 
 # ----------------------------------------------------------------------
