@@ -83,7 +83,7 @@ def resolution(run: WeeklyRun, population: str) -> tuple[int, int, set[str]]:
         columns = run.store.columns
         population_of, rows, addresses = columns.table.population, columns.rows, columns.addresses
         overridden = [p for p in addresses if population_of(rows[p]) == population]
-        segments = [segment for _index, segment in columns.population_segments(population)]
+        segments = columns.population_segments(population)
         resolved = sum(len(segment.rank_positions) for segment in segments)
         resolved += sum(columns.segment_of[p] == NO_ROW for p in overridden)
         ips = {addresses[p] for p in overridden}
@@ -132,9 +132,9 @@ def _site_state_groups(stores, population: str, state_of: Callable):
     absent = state_of(None)
     keyed = []
     unattributed = len(columns.population_positions(population))
-    for index, segment in columns.population_segments(population):
-        counts = [store.attempted(index, segment) for store in stores]
-        states = [state_of(store.quic_results[index]) for store in stores]
+    for segment in columns.population_segments(population):
+        counts = [store.attempted(segment) for store in stores]
+        states = [state_of(store.site_record(segment.site_index).quic) for store in stores]
         for lo, hi in pairwise(sorted({0, len(segment.rank_positions), *counts})):
             group_states = tuple(
                 state if hi <= count else absent

@@ -22,7 +22,9 @@ negative count, cadence or timeout, a timeout that is not finite, and
 a scale that is not a finite number >= 1, is a usage error (exit 2), and
 so is an output path that cannot be written (``--world-cache`` or
 ``--checkpoint-dir`` naming a file, ``--metrics-out``/``--trace-out``
-in a missing directory).
+in a missing directory).  A metrics or trace file that still cannot
+be written when the run ends is one stderr line and exit 1, after the
+report has printed.
 ``scan`` and ``campaign`` take ``--metrics-out`` / ``--trace-out`` for
 the telemetry layer (docs/observability.md).
 """
@@ -221,10 +223,14 @@ def _obs_setup(args):
     return Telemetry()
 
 
-def _obs_finish(args, telemetry) -> None:
-    """Write ``--metrics-out`` / ``--trace-out`` from the finished run."""
+def _obs_finish(args, telemetry) -> int:
+    """Write ``--metrics-out`` / ``--trace-out`` from the finished run.
+
+    Returns the exit code: 1, after one stderr line naming the flag and
+    the path, when a file cannot be written.
+    """
     if telemetry is None:
-        return
+        return 0
     from repro.obs.export import write_metrics, write_trace
     from repro.obs.metrics import global_registry
 
@@ -232,12 +238,19 @@ def _obs_finish(args, telemetry) -> None:
     # registry (repro.web.snapshot instruments acquire_world there);
     # fold them in so one file carries the whole run.
     telemetry.registry.merge(global_registry())
-    if args.metrics_out is not None:
-        write_metrics(args.metrics_out, telemetry.registry, telemetry.tracer)
-        _note(args, f"metrics: {args.metrics_out}")
-    if args.trace_out is not None:
-        events = write_trace(args.trace_out, telemetry.tracer)
-        _note(args, f"trace: {args.trace_out} ({events} events)")
+    flag, path = "--metrics-out", args.metrics_out
+    try:
+        if path is not None:
+            write_metrics(path, telemetry.registry, telemetry.tracer)
+            _note(args, f"metrics: {path}")
+        flag, path = "--trace-out", args.trace_out
+        if path is not None:
+            events = write_trace(path, telemetry.tracer)
+            _note(args, f"trace: {path} ({events} events)")
+    except OSError as exc:
+        print(f"error: {flag} {path}: cannot write ({exc.strerror or exc})", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _build_world(args) -> "repro.World":
@@ -313,8 +326,7 @@ def _cmd_scan(args) -> int:
     if telemetry is not None:
         stats.publish(telemetry.registry)
     print(reference_report(run, ipv6))
-    _obs_finish(args, telemetry)
-    return 0
+    return _obs_finish(args, telemetry)
 
 
 def _cmd_campaign(args) -> int:
@@ -385,8 +397,7 @@ def _cmd_campaign(args) -> int:
             f"{stats.shard_failures} failures (run recovered; results "
             f"are identical to a clean run)",
         )
-    _obs_finish(args, telemetry)
-    return 0
+    return _obs_finish(args, telemetry)
 
 
 def _cmd_distributed(args) -> int:

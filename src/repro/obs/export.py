@@ -23,6 +23,7 @@ import json
 
 from repro.obs.metrics import MetricsRegistry, safe_ratio
 from repro.obs.spans import Span, Tracer
+from repro.util.atomic import atomic_write_bytes
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -36,6 +37,12 @@ __all__ = [
 
 METRICS_SCHEMA = "repro.obs.metrics"
 METRICS_SCHEMA_VERSION = 1
+
+
+def _publish_json(path, text: str) -> None:
+    """Publish one JSON document atomically: a killed run leaves the
+    previous file or none, never a truncated one."""
+    atomic_write_bytes(path, f"{text}\n".encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -82,9 +89,7 @@ def write_trace(path, tracer: Tracer) -> int:
         "displayTimeUnit": "ms",
         "otherData": {"producer": "repro.obs"},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.write("\n")
+    _publish_json(path, json.dumps(document, separators=(",", ":")))
     return len(events)
 
 
@@ -122,9 +127,7 @@ def write_metrics(path, registry: MetricsRegistry, tracer: Tracer | None = None)
         "metrics": registry.to_tree(),
         "spans": span_summary(tracer.spans) if tracer is not None else {},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _publish_json(path, json.dumps(document, indent=2, sort_keys=True))
     return document
 
 

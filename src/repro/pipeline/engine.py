@@ -22,9 +22,9 @@ The engine splits a weekly run into two phases (docs/architecture.md):
    a :class:`ScanPlan`: a selection of the world's domain table rows
    plus each position's site, per-site addresses and orgs, and per-site
    segments (address, org and site attachment are week-invariant for a
-   given IP family).  Recording a week is one store write per core
-   event; no per-domain work, no string parsing, no trie walks, no
-   policy evaluation.
+   given IP family).  The week's store reads the site records the merge
+   filled; no per-event or per-domain work, no string parsing, no trie
+   walks, no policy evaluation.
 
 The site phase is emitted pre-ordered (no per-week sort): a per-vantage
 QUIC trigger index — prefix-minimum records over the store's
@@ -46,10 +46,10 @@ order-independent: any partition of the site phase — serial,
 :class:`~repro.pipeline.sharding.ShmPoolScanEngine` with any worker
 count or ticket layout, checkpoint replay — produces identical results.
 
-Attribution records into the columnar
-:class:`~repro.store.columns.ObservationStore` (O(events) per week);
-runs serve observations as lazy :class:`~repro.store.views.ObservationView`
-objects.
+Attribution attaches a columnar
+:class:`~repro.store.columns.ObservationStore` over the run's site
+records (O(1) per week); runs serve observations as lazy
+:class:`~repro.store.views.ObservationView` objects.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ class ScanPhaseStats:
     """Accumulated wall-time split of weekly runs (pass to ``run_week``).
 
     ``site_phase_seconds`` covers the per-site exchanges,
-    ``attribution_seconds`` the O(events) store recording plus plugin
-    row merging.  ``analysis_seconds`` is filled by callers that time
-    an analysis pass over the finished runs — the engine never runs
-    analysis.
+    ``attribution_seconds`` attaching the store over the site records
+    plus plugin row merging.  ``analysis_seconds`` is filled by callers
+    that time an analysis pass over the finished runs — the engine never
+    runs analysis.
 
     The ``exchange_cache_*`` counters account the replay cache
     (:mod:`repro.exchange`) over the covered site phases: ``hits``
@@ -728,11 +728,11 @@ class ScanEngine:
         checkpoints persist); ``replay_entries`` rehydrates the site
         phase from such entries instead of producing them.
 
-        The run records into a columnar
-        :class:`~repro.store.columns.ObservationStore` — attribution is
-        O(events) recording plus lazy index arrays, and observations are
-        served as lazy views field-identical to the reference loop's
-        objects (golden-tested by the ``objects`` leg of
+        The run's columnar :class:`~repro.store.columns.ObservationStore`
+        reads the site records the merge filled — attribution writes
+        nothing per event or per domain — and observations are served as
+        lazy views field-identical to the reference loop's objects
+        (golden-tested by the ``objects`` leg of
         ``tests/differential.py``).
         """
         selection = resolve_plugins(tuple(plugins) if plugins is not None else None)
@@ -746,7 +746,6 @@ class ScanEngine:
 
         # Phase 1: per-site exchanges, merged in reference trigger order.
         events = self._schedule(plan, week, vantage_id, include_tcp, selection)
-        records = run.site_records
         plugin_rows: dict[tuple[int, int], tuple] = {}
         cache = self.exchange_cache
         cache_base = (
@@ -783,7 +782,7 @@ class ScanEngine:
                  quic_config, tcp_config, selection.names),
             )
         self._apply_replay(
-            events, replay, records,
+            events, replay, run.site_records,
             entry_sink=entry_sink, source=source, plugin_rows=plugin_rows,
         )
         if tracer is not None:
@@ -810,7 +809,7 @@ class ScanEngine:
             if tracer is not None
             else None
         )
-        self._attribute_store(run, plan, events, records, share)
+        self._attribute_store(run, plan, share)
         if tracer is not None:
             tracer.end(attr_span)
         self._attribute_plugins(run, selection, plugin_rows, telemetry)
@@ -821,39 +820,19 @@ class ScanEngine:
             plugin.finalize_run(world, run, week, vantage_id, ip_version)
         return run
 
-    def _attribute_store(
-        self,
-        run: "StoreWeeklyRun",
-        plan: ScanPlan,
-        events: list[SiteEvent],
-        records: dict,
-        share: float,
-    ) -> None:
-        """Record the week's core events into the run's store.
-
-        One store write per QUIC or TCP event, no per-domain work; a
-        site without an event keeps the store's empty row (a QUIC-capable
-        site that fired no trigger has no domain under this week's share,
-        so its attempted count is 0 either way).
-        """
-        store = ObservationStore(
-            plan.columns,
-            week=run.week,
-            vantage_id=run.vantage_id,
-            ip_version=run.ip_version,
-            share=share,
+    def _attribute_store(self, run: "StoreWeeklyRun", plan: ScanPlan, share: float) -> None:
+        """Attach the run's store: a view of the plan over the run's own
+        site records, with no per-event or per-domain work."""
+        run.attach(
+            ObservationStore(
+                plan.columns,
+                run.site_records,
+                week=run.week,
+                vantage_id=run.vantage_id,
+                ip_version=run.ip_version,
+                share=share,
+            )
         )
-        segment_of = plan.columns.segment_of
-        for event in events:
-            if event.kind == QUIC_EVENT:
-                store.record_site(
-                    segment_of[event.position], quic=records[event.site_index].quic
-                )
-            elif event.kind == TCP_EVENT:
-                store.record_site(
-                    segment_of[event.position], tcp=records[event.site_index].tcp
-                )
-        run.attach(store)
 
     def _attribute_plugins(
         self,

@@ -8,12 +8,12 @@ This package stores a run the way large measurement platforms do
 (PathSpider's typed result records, zgrab2's output pipeline): as
 typed parallel arrays over observation positions, with the domain
 dimension represented by per-site segments computed at plan build: a
-week is one result and one attempted count per site.
+week is the run's per-site records read through those segments.
 
 * :mod:`repro.store.columns` — :class:`DomainColumns` (a scan plan's
   selection of the world's domain table rows + per-site attribution
-  segments, built once per plan) and :class:`ObservationStore` (the per-run record of the
-  site phase: one result row and one attempted count per site).
+  segments, built once per plan) and :class:`ObservationStore` (the
+  per-run, read-only view of the plan over the run's site records).
 * :mod:`repro.store.views` — :class:`ObservationView`, a lazy,
   field-compatible stand-in for :class:`DomainObservation`;
   :class:`StoreObservations`, the sequence view analysis iterates; and
@@ -22,7 +22,7 @@ week is one result and one attempted count per site.
   result batches, so pool workers ship one buffer per ticket-week
   instead of pickled object lists.
 
-Every engine run records into the store; its views are golden-identical
+Every engine run reads through a store; its views are golden-identical
 to the reference loop's eager objects (pinned by the ``objects`` leg of
 ``tests/differential.py`` and by ``tests/test_store_golden.py``).
 """

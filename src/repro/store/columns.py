@@ -11,15 +11,16 @@ Two layers, split by what varies:
   Filled **once per plan** (and therefore once per campaign);
   :func:`plan_columns` adds the per-site :class:`SiteSegment` arrays
   that encode the attribution fan-out in rank order.
-* :class:`ObservationStore` — the per-run layer: one result row per
-  planned site plus the week's attempted-count per segment.  Recording
-  a run is one write per site event and reading it O(sites): a week's
-  attempted domains of segment ``i`` are
-  ``rank_positions[:quic_counts[i]]``.  Analysis aggregates per site; a
-  per-domain read goes through the plan's ``segment_of``/``rank_of``
-  columns to the same two facts.
+* :class:`ObservationStore` — the per-run layer: a read-only view over
+  the run's own site records, which the engine's central merge fills.
+  Recording a run writes nothing here, and reading it is O(sites): a
+  week's attempted domains of a segment are
+  ``rank_positions[:attempted_count(share)]`` when its site has a QUIC
+  result.  Analysis aggregates per site; a per-domain read goes
+  through the plan's ``segment_of``/``rank_of`` columns to the same
+  two facts.
 
-The store never copies scan results: rows reference the same
+The store never copies scan results: it reads the same
 :class:`QuicConnectionResult` / :class:`TcpScanOutcome` objects the
 site phase produced, which is what keeps store-backed runs
 byte-identical to the object path.
@@ -34,6 +35,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.scanner.results import SiteScanRecord
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quic.connection import QuicConnectionResult
     from repro.tcp.client import TcpScanOutcome
@@ -43,9 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``DomainObservation.org`` default).
 UNKNOWN_ORG = "<unknown>"
 
-#: Sentinel row index: position is not attributed (no site / not
-#: attempted this week).
+#: Sentinel index: a position without a site, so without a segment.
 NO_ROW = -1
+
+#: The record a store reads for a site without a core event this week.
+NO_EVENT = SiteScanRecord(site_index=NO_ROW, ip="")
 
 
 class SiteSegment:
@@ -126,7 +131,7 @@ class DomainColumns:
     segment_of: array
     rank_of: array
     _population_positions: dict[str, array] = field(default_factory=dict, init=False)
-    _population_segments: dict[str | None, list[tuple[int, SiteSegment]]] = field(
+    _population_segments: dict[str | None, list[SiteSegment]] = field(
         default_factory=dict, init=False
     )
 
@@ -158,27 +163,27 @@ class DomainColumns:
             self._population_positions[population] = positions
         return positions
 
-    def population_segments(self, population: str | None) -> list[tuple[int, SiteSegment]]:
-        """``(segment index, segment)`` per site with a member in
-        ``population`` (``None``: every position), in plan order (cached).
+    def population_segments(self, population: str | None) -> list[SiteSegment]:
+        """The segment of each site with a member in ``population``
+        (``None``: every position), in plan order (cached).
 
         A mixed segment is restricted to the population's members, with
         their ranks, so its ``attempted_count`` counts that population
         alone; every other one is the plan's own object, so a plan of
         one population (every campaign's) copies nothing.
         """
-        pairs = self._population_segments.get(population)
-        if pairs is None:
-            pairs = list(enumerate(self.segments))
+        segments = self._population_segments.get(population)
+        if segments is None:
+            segments = self.segments
             positions = self.population_positions(population) if population else None
             if positions is not None and len(positions) < self.count:
-                pairs = [
-                    (index, restricted)
-                    for index, segment in pairs
+                segments = [
+                    restricted
+                    for segment in segments
                     if (restricted := self._restrict(segment, population)) is not None
                 ]
-            self._population_segments[population] = pairs
-        return pairs
+            self._population_segments[population] = segments
+        return segments
 
     def _restrict(self, segment: SiteSegment, population: str) -> SiteSegment | None:
         population_of, rows = self.table.population, self.rows
@@ -229,32 +234,25 @@ def plan_columns(
 
 
 class ObservationStore:
-    """Columnar record of one weekly run.
+    """Read-only view of one weekly run over its site records.
 
-    The site phase is recorded once per QUIC or TCP event
-    (:meth:`record_site`) and nothing per position; a site without an
-    event keeps an empty row.  Segment ``i``'s attempted domains are its
-    rank prefix of length ``quic_counts[i]`` (zero unless the site's
-    QUIC exchange fired) — exactly the object path's ``quic_attempted``
-    semantics: attempted iff the site is QUIC-capable and the domain's
-    rank is under this week's adoption share.  :meth:`quic_sites` serves
-    analysis per site; the per-position accessors serve the lazy views.
+    ``records`` is the run's own ``site_records`` dict (the same object,
+    filled by the engine's central merge), so a week's results live in
+    one place.  A segment's QUIC and TCP results are its site's record;
+    its attempted domains are the rank prefix of length
+    ``segment.attempted_count(share)`` when the site has a QUIC result,
+    and none otherwise — exactly the object path's ``quic_attempted``
+    semantics: a QUIC event fires only when some member's rank is under
+    this week's adoption share.  :meth:`quic_sites` serves analysis per
+    site; the per-position accessors serve the lazy views.
     """
 
-    __slots__ = (
-        "columns",
-        "week",
-        "vantage_id",
-        "ip_version",
-        "share",
-        "quic_results",
-        "quic_counts",
-        "tcp_results",
-    )
+    __slots__ = ("columns", "records", "week", "vantage_id", "ip_version", "share")
 
     def __init__(
         self,
         columns: DomainColumns,
+        records: dict[int, SiteScanRecord],
         *,
         week,
         vantage_id: str,
@@ -262,68 +260,47 @@ class ObservationStore:
         share: float,
     ):
         self.columns = columns
+        self.records = records
         self.week = week
         self.vantage_id = vantage_id
         self.ip_version = ip_version
         self.share = share
-        segment_count = len(columns.segments)
-        #: Per-segment QUIC result (None: not capable / nothing attempted).
-        self.quic_results: list["QuicConnectionResult | None"] = [None] * segment_count
-        #: Per-segment count of attempted positions this week.
-        self.quic_counts = array("q", bytes(8 * segment_count))
-        #: Per-segment TCP result (None unless the run included TCP).
-        self.tcp_results: list["TcpScanOutcome | None"] = [None] * segment_count
 
-    # ------------------------------------------------------------------
-    # Recording (the attribution phase)
-    # ------------------------------------------------------------------
-    def record_site(
-        self,
-        segment_index: int,
-        *,
-        quic: "QuicConnectionResult | None" = None,
-        tcp: "TcpScanOutcome | None" = None,
-    ) -> None:
-        """Record one site event's result: a store and, for QUIC, one bisect."""
-        if quic is not None:
-            self.quic_counts[segment_index] = self.columns.segments[
-                segment_index
-            ].attempted_count(self.share)
-            self.quic_results[segment_index] = quic
-        if tcp is not None:
-            self.tcp_results[segment_index] = tcp
+    def site_record(self, site_index: int) -> SiteScanRecord:
+        """The site's record this week (:data:`NO_EVENT` without one)."""
+        return self.records.get(site_index, NO_EVENT)
 
     # ------------------------------------------------------------------
     # Per-position accessors (what the lazy views read)
     # ------------------------------------------------------------------
     def quic_attempted_at(self, position: int) -> bool:
-        segment = self.columns.segment_of[position]
-        return segment >= 0 and self.columns.rank_of[position] < self.quic_counts[segment]
+        columns = self.columns
+        if self.site_record(columns.site_indexes[position]).quic is None:
+            return False
+        segment = columns.segments[columns.segment_of[position]]
+        return segment.sorted_ranks[columns.rank_of[position]] < self.share
 
     def quic_at(self, position: int) -> "QuicConnectionResult | None":
         if not self.quic_attempted_at(position):
             return None
-        return self.quic_results[self.columns.segment_of[position]]
+        return self.site_record(self.columns.site_indexes[position]).quic
 
     def tcp_at(self, position: int) -> "TcpScanOutcome | None":
-        segment = self.columns.segment_of[position]
-        return self.tcp_results[segment] if segment >= 0 else None
+        return self.site_record(self.columns.site_indexes[position]).tcp
 
     # ------------------------------------------------------------------
     # Site-grained reads (what analysis aggregates)
     # ------------------------------------------------------------------
-    def attempted(self, segment_index: int, segment: SiteSegment) -> int:
+    def attempted(self, segment: SiteSegment) -> int:
         """How many of ``segment``'s members attempted QUIC this week.
 
-        ``segment`` is the plan's segment ``segment_index`` or its
-        restriction to one population
-        (:meth:`DomainColumns.population_segments`); the restricted
-        count re-bisects this week's share over the members it kept.
+        ``segment`` is a plan segment or its restriction to one
+        population (:meth:`DomainColumns.population_segments`); either
+        bisects this week's share over the members it holds.
         """
-        count = self.quic_counts[segment_index]
-        if count and segment is not self.columns.segments[segment_index]:
-            count = segment.attempted_count(self.share)
-        return count
+        if self.site_record(segment.site_index).quic is None:
+            return 0
+        return segment.attempted_count(self.share)
 
     def quic_sites(
         self, population: str | None = None
@@ -335,10 +312,9 @@ class ObservationStore:
         its ``count`` attempted members, ``segment.rank_positions[:count]``,
         all observed ``result``.  Sites come in plan order.
         """
-        results = self.quic_results
-        for index, segment in self.columns.population_segments(population):
-            result = results[index]
+        for segment in self.columns.population_segments(population):
+            result = self.site_record(segment.site_index).quic
             if result is not None:
-                count = self.attempted(index, segment)
+                count = segment.attempted_count(self.share)
                 if count:
                     yield segment, result, count

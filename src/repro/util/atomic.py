@@ -1,7 +1,8 @@
 """Atomic file publication (tmp + ``os.replace``).
 
 Every on-disk artifact that must survive a crash — world snapshots,
-campaign checkpoints — publishes through one code path.  The contract:
+campaign checkpoints, the telemetry metrics and trace files —
+publishes through one code path.  The contract:
 a reader either sees the complete previous file or the complete new
 file, never a partial write, even if the writer is killed mid-write.
 """

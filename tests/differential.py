@@ -23,10 +23,12 @@ fixtures in ``tests/conftest.py``):
   share one leg.
 * **The week matrix**: every vantage x {v4+TCP with CE probing at the
   TCP week, v4 with tracebox and the toplists at the reference week,
-  v6 at the IPv6 week} at :data:`MATRIX_SCALE`, driven case by case in
-  one fixed order.  Legs: the serial engine with its cache (the
-  oracle), without it, the reference loop's eager objects, a rehydrated
-  world and one warm 2-worker pool.
+  v6 at the IPv6 week} at :data:`MATRIX_SCALE`, plus one mid-ramp
+  v4+TCP week of both populations from ``main-aachen``
+  (:data:`MID_RAMP`), driven case by case in one fixed order.  Legs:
+  the serial engine with its cache (the oracle), without it, the
+  reference loop's eager objects, a rehydrated world and one warm
+  2-worker pool.
 
 Every leg records, per run, every :class:`DomainObservation` field of
 every domain, the site records, the traces and the plugin rows; per leg
@@ -72,6 +74,7 @@ from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
 from repro.store.views import StoreWeeklyRun
+from repro.util.weeks import Week
 from repro.web import snapshot
 from repro.web.spec import WorldConfig
 
@@ -471,6 +474,16 @@ MATRIX_FAMILIES = (
     ),
     ("v6", operator.attrgetter("ipv6_week"), {"populations": ("cno",), "ip_version": 6}),
 )
+#: One more case, ``main-aachen`` only: v4+TCP over both populations
+#: mid-ramp.  At 2022-W40 the adoption share is below 1, so a site's
+#: QUIC exchange covers a rank prefix of its members, a toplist- or
+#: cno-restricted segment counts its own members only, and the sites
+#: that fire no QUIC trigger carry a TCP result alone.
+MID_RAMP = (
+    "main-aachen mid-ramp v4+TCP",
+    Week(2022, 40),
+    {"populations": ("cno", "toplist"), "include_tcp": True},
+)
 
 
 def matrix_world():
@@ -494,8 +507,9 @@ def _reference_scan(world):
 
 
 def _matrix_leg(name, world, scan) -> Leg:
-    """Every vantage x family on ``world``; the report renders Tables
-    1-7 per vantage from its v4 (tracebox) and v6 runs."""
+    """Every vantage x family on ``world``, then :data:`MID_RAMP`; the
+    report renders Tables 1-7 per vantage from its v4 (tracebox) and v6
+    runs, and once more from the mid-ramp run."""
     records, reports, store_backed = [], [], True
     for vantage_id in sorted(world.vantages):
         runs = {}
@@ -505,6 +519,11 @@ def _matrix_leg(name, world, scan) -> Leg:
             runs[family] = run
         store_backed = store_backed and _store_backed(runs.values())
         reports.append(f"[{vantage_id}]\n{reference_report(runs['v4'], runs['v6'])}")
+    label, week, kwargs = MID_RAMP
+    run = scan(week, "main-aachen", **kwargs)
+    records.append(record_run(run, label))
+    store_backed = store_backed and _store_backed([run])
+    reports.append(f"[{label}]\n{reference_report(run)}")
     return Leg(name, records, world.clock.now, "\n".join(reports), store_backed=store_backed)
 
 

@@ -346,6 +346,26 @@ def test_cli_scan_metrics_out(tmp_path, capsys):
     assert metrics["campaign.phase.site_seconds"]["value"] > 0
 
 
+@pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+def test_cli_unwritable_obs_output_is_one_error_line(tmp_path, monkeypatch, capsys, flag):
+    """Regression: a metrics or trace file that could not be opened at
+    the end of the run died in a traceback after the report printed."""
+    import repro.obs.export
+
+    def denied(path, buf):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(repro.obs.export, "atomic_write_bytes", denied)
+    path = tmp_path / "out.json"
+    code = main(["scan", "--scale", "20000", "--no-plugins", flag, str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Table 1" in captured.out  # the report still printed
+    expected = f"error: {flag} {path}: cannot write (Permission denied)"
+    assert captured.err.strip() == expected
+    assert not path.exists()
+
+
 def test_cli_progress_heartbeat(capsys):
     assert main(
         ["campaign", "--scale", "20000", "--cadence", "26", "--progress"]

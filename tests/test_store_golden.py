@@ -33,6 +33,7 @@ from repro.core.validation import ValidationOutcome
 from repro.pipeline.campaign import Campaign, campaign_weeks
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan_reference
 from repro.quic.connection import QuicConnectionResult
+from repro.scanner.results import SiteScanRecord
 from repro.store.columns import NO_ROW, ObservationStore, plan_columns
 from repro.store.views import ObservationView, StoreObservations, StoreWeeklyRun
 from repro.tracebox.classify import ChangePoint, PathImpairment, TraceSummary
@@ -341,13 +342,16 @@ def _synthetic_campaigns(shares, results=None, traces=None):
     objects, store = Campaign(), Campaign()
     for week_number, share in enumerate(shares, start=1):
         week = Week(2023, week_number)
-        recorded = ObservationStore(
-            columns, week=week, vantage_id="v", ip_version=4, share=share
+        records = {
+            index: SiteScanRecord(site_index=index, ip=columns.site_ips[index], quic=result)
+            for index, result in enumerate(results)
+        }
+        run = StoreWeeklyRun(week=week, vantage_id="v", ip_version=4, site_records=records)
+        run.attach(
+            ObservationStore(
+                columns, records, week=week, vantage_id="v", ip_version=4, share=share
+            )
         )
-        for index, result in enumerate(results):
-            recorded.record_site(index, quic=result)
-        run = StoreWeeklyRun(week=week, vantage_id="v", ip_version=4)
-        run.attach(recorded)
         run.traces = dict(traces or {})
         store.add_run(run)
         objects.add_run(
