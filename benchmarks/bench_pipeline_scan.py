@@ -67,9 +67,11 @@ SMOKE_REGRESSION_FACTOR = 2.0
 #: working cache produces and far above the ~0.0 a broken one yields.
 CACHE_HIT_RATE_FLOOR = 0.5
 #: CI gate: warm world acquisition (snapshot decode) must be at least
-#: this much faster than a cold build+snapshot.  Measured ~7-10x; a
-#: snapshot-path regression that silently falls back to rebuilding
-#: lands at ~1x and fails here.
+#: this much faster than a cold build+snapshot.  Measured ~8-10x at
+#: scale 1000 (a faster cold build lowers the ratio: it was ~15-19x
+#: before the domain table was built in bulk); a snapshot-path
+#: regression that silently falls back to rebuilding lands at ~1x and
+#: fails here.
 WORLD_CACHE_SPEEDUP_FLOOR = 5.0
 #: CI gate: the telemetry layer (spans + metrics, docs/observability.md)
 #: must cost at most this much extra campaign wall time.  Measured as

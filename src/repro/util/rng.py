@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Iterable, Iterator, Sequence
 
 
 def _seed_for(master_seed: int, name: str) -> int:
@@ -51,3 +52,17 @@ def stable_hash(*parts: object) -> int:
     text = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def stable_hashes(prefix: Sequence[object], names: Iterable[str]) -> Iterator[int]:
+    """``stable_hash(*prefix, name)`` for every name, in order, lazily.
+
+    The bulk form for hashing many names under one prefix: the prefix
+    is joined once, then each name costs one sha256 of the same UTF-8
+    text :func:`stable_hash` would hash.
+    """
+    head = "".join(f"{part}\x1f" for part in prefix)
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    for name in names:
+        yield from_bytes(sha256((head + name).encode("utf-8")).digest()[:8], "big")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.asdb.as2org import AsOrgMap
 from repro.asdb.prefixtree import PrefixTree
@@ -25,7 +25,7 @@ from repro.quicstacks.base import QuicServerStack
 from repro.quicstacks.registry import StackRegistry, default_registry
 from repro.tcp.profiles import TcpProfile
 from repro.tcp.server import TcpServerStack
-from repro.util.rng import RngStream, stable_hash
+from repro.util.rng import RngStream, stable_hash, stable_hashes
 from repro.util.weeks import Week, week_range
 from repro.web.paths import (
     ADDR_BLOCK,
@@ -119,6 +119,13 @@ for _mask in range(1, _CNO_MASK):
 _LIST_MASKS = {lists: mask for mask, lists in enumerate(MASK_LISTS) if lists}
 
 
+def _list_mask(lists: tuple[str, ...]) -> int:
+    mask = _LIST_MASKS.get(lists)
+    if mask is None:
+        raise ValueError(f"unsupported list membership {lists!r}")
+    return mask
+
+
 @dataclass(eq=False, repr=False, slots=True)
 class DomainTable:
     """The world's domains as typed columns, one entry per domain.
@@ -151,19 +158,67 @@ class DomainTable:
         has_aaaa: bool = False,
         adoption_rank: float = 0.0,
     ) -> None:
-        """Encode one domain as a row (the only place rows are encoded)."""
+        """Encode one domain as a row: a one-row :meth:`extend`."""
+        self.extend(
+            [name],
+            [site_index],
+            population,
+            lists,
+            [adoption_rank],
+            parked=int(parked),
+            has_aaaa=int(has_aaaa),
+        )
+
+    def extend(
+        self,
+        names: Sequence[str],
+        site_indexes: Iterable[int],
+        population: str,
+        lists: tuple[str, ...] | list[tuple[str, ...]],
+        ranks: Iterable[float] | None = None,
+        *,
+        parked: int = 0,
+        has_aaaa: int = 0,
+    ) -> None:
+        """Encode a batch of domains of one population as rows.
+
+        The only place rows are encoded.  ``lists`` is one membership
+        shared by every row (a tuple) or one membership per row (a
+        list); the first ``parked`` rows are parked and the first
+        ``has_aaaa`` rows have an AAAA record; ``ranks`` defaults to
+        0.0.  The batch is encoded in full before any column grows, so
+        one that cannot be encoded raises ``ValueError`` and leaves the
+        table unchanged.
+        """
         if population not in POPULATIONS:
             raise ValueError(f"unknown population {population!r}")
-        mask = _LIST_MASKS.get(lists)
-        if mask is None:
-            raise ValueError(f"unsupported list membership {lists!r}")
-        flag = POPULATIONS.index(population)
-        flag |= (PARKED_FLAG if parked else 0) | (AAAA_FLAG if has_aaaa else 0)
-        self.names.append(name)
-        self.site_indexes.append(site_index)
-        self.flags.append(flag)
-        self.masks.append(mask)
-        self.ranks.append(adoption_rank)
+        count = len(names)
+        if isinstance(lists, tuple):
+            masks = bytes([_list_mask(lists)]) * count
+        else:
+            masks = bytes(map(_list_mask, lists))
+        site_column = array("i", site_indexes)
+        rank_column = array("d", [0.0]) * count if ranks is None else array("d", ranks)
+        if not len(masks) == len(site_column) == len(rank_column) == count:
+            raise ValueError(
+                f"batch columns differ in length: {count} names, "
+                f"{len(site_column)} site indexes, {len(masks)} memberships, "
+                f"{len(rank_column)} ranks"
+            )
+        # A row's flag depends only on whether it is among the leading
+        # ``parked`` and ``has_aaaa`` rows: at most three runs of a byte.
+        flags = bytearray()
+        base = POPULATIONS.index(population)
+        cuts = sorted({0, count, min(max(parked, 0), count), min(max(has_aaaa, 0), count)})
+        for start, stop in itertools.pairwise(cuts):
+            flag = base | (PARKED_FLAG if start < parked else 0)
+            flag |= AAAA_FLAG if start < has_aaaa else 0
+            flags += bytes([flag]) * (stop - start)
+        self.names.extend(names)
+        self.site_indexes.extend(site_column)
+        self.flags.extend(flags)
+        self.masks.extend(masks)
+        self.ranks.extend(rank_column)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -546,22 +601,39 @@ def _populate_asdb(world: World, providers: list[ProviderSpec]) -> None:
             world.asorg.merge(label, provider.name)
 
 
-def _tld_cycle():
-    return itertools.cycle(("com", "net", "org"))
+#: Top-level domains of the cno population, in turn from each group's first domain.
+_TLDS = ("com", "net", "org")
+
+
+def _group_quotas(
+    config: WorldConfig, provider: ProviderSpec, group: HostGroupSpec
+) -> tuple[int, int, int]:
+    """(sites, cno domains, toplist domains) of one group at ``config``'s scale."""
+    n_cno = config.quota(group.cno_domains)
+    n_top = config.quota(group.toplist_domains, min_one=False)
+    n_sites = min(config.quota(group.ips), max(1, n_cno))  # never more sites than domains
+    if n_sites == 0 and n_cno + n_top:
+        raise ValueError(
+            f"provider {provider.name!r} group {group.key!r} has "
+            f"{n_cno + n_top} domains but no IPs to serve them"
+        )
+    return n_sites, n_cno, n_top
 
 
 def _populate_sites_and_domains(world: World, providers: list[ProviderSpec]) -> None:
-    config = world.config
-    for pidx, provider in enumerate(providers):
+    # Every group's quotas are checked before the first site or domain
+    # is written.
+    quotas = [
+        [_group_quotas(world.config, provider, group) for group in provider.groups]
+        for provider in providers
+    ]
+    for pidx, (provider, group_quotas) in enumerate(zip(providers, quotas, strict=True)):
         octet = 64 + pidx
         world.prefixes.insert(f"100.{octet}.0.0/16", provider.asn)
         world.prefixes.insert(f"2001:db8:{pidx:x}::/48", provider.asn)
         site_counter = 0
-        for group in provider.groups:
-            n_sites = config.quota(group.ips)
-            n_cno = config.quota(group.cno_domains)
-            n_sites = min(n_sites, max(1, n_cno))  # never more sites than domains
-            group_sites: list[Site] = []
+        for group, (n_sites, n_cno, n_top) in zip(provider.groups, group_quotas, strict=True):
+            first_site = len(world.sites)
             wants_v6 = group.ipv6_domains > 0
             for position in range(n_sites):
                 serial = site_counter
@@ -582,51 +654,61 @@ def _populate_sites_and_domains(world: World, providers: list[ProviderSpec]) -> 
                 world._sites_by_ip[ip] = site
                 if ipv6:
                     world._sites_by_ip[ipv6] = site
-                group_sites.append(site)
-            _add_domains(world, provider, group, group_sites, n_cno)
+            group_sites = array("i", range(first_site, len(world.sites)))
+            _add_domains(world, provider, group, group_sites, n_cno, n_top)
 
 
 def _add_domains(
     world: World,
     provider: ProviderSpec,
     group: HostGroupSpec,
-    group_sites: list[Site],
+    group_sites: array,
     n_cno: int,
+    n_top: int,
 ) -> None:
+    """Append one group's cno and toplist domains, one batch each.
+
+    Domain ``j`` of either population is served by site ``j`` modulo
+    the group's site count; the first parked and AAAA quotas of the cno
+    domains are parked and have AAAA records (every site of a group
+    with AAAA domains has an IPv6 address).
+    """
     config = world.config
     slug = provider.name.lower().replace(" ", "-")
-    tlds = _tld_cycle()
-    n_parked = config.quota(group.parked_domains, min_one=False)
-    n_aaaa = config.quota(group.ipv6_domains, min_one=False)
     domains = world.domains
-    for j in range(n_cno):
-        site = group_sites[j % len(group_sites)]
-        name = f"{slug}-{group.key}-{j:05d}.{next(tlds)}"
-        domains.append(
-            name,
-            site.index,
-            "cno",
-            ("cno",),
-            parked=j < n_parked,
-            has_aaaa=site.ipv6 is not None and j < n_aaaa,
-            adoption_rank=stable_hash("adopt", name) % 10_000 / 10_000.0,
-        )
-    n_top = config.quota(group.toplist_domains, min_one=False)
-    for j in range(n_top):
-        site = group_sites[j % len(group_sites)]
-        name = f"top-{slug}-{group.key}-{j:04d}.com"
-        membership = tuple(
-            list_name
-            for list_name in TOPLIST_NAMES
-            if stable_hash("toplist", list_name, name) % 100 < 70
-        ) or ("tranco",)
-        domains.append(
-            name,
-            site.index,
-            "toplist",
-            membership,
-            adoption_rank=stable_hash("adopt", name) % 10_000 / 10_000.0,
-        )
+    names = [f"{slug}-{group.key}-{j:05d}.{_TLDS[j % 3]}" for j in range(n_cno)]
+    domains.extend(
+        names,
+        _served_by(group_sites, n_cno),
+        "cno",
+        ("cno",),
+        _adoption_ranks(names),
+        parked=config.quota(group.parked_domains, min_one=False),
+        has_aaaa=config.quota(group.ipv6_domains, min_one=False),
+    )
+    names = [f"top-{slug}-{group.key}-{j:04d}.com" for j in range(n_top)]
+    in_list = [
+        [value % 100 < 70 for value in stable_hashes(("toplist", list_name), names)]
+        for list_name in TOPLIST_NAMES
+    ]
+    memberships = [
+        tuple(itertools.compress(TOPLIST_NAMES, row)) or ("tranco",)
+        for row in zip(*in_list, strict=True)
+    ]
+    domains.extend(
+        names, _served_by(group_sites, n_top), "toplist", memberships, _adoption_ranks(names)
+    )
+
+
+def _served_by(group_sites: array, count: int) -> array:
+    """Site indexes of a group's first ``count`` domains, round robin."""
+    rounds, rest = divmod(count, max(1, len(group_sites)))
+    return group_sites * rounds + group_sites[:rest]
+
+
+def _adoption_ranks(names: list[str]) -> array:
+    """Each domain's QUIC adoption threshold, in [0, 1)."""
+    return array("d", (value % 10_000 / 10_000.0 for value in stable_hashes(("adopt",), names)))
 
 
 def dns_record_for(domain: Domain, site: Site) -> DnsRecord:
@@ -647,11 +729,20 @@ def dns_record_for(domain: Domain, site: Site) -> DnsRecord:
 
 def _populate_unresolved(world: World) -> None:
     config = world.config
-    for j in range(config.quota(UNRESOLVED_CNO)):
-        tld = ("com", "net", "org")[j % 3]
-        world.domains.append(f"unresolved-{j:06d}.{tld}", -1, "cno", ("cno",))
-    for j in range(config.quota(UNRESOLVED_TOPLIST)):
-        world.domains.append(f"top-unresolved-{j:05d}.com", -1, "toplist", ("tranco",))
+    count = config.quota(UNRESOLVED_CNO)
+    world.domains.extend(
+        [f"unresolved-{j:06d}.{_TLDS[j % 3]}" for j in range(count)],
+        array("i", [-1]) * count,
+        "cno",
+        ("cno",),
+    )
+    count = config.quota(UNRESOLVED_TOPLIST)
+    world.domains.extend(
+        [f"top-unresolved-{j:05d}.com" for j in range(count)],
+        array("i", [-1]) * count,
+        "toplist",
+        ("tranco",),
+    )
 
 
 def _remark_group_ranks(providers: list[ProviderSpec]) -> dict[tuple[str, str], float]:

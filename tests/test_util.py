@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.fmt import format_count, format_pct
-from repro.util.rng import RngStream, stable_hash
+from repro.util.rng import RngStream, stable_hash, stable_hashes
 from repro.util.weeks import Week, week_range
 
 
@@ -31,6 +31,25 @@ def test_stable_hash_is_process_independent():
     # Known value pinned so a salted-hash regression is caught immediately.
     assert stable_hash("a", 1) == stable_hash("a", 1)
     assert stable_hash("a") != stable_hash("b")
+
+
+@pytest.mark.parametrize("prefix", [(), ("adopt",), ("toplist", "tranco"), ("a\x1fb", 7)])
+def test_stable_hashes_is_stable_hash_per_name(prefix):
+    names = [
+        "plain.com",
+        "zürich-hosting.ch",
+        "日本語.jp",
+        "emoji-🙂.org",
+        "a\x1fb",
+        "\x1f",
+        "",
+    ]
+    assert list(stable_hashes(prefix, names)) == [stable_hash(*prefix, name) for name in names]
+
+
+@given(st.lists(st.text()), st.lists(st.text(), max_size=3))
+def test_stable_hashes_matches_stable_hash_on_any_text(names, prefix):
+    assert list(stable_hashes(prefix, names)) == [stable_hash(*prefix, name) for name in names]
 
 
 # ----------------------------------------------------------------------

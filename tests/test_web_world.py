@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.web.providers import default_providers, default_vantages
-from repro.web.spec import WorldConfig
+from repro.web.spec import HostGroupSpec, ProviderSpec, WorldConfig
 from repro.web.world import ADOPTION_FULL_WEEK, ADOPTION_START_SHARE, Domain, DomainTable
 
 
@@ -38,6 +38,26 @@ def test_sibling_orgs_merge(small_world):
     assert small_world.asorg.org_for(396982) == "Google"
 
 
+def _append_bad_row(table, population, lists):
+    table.append("bad.com", 0, population, lists)
+
+
+def _extend_with_one_bad_row(table, population, lists):
+    good = ("cno",) if population == "cno" else ("tranco",)
+    table.extend(
+        ["a.com", "bad.com", "c.com"],
+        [0, 1, 2],
+        population,
+        [good, lists, good],
+        [0.1, 0.2, 0.3],
+        parked=1,
+        has_aaaa=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "encode", [_append_bad_row, _extend_with_one_bad_row], ids=["append", "extend"]
+)
 @pytest.mark.parametrize(
     "population,lists,message",
     [
@@ -47,12 +67,20 @@ def test_sibling_orgs_merge(small_world):
         ("toplist", (), "unsupported list membership"),
     ],
 )
-def test_domain_table_rejects_rows_it_cannot_encode(population, lists, message):
+def test_domain_table_rejects_rows_it_cannot_encode(population, lists, message, encode):
     table = DomainTable()
-    table.append("ok.com", 0, "cno", ("cno",))
+    table.append("ok.com", 0, "cno", ("cno",), adoption_rank=0.5)
+    before = [getattr(table, column)[:] for column in DomainTable.__slots__]
     with pytest.raises(ValueError, match=message):
-        table.append("bad.com", 0, population, lists)
-    assert table.names == ["ok.com"] and len(table.flags) == len(table.ranks) == 1
+        encode(table, population, lists)
+    assert [getattr(table, column) for column in DomainTable.__slots__] == before
+
+
+def test_domain_table_rejects_a_batch_of_unequal_columns():
+    table = DomainTable()
+    with pytest.raises(ValueError, match="differ in length"):
+        table.extend(["a.com", "b.com"], [0], "cno", ("cno",))
+    assert not any(getattr(table, column) for column in DomainTable.__slots__)
 
 
 def test_domain_table_rows_round_trip_and_are_frozen():
@@ -159,6 +187,22 @@ def test_quota_scaling_and_min_one():
     assert config.quota(4) == 1  # tiny classes survive
     assert config.quota(4, min_one=False) == 0
     assert config.quota(0) == 0
+
+
+@pytest.mark.parametrize(
+    "cno_domains,toplist_domains", [(5_000, 0), (0, 5_000)], ids=["cno", "toplist-only"]
+)
+def test_group_with_domains_but_no_ips_is_rejected(cno_domains, toplist_domains):
+    dark = HostGroupSpec(
+        "no-ips", cno_domains=cno_domains, ips=0, toplist_domains=toplist_domains
+    )
+    providers = [
+        ProviderSpec("Fine", 64_500, (HostGroupSpec("ok", cno_domains=5_000, ips=2_000),)),
+        ProviderSpec("Empty Host", 64_501, (dark,)),
+    ]
+    message = "provider 'Empty Host' group 'no-ips' has 5 domains but no IPs"
+    with pytest.raises(ValueError, match=message):
+        repro.build_world(WorldConfig(scale=1_000), providers=providers, overrides=[])
 
 
 def test_world_scales_inversely():
