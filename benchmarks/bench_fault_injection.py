@@ -33,7 +33,7 @@ from pathlib import Path
 import repro
 from repro.analysis.report import longitudinal_report
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline.engine import ScanPhaseStats
+from repro.pipeline import ShmPoolScanEngine, SupervisionStats
 from repro.scanner.results import DomainObservation
 from repro.web.spec import WorldConfig
 
@@ -63,17 +63,23 @@ def _weeks(world):
     return [config.start_week, config.start_week + 8, config.reference_week]
 
 
-def _campaign(world, **kwargs):
-    stats = kwargs.pop("phase_stats", None) or ScanPhaseStats()
-    kwargs.setdefault("workers", WORKERS)
-    campaign = repro.run_campaign(
-        world,
-        weeks=_weeks(world),
-        populations=POPULATIONS,
-        phase_stats=stats,
-        **kwargs,
-    )
-    return campaign, stats
+def _campaign(world, *, workers=WORKERS, fault_plan=None, shard_timeout=60.0, **kwargs):
+    """The campaign on a pool of ``workers`` (serial when ``None``),
+    with the pool's supervision counters (all zero on the serial
+    engine)."""
+
+    def run(**engine):
+        return repro.run_campaign(
+            world, weeks=_weeks(world), populations=POPULATIONS,
+            fault_plan=fault_plan, **engine, **kwargs,
+        )
+
+    if workers is None:
+        return run(), SupervisionStats()
+    with ShmPoolScanEngine(
+        world, workers=workers, fault_plan=fault_plan, shard_timeout=shard_timeout
+    ) as engine:
+        return run(engine=engine), engine.supervision
 
 
 def _campaigns_equal(reference, candidate) -> bool:
@@ -103,8 +109,8 @@ def main() -> int:
     clean_report = repr(longitudinal_report(clean))
     print(f"clean campaign: {len(clean.runs)} weeks, "
           f"{sum(len(r.observations) for r in clean.runs)} observations, "
-          f"{clean_stats.shard_retries} ticket retries")
-    _check(clean_stats.shard_retries == 0, "clean run needed no ticket retries")
+          f"{clean_stats.retries} ticket retries")
+    _check(clean_stats.retries == 0, "clean run needed no ticket retries")
 
     # ------------------------------------------------------------------
     # Leg 1: worker crash on ticket 1 + corrupted result buffer of ticket 2.
@@ -118,14 +124,14 @@ def main() -> int:
     faulted_world = _build()
     faulted, faulted_stats = _campaign(faulted_world, fault_plan=plan,
                                        shard_timeout=SHARD_TIMEOUT)
-    print(f"faulted campaign: {faulted_stats.shard_retries} retries, "
-          f"{faulted_stats.shard_timeouts} timeouts, "
-          f"{faulted_stats.shard_failures} failures")
-    _check(faulted_stats.shard_timeouts == 1,
+    print(f"faulted campaign: {faulted_stats.retries} retries, "
+          f"{faulted_stats.timeouts} timeouts, "
+          f"{faulted_stats.failures} failures")
+    _check(faulted_stats.timeouts == 1,
            "worker crash surfaced as exactly one ticket timeout")
-    _check(faulted_stats.shard_failures == 1,
+    _check(faulted_stats.failures == 1,
            "corrupted buffer surfaced as exactly one ticket failure")
-    _check(faulted_stats.shard_retries == 2,
+    _check(faulted_stats.retries == 2,
            "both faults recovered with exactly one retry each")
     _check(_campaigns_equal(clean, faulted),
            "faulted campaign observations identical to clean run")
@@ -166,7 +172,7 @@ def main() -> int:
                    f"to clean run")
             _check(resumed_world.clock.now == clean_world.clock.now,
                    f"{executor}: resumed campaign clock identical to clean run")
-            _check(resumed_stats.shard_retries == 0,
+            _check(resumed_stats.retries == 0,
                    f"{executor}: resume needed no ticket retries")
 
     if _failures:

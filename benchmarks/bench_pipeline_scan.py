@@ -51,8 +51,9 @@ from pathlib import Path
 
 import repro
 from repro.analysis.report import longitudinal_report
+from repro.exchange.cache import CacheStats
+from repro.obs import Telemetry
 from repro.pipeline import ShmPoolScanEngine
-from repro.pipeline.engine import ScanPhaseStats
 from repro.web.spec import WorldConfig
 
 SCALE = 8_000
@@ -215,46 +216,49 @@ def _shared_world() -> "repro.World":
     return _WORLD
 
 
-def _campaign_with_split(world, rounds: int = 3, **kwargs):
-    """Best-of-N campaign.
+def _cache_since(world, base: tuple[int, int, int]) -> CacheStats:
+    """The serial engine's exchange-cache counts added since ``base``."""
+    now = world.scan_engine().exchange_cache.stats.snapshot()
+    return CacheStats(*(a - b for a, b in zip(now, base, strict=True)))
 
-    Returns (campaign, best seconds, best round's phase split, cache
-    stats aggregated over *all* rounds).  The aggregate is the number
-    the hit-rate gate watches: round one runs against whatever cache
-    state the shared engine has, later rounds replay warm — a broken
-    cache drags the aggregate towards zero regardless of round order.
+
+def _campaign_with_split(world, rounds: int = 3):
+    """Best-of-N serial campaign.
+
+    Returns (campaign, best seconds, phase split, cache stats
+    aggregated over *all* rounds).  The aggregate is the number the
+    hit-rate gate watches: round one runs against whatever cache state
+    the shared engine has, later rounds replay warm — a broken cache
+    drags the aggregate towards zero regardless of round order.  The
+    timed rounds run uninstrumented; the split is the registry of one
+    more, instrumented round (:func:`_phase_split`).
     """
-    best = None
-    totals = ScanPhaseStats()
-    for _ in range(rounds):
-        stats = ScanPhaseStats()
-        result, elapsed = _timed(
-            lambda: repro.run_campaign(world, phase_stats=stats, **kwargs)
-        )
-        totals.merge_cache_counters(stats)
-        if best is None or elapsed < best[1]:
-            best = (result, elapsed, stats)
-    return best + (totals,)
+    base = world.scan_engine().exchange_cache.stats.snapshot()
+    result, best = _best_of(lambda: repro.run_campaign(world), rounds)
+    totals = _cache_since(world, base)
+    return result, best, _phase_split(world), totals
 
 
-def _record_campaign_split(stats: ScanPhaseStats, campaign, cache_totals=None) -> None:
+def _phase_split(world):
+    """The registry of one instrumented warm campaign: its
+    ``campaign.phase.*`` gauges are the site-phase / attribution split."""
+    telemetry = Telemetry()
+    repro.run_campaign(world, telemetry=telemetry)
+    return telemetry.registry
+
+
+def _record_campaign_split(split, campaign, cache_totals: CacheStats) -> None:
     """Record the phase split, cache counters, and an analysis pass."""
     _, analysis_elapsed = _timed(lambda: longitudinal_report(campaign))
-    stats.analysis_seconds += analysis_elapsed
     _record(
-        campaign_site_phase_seconds=stats.site_phase_seconds,
-        campaign_attribution_seconds=stats.attribution_seconds,
-        campaign_analysis_seconds=stats.analysis_seconds,
+        campaign_site_phase_seconds=split.value("campaign.phase.site_seconds"),
+        campaign_attribution_seconds=split.value("campaign.phase.attribution_seconds"),
+        campaign_analysis_seconds=analysis_elapsed,
+        campaign_exchange_cache_hits=cache_totals.hits,
+        campaign_exchange_cache_misses=cache_totals.misses,
+        campaign_exchange_cache_uncacheable=cache_totals.uncacheable,
+        campaign_exchange_cache_hit_rate=round(cache_totals.hit_rate, 4),
     )
-    if cache_totals is not None:
-        _record(
-            campaign_exchange_cache_hits=cache_totals.exchange_cache_hits,
-            campaign_exchange_cache_misses=cache_totals.exchange_cache_misses,
-            campaign_exchange_cache_uncacheable=cache_totals.exchange_cache_uncacheable,
-            campaign_exchange_cache_hit_rate=round(
-                cache_totals.exchange_cache_hit_rate, 4
-            ),
-        )
 
 
 def _obs_overhead(
@@ -279,7 +283,6 @@ def _obs_overhead(
     number, not just in the obs tests.  ``trace_out``/``metrics_out``
     export the last instrumented round's artifacts (what CI uploads).
     """
-    from repro.obs import Telemetry
     from repro.obs.export import write_metrics, write_trace
 
     overhead_pct = None
@@ -359,27 +362,25 @@ def bench_full_weekly_scan(benchmark):
 def bench_campaign(benchmark):
     """The default serial campaign (headline metric)."""
     world = _shared_world()
-    rounds: list[tuple] = []
+    durations: list[float] = []
+    base = world.scan_engine().exchange_cache.stats.snapshot()
 
     def campaign():
-        stats = ScanPhaseStats()
-        result, elapsed = _timed(lambda: repro.run_campaign(world, phase_stats=stats))
-        rounds.append((result, elapsed, stats))
+        result, elapsed = _timed(lambda: repro.run_campaign(world))
+        durations.append(elapsed)
         return result
 
     result = benchmark.pedantic(campaign, rounds=3, iterations=1)
     assert result.runs
+    cache_totals = _cache_since(world, base)
     total_obs = sum(len(run.observations) for run in result.runs)
-    best_result, best, best_stats = min(rounds, key=lambda entry: entry[1])
+    best = min(durations)
     _record(
         campaign_seconds=best,
         campaign_weeks=len(result.runs),
         campaign_domains_per_second=round(total_obs / best),
     )
-    cache_totals = ScanPhaseStats()
-    for _, _, stats in rounds:
-        cache_totals.merge_cache_counters(stats)
-    _record_campaign_split(best_stats, best_result, cache_totals)
+    _record_campaign_split(_phase_split(world), result, cache_totals)
     print(f"\ncampaign: {len(result.runs)} weeks, {total_obs} observations")
 
 
@@ -394,29 +395,25 @@ def bench_campaign_shm_pool(benchmark):
     """
     world = _shared_world()
     durations: list[float] = []
-    supervision = ScanPhaseStats()
 
     with ShmPoolScanEngine(world, workers=2) as engine:
 
         def campaign():
-            result, elapsed = _timed(
-                lambda: repro.run_campaign(
-                    world, engine=engine, phase_stats=supervision
-                )
-            )
+            result, elapsed = _timed(lambda: repro.run_campaign(world, engine=engine))
             durations.append(elapsed)
             return result
 
         result = benchmark.pedantic(campaign, rounds=3, iterations=1)
+    supervision = engine.supervision
     assert result.runs
-    assert supervision.shard_retries == 0
+    assert supervision.retries == 0
     total_obs = sum(len(run.observations) for run in result.runs)
     best = min(durations)
     _record(
         campaign_shm_pool_seconds=best,
         campaign_shm_pool_workers=2,
         campaign_shm_pool_domains_per_second=round(total_obs / best),
-        campaign_shm_pool_retries=supervision.shard_retries,
+        campaign_shm_pool_retries=supervision.retries,
     )
 
 
@@ -443,38 +440,36 @@ def run_full() -> None:
     )
     print(f"scan: {best:.4f}s ({round(len(run.observations) / best)} domains/s)")
 
-    result, campaign_best, stats, cache_totals = _campaign_with_split(world)
+    result, campaign_best, split, cache_totals = _campaign_with_split(world)
     total_obs = sum(len(r.observations) for r in result.runs)
     _record(
         campaign_seconds=campaign_best,
         campaign_weeks=len(result.runs),
         campaign_domains_per_second=round(total_obs / campaign_best),
     )
-    _record_campaign_split(stats, result, cache_totals)
+    _record_campaign_split(split, result, cache_totals)
     print(f"campaign: {campaign_best:.3f}s ({len(result.runs)} weeks, "
           f"{round(total_obs / campaign_best)} domains/s; site phase "
-          f"{stats.site_phase_seconds:.3f}s, attribution "
-          f"{stats.attribution_seconds:.3f}s, cache hit rate "
-          f"{cache_totals.exchange_cache_hit_rate:.3f})")
+          f"{split.value('campaign.phase.site_seconds'):.3f}s, attribution "
+          f"{split.value('campaign.phase.attribution_seconds'):.3f}s, cache hit "
+          f"rate {cache_totals.hit_rate:.3f})")
 
-    pool_supervision = ScanPhaseStats()
     with ShmPoolScanEngine(world, workers=2) as pool_engine:
         shm_pool, shm_pool_best = _best_of(
-            lambda: repro.run_campaign(
-                world, engine=pool_engine, phase_stats=pool_supervision
-            )
+            lambda: repro.run_campaign(world, engine=pool_engine)
         )
-    assert pool_supervision.shard_retries == 0
+    pool_supervision = pool_engine.supervision
+    assert pool_supervision.retries == 0
     shm_pool_obs = sum(len(r.observations) for r in shm_pool.runs)
     _record(
         campaign_shm_pool_seconds=shm_pool_best,
         campaign_shm_pool_workers=2,
         campaign_shm_pool_domains_per_second=round(shm_pool_obs / shm_pool_best),
-        campaign_shm_pool_retries=pool_supervision.shard_retries,
+        campaign_shm_pool_retries=pool_supervision.retries,
     )
     print(f"campaign (shm pool, 2 workers): {shm_pool_best:.3f}s "
           f"({round(shm_pool_obs / shm_pool_best)} domains/s, "
-          f"{pool_supervision.shard_retries} retries)")
+          f"{pool_supervision.retries} retries)")
     print(f"wrote {RESULTS_PATH}")
 
 
@@ -498,15 +493,15 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
             world, world.config.reference_week, plugins=("ecn", "trace")
         )
     )
-    campaign, campaign_best, _, cache_totals = _campaign_with_split(world)
+    cache_base = world.scan_engine().exchange_cache.stats.snapshot()
+    campaign, campaign_best = _best_of(lambda: repro.run_campaign(world))
+    cache_totals = _cache_since(world, cache_base)
     campaign_obs = sum(len(r.observations) for r in campaign.runs)
-    pool_supervision = ScanPhaseStats()
     with ShmPoolScanEngine(world, workers=2) as pool_engine:
         shm_pool, shm_pool_best = _best_of(
-            lambda: repro.run_campaign(
-                world, engine=pool_engine, phase_stats=pool_supervision
-            )
+            lambda: repro.run_campaign(world, engine=pool_engine)
         )
+    pool_supervision = pool_engine.supervision
     shm_pool_obs = sum(len(r.observations) for r in shm_pool.runs)
     # Plugin-framework legs: the same shm-pool campaign through the
     # explicit single-plugin selection (must cost ~nothing relative to
@@ -515,7 +510,6 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     # the two legs run identical work and any gap is dispatch cost or
     # noise) and once with a second plugin (grease) whose variants
     # double as an end-to-end row-through-codec exercise.
-    plugin_supervision = ScanPhaseStats()
     plugin_overhead_pct = None
     plugin_ecn, plugin_ecn_best = None, None
     with ShmPoolScanEngine(world, workers=2) as plugin_engine:
@@ -523,16 +517,12 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
             default_times, ecn_times = [], []
             for _ in range(3):
                 _, elapsed = _timed(
-                    lambda: repro.run_campaign(
-                        world, engine=plugin_engine,
-                        phase_stats=plugin_supervision,
-                    )
+                    lambda: repro.run_campaign(world, engine=plugin_engine)
                 )
                 default_times.append(elapsed)
                 plugin_ecn, elapsed = _timed(
                     lambda: repro.run_campaign(
-                        world, engine=plugin_engine, plugins=("ecn",),
-                        phase_stats=plugin_supervision,
+                        world, engine=plugin_engine, plugins=("ecn",)
                     )
                 )
                 ecn_times.append(elapsed)
@@ -553,10 +543,10 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
                 break
         plugin_multi, plugin_multi_best = _best_of(
             lambda: repro.run_campaign(
-                world, engine=plugin_engine, plugins=("ecn", "grease"),
-                phase_stats=plugin_supervision,
+                world, engine=plugin_engine, plugins=("ecn", "grease")
             )
         )
+    plugin_supervision = plugin_engine.supervision
     plugin_ecn_obs = sum(len(r.observations) for r in plugin_ecn.runs)
     plugin_multi_obs = sum(len(r.observations) for r in plugin_multi.runs)
     plugin_grease_rows = sum(
@@ -568,10 +558,10 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     print(f"smoke campaign (scale {SMOKE_SCALE}): {campaign_best:.3f}s "
           f"({len(campaign.runs)} weeks, "
           f"{round(campaign_obs / campaign_best)} domains/s, cache hit rate "
-          f"{cache_totals.exchange_cache_hit_rate:.3f})")
+          f"{cache_totals.hit_rate:.3f})")
     print(f"smoke shm-pool campaign (scale {SMOKE_SCALE}): {shm_pool_best:.3f}s "
           f"({round(shm_pool_obs / shm_pool_best)} domains/s, "
-          f"{pool_supervision.shard_retries} retries)")
+          f"{pool_supervision.retries} retries)")
     print(f"smoke plugin campaigns (scale {SMOKE_SCALE}, shm pool): ecn "
           f"{plugin_ecn_best:.3f}s ({plugin_overhead_pct:.2f}% over default), "
           f"ecn+grease {plugin_multi_best:.3f}s "
@@ -594,15 +584,13 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
         "smoke_campaign_seconds": campaign_best,
         "smoke_campaign_weeks": len(campaign.runs),
         "smoke_campaign_domains_per_second": round(campaign_obs / campaign_best),
-        "smoke_campaign_exchange_cache_hits": cache_totals.exchange_cache_hits,
-        "smoke_campaign_exchange_cache_misses": cache_totals.exchange_cache_misses,
-        "smoke_campaign_exchange_cache_hit_rate": round(
-            cache_totals.exchange_cache_hit_rate, 4
-        ),
+        "smoke_campaign_exchange_cache_hits": cache_totals.hits,
+        "smoke_campaign_exchange_cache_misses": cache_totals.misses,
+        "smoke_campaign_exchange_cache_hit_rate": round(cache_totals.hit_rate, 4),
         "smoke_shm_pool_seconds": shm_pool_best,
         "smoke_shm_pool_workers": 2,
         "smoke_shm_pool_domains_per_second": round(shm_pool_obs / shm_pool_best),
-        "smoke_shm_pool_retries": pool_supervision.shard_retries,
+        "smoke_shm_pool_retries": pool_supervision.retries,
         "plugin_ecn_shm_pool_seconds": plugin_ecn_best,
         "plugin_ecn_shm_pool_domains_per_second": round(
             plugin_ecn_obs / plugin_ecn_best
@@ -613,7 +601,7 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
             plugin_multi_obs / plugin_multi_best
         ),
         "plugin_multi_grease_rows": plugin_grease_rows,
-        "plugin_shm_pool_retries": plugin_supervision.shard_retries,
+        "plugin_shm_pool_retries": plugin_supervision.retries,
     }
 
 

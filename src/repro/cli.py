@@ -41,7 +41,7 @@ from time import perf_counter
 import repro
 from repro.analysis.report import global_report, longitudinal_report, reference_report
 from repro.l4s.experiment import run_l4s_experiment
-from repro.pipeline.engine import ScanPhaseStats
+from repro.obs import Telemetry
 from repro.util.weeks import Week
 from repro.web.spec import WorldConfig
 
@@ -214,33 +214,31 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _obs_setup(args):
-    """A :class:`repro.obs.Telemetry` when any obs output is requested."""
-    if args.metrics_out is None and args.trace_out is None:
-        return None
-    from repro.obs import Telemetry
+def _print_report(telemetry: Telemetry, render, *args) -> None:
+    """Print ``render(*args)``, timed as ``campaign.phase.analysis_seconds``."""
+    start = perf_counter()
+    report = render(*args)
+    telemetry.registry.gauge("campaign.phase.analysis_seconds").set(perf_counter() - start)
+    print(report)
 
-    return Telemetry()
 
-
-def _obs_finish(args, telemetry) -> int:
-    """Write ``--metrics-out`` / ``--trace-out`` from the finished run.
+def _obs_finish(args, telemetry: Telemetry) -> int:
+    """Write the ``--metrics-out`` / ``--trace-out`` files that were asked for.
 
     Returns the exit code: 1, after one stderr line naming the flag and
     the path, when a file cannot be written.
     """
-    if telemetry is None:
-        return 0
     from repro.obs.export import write_metrics, write_trace
     from repro.obs.metrics import global_registry
 
-    # World-cache and snapshot metrics accumulate on the process-global
-    # registry (repro.web.snapshot instruments acquire_world there);
-    # fold them in so one file carries the whole run.
-    telemetry.registry.merge(global_registry())
     flag, path = "--metrics-out", args.metrics_out
     try:
         if path is not None:
+            # World-cache and snapshot metrics accumulate on the
+            # process-global registry (repro.web.snapshot instruments
+            # acquire_world there); fold them in so one file carries
+            # the whole run.
+            telemetry.registry.merge(global_registry())
             write_metrics(path, telemetry.registry, telemetry.tracer)
             _note(args, f"metrics: {path}")
         flag, path = "--trace-out", args.trace_out
@@ -299,15 +297,8 @@ def _cmd_scan(args) -> int:
         return 2
     world = _build_world(args)
     week = args.week if args.week else world.config.reference_week
-    telemetry = _obs_setup(args)
-    stats = ScanPhaseStats() if telemetry is not None else None
-    run = repro.run_weekly_scan(
-        world,
-        week,
-        plugins=plugins,
-        telemetry=telemetry,
-        phase_stats=stats,
-    )
+    telemetry = Telemetry()
+    run = repro.run_weekly_scan(world, week, plugins=plugins, telemetry=telemetry)
     ipv6 = None
     if args.ipv6:
         # An explicit --week applies to both families; only the default
@@ -321,11 +312,8 @@ def _cmd_scan(args) -> int:
             populations=("cno",),
             plugins=tuple(n for n in plugins if n != "trace"),
             telemetry=telemetry,
-            phase_stats=stats,
         )
-    if telemetry is not None:
-        stats.publish(telemetry.registry)
-    print(reference_report(run, ipv6))
+    _print_report(telemetry, reference_report, run, ipv6)
     return _obs_finish(args, telemetry)
 
 
@@ -350,8 +338,7 @@ def _cmd_campaign(args) -> int:
               file=sys.stderr)
         return 2
     world = _build_world(args)
-    stats = ScanPhaseStats()
-    telemetry = _obs_setup(args)
+    telemetry = Telemetry()
     progress = None
     if args.progress and not args.quiet:
         from repro.obs import CampaignProgress
@@ -364,7 +351,6 @@ def _cmd_campaign(args) -> int:
         plugins=plugins,
         workers=args.workers,
         exchange_cache=not args.no_exchange_cache,
-        phase_stats=stats,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         shard_timeout=args.shard_timeout,
@@ -372,30 +358,30 @@ def _cmd_campaign(args) -> int:
         telemetry=telemetry,
         progress=progress,
     )
-    analysis_start = perf_counter()
-    report = longitudinal_report(campaign)
-    if telemetry is not None:
-        # run_campaign published the scan phases; the report is timed here.
-        telemetry.registry.gauge("campaign.phase.analysis_seconds").set(
-            perf_counter() - analysis_start
-        )
-    print(report)
-    attempts = stats.exchange_cache_hits + stats.exchange_cache_misses
-    if attempts or stats.exchange_cache_uncacheable:
+    _print_report(telemetry, longitudinal_report, campaign)
+    # The notes read the registry, so they and --metrics-out agree.
+    registry = telemetry.registry
+    hits, misses, uncacheable = (
+        int(registry.value(f"campaign.exchange_cache.{name}"))
+        for name in ("hits", "misses", "uncacheable")
+    )
+    if hits or misses or uncacheable:
+        hit_rate = registry.value("campaign.exchange_cache.hit_rate")
         _note(
             args,
-            f"exchange cache: {stats.exchange_cache_hits} hits / "
-            f"{stats.exchange_cache_misses} misses / "
-            f"{stats.exchange_cache_uncacheable} uncacheable "
-            f"({100 * stats.exchange_cache_hit_rate:.1f}% hit rate)",
+            f"exchange cache: {hits} hits / {misses} misses / {uncacheable} "
+            f"uncacheable ({100 * hit_rate:.1f}% hit rate)",
         )
-    if stats.shard_retries or stats.shard_timeouts or stats.shard_failures:
+    retries, timeouts, failures = (
+        int(registry.value(f"campaign.supervision.{name}"))
+        for name in ("retries", "timeouts", "failures")
+    )
+    if retries or timeouts or failures:
         _note(
             args,
-            f"shard supervision: {stats.shard_retries} retries / "
-            f"{stats.shard_timeouts} timeouts / "
-            f"{stats.shard_failures} failures (run recovered; results "
-            f"are identical to a clean run)",
+            f"shard supervision: {retries} retries / {timeouts} timeouts / "
+            f"{failures} failures (run recovered; results are identical to "
+            f"a clean run)",
         )
     return _obs_finish(args, telemetry)
 

@@ -17,8 +17,9 @@ multi-process scan runtime (docs/observability.md):
 
 :class:`Telemetry` bundles one registry + one tracer; passing it to
 ``run_campaign``/``run_weekly_scan`` (or setting ``engine.telemetry``)
-turns instrumentation on.  ``telemetry=None`` everywhere is the
-default and keeps the hot paths untouched.
+turns instrumentation on, and the registry is the only place run
+counters are kept.  Library calls without one record nothing; the
+``scan`` and ``campaign`` commands always pass one.
 """
 
 from __future__ import annotations

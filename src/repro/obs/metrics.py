@@ -1,12 +1,14 @@
 """Typed metrics registry with near-zero hot-path overhead.
 
-The runtime grew counters organically: :class:`ScanPhaseStats` on the
-engine, :class:`SupervisionStats` on the shm pool, exchange
-replay-cache counters shipped in shard trailers, world-cache hits
-measured (but never reported) by :mod:`repro.web.snapshot`, shm-pool
-memo/replay counters.  Each had its own dataclass, its own merge
-method, and its own ad-hoc print site.  This module puts one namespaced
-model behind all of them.
+Every number the runtime reports about a run lands here, under one
+dotted name with one publisher (docs/observability.md): each week's
+phase seconds and exchange-cache delta come from
+:meth:`~repro.pipeline.engine.ScanEngine.run_week`, the campaign's
+totals and the pool's
+:class:`~repro.pipeline.sharding.SupervisionStats` delta from
+``run_campaign``, the report's analysis seconds from the CLI, worker
+cache counters from the shard trailers, and world-cache outcomes from
+:mod:`repro.web.snapshot` (on the process-global registry).
 
 Design constraints, in order:
 
@@ -20,8 +22,8 @@ Design constraints, in order:
   sits below the pipeline) can publish metrics without import cycles.
 * **Derived ratios are total functions.**  ``safe_ratio`` defines
   every hit-rate-style metric as ``0.0`` when the denominator is zero;
-  registry ``ratio()`` instruments inherit the convention, and the
-  legacy dataclass properties delegate to it (tests pin this).
+  registry ``ratio()`` instruments and ``CacheStats.hit_rate`` inherit
+  the convention (tests pin this).
 
 Names are dot-separated paths (``campaign.supervision.retries``,
 ``world.cache.disk_hits``).  ``to_tree()`` emits the flat

@@ -2,7 +2,7 @@
 
 from repro.pipeline.campaign import Campaign, campaign_weeks, run_campaign
 from repro.pipeline.checkpoint import CampaignCheckpointer, campaign_checkpoint_key
-from repro.pipeline.engine import ScanEngine, ScanPhaseStats, ShardResultMissing
+from repro.pipeline.engine import ScanEngine, ShardResultMissing
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan, run_weekly_scan_reference
 from repro.pipeline.sharding import (
     ShmPoolScanEngine,
@@ -20,7 +20,6 @@ __all__ = [
     "campaign_weeks",
     "run_campaign",
     "ScanEngine",
-    "ScanPhaseStats",
     "ShardResultMissing",
     "ShmPoolScanEngine",
     "SupervisionStats",

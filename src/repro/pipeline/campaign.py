@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.pipeline.engine import ShardResultMissing
@@ -13,7 +13,6 @@ from repro.web.world import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import FaultPlan
-    from repro.pipeline.engine import ScanPhaseStats
 
 
 @dataclass
@@ -72,7 +71,6 @@ def run_campaign(
     populations: tuple[str, ...] = ("cno",),
     plugins: tuple[str, ...] | None = None,
     workers: int | None = None,
-    phase_stats: "ScanPhaseStats | None" = None,
     exchange_cache: bool = True,
     checkpoint_dir: "str | os.PathLike | None" = None,
     resume: bool = False,
@@ -90,9 +88,6 @@ def run_campaign(
     share one :class:`~repro.pipeline.engine.ScanPlan`, so the
     per-domain attribution tables are built once for the whole series,
     and every run records into the columnar :mod:`repro.store`.
-    ``phase_stats`` (a :class:`~repro.pipeline.engine.ScanPhaseStats`)
-    accumulates the site-phase / attribution wall-time split across the
-    series, plus the exchange replay-cache hit/miss counters.
 
     ``plugins`` selects the measurement plugins every week runs
     (default: just the core ``ecn`` scan; see :mod:`repro.plugins`).
@@ -141,17 +136,19 @@ def run_campaign(
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments the run:
     campaign → week → phase spans on the registry's tracer, worker
-    ticket spans re-parented under their dispatching week, and the
-    campaign's counters published into the registry at the end
-    (docs/observability.md).  Instrumentation never changes results —
-    golden tests pin instrumented campaigns byte-identical to
-    uninstrumented ones.  ``progress`` (a
+    ticket spans re-parented under their dispatching week.  Each week
+    publishes its phase seconds and exchange-cache counters
+    (:meth:`~repro.pipeline.engine.ScanEngine.run_week`); the campaign
+    adds ``campaign.weeks``, ``campaign.domains`` and, on a pool, its
+    supervision delta (docs/observability.md).  Instrumentation never
+    changes results — golden tests pin instrumented campaigns
+    byte-identical to uninstrumented ones.  ``progress`` (a
     :class:`repro.obs.CampaignProgress`) emits the per-week stderr
     heartbeat.  Both default off; the engine's ``telemetry`` attribute
     is restored afterwards, so a shared ``world.scan_engine()`` never
     leaks instrumentation into later runs.
     """
-    from repro.pipeline.sharding import ShmPoolScanEngine
+    from repro.pipeline.sharding import ShmPoolScanEngine, SupervisionStats
     from repro.plugins.registry import resolve_plugins
 
     plugin_names = resolve_plugins(
@@ -223,11 +220,10 @@ def run_campaign(
             registry=telemetry.registry if telemetry is not None else None,
         )
     # Materialise the lazy world sections the series will touch before
-    # any timed phase runs: the site-phase/attribution split in
-    # ``phase_stats`` then measures scanning, not one-off section
-    # construction (route building for this vantage, the per-site
-    # ASN/org walk).  Pool workers fork after this, so they inherit
-    # both sections built.
+    # any timed phase runs: the site-phase/attribution spans then
+    # measure scanning, not one-off section construction (route
+    # building for this vantage, the per-site ASN/org walk).  Pool
+    # workers fork after this, so they inherit both sections built.
     world.ensure_site_attribution()
     world.ensure_routes(vantage_id)
     # Resolve which weeks replay from checkpoints *before* execution
@@ -246,22 +242,12 @@ def run_campaign(
                 plugins=plugin_names,
             )
     campaign = Campaign()
-    # Instrumentation setup.  phase_stats doubles as the registry
-    # source: when the caller did not pass one, an internal split
-    # accumulates the same counters for publication.  Baselines are
-    # snapshotted so a caller-supplied stats object (or a warm engine)
-    # publishes only THIS campaign's deltas.
-    stats = phase_stats
+    # A warm pool engine's supervision counters are lifetime totals:
+    # snapshot them so the registry gets only THIS campaign's delta.
     tracer = None
-    stats_base = None
     supervision_base = None
     prior_telemetry = engine.telemetry
     if telemetry is not None:
-        if stats is None:
-            from repro.pipeline.engine import ScanPhaseStats
-
-            stats = ScanPhaseStats()
-        stats_base = replace(stats)
         if isinstance(engine, ShmPoolScanEngine):
             supervision_base = engine.supervision.snapshot()
         engine.telemetry = telemetry
@@ -282,11 +268,7 @@ def run_campaign(
             entry_sink = (
                 [] if checkpointer is not None and replay_entries is None else None
             )
-            week_kwargs = dict(
-                populations=populations,
-                plugins=plugin_names,
-                phase_stats=stats,
-            )
+            week_kwargs = dict(populations=populations, plugins=plugin_names)
             week_span = (
                 tracer.begin(
                     "week", "campaign",
@@ -339,18 +321,9 @@ def run_campaign(
                 fault_plan.after_week(week)
         if telemetry is not None:
             registry = telemetry.registry
-            delta = type(stats)(
-                **{
-                    f.name: getattr(stats, f.name) - getattr(stats_base, f.name)
-                    for f in fields(stats)
-                }
-            )
-            delta.publish(registry)
             registry.add_counter("campaign.weeks", weeks_done)
             registry.add_counter("campaign.domains", domains_scanned)
             if supervision_base is not None:
-                from repro.pipeline.sharding import SupervisionStats
-
                 now = engine.supervision.snapshot()
                 SupervisionStats(
                     *(a - b for a, b in zip(now, supervision_base, strict=True))

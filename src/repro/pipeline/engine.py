@@ -57,7 +57,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Final, Iterable, Sequence
 
 from repro.exchange import (
@@ -73,7 +72,6 @@ from repro.exchange.core import (
     tcp_exchange_inputs,
 )
 from repro.netsim.clock import Clock
-from repro.obs.metrics import safe_ratio
 from repro.pipeline.runs import ensure_site_record, site_stream
 from repro.plugins.base import PLUGIN_KIND_BASE
 from repro.plugins.registry import (
@@ -202,91 +200,6 @@ def _quic_triggers(segments: Iterable[SiteSegment]) -> list[tuple]:
     return triggers
 
 
-@dataclass
-class ScanPhaseStats:
-    """Accumulated wall-time split of weekly runs (pass to ``run_week``).
-
-    ``site_phase_seconds`` covers the per-site exchanges,
-    ``attribution_seconds`` attaching the store over the site records
-    plus plugin row merging.  ``analysis_seconds`` is filled by callers
-    that time an analysis pass over the finished runs — the engine never
-    runs analysis.
-
-    The ``exchange_cache_*`` counters account the replay cache
-    (:mod:`repro.exchange`) over the covered site phases: ``hits``
-    replayed a cached outcome, ``misses`` ran fresh and populated the
-    cache, ``uncacheable`` ran fresh because the path may draw
-    randomness.  Pool runs merge worker-side counters in before the
-    site phase ends, so every exchange is counted once.  Worker caches
-    are private, so a replay key shared by sites of two tickets misses
-    once per ticket: a pool's split can show a few more misses than the
-    serial engine's.
-
-    The ``shard_*`` counters account supervised pool execution
-    (:class:`~repro.pipeline.sharding.ShmPoolScanEngine`):
-    ``shard_timeouts`` ticket attempts that exceeded the deadline (hung
-    or dead worker), ``shard_failures`` attempts that raised (worker
-    crash, corrupt result buffer), ``shard_retries`` recovery
-    executions — pool re-dispatches plus the final inline fallback.  A
-    healthy run reports zeros; the bench gate pins that.
-    """
-
-    site_phase_seconds: float = 0.0
-    attribution_seconds: float = 0.0
-    analysis_seconds: float = 0.0
-    exchange_cache_hits: int = 0
-    exchange_cache_misses: int = 0
-    exchange_cache_uncacheable: int = 0
-    shard_retries: int = 0
-    shard_timeouts: int = 0
-    shard_failures: int = 0
-
-    @property
-    def exchange_cache_hit_rate(self) -> float:
-        # Registry convention: derived ratios are 0.0 on an empty
-        # denominator (repro.obs.metrics.safe_ratio).
-        return safe_ratio(
-            self.exchange_cache_hits,
-            self.exchange_cache_hits + self.exchange_cache_misses,
-        )
-
-    def publish(self, registry) -> None:
-        """Publish this split into a :class:`MetricsRegistry`.
-
-        The registry namespace (docs/observability.md) supersedes the
-        ad-hoc stdout prints: phase seconds land as gauges under
-        ``campaign.phase.*``, cache and supervision counters under
-        ``campaign.exchange_cache.*`` / ``campaign.supervision.*``,
-        with the hit rate as a derived ratio over the counters.
-        """
-        registry.gauge("campaign.phase.site_seconds").set(self.site_phase_seconds)
-        registry.gauge("campaign.phase.attribution_seconds").set(self.attribution_seconds)
-        registry.gauge("campaign.phase.analysis_seconds").set(self.analysis_seconds)
-        registry.add_counter("campaign.exchange_cache.hits", self.exchange_cache_hits)
-        registry.add_counter("campaign.exchange_cache.misses", self.exchange_cache_misses)
-        registry.add_counter(
-            "campaign.exchange_cache.uncacheable", self.exchange_cache_uncacheable
-        )
-        registry.add_counter(
-            "campaign.exchange_cache.attempts",
-            self.exchange_cache_hits + self.exchange_cache_misses,
-        )
-        registry.ratio(
-            "campaign.exchange_cache.hit_rate",
-            "campaign.exchange_cache.hits",
-            "campaign.exchange_cache.attempts",
-        )
-        # Supervision counters publish from the engine's richer
-        # SupervisionStats (which also has fallbacks), not from the
-        # shard_* mirror here — one source per registry name.
-
-    def merge_cache_counters(self, other: "ScanPhaseStats") -> None:
-        """Fold another split's exchange-cache counters into this one."""
-        self.exchange_cache_hits += other.exchange_cache_hits
-        self.exchange_cache_misses += other.exchange_cache_misses
-        self.exchange_cache_uncacheable += other.exchange_cache_uncacheable
-
-
 class ScanEngine:
     """Runs weekly scans site-first against one :class:`World`.
 
@@ -314,7 +227,8 @@ class ScanEngine:
         )
         #: Optional :class:`repro.obs.Telemetry`.  ``None`` (the
         #: default) keeps every hot path branch-free except one
-        #: attribute test per week; campaigns set and restore it.
+        #: attribute test per week; campaigns set and restore it.  When
+        #: set, :meth:`run_week` traces and publishes each week.
         self.telemetry = None
 
     # ------------------------------------------------------------------
@@ -707,7 +621,6 @@ class ScanEngine:
         quic_config: QuicScanConfig | None = None,
         tcp_config: TcpScanConfig | None = None,
         plugins: Sequence[str] | None = None,
-        phase_stats: ScanPhaseStats | None = None,
         entry_sink: list | None = None,
         replay_entries: Sequence[tuple[int, int, object, float]] | None = None,
     ) -> "StoreWeeklyRun":
@@ -734,6 +647,11 @@ class ScanEngine:
         lazy views field-identical to the reference loop's objects
         (golden-tested by the ``objects`` leg of
         ``tests/differential.py``).
+
+        With :attr:`telemetry` set, the week publishes its own numbers
+        (:meth:`_publish_week`): the ``site`` span's duration, the
+        ``attribution`` and ``plugin`` spans' durations, and the
+        exchange-cache delta of the site phase.
         """
         selection = resolve_plugins(tuple(plugins) if plugins is not None else None)
         world = self.world
@@ -748,27 +666,14 @@ class ScanEngine:
         events = self._schedule(plan, week, vantage_id, include_tcp, selection)
         plugin_rows: dict[tuple[int, int], tuple] = {}
         cache = self.exchange_cache
-        cache_base = (
-            cache.stats.snapshot()
-            if phase_stats is not None and cache is not None
-            else None
-        )
-        phase_start = perf_counter() if phase_stats is not None else 0.0
         telemetry = self.telemetry
         tracer = telemetry.tracer if telemetry is not None else None
         if tracer is not None:
+            cache_base = cache.stats.snapshot() if cache is not None else None
             span_attrs = dict(week=str(week), events=len(events))
             if selection.names != DEFAULT_PLUGINS:
                 span_attrs["plugins"] = ",".join(selection.names)
             site_span = tracer.begin("site", "phase", **span_attrs)
-        else:
-            site_span = None
-        supervision = getattr(self, "supervision", None)
-        sup_base = (
-            supervision.snapshot()
-            if supervision is not None and phase_stats is not None
-            else None
-        )
         if replay_entries is not None:
             replay = {
                 (site_index, kind): (result, elapsed)
@@ -787,34 +692,22 @@ class ScanEngine:
         )
         if tracer is not None:
             tracer.end(site_span)
-        if sup_base is not None:
-            sup_now = supervision.snapshot()
-            phase_stats.shard_retries += sup_now[0] - sup_base[0]
-            phase_stats.shard_timeouts += sup_now[1] - sup_base[1]
-            phase_stats.shard_failures += sup_now[2] - sup_base[2]
-        if phase_stats is not None:
-            now = perf_counter()
-            phase_stats.site_phase_seconds += now - phase_start
-            phase_start = now
-            if cache_base is not None:
-                hits, misses, uncacheable = cache.stats.snapshot()
-                phase_stats.exchange_cache_hits += hits - cache_base[0]
-                phase_stats.exchange_cache_misses += misses - cache_base[1]
-                phase_stats.exchange_cache_uncacheable += uncacheable - cache_base[2]
 
         # Phase 2: attribute per-site results to domains.
         share = world.adoption_share(week)
-        attr_span = (
-            tracer.begin("attribution", "phase", week=str(week))
-            if tracer is not None
-            else None
-        )
+        if tracer is not None:
+            attr_span = tracer.begin("attribution", "phase", week=str(week))
         self._attribute_store(run, plan, share)
         if tracer is not None:
             tracer.end(attr_span)
-        self._attribute_plugins(run, selection, plugin_rows, telemetry)
-        if phase_stats is not None:
-            phase_stats.attribution_seconds += perf_counter() - phase_start
+        plugin_seconds = self._attribute_plugins(run, selection, plugin_rows, telemetry)
+        if telemetry is not None:
+            self._publish_week(
+                telemetry.registry,
+                site_span.duration,
+                attr_span.duration + plugin_seconds,
+                cache_base,
+            )
 
         for plugin in selection.finalizers:
             plugin.finalize_run(world, run, week, vantage_id, ip_version)
@@ -840,14 +733,16 @@ class ScanEngine:
         selection: PluginSelection,
         plugin_rows: dict[tuple[int, int], tuple],
         telemetry=None,
-    ) -> None:
+    ) -> float:
         """Merge per-variant rows into per-plugin tables on the run.
 
         Multi-variant plugins merge field-wise: the last variant in
         declaration order with a non-``None`` value for a field wins.
+        Returns the seconds spent in ``plugin`` spans (0.0 untraced).
         """
+        seconds = 0.0
         if not selection.row_plugins:
-            return
+            return seconds
         tracer = telemetry.tracer if telemetry is not None else None
         by_kind: dict[int, dict[int, tuple]] = {}
         for (site_index, kind), row in plugin_rows.items():
@@ -878,4 +773,36 @@ class ScanEngine:
                     f"plugin.{plugin.name}.rows", len(merged)
                 )
             if tracer is not None:
-                tracer.end(span)
+                seconds += tracer.end(span).duration
+        return seconds
+
+    def _publish_week(
+        self,
+        registry,
+        site_seconds: float,
+        attribution_seconds: float,
+        cache_base: tuple[int, int, int] | None,
+    ) -> None:
+        """Add one week's phase seconds and exchange-cache delta to ``registry``.
+
+        The phase gauges accumulate, so the weeks of a campaign and the
+        legs of a two-family scan add up.  ``cache_base`` is the cache's
+        snapshot before the site phase; pool engines fold their
+        workers' counters in during the site phase, so every exchange
+        is counted once.  Zero deltas publish nothing, but the hit-rate
+        ratio (and with it its two counters) always exists.
+        """
+        registry.gauge("campaign.phase.site_seconds").value += site_seconds
+        registry.gauge("campaign.phase.attribution_seconds").value += attribution_seconds
+        if cache_base is not None:
+            now = self.exchange_cache.stats.snapshot()
+            hits, misses, uncacheable = (a - b for a, b in zip(now, cache_base, strict=True))
+            registry.add_counter("campaign.exchange_cache.hits", hits)
+            registry.add_counter("campaign.exchange_cache.misses", misses)
+            registry.add_counter("campaign.exchange_cache.uncacheable", uncacheable)
+            registry.add_counter("campaign.exchange_cache.attempts", hits + misses)
+        registry.ratio(
+            "campaign.exchange_cache.hit_rate",
+            "campaign.exchange_cache.hits",
+            "campaign.exchange_cache.attempts",
+        )

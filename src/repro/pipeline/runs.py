@@ -100,7 +100,6 @@ def run_weekly_scan(
     tcp_config: TcpScanConfig | None = None,
     plugins: tuple[str, ...] | None = None,
     telemetry=None,
-    phase_stats=None,
 ) -> WeeklyRun:
     """Scan every domain of the selected populations for one week.
 
@@ -110,9 +109,10 @@ def run_weekly_scan(
     lazy views, field-identical to :func:`run_weekly_scan_reference`.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) wraps the run in a
-    ``week`` span with ``site``/``attribution`` phase children;
-    ``phase_stats`` accumulates the wall-time split as in campaigns.
-    The shared engine's telemetry attribute is restored afterwards.
+    ``week`` span with ``site``/``attribution`` phase children, and the
+    week publishes its phase seconds and exchange-cache counters into
+    the registry as a campaign week does.  The shared engine's
+    telemetry attribute is restored afterwards.
     """
     engine = world.scan_engine()
     prior_telemetry = engine.telemetry
@@ -135,7 +135,6 @@ def run_weekly_scan(
             quic_config=quic_config,
             tcp_config=tcp_config,
             plugins=plugins,
-            phase_stats=phase_stats,
         )
     finally:
         if tracer is not None:

@@ -256,8 +256,8 @@ class ShmPoolScanEngine(ScanEngine):
     ``shard_timeout`` seconds *per week it covers* to deliver buffers
     that decode cleanly, failures re-dispatch with backoff up to
     ``max_shard_retries`` times, and an exhausted ticket re-executes
-    inline in the parent.  ``run_week`` folds the per-week
-    :class:`SupervisionStats` deltas into the caller's ``phase_stats``.
+    inline in the parent.  :attr:`supervision` counts the outcomes over
+    the engine's lifetime; ``run_campaign`` publishes its delta.
     Merging goes through the validated
     :meth:`ScanEngine._apply_replay` path, like the serial engine.
     ``close()`` — reached by the campaign loop's ``finally`` on success,
@@ -308,8 +308,8 @@ class ShmPoolScanEngine(ScanEngine):
         #: Deterministic fault-injection hooks
         #: (:class:`repro.faults.FaultPlan`); ``None`` in production.
         self.fault_plan = fault_plan
-        #: Lifetime supervision counters (``run_week`` folds per-week
-        #: deltas into the caller's :class:`ScanPhaseStats`).
+        #: Lifetime supervision counters (``run_campaign`` publishes
+        #: the campaign's delta under ``campaign.supervision.*``).
         self.supervision = SupervisionStats()
         self._plans = world.scan_engine()._plans  # share plan cache
         #: (week, spec) -> tickets whose ranges cover that week.

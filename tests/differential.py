@@ -20,7 +20,9 @@ fixtures in ``tests/conftest.py``):
   are keyed by their shape: worker count, cache-free workers, the
   pool's inline-fallback path (:func:`pool_path_kwargs`) and a
   rehydrated parent world; modules that ask for the same shape
-  share one leg.
+  share one leg.  The oracle runs uninstrumented; every other
+  campaign leg runs with a :class:`~repro.obs.Telemetry` and takes
+  its cache and supervision counters from the registry.
 * **The week matrix**: every vantage x {v4+TCP with CE probing at the
   TCP week, v4 with tracebox and the toplists at the reference week,
   v6 at the IPv6 week} at :data:`MATRIX_SCALE`, plus one mid-ramp
@@ -69,7 +71,7 @@ from repro.core.codepoints import ECN
 from repro.faults import FaultPlan
 from repro.obs import Telemetry
 from repro.pipeline import Campaign, ShmPoolScanEngine, run_campaign
-from repro.pipeline.engine import ScanEngine, ScanPhaseStats
+from repro.pipeline.engine import ScanEngine
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
@@ -138,13 +140,11 @@ class Leg:
     runs: list[RunRecord]
     clock: float
     report: str
-    #: Phase stats (campaign legs): cache and supervision counters.
-    stats: ScanPhaseStats | None = None
     telemetry: Telemetry | None = None
-    #: ``(hits, misses, uncacheable)`` of a cached serial matrix leg.
-    cache_stats: tuple[int, int, int] | None = None
-    #: Supervision snapshot of the matrix pool after its last run.
-    supervision: tuple[int, int, int, int] | None = None
+    #: ``(hits, misses, uncacheable)`` of the leg's exchange cache.
+    cache_stats: tuple[int, ...] | None = None
+    #: ``(retries, timeouts, failures, fallbacks)`` of the leg's pool.
+    supervision: tuple[int, ...] | None = None
     #: Every run was served by the columnar store (not eager objects).
     store_backed: bool = False
 
@@ -367,17 +367,36 @@ def assert_campaign_matches(oracle: Leg, world, campaign, *, leg: str) -> None:
     assert_legs_equal(oracle, record_campaign(leg, world, campaign))
 
 
+def _oracle_leg() -> Leg:
+    """The serial campaign, uninstrumented: every other campaign leg
+    runs with telemetry, so each golden comparison also shows that
+    instrumentation changes no result.  Its counters are its engine's."""
+    world = campaign_world()
+    leg = record_campaign("oracle", world, run_canonical_campaign(world))
+    leg.cache_stats = world.scan_engine().exchange_cache.stats.snapshot()
+    return leg
+
+
+def _registry_counts(registry, prefix: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    return tuple(int(registry.value(f"{prefix}.{name}")) for name in names)
+
+
 def _campaign_leg(name, world=None, **kwargs) -> Leg:
+    """The canonical campaign with telemetry; its counters are the
+    registry's, the numbers ``--metrics-out`` reports."""
     world = world if world is not None else campaign_world()
-    stats = ScanPhaseStats()
-    campaign = run_canonical_campaign(world, phase_stats=stats, **kwargs)
-    return record_campaign(
-        name,
-        world,
-        campaign,
-        stats=stats,
-        telemetry=kwargs.get("telemetry"),
+    telemetry = kwargs.setdefault("telemetry", Telemetry())
+    campaign = run_canonical_campaign(world, **kwargs)
+    registry = telemetry.registry
+    leg = record_campaign(name, world, campaign, telemetry=telemetry)
+    leg.cache_stats = _registry_counts(
+        registry, "campaign.exchange_cache", ("hits", "misses", "uncacheable")
     )
+    if "campaign.supervision.retries" in registry:
+        leg.supervision = _registry_counts(
+            registry, "campaign.supervision", ("retries", "timeouts", "failures", "fallbacks")
+        )
+    return leg
 
 
 def _instrumented_leg() -> Leg:
@@ -442,7 +461,7 @@ class CampaignLegs(Differential):
 def campaign_legs() -> CampaignLegs:
     return CampaignLegs(
         {
-            "oracle": lambda: _campaign_leg("oracle"),
+            "oracle": _oracle_leg,
             "uncached": lambda: _campaign_leg("uncached", exchange_cache=False),
             "rehydrated": lambda: _campaign_leg("rehydrated", rehydrated(campaign_world())),
             "instrumented": _instrumented_leg,

@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import Telemetry
-from repro.pipeline import ScanPhaseStats, run_campaign
+from repro.pipeline import run_campaign
 from repro.pipeline.checkpoint import (
     CampaignCheckpointer,
     campaign_checkpoint_key,
@@ -72,13 +72,13 @@ def test_kill_and_resume_matches_uninterrupted(tmp_path, campaign_legs, workers,
     # ...then resume on a fresh world: completed weeks rehydrate from
     # disk, the rest compute, and the result is the uninterrupted one.
     resumed_world = campaign_world()
-    stats = ScanPhaseStats()
+    telemetry = Telemetry()
     resumed = _campaign(
         resumed_world,
         workers=workers,
         checkpoint_dir=tmp_path,
         resume=True,
-        phase_stats=stats,
+        telemetry=telemetry,
         **_path_kwargs(path),
     )
     assert_campaign_matches(
@@ -86,8 +86,9 @@ def test_kill_and_resume_matches_uninterrupted(tmp_path, campaign_legs, workers,
     )
     # Only the inline path leaves supervision work behind: each ticket
     # of the recomputed week fails once and re-executes in the parent.
-    assert (stats.shard_failures > 0) == (path == "inline")
-    assert stats.shard_retries == stats.shard_failures
+    failures = telemetry.registry.value("campaign.supervision.failures")
+    assert (failures > 0) == (path == "inline")
+    assert telemetry.registry.value("campaign.supervision.retries") == failures
 
 
 @requires_fork

@@ -25,11 +25,12 @@ from repro.exchange import (
     RecordingClock,
     replay_outcome,
 )
+from repro.exchange.cache import CacheStats
 from repro.http.messages import HttpResponse
 from repro.netsim.clock import Clock
 from repro.netsim.hops import EcnAction, Router
 from repro.netsim.path import NetworkPath
-from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanPhaseStats, SiteEvent
+from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, SiteEvent
 from repro.quic.connection import QuicClientConfig
 from repro.tcp.client import TcpClientConfig
 from repro.quicstacks.base import MirrorQuirk, StackBehavior
@@ -211,21 +212,19 @@ def test_engine_counts_every_exchange_and_hits_on_stable_weeks():
     world = repro.build_world(WorldConfig(scale=SCALE))
     engine = world.scan_engine()
     week = world.config.reference_week
-    stats = ScanPhaseStats()
+    base = engine.exchange_cache.stats.snapshot()
     for scan_week in (week + (-1), week):
-        engine.run_week(scan_week, include_tcp=True, phase_stats=stats)
+        engine.run_week(scan_week, include_tcp=True)
     events = len(engine.site_events(week + (-1), include_tcp=True)) + len(
         engine.site_events(week, include_tcp=True)
     )
-    accounted = (
-        stats.exchange_cache_hits
-        + stats.exchange_cache_misses
-        + stats.exchange_cache_uncacheable
+    stats = CacheStats(
+        *(now - was for now, was in zip(engine.exchange_cache.stats.snapshot(), base))
     )
-    assert accounted == events
-    assert stats.exchange_cache_uncacheable == 0
-    assert stats.exchange_cache_hits > 0
-    assert 0.0 < stats.exchange_cache_hit_rate < 1.0
+    assert stats.hits + stats.misses + stats.uncacheable == events
+    assert stats.uncacheable == 0
+    assert stats.hits > 0
+    assert 0.0 < stats.hit_rate < 1.0
 
 
 def test_codec_round_trips_cache_stats_trailer():

@@ -54,15 +54,17 @@ def test_replay_returns_identical_result_objects_across_weeks(campaign_legs):
         and first.site_records[index][1] is quic
     ]
     assert shared
-    assert campaign_legs.oracle.stats.exchange_cache_hits >= len(shared)
+    hits, _, _ = campaign_legs.oracle.cache_stats
+    assert hits >= len(shared)
 
 
 def test_campaign_cached_matches_uncached_and_analysis_identical(campaign_legs):
     oracle, uncached = campaign_legs.oracle, campaign_legs["uncached"]
     assert_legs_equal(oracle, uncached)
-    assert oracle.stats.exchange_cache_hits > 0
-    assert oracle.stats.exchange_cache_uncacheable == 0
-    assert (uncached.stats.exchange_cache_hits, uncached.stats.exchange_cache_misses) == (0, 0)
+    hits, _, uncacheable = oracle.cache_stats
+    assert hits > 0
+    assert uncacheable == 0
+    assert uncached.cache_stats == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +77,7 @@ def test_sharded_cached_matches_fresh_serial(campaign_legs, shards):
     its sites' later weeks, and the merge equals a cache-free run."""
     pooled = campaign_legs.pool(shards)
     assert_legs_equal(campaign_legs["uncached"], pooled)
-    assert pooled.stats.exchange_cache_hits > 0
+    assert pooled.cache_stats[0] > 0
 
 
 @requires_fork
@@ -83,7 +85,7 @@ def test_sharded_cached_invariant_under_worker_permutation(campaign_legs):
     """Three tickets on three workers, harvested in any order, merge the same."""
     pooled = campaign_legs.pool(3)
     assert_legs_equal(campaign_legs["uncached"], pooled)
-    assert pooled.stats.exchange_cache_hits > 0
+    assert pooled.cache_stats[0] > 0
 
 
 @requires_fork
@@ -93,8 +95,9 @@ def test_fork_pool_cached_matches_fresh_serial(campaign_legs):
     counters travel back through the codec trailer."""
     instrumented = campaign_legs["instrumented"]
     assert_legs_equal(campaign_legs["uncached"], instrumented)
-    assert instrumented.stats.exchange_cache_hits > 0
-    assert instrumented.stats.exchange_cache_misses > 0
+    hits, misses, _ = instrumented.cache_stats
+    assert hits > 0
+    assert misses > 0
     registry = instrumented.telemetry.registry
     assert registry.value("worker.exchange_cache.hits") > 0
     assert registry.value("worker.exchange_cache.misses") > 0

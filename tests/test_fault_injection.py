@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.faults import FaultPlan, InjectedFault
-from repro.pipeline.engine import ScanPhaseStats, ShardResultMissing
+from repro.pipeline.engine import ShardResultMissing
 from repro.pipeline.sharding import ShmPoolScanEngine
 from repro.web.spec import WorldConfig
 
@@ -42,10 +42,9 @@ def _build():
 
 def _run_faulted(campaign_legs, leg, plan, *, max_shard_retries=2, shard_timeout=3.0):
     """The canonical campaign, week by week (one-week tickets), on a
-    faulted 2-worker pool, checked against the oracle; returns its
-    phase stats and engine."""
+    faulted 2-worker pool, checked against the oracle; returns the
+    pool's supervision counters."""
     world = campaign_world()
-    stats = ScanPhaseStats()
     engine = ShmPoolScanEngine(
         world,
         workers=2,
@@ -54,19 +53,19 @@ def _run_faulted(campaign_legs, leg, plan, *, max_shard_retries=2, shard_timeout
         max_shard_retries=max_shard_retries,
     )
     with engine:
-        campaign = run_canonical_weeks(engine, phase_stats=stats)
+        campaign = run_canonical_weeks(engine)
     assert_campaign_matches(campaign_legs.oracle, world, campaign, leg=leg)
-    return stats, engine
+    return engine.supervision
 
 
 @requires_fork
 def test_worker_crash_is_retried_and_results_match(campaign_legs):
     plan = FaultPlan(seed=1).crash_worker(shard=1, week=WEEK)
-    stats, engine = _run_faulted(campaign_legs, "crashed worker", plan, shard_timeout=1.0)
+    stats = _run_faulted(campaign_legs, "crashed worker", plan, shard_timeout=1.0)
     # The lost task surfaces as a timeout; exactly one retry recovers it.
-    assert stats.shard_timeouts == 1
-    assert stats.shard_retries == 1
-    assert engine.supervision.fallbacks == 0
+    assert stats.timeouts == 1
+    assert stats.retries == 1
+    assert stats.fallbacks == 0
     # Neither the dead worker nor its replacement outlived close().
     assert multiprocessing.active_children() == []
 
@@ -75,18 +74,18 @@ def test_worker_crash_is_retried_and_results_match(campaign_legs):
 @pytest.mark.parametrize("mode", ["bitflip", "truncate"])
 def test_corrupt_result_buffer_is_retried_and_results_match(campaign_legs, mode):
     plan = FaultPlan(seed=2).corrupt_shard_buffer(shard=0, week=WEEK, mode=mode)
-    stats, _ = _run_faulted(campaign_legs, f"{mode} result buffer", plan)
+    stats = _run_faulted(campaign_legs, f"{mode} result buffer", plan)
     # The damage is caught by the frame checksum, never decoded.
-    assert stats.shard_failures == 1
-    assert stats.shard_retries == 1
+    assert stats.failures == 1
+    assert stats.retries == 1
 
 
 @requires_fork
 def test_stalled_shard_times_out_and_results_match(campaign_legs):
     plan = FaultPlan(seed=3).delay_shard(6.0, shard=1, week=WEEK)
-    stats, _ = _run_faulted(campaign_legs, "stalled ticket", plan, shard_timeout=1.0)
-    assert stats.shard_timeouts >= 1
-    assert stats.shard_retries >= 1
+    stats = _run_faulted(campaign_legs, "stalled ticket", plan, shard_timeout=1.0)
+    assert stats.timeouts >= 1
+    assert stats.retries >= 1
 
 
 @requires_fork
@@ -94,12 +93,12 @@ def test_persistent_crash_falls_back_inline(campaign_legs):
     """A ticket that fails every pool attempt re-executes in the parent."""
     # attempt=None: every dispatch of ticket 1 crashes its worker.
     plan = FaultPlan(seed=4).crash_worker(shard=1, week=WEEK, attempt=None)
-    stats, engine = _run_faulted(
+    stats = _run_faulted(
         campaign_legs, "persistent crash", plan, max_shard_retries=1, shard_timeout=1.0
     )
-    assert engine.supervision.fallbacks == 1
-    assert stats.shard_timeouts == 2  # initial attempt + one re-dispatch
-    assert stats.shard_retries == 2  # the re-dispatch + the inline fallback
+    assert stats.fallbacks == 1
+    assert stats.timeouts == 2  # initial attempt + one re-dispatch
+    assert stats.retries == 2  # the re-dispatch + the inline fallback
 
 
 def test_missing_shard_results_raise_typed_error():

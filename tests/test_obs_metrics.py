@@ -16,7 +16,6 @@ from repro.obs import (
     safe_ratio,
     write_metrics,
 )
-from repro.pipeline.engine import ScanPhaseStats
 from repro.pipeline.sharding import SupervisionStats
 
 
@@ -39,12 +38,6 @@ def test_cache_stats_hit_rate_follows_the_convention():
     assert CacheStats().hit_rate == 0.0
     stats = CacheStats(hits=3, misses=1)
     assert stats.hit_rate == 0.75
-
-
-def test_scan_phase_stats_hit_rate_follows_the_convention():
-    assert ScanPhaseStats().exchange_cache_hit_rate == 0.0
-    stats = ScanPhaseStats(exchange_cache_hits=1, exchange_cache_misses=3)
-    assert stats.exchange_cache_hit_rate == 0.25
 
 
 def test_registry_ratio_zero_denominator_is_zero():
@@ -130,20 +123,6 @@ def test_supervision_stats_publish_names():
     assert registry.value("campaign.supervision.timeouts") == 2
     assert registry.value("campaign.supervision.failures") == 3
     assert registry.value("campaign.supervision.fallbacks") == 4
-
-
-def test_scan_phase_stats_publish_names():
-    registry = MetricsRegistry()
-    stats = ScanPhaseStats(
-        site_phase_seconds=1.5,
-        exchange_cache_hits=6,
-        exchange_cache_misses=2,
-    )
-    stats.publish(registry)
-    assert registry.value("campaign.phase.site_seconds") == 1.5
-    assert registry.value("campaign.exchange_cache.hits") == 6
-    assert registry.value("campaign.exchange_cache.attempts") == 8
-    assert registry.value("campaign.exchange_cache.hit_rate") == 0.75
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import repro
 from repro.core.codepoints import ECN
 from repro.netsim.network import PathTemplate
 from repro.netsim.path import NetworkPath
-from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanEngine, ScanPhaseStats
+from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, ScanEngine
 from repro.pipeline.runs import run_weekly_scan_reference
 from repro.scanner.quic_scan import QuicScanConfig
 from repro.scanner.results import DomainObservation
@@ -147,13 +147,14 @@ def test_engine_matches_reference_on_a_lossy_route(monkeypatch):
     reference = run_weekly_scan_reference(
         world_ref, week, populations=("cno",), include_tcp=True
     )
-    stats = ScanPhaseStats()
+    cache = world_eng.scan_engine().exchange_cache
+    base = cache.stats.uncacheable
     engine_run = repro.run_weekly_scan(
-        world_eng, week, populations=("cno",), include_tcp=True, phase_stats=stats
+        world_eng, week, populations=("cno",), include_tcp=True
     )
     # Substreams are built only for exchanges that can draw, and those
     # are all uncacheable.
-    assert 0 < len(streams) <= stats.exchange_cache_uncacheable
+    assert 0 < len(streams) <= cache.stats.uncacheable - base
     _assert_runs_equal(reference, engine_run)
     assert world_ref.clock.now == world_eng.clock.now
 

@@ -35,7 +35,7 @@ from repro.netsim.network import PathTemplate
 from repro.netsim.path import NetworkPath
 from repro.obs import Telemetry
 from repro.pipeline import ShmPoolScanEngine, plan_tickets, run_campaign
-from repro.pipeline.engine import QUIC_EVENT, ScanEngine, ScanPhaseStats, SiteEvent
+from repro.pipeline.engine import QUIC_EVENT, ScanEngine, SiteEvent
 from repro.pipeline.sharding import slice_schedule
 from repro.util.weeks import Week
 from repro.web.spec import WorldConfig
@@ -83,12 +83,12 @@ def test_pool_campaign_matches_inline(campaign_legs, workers):
     report included."""
     pooled = campaign_legs.pool(workers)
     assert_legs_equal(campaign_legs.oracle, pooled)
-    stats = pooled.stats
     # A clean run needed no supervision, and the workers' cache
     # counters travelled back through the codec trailer.
-    assert (stats.shard_retries, stats.shard_timeouts, stats.shard_failures) == (0, 0, 0)
-    assert stats.exchange_cache_hits > 0
-    assert stats.exchange_cache_misses > 0
+    assert pooled.supervision == (0, 0, 0, 0)
+    hits, misses, _ = pooled.cache_stats
+    assert hits > 0
+    assert misses > 0
 
 
 @requires_fork
@@ -97,11 +97,11 @@ def test_pool_inline_fallback_matches_inline(campaign_legs):
     buffer corrupt, no re-dispatch) equals the serial oracle."""
     pooled = campaign_legs.pool(2, path="inline")
     assert_legs_equal(campaign_legs.oracle, pooled)
-    stats = pooled.stats
+    retries, timeouts, failures, _ = pooled.supervision
     # Each ticket failed once and re-executed in the parent.
-    assert stats.shard_failures > 0
-    assert stats.shard_retries == stats.shard_failures
-    assert stats.shard_timeouts == 0
+    assert failures > 0
+    assert retries == failures
+    assert timeouts == 0
 
 
 @requires_fork
@@ -245,20 +245,15 @@ def test_worker_kill_and_resume_matches_uninterrupted(tmp_path, campaign_legs, r
         .crash_worker(shard=0, week=CAMPAIGN_WEEKS[0])
         .abort_campaign_after(CAMPAIGN_WEEKS[1])
     )
-    stats = ScanPhaseStats()
-    with pytest.raises(InjectedFault):
-        run_canonical_campaign(
-            world,
-            workers=2,
-            checkpoint_dir=tmp_path,
-            fault_plan=plan,
-            shard_timeout=0.5,
-            phase_stats=stats,
-        )
+    with ShmPoolScanEngine(world, workers=2, fault_plan=plan, shard_timeout=0.5) as engine:
+        with pytest.raises(InjectedFault):
+            run_canonical_campaign(
+                world, engine=engine, checkpoint_dir=tmp_path, fault_plan=plan
+            )
     # The killed worker surfaced as a lost-ticket timeout and a retry
     # recovered it before the abort fired.
-    assert stats.shard_timeouts >= 1
-    assert stats.shard_retries >= 1
+    assert engine.supervision.timeouts >= 1
+    assert engine.supervision.retries >= 1
     resumed_world = campaign_world()
     resumed = run_canonical_campaign(
         resumed_world, workers=resume_workers, checkpoint_dir=tmp_path, resume=True
@@ -507,12 +502,12 @@ def test_worker_crash_leaves_no_worker(campaign_legs):
     worker nor its replacement outlives the campaign."""
     world = campaign_world()
     plan = FaultPlan(seed=7).crash_worker(shard=0, week=CAMPAIGN_WEEKS[0])
-    stats = ScanPhaseStats()
+    telemetry = Telemetry()
     campaign = run_canonical_campaign(
-        world, workers=2, fault_plan=plan, shard_timeout=0.5, phase_stats=stats
+        world, workers=2, fault_plan=plan, shard_timeout=0.5, telemetry=telemetry
     )
     assert_campaign_matches(campaign_legs.oracle, world, campaign, leg="crashed worker")
-    assert stats.shard_retries >= 1
+    assert telemetry.registry.value("campaign.supervision.retries") >= 1
     assert multiprocessing.active_children() == []
 
 

@@ -123,7 +123,7 @@ def test_sharded_store_fork_pool_matches(campaign_legs):
     pooled = campaign_legs.pool(2, exchange_cache=False)
     assert pooled.store_backed
     assert_legs_equal(campaign_legs.oracle, pooled)
-    assert (pooled.stats.exchange_cache_hits, pooled.stats.exchange_cache_misses) == (0, 0)
+    assert pooled.cache_stats == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
