@@ -27,12 +27,20 @@ def varint_length(value: int) -> int:
     return 8
 
 
+#: The one-byte encodings, indexed by value: nearly every count and
+#: string reference the result codecs write is below 64.
+_SMALL = tuple(bytes([value]) for value in range(1 << 6))
+
+#: Length-prefix bits per encoded length, shifted into the top byte.
+_PREFIX_BY_LENGTH = {2: 0b01 << 14, 4: 0b10 << 30, 8: 0b11 << 62}
+
+
 def encode_varint(value: int) -> bytes:
     """Encode ``value`` as an RFC 9000 varint."""
+    if 0 <= value < 1 << 6:
+        return _SMALL[value]
     length = varint_length(value)
-    prefix = {1: 0b00, 2: 0b01, 4: 0b10, 8: 0b11}[length]
-    raw = value.to_bytes(length, "big")
-    return bytes([raw[0] | (prefix << 6)]) + raw[1:]
+    return (value | _PREFIX_BY_LENGTH[length]).to_bytes(length, "big")
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:

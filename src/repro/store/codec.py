@@ -14,7 +14,11 @@ mismatched buffers.
 Entries are ``(site_index, kind, result, elapsed)`` exactly as
 :meth:`ScanEngine._execute_entries` produces them; decoding yields
 objects that compare equal (``==``) to the originals, which the codec
-round-trip tests and the pool golden tests pin.
+round-trip tests and the pool golden tests pin.  The work is per
+distinct result, not per entry: an encode marshals each result object
+once, and a decode builds one object per distinct result encoding,
+which every entry holding those bytes shares, as replay hits share
+the engine's objects.
 
 Version 2 adds a fixed three-varint header field carrying the worker's
 exchange replay-cache counters (hits, misses, uncacheable) for the
@@ -54,7 +58,7 @@ checkpoints valid.
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import Iterable
 
 from repro.core.counters import EcnCounts
 from repro.core.validation import ValidationOutcome
@@ -91,6 +95,9 @@ _RESULT_NONE = 0
 _RESULT_QUIC = 1
 _RESULT_TCP = 2
 _RESULT_ROW = 3
+
+#: Shared-decode miss marker (a decoded result may be ``None``).
+_UNSEEN = object()
 
 # Plugin-row value tags (one per tuple element).
 _V_NONE = 0
@@ -438,11 +445,43 @@ def _decode_row(
     return tuple(values), offset
 
 
+def _encode_result(result: object, table: StringTable) -> bytes:
+    out = bytearray()
+    if result is None:
+        out.append(_RESULT_NONE)
+    elif isinstance(result, QuicConnectionResult):
+        out.append(_RESULT_QUIC)
+        _encode_quic(result, out, table)
+    elif isinstance(result, TcpScanOutcome):
+        out.append(_RESULT_TCP)
+        _encode_tcp(result, out, table)
+    elif isinstance(result, tuple):
+        out.append(_RESULT_ROW)
+        _encode_row(result, out, table)
+    else:
+        raise TypeError(f"cannot encode shard result of type {type(result).__name__}")
+    return bytes(out)
+
+
+def _decode_result(buf: bytes, offset: int, strings: list[str]) -> tuple[object, int]:
+    tag = buf[offset]
+    offset += 1
+    if tag == _RESULT_NONE:
+        return None, offset
+    if tag == _RESULT_QUIC:
+        return _decode_quic(buf, offset, strings)
+    if tag == _RESULT_TCP:
+        return _decode_tcp(buf, offset, strings)
+    if tag == _RESULT_ROW:
+        return _decode_row(buf, offset, strings)
+    raise ValueError(f"unknown shard result tag {tag}")
+
+
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
 def encode_shard_results(
-    entries: Sequence[tuple[int, int, object, float]],
+    entries: Iterable[tuple[int, int, object, float]],
     *,
     cache_stats: tuple[int, int, int] = (0, 0, 0),
     obs: bytes = b"",
@@ -453,35 +492,32 @@ def encode_shard_results(
     exchange-cache ``(hits, misses, uncacheable)`` counters and an
     opaque length-prefixed ``obs`` telemetry blob), deduplicated string
     table, then the packed entries.  ``elapsed`` round-trips bit-exactly.
+
+    Each distinct result object is encoded once per buffer: string
+    references are local to the buffer, so a result's bytes cannot
+    change between its entries, and replay hits share result objects.
+    The memo holds every object it keys, so no id is recycled mid-loop.
     """
     table = StringTable()
     body = bytearray()
+    encoded: dict[int, tuple[object, bytes]] = {}
+    count = 0
     for site_index, kind, result, elapsed in entries:
+        count += 1
         body += encode_varint(site_index)
         body.append(kind)
         body += _DOUBLE.pack(elapsed)
-        if result is None:
-            body.append(_RESULT_NONE)
-        elif isinstance(result, QuicConnectionResult):
-            body.append(_RESULT_QUIC)
-            _encode_quic(result, body, table)
-        elif isinstance(result, TcpScanOutcome):
-            body.append(_RESULT_TCP)
-            _encode_tcp(result, body, table)
-        elif isinstance(result, tuple):
-            body.append(_RESULT_ROW)
-            _encode_row(result, body, table)
-        else:
-            raise TypeError(
-                f"cannot encode shard result of type {type(result).__name__}"
-            )
+        memo = encoded.get(id(result))
+        if memo is None:
+            memo = encoded[id(result)] = (result, _encode_result(result, table))
+        body += memo[1]
     out = bytearray()
     for counter in cache_stats:
         out += encode_varint(counter)
     out += encode_varint(len(obs))
     out += obs
     out += encode_string_table(table)
-    out += encode_varint(len(entries))
+    out += encode_varint(count)
     out += body
     return frame_payload(MAGIC, bytes(out))
 
@@ -508,6 +544,13 @@ def decode_shard_payload_obs(
     offset += obs_len
     strings, offset = decode_string_table(buf, offset)
     entry_count, offset = decode_varint(buf, offset)
+    # Entries with identical result bytes share one decoded object, as
+    # replay hits do.  A result's bytes are self-delimiting and decode
+    # the same wherever they sit in the buffer, so when the bytes at
+    # ``offset`` start with an encoding decoded before, they are that
+    # encoding: no other can be a prefix of it.
+    shared: dict[bytes, object] = {}
+    lengths: list[int] = []
     entries: list[tuple[int, int, object, float]] = []
     for _ in range(entry_count):
         site_index, offset = decode_varint(buf, offset)
@@ -515,19 +558,17 @@ def decode_shard_payload_obs(
         offset += 1
         (elapsed,) = _DOUBLE.unpack_from(buf, offset)
         offset += 8
-        tag = buf[offset]
-        offset += 1
-        result: object | None
-        if tag == _RESULT_NONE:
-            result = None
-        elif tag == _RESULT_QUIC:
-            result, offset = _decode_quic(buf, offset, strings)
-        elif tag == _RESULT_TCP:
-            result, offset = _decode_tcp(buf, offset, strings)
-        elif tag == _RESULT_ROW:
-            result, offset = _decode_row(buf, offset, strings)
+        for length in lengths:
+            result = shared.get(buf[offset : offset + length], _UNSEEN)
+            if result is not _UNSEEN:
+                offset += length
+                break
         else:
-            raise ValueError(f"unknown shard result tag {tag}")
+            start = offset
+            result, offset = _decode_result(buf, offset, strings)
+            shared[buf[start:offset]] = result
+            if offset - start not in lengths:
+                lengths.append(offset - start)
         entries.append((site_index, kind, result, elapsed))
     return entries, (hits, misses, uncacheable), obs
 

@@ -19,11 +19,12 @@ import pytest
 
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import Telemetry
-from repro.pipeline import run_campaign
+from repro.pipeline import run_campaign, sharding
 from repro.pipeline.checkpoint import (
     CampaignCheckpointer,
     campaign_checkpoint_key,
 )
+from repro.quic.connection import QuicConnectionResult
 from repro.util.atomic import atomic_write_bytes
 
 from tests.conftest import requires_fork
@@ -219,6 +220,45 @@ def test_rerun_without_resume_recomputes_and_overwrites(tmp_path, campaign_legs)
     assert_campaign_matches(campaign_legs.oracle, second, campaign, leg="rerun")
     for path, stamp in stamps.items():
         assert path.stat().st_mtime_ns >= stamp  # rewritten, not reused
+
+
+@requires_fork
+def test_pool_writes_the_serial_checkpoint_bytes_and_shares_decoded_results(
+    tmp_path, monkeypatch
+):
+    """A 2-worker campaign writes byte-identical checkpoint files, and
+    its parent holds one QUIC result object per distinct encoding in
+    each ticket buffer it decoded, not one per entry."""
+    serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
+    _campaign(campaign_world(), workers=None, checkpoint_dir=serial_dir)
+    buffers: list[list] = []
+    decode = sharding.decode_shard_payload_obs
+
+    def recording(buffer):
+        payload = decode(buffer)
+        buffers.append(payload[0])
+        return payload
+
+    monkeypatch.setattr(sharding, "decode_shard_payload_obs", recording)
+    campaign = _campaign(campaign_world(), workers=2, checkpoint_dir=pool_dir)
+    files = sorted(path.relative_to(serial_dir) for path in serial_dir.rglob("*.ecnc"))
+    assert len(files) == len(CAMPAIGN_WEEKS)
+    assert files == sorted(path.relative_to(pool_dir) for path in pool_dir.rglob("*.ecnc"))
+    for name in files:
+        assert (pool_dir / name).read_bytes() == (serial_dir / name).read_bytes(), name
+    objects = {
+        id(record.quic)
+        for run in campaign.runs
+        for record in run.site_records.values()
+        if record.quic is not None
+    }
+    # Equal values encode to equal bytes within one buffer, and back.
+    encodings = sum(
+        len({repr(r) for _, _, r, _ in entries if isinstance(r, QuicConnectionResult)})
+        for entries in buffers
+    )
+    assert len(buffers) >= len(CAMPAIGN_WEEKS)
+    assert 0 < len(objects) <= encodings
 
 
 def test_checkpoint_validation_errors():

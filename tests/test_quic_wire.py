@@ -61,6 +61,55 @@ def test_varint_out_of_range():
         encode_varint(-1)
 
 
+def _reference_varint(value):
+    """Table-free RFC 9000 §16 encoder: the two length bits, then the
+    value big-endian in the remaining bits."""
+    for prefix, length in enumerate((1, 2, 4, 8)):
+        if value < 1 << (8 * length - 2):
+            return (value | prefix << (8 * length - 2)).to_bytes(length, "big")
+    raise ValueError(value)
+
+
+@pytest.mark.parametrize(
+    "value,encoded",
+    [
+        (0, "00"),
+        (63, "3f"),
+        (64, "4040"),
+        (16383, "7fff"),
+        (16384, "80004000"),
+        (2**30 - 1, "bfffffff"),
+        (2**30, "c000000040000000"),
+        (MAX_VARINT, "ffffffffffffffff"),
+        # RFC 9000 Appendix A.1, encode direction.
+        (37, "25"),
+        (15_293, "7bbd"),
+        (494_878_333, "9d7f3e7d"),
+        (151_288_809_941_952_652, "c2197c5eff14e88c"),
+    ],
+)
+def test_varint_boundary_encodings(value, encoded):
+    assert encode_varint(value).hex() == encoded
+
+
+@pytest.mark.parametrize("value", [-1, -2, -63, -64, -65, MAX_VARINT + 1, 2**64])
+def test_varint_rejects_out_of_range_values(value):
+    # Negatives must not index the one-byte table from its end.
+    with pytest.raises(ValueError):
+        encode_varint(value)
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 6)
+    | st.integers(min_value=0, max_value=1 << 15)
+    | st.integers(min_value=0, max_value=MAX_VARINT)
+)
+def test_varint_fast_path_matches_reference_encoder(value):
+    encoded = encode_varint(value)
+    assert encoded == _reference_varint(value)
+    assert decode_varint(encoded) == (value, len(encoded))
+
+
 def test_varint_truncated_input():
     with pytest.raises(ValueError):
         decode_varint(b"")
