@@ -44,7 +44,9 @@ metric tree (what CI uploads as artifacts).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -261,21 +263,19 @@ def _record_campaign_split(split, campaign, cache_totals: CacheStats) -> None:
     )
 
 
-def _obs_overhead(
-    world, *, rounds: int = 5, repetitions: int = 6, trace_out=None, metrics_out=None
-) -> dict:
+def _obs_overhead(world, *, pairs: int = 16, trace_out=None, metrics_out=None) -> dict:
     """Instrumentation overhead of the telemetry layer on a campaign.
 
-    Rounds interleave plain → instrumented so drift (thermal state,
-    cache warmth) hits both legs equally; one repetition's overhead is
-    the best-of-N delta as a percentage, clamped at zero.  Scheduler
-    noise on shared runners swings individual wall-clock deltas far
-    more than the telemetry layer costs, and it can only *inflate* the
-    clamped delta — the true cost is a lower bound — so the reported
-    number is the minimum over up to ``repetitions`` independent
-    repetitions (stopping early once one lands inside the CI budget).
-    A real hot-path regression (per-event span or counter work)
-    inflates every repetition and still fails the gate.
+    ``pairs`` interleaved plain/instrumented campaign pairs, alternating
+    which leg runs first so drift (thermal state, cache warmth) and
+    run order hit both legs equally.  Each pair yields one paired delta
+    as a percentage of its plain leg; the reported overhead is the
+    median delta, clamped at zero.  A single scheduler stall moves one
+    pair, not the median, while a real hot-path regression (per-event
+    span or counter work) moves every pair and still fails the gate.
+    Every leg starts from a full collection: the two legs allocate
+    almost the same tracked objects, so without it the delta measures
+    which leg the cyclic collector's schedule happens to charge.
 
     The reported counters come from the *metrics registry* — the same
     tree ``--metrics-out`` writes — not from the bench's private stats
@@ -285,24 +285,28 @@ def _obs_overhead(
     """
     from repro.obs.export import write_metrics, write_trace
 
-    overhead_pct = None
+    deltas = []
     telemetry = None
-    for _ in range(repetitions):
-        plain, instrumented = [], []
-        for _ in range(rounds):
-            _, elapsed = _timed(lambda: repro.run_campaign(world))
-            plain.append(elapsed)
-            telemetry = Telemetry()
-            _, elapsed = _timed(
-                lambda: repro.run_campaign(world, telemetry=telemetry)
-            )
-            instrumented.append(elapsed)
-        measured = max(
-            0.0, 100.0 * (min(instrumented) - min(plain)) / min(plain)
-        )
-        overhead_pct = measured if overhead_pct is None else min(overhead_pct, measured)
-        if overhead_pct <= OBS_OVERHEAD_MAX_PCT:
-            break
+
+    def plain() -> float:
+        gc.collect()
+        return _timed(lambda: repro.run_campaign(world))[1]
+
+    def instrumented() -> float:
+        nonlocal telemetry
+        telemetry = Telemetry()
+        gc.collect()
+        return _timed(lambda: repro.run_campaign(world, telemetry=telemetry))[1]
+
+    for index in range(pairs):
+        if index % 2:
+            instrumented_s = instrumented()
+            plain_s = plain()
+        else:
+            plain_s = plain()
+            instrumented_s = instrumented()
+        deltas.append(100.0 * (instrumented_s - plain_s) / plain_s)
+    overhead_pct = max(0.0, statistics.median(deltas))
     registry = telemetry.registry
     if trace_out is not None:
         write_trace(trace_out, telemetry.tracer)
@@ -506,10 +510,10 @@ def _smoke_measure(trace_out=None, metrics_out=None) -> dict:
     # Plugin-framework legs: the same shm-pool campaign through the
     # explicit single-plugin selection (must cost ~nothing relative to
     # the default selection — the framework's overhead gate, measured
-    # as an interleaved paired delta exactly like _obs_overhead because
-    # the two legs run identical work and any gap is dispatch cost or
-    # noise) and once with a second plugin (grease) whose variants
-    # double as an end-to-end row-through-codec exercise.
+    # as an interleaved delta of best-of-3 legs because the two legs run
+    # identical work and any gap is dispatch cost or noise) and once
+    # with a second plugin (grease) whose variants double as an
+    # end-to-end row-through-codec exercise.
     plugin_overhead_pct = None
     plugin_ecn, plugin_ecn_best = None, None
     with ShmPoolScanEngine(world, workers=2) as plugin_engine:

@@ -32,7 +32,6 @@ from itertools import pairwise
 from typing import Callable, Iterator, Sequence
 
 from repro.pipeline.runs import WeeklyRun
-from repro.store.columns import NO_ROW
 from repro.store.views import StoreWeeklyRun
 
 
@@ -74,24 +73,15 @@ def parked_flags(run: WeeklyRun, population: str | None) -> Callable[[int], bool
 def resolution(run: WeeklyRun, population: str) -> tuple[int, int, set[str]]:
     """``(domains, resolved domains, resolved IPs)`` of ``population``.
 
-    Week-invariant.  A store run counts in O(sites): every member of a
-    segment resolved, to its site's address unless an explicit resolver
-    record names another one, and a site-less position resolved only
-    through such a record.
+    Week-invariant.  A store run counts in O(sites): exactly the
+    members of the population's segments resolved, each to its site's
+    address.
     """
     if isinstance(run, StoreWeeklyRun):
         columns = run.store.columns
-        population_of, rows, addresses = columns.table.population, columns.rows, columns.addresses
-        overridden = [p for p in addresses if population_of(rows[p]) == population]
         segments = columns.population_segments(population)
         resolved = sum(len(segment.rank_positions) for segment in segments)
-        resolved += sum(columns.segment_of[p] == NO_ROW for p in overridden)
-        ips = {addresses[p] for p in overridden}
-        ips.update(
-            columns.site_ips[segment.site_index]
-            for segment in segments
-            if any(p not in addresses for p in segment.rank_positions)
-        )
+        ips = {columns.site_ips[segment.site_index] for segment in segments}
         return len(columns.population_positions(population)), resolved, ips
     observations = run.observations_for(population)
     resolved = sum(obs.resolved for obs in observations)

@@ -41,7 +41,7 @@ from time import perf_counter
 import repro
 from repro.analysis.report import global_report, longitudinal_report, reference_report
 from repro.l4s.experiment import run_l4s_experiment
-from repro.obs import Telemetry
+from repro.obs import MetricsRegistry, Telemetry
 from repro.util.weeks import Week
 from repro.web.spec import WorldConfig
 
@@ -229,16 +229,10 @@ def _obs_finish(args, telemetry: Telemetry) -> int:
     the path, when a file cannot be written.
     """
     from repro.obs.export import write_metrics, write_trace
-    from repro.obs.metrics import global_registry
 
     flag, path = "--metrics-out", args.metrics_out
     try:
         if path is not None:
-            # World-cache and snapshot metrics accumulate on the
-            # process-global registry (repro.web.snapshot instruments
-            # acquire_world there); fold them in so one file carries
-            # the whole run.
-            telemetry.registry.merge(global_registry())
             write_metrics(path, telemetry.registry, telemetry.tracer)
             _note(args, f"metrics: {path}")
         flag, path = "--trace-out", args.trace_out
@@ -251,7 +245,9 @@ def _obs_finish(args, telemetry: Telemetry) -> int:
     return 0
 
 
-def _build_world(args) -> "repro.World":
+def _build_world(args, registry: MetricsRegistry | None = None) -> "repro.World":
+    """The run's world; a ``--world-cache`` acquisition records its
+    ``world.*`` metrics into ``registry`` (the run's own)."""
     config = WorldConfig(scale=args.scale, seed=args.seed)
     cache_dir = getattr(args, "world_cache", None)
     if cache_dir is None:
@@ -260,7 +256,7 @@ def _build_world(args) -> "repro.World":
         return repro.build_world(config)
     from repro.web.snapshot import acquire_world
 
-    world, _source = acquire_world(config, cache_dir=cache_dir)
+    world, _source = acquire_world(config, cache_dir=cache_dir, registry=registry)
     return world
 
 
@@ -295,9 +291,9 @@ def _cmd_scan(args) -> int:
     plugins = _resolve_plugin_args(args)
     if plugins is None:
         return 2
-    world = _build_world(args)
-    week = args.week if args.week else world.config.reference_week
     telemetry = Telemetry()
+    world = _build_world(args, telemetry.registry)
+    week = args.week if args.week else world.config.reference_week
     run = repro.run_weekly_scan(world, week, plugins=plugins, telemetry=telemetry)
     ipv6 = None
     if args.ipv6:
@@ -337,8 +333,8 @@ def _cmd_campaign(args) -> int:
         print("--checkpoint-dir cannot be combined with the trace plugin",
               file=sys.stderr)
         return 2
-    world = _build_world(args)
     telemetry = Telemetry()
+    world = _build_world(args, telemetry.registry)
     progress = None
     if args.progress and not args.quiet:
         from repro.obs import CampaignProgress

@@ -1,5 +1,5 @@
-"""DNS model: A/AAAA records with per-vantage (geo) resolution views."""
+"""DNS model: the A/AAAA/CNAME/NS record set of one domain."""
 
-from repro.dns.resolver import DnsRecord, Resolver
+from repro.dns.records import DnsRecord
 
-__all__ = ["DnsRecord", "Resolver"]
+__all__ = ["DnsRecord"]

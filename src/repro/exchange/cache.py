@@ -185,19 +185,6 @@ class ExchangeCache:
     def store(self, key: tuple, outcome: ExchangeOutcome) -> None:
         self._outcomes[key] = outcome
 
-    def clear(self) -> None:
-        """Drop cached outcomes, memos and interned objects.
-
-        Keeps only the stats counters.  The token tables go too: once
-        no key can reference their tokens, keeping them would pin every
-        path/behaviour/response object of the invalidated world
-        generation alive for the engine's lifetime.
-        """
-        self._outcomes.clear()
-        self.path_memo.clear()
-        self._values = _TokenTable()
-        self._paths = _IdentityTable()
-
 
 def replay_outcome(outcome: ExchangeOutcome, clock) -> object:
     """Re-apply a cached exchange: same advances, same result object."""

@@ -38,8 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
-    reset_global_registry,
     safe_ratio,
 )
 from repro.obs.progress import CampaignProgress
@@ -58,9 +56,7 @@ __all__ = [
     "Tracer",
     "decode_obs_blob",
     "encode_obs_blob",
-    "global_registry",
     "load_metrics",
-    "reset_global_registry",
     "safe_ratio",
     "span_summary",
     "trace_events",

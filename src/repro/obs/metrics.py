@@ -8,7 +8,8 @@ totals and the pool's
 :class:`~repro.pipeline.sharding.SupervisionStats` delta from
 ``run_campaign``, the report's analysis seconds from the CLI, worker
 cache counters from the shard trailers, and world-cache outcomes from
-:mod:`repro.web.snapshot` (on the process-global registry).
+:func:`repro.web.snapshot.acquire_world` (into the registry its caller
+passes).  Each run has its own registry; nothing is process-global.
 
 Design constraints, in order:
 
@@ -42,8 +43,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Ratio",
-    "global_registry",
-    "reset_global_registry",
     "safe_ratio",
 ]
 
@@ -78,9 +77,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def to_entry(self) -> dict[str, object]:
         return {"kind": self.kind, "value": self.value}
 
@@ -101,11 +97,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        # Last write wins; merging partial registries keeps the most
-        # recently folded-in observation, matching per-run semantics.
-        self.value = other.value
 
     def to_entry(self) -> dict[str, object]:
         return {"kind": self.kind, "value": self.value}
@@ -144,14 +135,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return safe_ratio(self.total, self.count)
-
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
 
     def to_entry(self) -> dict[str, object]:
         entry: dict[str, object] = {
@@ -283,24 +266,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one.
-
-        Counters and histograms accumulate; gauges take the incoming
-        value; ratios are re-derived against *this* registry's counters
-        (a merged ratio over merged counters, not a meaningless average
-        of two ratios).
-        """
-        for name, metric in other._metrics.items():
-            if isinstance(metric, Ratio):
-                self.ratio(name, metric.numerator.name, metric.denominator.name)
-            elif isinstance(metric, Counter):
-                self.counter(name).merge(metric)
-            elif isinstance(metric, Gauge):
-                self.gauge(name).merge(metric)
-            else:
-                self.histogram(name).merge(metric)
-
     def counter_deltas(self, baseline: dict[str, int] | None = None) -> dict[str, int]:
         """Counter values (minus an optional baseline snapshot), zeros dropped.
 
@@ -324,25 +289,3 @@ class MetricsRegistry:
     def to_tree(self) -> dict[str, dict[str, object]]:
         """Flat ``name -> entry`` mapping, sorted, ratios evaluated last."""
         return {name: self._metrics[name].to_entry() for name in sorted(self._metrics)}
-
-    def reset(self) -> None:
-        self._metrics.clear()
-
-
-# ----------------------------------------------------------------------
-# Process-global registry
-# ----------------------------------------------------------------------
-# Subsystems below the pipeline (world snapshot cache, codec layers)
-# have no campaign handle to hang metrics on; they publish here, and
-# `--metrics-out` merges this registry into the run report.
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide registry for subsystems without a plumbed handle."""
-    return _GLOBAL
-
-
-def reset_global_registry() -> None:
-    """Clear the process-global registry (tests, bench isolation)."""
-    _GLOBAL.reset()

@@ -59,7 +59,7 @@ def campaign_checkpoint_key(
     """Digest of everything a checkpointed week's entries depend on.
 
     Salted with the checkpoint and shard-codec format versions, so a
-    format bump invalidates stale files automatically.  The world joins
+    format bump retires stale files automatically.  The world joins
     as its config and specs, not as its snapshot fingerprint: the
     entries do not depend on how a snapshot lays the world out, so a
     snapshot format bump leaves checkpoints valid.  The plugin
@@ -118,7 +118,7 @@ class CampaignCheckpointer:
 
     Layout: ``<directory>/<key[:16]>/week-<year>-W<ww>.ecnc`` — one
     subdirectory per campaign identity, so unrelated campaigns can
-    share a checkpoint directory without colliding, and an invalidated
+    share a checkpoint directory without colliding, and a retired
     key's files are simply never read again.
     """
 

@@ -55,7 +55,6 @@ records (O(1) per week); runs serve observations as lazy
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Final, Iterable, Sequence
 
@@ -206,9 +205,9 @@ class ScanEngine:
     Plans cache a selection of the world's domain table rows, their
     site attribution and the per-site domain segments per (family,
     populations); create the engine via
-    :meth:`World.scan_engine` so campaigns share one instance.  Call
-    :meth:`invalidate` after mutating the world's resolver, prefix table
-    or domain set post-build.
+    :meth:`World.scan_engine` so campaigns share one instance.  A plan
+    reads only the built world's tables, which nothing mutates after
+    the build, so cached plans never go stale.
 
     ``exchange_cache`` (default on) routes every site exchange through
     the outcome replay cache (:mod:`repro.exchange`): an exchange whose
@@ -234,13 +233,6 @@ class ScanEngine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        self._plans.clear()
-        # Cached outcomes key on objects a world mutation may replace
-        # (policies, routes, site identities) — drop them with the plans.
-        if self.exchange_cache is not None:
-            self.exchange_cache.clear()
-
     def plan_for(self, ip_version: int, populations: Sequence[str]) -> ScanPlan:
         key = (ip_version, tuple(populations))
         plan = self._plans.get(key)
@@ -256,11 +248,7 @@ class ScanEngine:
         A planned domain's address follows the world's zone rule
         (:func:`~repro.web.world.dns_record_for`): v4 is its site's
         ``ip``, v6 its site's ``ipv6`` only when it ``has_aaaa``; its
-        site is its own when it has an address.  Explicit resolver
-        records (:meth:`~repro.dns.resolver.Resolver.add`) then override
-        their names' positions, each attached to the site that owns its
-        address — not the site it was built under, so a resolver
-        mutated post-build needs no special case.
+        site is its own when it has an address.
         """
         world = self.world
         # Attribution is a lazy world section; the plan reads Site.org,
@@ -278,25 +266,12 @@ class ScanEngine:
                 index = site_indexes[position]
                 if index >= 0 and (site_ips[index] is None or not has_aaaa(row)):
                     site_indexes[position] = NO_ROW
-        addresses: dict[int, str] = {}
-        for name, record in world.resolver.records.items():
-            row = world.domain_row(name)
-            position = bisect_left(rows, row) if row is not None else len(rows)
-            if position == len(rows) or rows[position] != row:
-                continue  # not a domain of this plan's populations
-            address = record.a if v4 else record.aaaa
-            # An address without a registered host stays site-less.
-            site = world.site_by_ip(address) if address is not None else None
-            site_indexes[position] = NO_ROW if site is None else site.index
-            if address is not None and (site is None or site_ips[site.index] != address):
-                addresses[position] = address
         columns = plan_columns(
             table,
             rows,
             site_indexes=site_indexes,
             site_ips=site_ips,
             site_orgs=[site.org for site in sites],
-            addresses=addresses,
         )
         return ScanPlan(ip_version=ip_version, populations=populations, columns=columns)
 

@@ -190,7 +190,7 @@ def run_weekly_scan_reference(
     for domain in world.domains:
         if domain.population not in populations:
             continue
-        address = world.resolver.resolve_address(domain.name, family=ip_version)
+        address = world.resolve_address(domain.name, family=ip_version)
         obs = DomainObservation(
             domain=domain.name,
             population=domain.population,

@@ -18,10 +18,10 @@ substream seeded by (world seed, week, vantage, family, site, kind) —
 clock, so no exchange can observe another's draws or timing.  As a
 consequence the merged output is *identical* for any worker count and
 any ticket layout, and equals the serial
-:class:`~repro.pipeline.engine.ScanEngine` on the same world, post-build
-mutations included (golden-tested by the pool legs of the differential
-harness, ``tests/differential.py``, and a mutated-world campaign in
-``tests/test_shm_pool.py``).
+:class:`~repro.pipeline.engine.ScanEngine` on the same world, routes
+registered after the build included (golden-tested by the pool legs of
+the differential harness, ``tests/differential.py``, and a campaign over
+a re-registered route in ``tests/test_shm_pool.py``).
 
 Tickets are **supervised** (docs/robustness.md): each ticket attempt
 has a per-week deadline (``shard_timeout``).  A ticket whose result does
@@ -246,7 +246,7 @@ class ShmPoolScanEngine(ScanEngine):
     A pool of ``workers`` processes forks from the parent on first use
     and builds each worker engine over the inherited world, so workers
     see the world exactly as the parent holds it — the lazy sections it
-    already built and any post-build mutation alike.  Work travels as
+    already built and any route registered before the fork alike.  Work travels as
     :class:`Ticket` descriptors — a site range, a week range and the
     range's events, which the parent schedules from its own plan.
     Workers never plan or schedule; they stay warm across weeks only
@@ -262,10 +262,9 @@ class ShmPoolScanEngine(ScanEngine):
     :meth:`ScanEngine._apply_replay` path, like the serial engine.
     ``close()`` — reached by the campaign loop's ``finally`` on success,
     crash and abort alike — terminates and joins the workers; the
-    lifecycle tests assert no worker process outlives it.  A world
-    mutated after the pool started must be followed by
-    :meth:`invalidate`, which closes the pool so the next dispatch forks
-    workers that see the mutation.
+    lifecycle tests assert no worker process outlives it.  Workers see
+    the world as it stood when they forked, so register routes
+    (``world.network.register``) before the first dispatch.
     """
 
     #: Parent replay-cache bound: large enough for every (week, spec) a
@@ -572,12 +571,6 @@ class ShmPoolScanEngine(ScanEngine):
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-
-    def invalidate(self) -> None:
-        """Drop cached plans *and* the pool (its workers forked before
-        whatever mutation triggered the invalidation)."""
-        super().invalidate()
-        self.close()
 
     def __enter__(self) -> "ShmPoolScanEngine":
         return self

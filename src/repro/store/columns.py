@@ -6,8 +6,8 @@ Two layers, split by what varies:
   a selection of the world's :class:`~repro.web.world.DomainTable`
   rows, one position per row, read in place for names, populations,
   lists, parking and ranks.  What the plan adds is week-invariant
-  family attribution: each position's site, the per-site address and
-  org, and the few explicit resolver records that point elsewhere.
+  family attribution: each position's site and the per-site address
+  and org.
   Filled **once per plan** (and therefore once per campaign);
   :func:`plan_columns` adds the per-site :class:`SiteSegment` arrays
   that encode the attribution fan-out in rank order.
@@ -111,11 +111,8 @@ class DomainColumns:
     Position ``p`` is ``table`` row ``rows[p]`` (ascending, so positions
     keep world order).  ``site_indexes`` holds each position's site in
     the plan's family (:data:`NO_ROW` when it has none); ``site_ips``
-    and ``site_orgs`` hold every world site's family address and org;
-    ``addresses`` maps the positions whose explicit resolver record
-    names an address other than their site's (a site-less one
-    included) to that address — empty unless the resolver was mutated
-    post-build.  ``segments`` holds one :class:`SiteSegment` per
+    and ``site_orgs`` hold every world site's family address and org.
+    ``segments`` holds one :class:`SiteSegment` per
     attributed site, ordered by first position; ``segment_of`` maps a
     position to its segment index (:data:`NO_ROW` without a site) and
     ``rank_of`` to its index in that segment's rank order.
@@ -126,7 +123,6 @@ class DomainColumns:
     site_indexes: array
     site_ips: list[str | None]
     site_orgs: list[str]
-    addresses: dict[int, str]
     segments: list[SiteSegment]
     segment_of: array
     rank_of: array
@@ -141,11 +137,8 @@ class DomainColumns:
 
     def ip(self, position: int) -> str | None:
         """The address ``position`` resolved to (``None``: unresolved)."""
-        address = self.addresses.get(position)
-        if address is None:
-            site = self.site_indexes[position]
-            address = self.site_ips[site] if site >= 0 else None
-        return address
+        site = self.site_indexes[position]
+        return self.site_ips[site] if site >= 0 else None
 
     def org(self, position: int) -> str:
         site = self.site_indexes[position]
@@ -202,7 +195,6 @@ def plan_columns(
     site_indexes: array,
     site_ips: list[str | None],
     site_orgs: list[str],
-    addresses: dict[int, str],
 ) -> DomainColumns:
     """Assemble a scan plan's :class:`DomainColumns` from its selection.
 
@@ -229,7 +221,7 @@ def plan_columns(
             segment_of[position] = index
             rank_of[position] = rank
     return DomainColumns(
-        table, rows, site_indexes, site_ips, site_orgs, addresses, segments, segment_of, rank_of
+        table, rows, site_indexes, site_ips, site_orgs, segments, segment_of, rank_of
     )
 
 

@@ -31,9 +31,8 @@ differential harness's ``rehydrated`` legs (``tests/differential.py``)
 pin: byte-identical campaign + analysis output across vantages and
 families, serial and on pool workers forked from a rehydrated world.
 Pool workers inherit the parent's world by fork and never decode one.
-Post-build mutations (extra resolver
-records, manual route registrations, registry swaps) are *not*
-captured; snapshot the world before mutating it.
+Post-build changes (manual route registrations, registry swaps) are
+*not* captured; snapshot the world before making them.
 
 :func:`acquire_world` is the build cache: worlds are keyed by a
 fingerprint over (config, provider/vantage/override specs) and persisted
@@ -53,7 +52,7 @@ from ast import literal_eval
 from pathlib import Path
 from time import perf_counter
 
-from repro.obs.metrics import global_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.quic.varint import decode_varint, encode_varint
 from repro.util.atomic import atomic_write_bytes
 from repro.util.framing import CodecCorruption, frame_payload, unframe_payload
@@ -447,6 +446,7 @@ def acquire_world(
     vantages: list[VantageSpec] | None = None,
     overrides: list[VantageOverrideSpec] | None = None,
     cache_dir: str | os.PathLike,
+    registry: MetricsRegistry | None = None,
 ) -> tuple[World, str]:
     """Get a built world through the snapshot cache under ``cache_dir``.
 
@@ -454,7 +454,10 @@ def acquire_world(
     fresh, snapshot persisted) or ``"disk"`` (decoded from
     ``cache_dir``).  Every warm acquisition decodes an independent
     world; mutating it cannot poison the cache.  Unreadable or
-    mismatched cache files are rebuilt in place.
+    mismatched cache files are rebuilt in place.  The outcome and its
+    timings go under ``world.*`` into ``registry`` — the caller's run
+    registry, which ``--metrics-out`` writes (docs/observability.md);
+    without one they are dropped.
     """
     config = config or WorldConfig()
     from repro.web.providers import (
@@ -468,10 +471,8 @@ def acquire_world(
     overrides = overrides if overrides is not None else default_vantage_overrides()
     fingerprint = world_fingerprint(config, providers, vantages, overrides)
 
-    # PR 5 measured cache behaviour only inside the bench harness; the
-    # process-global registry makes it reportable from any run
-    # (--metrics-out merges these under world.* — docs/observability.md).
-    registry = global_registry()
+    if registry is None:
+        registry = MetricsRegistry()
 
     path = cache_path(cache_dir, fingerprint)
     if path.exists():

@@ -1,11 +1,11 @@
 """World builder: turn provider specs into hosts, DNS, routes and stacks.
 
 The built :class:`World` exposes exactly what a measurement pipeline can
-touch: a resolver, a routed network, and per-site server stacks resolved
-for a given week and vantage point.  QUIC adoption grows over the
-measurement period (ramp from ~81 % of the final fleet in June 2022 to
-100 % by spring 2023), reproducing the rising total of Figure 3 and the
-"Unavailable" flows of Figure 4.
+touch: DNS lookups (:meth:`World.resolve`), a routed network, and
+per-site server stacks resolved for a given week and vantage point.
+QUIC adoption grows over the measurement period (ramp from ~81 % of the
+final fleet in June 2022 to 100 % by spring 2023), reproducing the
+rising total of Figure 3 and the "Unavailable" flows of Figure 4.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from repro.asdb.as2org import AsOrgMap
 from repro.asdb.prefixtree import PrefixTree
-from repro.dns.resolver import DnsRecord, Resolver
+from repro.dns.records import DnsRecord
 from repro.http.messages import HttpResponse
 from repro.netsim.clock import Clock
 from repro.netsim.network import Network
@@ -284,8 +284,8 @@ class World:
       from that vantage (:meth:`ensure_routes`; router addresses are a
       pure function of the section, not of materialisation order);
     * **DNS records** — derived per domain from the domain/site tables
-      on each resolve (the resolver fallback; never stored), and read
-      straight from those tables by the scan plan;
+      on each lookup (:meth:`resolve`; never stored), and read straight
+      from those tables by the scan plan;
     * **site attribution** — the per-site ASN/org trie walk, run once
       before the first scan plan (:meth:`ensure_site_attribution`);
     * **responses / policies** — per-site canned responses and
@@ -310,7 +310,6 @@ class World:
         self.rng = RngStream(config.seed, "world")
         self.network = Network(self.clock, self.rng.child("network"))
         self.stack_registry: StackRegistry = default_registry()
-        self.resolver = Resolver()
         self.asorg = AsOrgMap()
         self.prefixes = PrefixTree()
         self.sites: list[Site] = []
@@ -324,7 +323,7 @@ class World:
             key = (override.vantage_id, override.provider, override.group_key)
             self._overrides.setdefault(key, []).append(override)
         # Lazy sections: every vantage's routes start pending; DNS
-        # records derive per call; attribution is marked stale by the
+        # records derive per lookup; attribution is marked stale by the
         # populate step.
         self._pending_route_sections: dict[str, int] = {
             vantage.vantage_id: index
@@ -334,7 +333,6 @@ class World:
         self._attribution_stale = False
         self._domain_name_index: dict[str, int] | None = None
         self.network.set_section_loader(self.ensure_routes)
-        self.resolver.set_fallback(self._derive_dns_record)
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -444,8 +442,8 @@ class World:
         for vantage_id in list(self._pending_route_sections):
             self.ensure_routes(vantage_id)
 
-    def _derive_dns_record(self, name: str) -> DnsRecord | None:
-        """The resolver's fallback: derive one domain's zone record.
+    def resolve(self, name: str) -> DnsRecord | None:
+        """The zone record of ``name`` (``None``: no such domain, or no site).
 
         Records are a pure function of the domain/site tables
         (:func:`dns_record_for`), so none is stored, at build time or
@@ -460,6 +458,13 @@ class World:
         domain = self.domains[row]
         return dns_record_for(domain, self.sites[domain.site_index])
 
+    def resolve_address(self, name: str, family: int = 4) -> str | None:
+        """The A (``family=4``) or AAAA (``family=6``) answer for ``name``, or None."""
+        record = self.resolve(name)
+        if record is None:
+            return None
+        return record.a if family == 4 else record.aaaa
+
     def domain_row(self, name: str) -> int | None:
         """The domain table row of ``name`` (``None``: no such domain)."""
         index = self._domain_name_index
@@ -473,38 +478,27 @@ class World:
         return {
             "pending_route_sections": sorted(self._pending_route_sections),
             "attribution_stale": self._attribution_stale,
-            "dns_records_stored": len(self.resolver.records),
         }
 
     # ------------------------------------------------------------------
     # Week-invariant site attribution (lazy; see ensure_site_attribution)
     # ------------------------------------------------------------------
     def ensure_site_attribution(self) -> None:
-        """Materialise per-site ASN/org if the section is still stale.
-
-        The scan engine calls this before building a plan; small
-        workloads that never plan a scan (single traces, greasing
-        subsets) skip the full per-site trie walk entirely.
-        """
-        if self._attribution_stale:
-            self.refresh_site_attribution()
-
-    def refresh_site_attribution(self) -> None:
-        """(Re)compute per-site ASN and organisation.
+        """Materialise per-site ASN and organisation if still stale.
 
         One prefix-trie walk per *site* instead of one per domain per
-        weekly scan.  Call again after mutating ``prefixes`` or
-        ``asorg`` post-build: the scan engine bakes ``Site.org`` into
-        its cached plans, so those are invalidated here too.
+        weekly scan.  The scan engine calls this before building a
+        plan; small workloads that never plan a scan (single traces,
+        greasing subsets) skip the walk entirely.
         """
+        if not self._attribution_stale:
+            return
         lookup = self.prefixes.lookup
         org_for = self.asorg.org_for
         for site in self.sites:
             site.asn = lookup(site.ip)
             site.org = org_for(site.asn)
         self._attribution_stale = False
-        if self._scan_engine is not None:
-            self._scan_engine.invalidate()
 
     # ------------------------------------------------------------------
     # Server construction

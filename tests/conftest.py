@@ -29,16 +29,6 @@ SMALL_SCALE = 20_000
 #: Calibration world: shape assertions against the paper's percentages.
 SHAPE_SCALE = 2_000
 
-def point_first_domain_at_last_site(world):
-    """Resolver mutated post-build: a site-0 domain now resolves to the
-    last site's IP.  Returns the mutated domain's name."""
-    from repro.dns.resolver import DnsRecord
-
-    domain = next(d for d in world.domains if d.site_index == 0)
-    world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
-    return domain.name
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _no_leaked_workers():
     """Fail the suite if any test leaks a worker.

@@ -1,10 +1,10 @@
-"""AS database (prefix trie + as2org), DNS resolver, HTTP messages."""
+"""AS database (prefix trie + as2org), DNS lookups, HTTP messages."""
 
 from hypothesis import given, strategies as st
 
 from repro.asdb.as2org import AsOrgMap
 from repro.asdb.prefixtree import PrefixTree
-from repro.dns.resolver import DnsRecord, Resolver
+from repro.dns.records import DnsRecord
 from repro.http.messages import HttpRequest, HttpResponse
 
 
@@ -89,26 +89,29 @@ def test_merge_cycles_do_not_hang():
 # ----------------------------------------------------------------------
 # DNS
 # ----------------------------------------------------------------------
-def test_resolution_families():
-    resolver = Resolver()
-    resolver.add("example.com", DnsRecord(a="203.0.113.1", aaaa="2001:db8::1"))
-    assert resolver.resolve_address("example.com", family=4) == "203.0.113.1"
-    assert resolver.resolve_address("example.com", family=6) == "2001:db8::1"
+def test_resolution_families(small_world):
+    """A is the site's ``ip``; AAAA its ``ipv6`` only for a domain that
+    ``has_aaaa``."""
+    dual = next(
+        d
+        for d in small_world.domains
+        if d.has_aaaa and d.site_index >= 0 and small_world.sites[d.site_index].ipv6
+    )
+    site = small_world.sites[dual.site_index]
+    assert small_world.resolve_address(dual.name, family=4) == site.ip
+    assert small_world.resolve_address(dual.name, family=6) == site.ipv6
+    v4_only = next(d for d in small_world.domains if not d.has_aaaa and d.site_index >= 0)
+    assert small_world.resolve_address(v4_only.name, family=4) is not None
+    assert small_world.resolve_address(v4_only.name, family=6) is None
 
 
-def test_missing_domain_resolves_none():
-    resolver = Resolver()
-    assert resolver.resolve("missing.example") is None
-    assert resolver.resolve_address("missing.example") is None
-
-
-def test_vantage_override_changes_answer():
-    resolver = Resolver()
-    resolver.add("geo.example", DnsRecord(a="203.0.113.1"))
-    resolver.add_override("vp-west", "geo.example", DnsRecord(a="203.0.113.99"))
-    assert resolver.resolve_address("geo.example") == "203.0.113.1"
-    assert resolver.resolve_address("geo.example", vantage_id="vp-west") == "203.0.113.99"
-    assert resolver.resolve_address("geo.example", vantage_id="vp-east") == "203.0.113.1"
+def test_missing_domain_resolves_none(small_world):
+    assert small_world.resolve("missing.example") is None
+    assert small_world.resolve_address("missing.example") is None
+    # A domain of the table without a site resolves to nothing too.
+    unresolved = next(d for d in small_world.domains if d.site_index < 0)
+    assert small_world.resolve(unresolved.name) is None
+    assert small_world.resolve_address(unresolved.name, family=6) is None
 
 
 def test_parked_domain_records():

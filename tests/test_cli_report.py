@@ -414,6 +414,30 @@ def test_cli_world_cache_persists_and_rehydrates(tmp_path, capsys):
     assert capsys.readouterr().out == cold_out
 
 
+def test_cli_world_cache_metrics_stay_with_their_run(tmp_path):
+    """Three in-process ``--world-cache`` runs: each report holds only
+    its own run's world acquisition (one cold build, then one disk hit
+    each), not a count carried over from an earlier run."""
+    from repro.obs import load_metrics
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    args = ["scan", "--scale", "400000", "--quiet", "--world-cache", str(cache)]
+    trees = []
+    for run in range(3):
+        path = tmp_path / f"metrics-{run}.json"
+        assert main([*args, "--metrics-out", str(path)]) == 0
+        trees.append(load_metrics(path)["metrics"])
+    assert trees[0]["world.cache.cold_builds"]["value"] == 1
+    assert "world.cache.disk_hits" not in trees[0]
+    assert trees[0]["world.snapshot.build_seconds"]["count"] == 1
+    for tree in trees[1:]:
+        assert tree["world.cache.disk_hits"]["value"] == 1
+        assert tree["world.snapshot.decode_seconds"]["count"] == 1
+        assert "world.cache.cold_builds" not in tree
+        assert "world.snapshot.build_seconds" not in tree
+
+
 # ----------------------------------------------------------------------
 # Closed stdout
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ must not be cacheable at all.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from repro.exchange.cache import CacheStats
 from repro.http.messages import HttpResponse
 from repro.netsim.clock import Clock
 from repro.netsim.hops import EcnAction, Router
+from repro.netsim.network import PathTemplate
 from repro.netsim.path import NetworkPath
 from repro.pipeline.engine import QUIC_EVENT, TCP_EVENT, SiteEvent
 from repro.quic.connection import QuicClientConfig
@@ -37,6 +40,8 @@ from repro.quicstacks.base import MirrorQuirk, StackBehavior
 from repro.store.codec import decode_shard_payload_obs, encode_shard_results
 from repro.tcp.profiles import TcpProfile
 from repro.web.spec import WorldConfig
+
+from tests.differential import assert_runs_equal
 
 SCALE = 40_000
 
@@ -293,18 +298,52 @@ def test_preordered_emission_matches_sorted_reference():
                 assert actual == expected
 
 
-def test_preordered_emission_matches_reference_after_resolver_mutation():
-    """A domain the resolver moved to another site stays ordered."""
-    from repro.dns.resolver import DnsRecord
+def _clear_ecn_on_route_of(world, site_index, week):
+    """Re-register the site's main-aachen route from ``week`` on, with a
+    first hop that clears the ECN bits."""
+    route_key = world.sites[site_index].route_key
+    template = world.network.template_for("main-aachen", route_key, week)
+    variants = [
+        NetworkPath(
+            hops=[
+                dataclasses.replace(path.hops[0], ecn_action=EcnAction.CLEAR_ECN),
+                *path.hops[1:],
+            ],
+            base_loss=path.base_loss,
+        )
+        for path in template.variants
+    ]
+    world.network.register(
+        "main-aachen",
+        route_key,
+        PathTemplate(template.name, variants, template.weights),
+        start=week,
+    )
 
+
+def test_route_registered_after_a_week_ran_needs_no_invalidation():
+    """The path memo revalidates its template and the outcome key holds
+    the path's token, so a route registered after a week ran is seen by
+    the same engine's next run, whose warm cache replays nothing stale:
+    it equals a fresh world's run with the route registered before any
+    exchange."""
+    week = WorldConfig().reference_week
     world = repro.build_world(WorldConfig(scale=SCALE))
-    domain = next(d for d in world.domains if d.site_index == 0)
-    world.resolver.add(domain.name, DnsRecord(a=world.sites[-1].ip))
     engine = world.scan_engine()
-    plan = engine.plan_for(4, ("cno", "toplist"))
-    week = world.config.reference_week
-    expected = _reference_schedule(engine, plan, week, "main-aachen", True)
-    actual = engine.site_events(week, include_tcp=True)
-    assert actual == expected
-    positions = [(event.position, event.kind) for event in actual]
-    assert positions == sorted(positions)
+    before = engine.run_week(week, include_tcp=True)
+    site_index = next(
+        index
+        for index, record in sorted(before.site_records.items())
+        if record.quic is not None and record.quic.mirroring
+    )
+    _clear_ecn_on_route_of(world, site_index, week)
+    after = engine.run_week(week, include_tcp=True)
+    assert after.site_records[site_index].quic != before.site_records[site_index].quic
+
+    fresh = repro.build_world(WorldConfig(scale=SCALE))
+    _clear_ecn_on_route_of(fresh, site_index, week)
+    assert_runs_equal(
+        fresh.scan_engine().run_week(week, include_tcp=True),
+        after,
+        leg="re-registered route on a warm engine",
+    )

@@ -82,25 +82,6 @@ def test_registry_histogram_summary():
     assert registry.value("h") == 6.0  # histogram scalar = total
 
 
-def test_registry_merge_semantics():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("c").inc(2)
-    b.counter("c").inc(3)
-    a.gauge("g").set(1.0)
-    b.gauge("g").set(7.0)
-    b.observe("h", 4.0)
-    a.observe("h", 1.0)
-    a.ratio("r", "c", "attempts")
-    b.ratio("r", "c", "attempts")
-    b.counter("attempts").inc(10)
-    a.merge(b)
-    assert a.value("c") == 5  # counters accumulate
-    assert a.value("g") == 7.0  # gauges last-write
-    assert a.get("h").count == 2 and a.get("h").total == 5.0
-    # Ratio re-derives over the *merged* counters, not an average of rates.
-    assert a.value("r") == 0.5
-
-
 def test_counter_deltas_round_trip():
     registry = MetricsRegistry()
     registry.counter("a").inc(4)

@@ -27,8 +27,6 @@ from repro.store.columns import NO_ROW, ObservationStore
 from repro.store.views import StoreObservations
 from repro.web.spec import WorldConfig
 
-from tests.conftest import point_first_domain_at_last_site
-
 GOLDEN_SCALE = 20_000
 
 OBSERVATION_FIELDS = [f.name for f in dataclasses.fields(DomainObservation)]
@@ -89,19 +87,6 @@ def test_engine_matches_reference_include_tcp():
     engine_run = repro.run_weekly_scan(
         world_eng, week, populations=("cno",), include_tcp=True, quic_config=config
     )
-    _assert_runs_equal(reference, engine_run)
-    assert world_ref.clock.now == world_eng.clock.now
-
-
-def test_engine_matches_reference_with_cross_site_resolver_override():
-    """A resolver mutated post-build (domain pointed at another site's
-    IP) groups the domain under the site that owns its new address."""
-    world_ref, world_eng = _world_pair()
-    point_first_domain_at_last_site(world_ref)
-    point_first_domain_at_last_site(world_eng)
-    week = world_ref.config.reference_week
-    reference = run_weekly_scan_reference(world_ref, week, run_tracebox=True)
-    engine_run = repro.run_weekly_scan(world_eng, week, plugins=("ecn", "trace"))
     _assert_runs_equal(reference, engine_run)
     assert world_ref.clock.now == world_eng.clock.now
 
@@ -301,16 +286,11 @@ def test_world_site_attribution_materialised():
         assert site.org == world.asorg.org_for(site.provider.asn)
 
 
-@pytest.mark.parametrize("resolver", ["default", "cross-site-override"])
+@pytest.mark.parametrize("resolver", ["default"])
 def test_plan_segments_partition_attributed_positions(resolver):
     """The plan's site segments are exactly its attributed positions,
     grouped by the site that owns each resolved address."""
     world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
-    moved = (
-        point_first_domain_at_last_site(world)
-        if resolver == "cross-site-override"
-        else None
-    )
     columns = world.scan_engine().plan_for(4, ("cno", "toplist")).columns
     site_indexes = columns.site_indexes
     attributed = []
@@ -340,9 +320,6 @@ def test_plan_segments_partition_attributed_positions(resolver):
             assert columns.rank_of[position] == rank
     assert sum(1 for s in columns.segment_of if s == NO_ROW) == columns.count - len(attributed)
     assert len({segment.site_index for segment in columns.segments}) == len(firsts)
-    if moved is not None:
-        position = columns.rows.index(world.domain_row(moved))
-        assert site_indexes[position] == world.sites[-1].index
 
 
 def _plan_views(world, columns):
@@ -358,12 +335,12 @@ def _plan_views(world, columns):
     return StoreObservations(store)
 
 
-def _assert_plan_agrees_with_resolver(world):
-    """Every planned position carries the resolver's answer and the site
+def test_plan_agrees_with_the_resolver():
+    """Every planned position carries the world's DNS answer and the site
     that owns it — the address rule the plan and ``dns_record_for`` share."""
+    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
     engine = world.scan_engine()
-    engine.invalidate()
-    resolve = world.resolver.resolve_address
+    resolve = world.resolve_address
     for ip_version in (4, 6):
         for populations in (("cno",), ("cno", "toplist")):
             columns = engine.plan_for(ip_version, populations).columns
@@ -378,36 +355,3 @@ def _assert_plan_agrees_with_resolver(world):
                 site = world.site_by_ip(address) if address is not None else None
                 expected = NO_ROW if site is None else site.index
                 assert columns.site_indexes[position] == expected, (name, ip_version)
-
-
-def test_plan_agrees_with_the_resolver():
-    world = repro.build_world(WorldConfig(scale=GOLDEN_SCALE))
-    _assert_plan_agrees_with_resolver(world)
-
-    # A record that moves a domain to another site.
-    moved = point_first_domain_at_last_site(world)
-    _assert_plan_agrees_with_resolver(world)
-
-    # A record with no AAAA for a domain whose zone has one: site-less
-    # and unresolved under v6, unchanged under v4.
-    from repro.dns.resolver import DnsRecord
-
-    dual = next(
-        d for d in world.domains if d.has_aaaa and d.site_index >= 0 and d.name != moved
-    )
-    world.resolver.add(dual.name, DnsRecord(a=world.sites[dual.site_index].ip))
-    _assert_plan_agrees_with_resolver(world)
-    v6 = world.scan_engine().plan_for(6, ("cno", "toplist")).columns
-    assert v6.ip(v6.rows.index(world.domain_row(dual.name))) is None
-
-    # A record pointing at addresses no site owns: resolved, site-less.
-    stray = next(
-        d for d in world.domains if d.site_index >= 0 and d.name not in (moved, dual.name)
-    )
-    world.resolver.add(stray.name, DnsRecord(a="198.51.100.7", aaaa="2001:db8:ffff::7"))
-    _assert_plan_agrees_with_resolver(world)
-    v4 = world.scan_engine().plan_for(4, ("cno",)).columns
-    position = v4.rows.index(world.domain_row(stray.name))
-    assert _plan_views(world, v4)[position].resolved
-    assert v4.site_indexes[position] == NO_ROW
-    assert v4.segment_of[position] == NO_ROW

@@ -10,8 +10,8 @@ report); every executor leg there serves the same store-backed runs,
 and the campaign's pool legs hold the line for workers 1/2/4, small
 tickets and cache-free workers.  This module also holds what is particular to the store: the views' sequence
 protocol, figures and tables (first-seen dict order included) over
-campaigns and runs from different plans, populations and resolver
-overrides, and site-grained aggregation order.  Worlds are built in
+campaigns and runs from different plans and populations, and
+site-grained aggregation order.  Worlds are built in
 identically-seeded pairs and driven in lockstep, so both paths see the
 same shared-RNG trajectory.
 """
@@ -31,6 +31,7 @@ from repro.analysis.report import longitudinal_report, reference_report
 from repro.core.codepoints import ECN
 from repro.core.validation import ValidationOutcome
 from repro.pipeline.campaign import Campaign, campaign_weeks
+from repro.pipeline.engine import ScanEngine
 from repro.pipeline.runs import WeeklyRun, run_weekly_scan_reference
 from repro.quic.connection import QuicConnectionResult
 from repro.scanner.results import SiteScanRecord
@@ -42,7 +43,7 @@ from repro.web.paths import AS_ARELION
 from repro.web.world import DomainTable
 from repro.web.spec import WorldConfig
 
-from tests.conftest import point_first_domain_at_last_site, requires_fork
+from tests.conftest import requires_fork
 from tests.differential import assert_legs_equal, assert_runs_equal
 
 #: Small world for the sequence-protocol checks...
@@ -171,27 +172,24 @@ def test_campaign_analysis_outputs_identical(campaign_pair):
     assert longitudinal_report(objects) == longitudinal_report(store)
 
 
-def _three_week_campaign_pair(populations_for, *, mutate=None, invalidate_at=None):
+def _three_week_campaign_pair(populations_for, *, replan_at=None):
     """Object and store campaigns over three weeks (first, middle and
     last of the campaign — the figures' default snapshots), in lockstep
     worlds.
 
     ``populations_for(index)`` picks each run's populations (so runs can
-    come from different plans); ``invalidate_at`` drops the engine's
-    plans before that run; ``mutate`` is applied to both worlds first.
+    come from different plans); from run ``replan_at`` on, a second
+    engine over the same world plans afresh.
     """
     world_objects = _build(DEEP_SCALE)
     world_store = _build(DEEP_SCALE)
-    if mutate is not None:
-        mutate(world_objects)
-        mutate(world_store)
     engine = world_store.scan_engine()
     objects, store = Campaign(), Campaign()
     weeks = campaign_weeks(world_objects)
     for index, week in enumerate((weeks[0], weeks[len(weeks) // 2], weeks[-1])):
         populations = populations_for(index)
-        if index == invalidate_at:
-            engine.invalidate()
+        if index == replan_at:
+            engine = ScanEngine(world_store)
         objects.add_run(
             run_weekly_scan_reference(world_objects, week, populations=populations)
         )
@@ -202,10 +200,10 @@ def _three_week_campaign_pair(populations_for, *, mutate=None, invalidate_at=Non
 
 def test_mixed_plan_campaign_figures_match_objects():
     """Snapshot runs from different plans (a two-population run, then a
-    re-plan after ``invalidate``) share no segments; the figures still
-    equal the object path."""
+    second engine's plan) share no segments; the figures still equal the
+    object path."""
     objects, store = _three_week_campaign_pair(
-        lambda index: ("cno", "toplist") if index == 0 else ("cno",), invalidate_at=2
+        lambda index: ("cno", "toplist") if index == 0 else ("cno",), replan_at=2
     )
     columns = [run.store.columns for run in store.runs]
     assert columns[0] is not columns[1] and columns[1] is not columns[2]
@@ -219,15 +217,6 @@ def test_two_population_campaign_figures_match_objects():
     columns = store.runs[0].store.columns
     assert all(run.store.columns is columns for run in store.runs)
     assert len(columns.population_positions("cno")) < columns.count
-    _assert_figures_equal(objects, store)
-
-
-def test_cross_site_override_campaign_figures_match_objects():
-    """A domain resolved to another site's address counts under that
-    site in every figure."""
-    objects, store = _three_week_campaign_pair(
-        lambda index: ("cno",), mutate=point_first_domain_at_last_site
-    )
     _assert_figures_equal(objects, store)
 
 
@@ -274,23 +263,6 @@ def test_reference_analysis_outputs_identical():
     }
 
 
-
-def test_cross_site_override_analysis_outputs_identical():
-    """Tables over a world whose resolver points a domain at another
-    site's address equal the reference run's."""
-    world_objects = _build(DEEP_SCALE)
-    world_store = _build(DEEP_SCALE)
-    point_first_domain_at_last_site(world_objects)
-    point_first_domain_at_last_site(world_store)
-    week = world_objects.config.reference_week
-    reference = run_weekly_scan_reference(
-        world_objects, week, include_tcp=True, run_tracebox=True
-    )
-    run = world_store.scan_engine().run_week(week, include_tcp=True, plugins=("ecn", "trace"))
-    assert_runs_equal(reference, run, leg="store, cross-site override")
-    _assert_tables_equal(reference, run)
-
-
 # ----------------------------------------------------------------------
 # Site order vs first-seen order
 # ----------------------------------------------------------------------
@@ -331,7 +303,6 @@ def _synthetic_campaigns(shares, results=None, traces=None):
         site_indexes=array("i", site_indexes),
         site_ips=["10.0.0.1", "10.0.0.2", "10.0.0.3"],
         site_orgs=["Org A", "Org B", "Org C"],
-        addresses={},
     )
     if results is None:
         results = [

@@ -14,7 +14,7 @@ from repro.web.world import ADOPTION_FULL_WEEK, ADOPTION_START_SHARE, Domain, Do
 
 def test_every_domain_with_site_is_resolvable(small_world):
     for domain in small_world.domains[:2000]:
-        record = small_world.resolver.resolve(domain.name)
+        record = small_world.resolve(domain.name)
         if domain.site_index >= 0:
             assert record is not None and record.a is not None
         else:
@@ -214,7 +214,7 @@ def test_world_scales_inversely():
 def test_parked_domains_have_parking_ns(small_world):
     parked = [d for d in small_world.domains if d.parked]
     assert parked
-    record = small_world.resolver.resolve(parked[0].name)
+    record = small_world.resolve(parked[0].name)
     assert record.ns
 
 

@@ -89,9 +89,7 @@ def test_snapshot_round_trip_tables_identical():
     assert sorted(rehydrated.prefixes.items()) == sorted(fresh.prefixes.items())
     # DNS derives identically on both sides.
     for domain in fresh.domains[:500]:
-        assert rehydrated.resolver.resolve(domain.name) == fresh.resolver.resolve(
-            domain.name
-        )
+        assert rehydrated.resolve(domain.name) == fresh.resolve(domain.name)
 
 
 def test_snapshot_bytes_are_pinned():
@@ -244,7 +242,6 @@ def test_world_sections_stay_lazy_until_touched():
     world = _build(MATRIX_SCALE)
     state = world.section_state()
     assert state["attribution_stale"]
-    assert state["dns_records_stored"] == 0
     assert set(state["pending_route_sections"]) == set(world.vantages)
 
     # A single-vantage scan materialises only that vantage's routes.
@@ -253,12 +250,6 @@ def test_world_sections_stay_lazy_until_touched():
     assert not state["attribution_stale"]
     assert "main-aachen" not in state["pending_route_sections"]
     assert len(state["pending_route_sections"]) == len(world.vantages) - 1
-    # DNS answers are derived per call: neither the plan (which reads
-    # the domain/site tables) nor a direct lookup stores a record.
-    assert state["dns_records_stored"] == 0
-    attached = next(d for d in world.domains if d.site_index >= 0)
-    assert world.resolver.resolve(attached.name) is not None
-    assert world.section_state()["dns_records_stored"] == 0
 
     # Touching a route from another vantage materialises its section.
     site = world.sites[0]
@@ -310,18 +301,6 @@ def test_all_sections_mint_valid_disjoint_router_addresses():
     for i, a in enumerate(vantage_ids):
         for b in vantage_ids[i + 1 :]:
             assert not (per_vantage[a] & per_vantage[b]), (a, b)
-
-
-def test_explicit_resolver_records_win_over_lazy_derivation():
-    world = _build(MATRIX_SCALE)
-    from repro.dns.resolver import DnsRecord
-
-    victim = next(d for d in world.domains if d.site_index >= 0)
-    world.resolver.add(victim.name, DnsRecord(a="198.51.100.7"))
-    assert world.resolver.resolve_address(victim.name) == "198.51.100.7"
-    # Unresolved domains still resolve to nothing.
-    unresolved = next(d for d in world.domains if d.site_index < 0)
-    assert world.resolver.resolve(unresolved.name) is None
 
 
 # ----------------------------------------------------------------------
